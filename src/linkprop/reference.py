@@ -125,9 +125,47 @@ def metrics_scalar(ranked, relevant, k: int):
         if int(item) in relevant:
             hits += 1
             dcg += 1.0 / math.log2(position + 2.0)
-    idcg = sum(1.0 / math.log2(r + 2.0)
-               for r in range(min(k, len(relevant))))
+    idcg = 0.0
+    for position in range(min(k, len(relevant))):
+        idcg += 1.0 / math.log2(position + 2.0)
     return hits / k, hits / len(relevant), dcg / idcg
+
+
+def evaluate_scalar(X: np.ndarray, splits, train_graph, k: int = 20,
+                    split: str = "test"):
+    """Full-ranking metrics at k, one user and one item at a time.
+
+    Every user with a held-out edge ranks the items it has no training edge
+    to and whose score is finite, by descending score and then ascending
+    item id; per-user metrics are added in user order and averaged.  The
+    scores are the same per-user product `items @ X[user]` the fast path
+    computes, so the two agree bit for bit.  Returns the EvalResult fields
+    as a tuple: (k, precision, recall, ndcg, users_evaluated, users_skipped).
+    """
+    num_users = splits.partition.num_users
+    held_out = splits.test if split == "test" else splits.val
+    relevant: dict[int, list] = {}
+    for user, item in held_out:
+        relevant.setdefault(int(user), []).append(int(item) - num_users)
+    seen: dict[int, set] = {}
+    for user, item in train_graph.edges:
+        seen.setdefault(int(user), set()).add(int(item) - num_users)
+    items = X[num_users:]
+    totals = [0.0, 0.0, 0.0]
+    evaluated = 0
+    for user in range(num_users):
+        if user not in relevant:
+            continue
+        scores = items @ X[user]
+        trained = seen.get(user, set())
+        candidates = [i for i in range(items.shape[0])
+                      if i not in trained and math.isfinite(scores[i])]
+        ranked = sorted(candidates, key=lambda i: (-scores[i], i))
+        for j, value in enumerate(metrics_scalar(ranked, relevant[user], k)):
+            totals[j] += value
+        evaluated += 1
+    return (k, totals[0] / evaluated, totals[1] / evaluated,
+            totals[2] / evaluated, evaluated, num_users - evaluated)
 
 
 def dense_propagation_matrix(c1: float, c2: float, P1: np.ndarray,

@@ -9,12 +9,13 @@ the gradient trajectory is the authoritative one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from linkprop.diagnostics import frobenius, mean_positive_kernel
-from linkprop.graphs import Graph
+from linkprop.graphs import MAX_PROXIMITY_ORDER, Graph
 from linkprop.kernel import (KernelOperator, kernel_step, kernel_step_traced,
                              link_kernels, model_config, score_matrices)
 from linkprop.losses import (MODELS, DivergenceError, MaskSet, ModelParams,
@@ -51,8 +52,15 @@ class TrainConfig:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(
+                f"alpha must be positive and finite, got {self.alpha}")
+        if not 0 <= self.layers <= MAX_PROXIMITY_ORDER:
+            raise ValueError(f"layers must be in 0..{MAX_PROXIMITY_ORDER}, "
+                             f"got {self.layers}")
+        if not 1 <= self.window <= MAX_PROXIMITY_ORDER:
+            raise ValueError(f"window must be in 1..{MAX_PROXIMITY_ORDER}, "
+                             f"got {self.window}")
         if self.dim < 1 or self.max_epochs < 1 or self.patience < 1:
             raise ValueError("dim, max_epochs and patience must be >= 1")
         if self.path not in PATHS:
@@ -61,6 +69,8 @@ class TrainConfig:
             raise ValueError("init_scale must be positive")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
+        if self.eval_k < 1:
+            raise ValueError(f"eval_k must be >= 1, got {self.eval_k}")
 
     @property
     def params(self) -> ModelParams:

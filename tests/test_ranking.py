@@ -1,11 +1,15 @@
+import dataclasses
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from linkprop import ranking
 from linkprop.graphs import Partition, build_graph
-from linkprop.ranking import (EvalResult, SplitSet, evaluate, items_by_user,
-                              mean_result, metrics_at_k, score_user, top_k)
-from linkprop.reference import metrics_scalar
+from linkprop.ranking import (EvalResult, SplitSet, evaluate, mean_result,
+                              metrics_at_k, score_user, top_k)
+from linkprop.reference import evaluate_scalar, metrics_scalar
 
 
 def make_splits(part, train, val=(), test=()):
@@ -108,19 +112,6 @@ class TestScoreUser:
             score_user(np.ones((2, 2)), 0, graph)
 
 
-class TestItemsByUser:
-    def test_groups_and_rebases(self):
-        part = Partition(3, 3)
-        edges = np.array([(2, 4), (0, 3), (0, 5), (2, 3)])
-        groups = items_by_user(edges, part)
-        assert sorted(groups) == [0, 2]
-        assert list(groups[0]) == [0, 2]
-        assert list(groups[2]) == [0, 1]
-
-    def test_empty(self):
-        assert items_by_user(np.empty((0, 2), dtype=int), Partition(2, 2)) == {}
-
-
 class TestEvaluate:
     def test_perfect_model(self):
         part = Partition(2, 3)
@@ -169,6 +160,121 @@ class TestEvaluate:
         graph = build_graph([(0, 2), (1, 3)], partition=part)
         with pytest.raises(ValueError, match="no users"):
             evaluate(np.ones((4, 2)), splits, graph)
+
+    def test_needs_partition(self):
+        part = Partition(2, 2)
+        splits = make_splits(part, [(0, 2)], test=[(1, 3)])
+        graph = build_graph([(0, 2)], num_nodes=4)
+        with pytest.raises(ValueError, match="partition"):
+            evaluate(np.ones((4, 2)), splits, graph)
+
+
+class TestEvaluateInputs:
+    @pytest.fixture
+    def case(self):
+        part = Partition(2, 3)
+        train = [(0, 2), (1, 3)]
+        return make_splits(part, train, test=[(0, 3), (1, 4)]), \
+            build_graph(train, partition=part)
+
+    def test_rejects_extra_rows(self, case):
+        # extra rows would otherwise be ranked as items
+        splits, graph = case
+        with pytest.raises(ValueError, match="X must .* one row per node"):
+            evaluate(np.ones((7, 2)), splits, graph)
+
+    def test_rejects_missing_rows(self, case):
+        splits, graph = case
+        with pytest.raises(ValueError, match="X must .* one row per node"):
+            evaluate(np.ones((4, 2)), splits, graph)
+
+    def test_rejects_one_dimensional_x(self, case):
+        splits, graph = case
+        with pytest.raises(ValueError, match="X must be a 2-d array"):
+            evaluate(np.ones(5), splits, graph)
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_rejects_cutoff_below_one(self, case, k):
+        splits, graph = case
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            evaluate(np.ones((5, 2)), splits, graph, k=k)
+
+
+@st.composite
+def ranking_case(draw):
+    """A small bipartite split, embeddings, a cutoff and a users-per-block.
+
+    Embeddings are Gaussian, rounded to integers or all zero (heavy ties at
+    the cutoff), with optional nan/+-inf entries.  Some users get every item
+    as a training edge, held-out edges notwithstanding, so they have no
+    candidate left.
+    """
+    num_users = draw(st.integers(1, 6))
+    num_items = draw(st.integers(1, 8))
+    part = Partition(num_users, num_items)
+    cells = [(u, num_users + i) for u in range(num_users)
+             for i in range(num_items)]
+    labels = draw(st.lists(st.sampled_from("-tvs"), min_size=len(cells),
+                           max_size=len(cells)))
+    edges = {label: [c for c, l in zip(cells, labels) if l == label]
+             for label in "tvs"}
+    for user in draw(st.sets(st.integers(0, num_users - 1), max_size=2)):
+        edges["t"] += [(user, num_users + i) for i in range(num_items)]
+    split = draw(st.sampled_from(["val", "test"]))
+    held = edges["v" if split == "val" else "s"]
+    if not held:
+        held.append(cells[draw(st.integers(0, len(cells) - 1))])
+    splits = make_splits(part, sorted(set(edges["t"])), val=edges["v"],
+                         test=edges["s"])
+    graph = build_graph(edges["t"], partition=part)
+
+    dim = draw(st.integers(1, 4))
+    X = np.random.default_rng(draw(st.integers(0, 2**16))).normal(
+        size=(part.num_nodes, dim))
+    kind = draw(st.sampled_from(["gaussian", "rounded", "zeros"]))
+    if kind == "rounded":
+        X = np.round(X)
+    elif kind == "zeros":
+        X[:] = 0.0
+    for row, col, value in draw(st.lists(st.tuples(
+            st.integers(0, part.num_nodes - 1), st.integers(0, dim - 1),
+            st.sampled_from([np.nan, np.inf, -np.inf])), max_size=3)):
+        X[row, col] = value
+    k = draw(st.integers(1, num_items + 2))
+    per_block = draw(st.sampled_from([1, 2, 3, None]))
+    return X, splits, graph, k, split, per_block
+
+
+class TestEvaluateMatchesOracle:
+    @given(ranking_case())
+    def test_bit_identical_to_scalar_oracle(self, case):
+        X, splits, graph, k, split, per_block = case
+        budget = (ranking._BLOCK_BYTES if per_block is None
+                  else per_block * 8 * splits.partition.num_items)
+        with np.errstate(invalid="ignore", over="ignore"), \
+                mock.patch.object(ranking, "_BLOCK_BYTES", budget):
+            got = evaluate(X, splits, graph, k=k, split=split)
+            expected = evaluate_scalar(X, splits, graph, k=k, split=split)
+        assert dataclasses.astuple(got) == expected
+
+    def test_many_blocks_on_random_embeddings(self):
+        # 40 users split over blocks of three, with near-ties from rounding
+        rng = np.random.default_rng(5)
+        part = Partition(40, 30)
+        cells = [(u, 40 + i) for u in range(40) for i in range(30)]
+        labels = rng.choice(4, size=len(cells), p=[0.6, 0.25, 0.05, 0.1])
+        train = [c for c, l in zip(cells, labels) if l == 1]
+        splits = make_splits(part, train,
+                             val=[c for c, l in zip(cells, labels) if l == 2],
+                             test=[c for c, l in zip(cells, labels) if l == 3])
+        graph = build_graph(train, partition=part)
+        X = np.round(rng.normal(size=(70, 3)), 1)
+        with mock.patch.object(ranking, "_BLOCK_BYTES", 3 * 8 * 30):
+            for k in (1, 5, 30, 50):
+                for split in ("val", "test"):
+                    assert dataclasses.astuple(
+                        evaluate(X, splits, graph, k=k, split=split)) == \
+                        evaluate_scalar(X, splits, graph, k=k, split=split)
 
 
 class TestMeanResult:

@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from linkprop import reference
+from linkprop.graphs import Partition, build_graph
+from linkprop.ranking import SplitSet
 
 
 PATH_EDGES = [(0, 1), (1, 2), (2, 3)]
@@ -141,6 +143,36 @@ class TestMetricsScalar:
     def test_empty_relevant_rejected(self):
         with pytest.raises(ValueError, match="relevant"):
             reference.metrics_scalar([1, 2], [], 5)
+
+
+class TestEvaluateScalar:
+    """Two users, three items; user 0 trained on item 0, user 1 on item 1."""
+
+    @staticmethod
+    def case(test):
+        part = Partition(2, 3)
+        train = np.array([(0, 2), (1, 3)])
+        splits = SplitSet(partition=part, train=train, val=np.empty((0, 2)),
+                          test=np.array(test), ratios=(0.8, 0.1, 0.1), seed=0)
+        return splits, build_graph(train, partition=part)
+
+    def test_trained_items_are_not_ranked(self):
+        # item 0 scores highest for user 0 but is a training edge
+        splits, graph = self.case([(0, 3)])
+        X = np.array([[1.0], [1.0], [3.0], [2.0], [1.0]])
+        assert reference.evaluate_scalar(X, splits, graph, k=1) == (
+            1, 1.0, 1.0, 1.0, 1, 1)
+
+    def test_ties_rank_lower_item_first_and_nan_is_dropped(self):
+        # user 1: item 0 ties item 2 and wins, item 1 is trained;
+        # user 0: item 1 is nan, so item 2 is the only candidate left
+        splits, graph = self.case([(0, 4), (1, 4)])
+        X = np.array([[0.0], [1.0], [1.0], [np.nan], [1.0]])
+        k, precision, recall, ndcg, evaluated, skipped = \
+            reference.evaluate_scalar(X, splits, graph, k=2)
+        assert (k, evaluated, skipped) == (2, 2, 0)
+        assert (precision, recall) == (0.5, 1.0)
+        assert ndcg == pytest.approx((1.0 + 1.0 / math.log2(3.0)) / 2.0)
 
 
 class TestDenseKernelPieces:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from linkprop.graphs import Partition, build_graph
+from linkprop.graphs import MAX_PROXIMITY_ORDER, Partition, build_graph
 from linkprop.losses import DivergenceError, build_masks, gd_step, loss_gradient
 from linkprop.negatives import sample_negatives
 from linkprop.ranking import SplitSet
@@ -37,6 +37,22 @@ class TestTrainConfig:
         base.update(kwargs)
         with pytest.raises(ValueError):
             TrainConfig(**base)
+
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", float("nan")), ("alpha", float("inf")),
+        ("layers", -1), ("layers", MAX_PROXIMITY_ORDER + 1),
+        ("window", 0), ("window", MAX_PROXIMITY_ORDER + 1),
+        ("eval_k", 0)])
+    def test_rejection_names_the_field(self, field, value):
+        kwargs = {"model": "lightgcn", "alpha": 0.05, field: value}
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"layers": 0}, {"layers": MAX_PROXIMITY_ORDER}, {"window": 1},
+        {"window": MAX_PROXIMITY_ORDER}, {"eval_k": 1}])
+    def test_range_ends_accepted(self, kwargs):
+        assert TrainConfig(model="lightgcn", alpha=0.05, **kwargs)
 
     def test_params_passthrough(self):
         cfg = TrainConfig("deepwalk", alpha=0.1, window=7, lam=0.5, beta=0.2)
