@@ -4,7 +4,7 @@ evaluation and diagnostics harness around them."""
 
 from linkprop.graphs import (Graph, NormalizedAdjacency, Partition,
                              ProximityOperator, build_graph, normalize,
-                             propagate, proximity)
+                             proximity)
 from linkprop.negatives import NegativeSet, QuotaUnreachable, sample_negatives
 from linkprop.losses import (DivergenceError, MaskSet, ModelParams, bce_loss,
                              build_masks, gd_step, loss_gradient, model_loss)
@@ -25,7 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Graph", "NormalizedAdjacency", "Partition", "ProximityOperator",
-    "build_graph", "normalize", "propagate", "proximity",
+    "build_graph", "normalize", "proximity",
     "NegativeSet", "QuotaUnreachable", "sample_negatives",
     "DivergenceError", "MaskSet", "ModelParams", "bce_loss", "build_masks",
     "gd_step", "loss_gradient", "model_loss",

@@ -94,18 +94,15 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     import numpy as np
     from linkprop.data_io import graph_from_split, load_splits, write_metrics_csv
-    from linkprop.losses import ModelParams, build_masks
-    from linkprop.negatives import sample_negatives
+    from linkprop.losses import ModelParams, scoring_propagation
     from linkprop.ranking import evaluate
-    from linkprop.training import scoring_embeddings
     _, splits = load_splits(args.splits)
     graph = graph_from_split(splits)
     X = np.load(args.embeddings)
     params = ModelParams(model=args.model, window=args.window,
                          layers=args.layers)
-    negatives = sample_negatives(graph, seed=args.seed)
-    masks = build_masks(graph, negatives, params)
-    result = evaluate(scoring_embeddings(X, masks), splits, graph, k=args.k)
+    result = evaluate(scoring_propagation(graph, params).apply(X), splits,
+                      graph, k=args.k)
     print(f"precision@{args.k} {result.precision:.5f}  "
           f"recall@{args.k} {result.recall:.5f}  ndcg@{args.k} "
           f"{result.ndcg:.5f}  ({result.users_evaluated} users, "
@@ -117,11 +114,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_verify_equivalence(args) -> int:
-    import numpy as np
-    from linkprop.kernel import KernelOperator, config_params, model_config
-    from linkprop.losses import build_masks, gd_step, loss_gradient
     from linkprop.synthetic import equivalence_instance
-    from linkprop.training import init_embeddings
+    from linkprop.training import TrainConfig, train
 
     variants = [("mf", {}), ("line", {}), ("deepwalk", {"window": 2}),
                 ("lightgcn", {"layers": 3})]
@@ -135,20 +129,12 @@ def cmd_verify_equivalence(args) -> int:
         worst_step = worst_cum = 0.0
         for seed in range(args.graphs):
             graph, negatives = equivalence_instance(seed)
-            n = graph.num_nodes
-            cfg = model_config(model, alpha=args.alpha, beta=args.beta,
-                               lam=1.0, **kw)
-            params = config_params(cfg)
-            masks = build_masks(graph, negatives, params)
-            op = KernelOperator.build(cfg, graph, negatives)
-            Xg = init_embeddings(n, args.dim, seed=seed)
-            Xk = Xg.copy()
-            for step in range(args.steps):
-                Xg = gd_step(Xg, loss_gradient(Xg, graph, negatives, params,
-                                               masks), args.alpha)
-                Xk = op.step(Xk)
-                worst_step = max(worst_step, float(np.abs(Xg - Xk).max()))
-            worst_cum = max(worst_cum, float(np.abs(Xg - Xk).max()))
+            config = TrainConfig(model, alpha=args.alpha, beta=args.beta,
+                                 dim=args.dim, max_epochs=args.steps,
+                                 path="both", seed=seed, **kw)
+            history = train(graph, negatives, config).history
+            worst_step = max(worst_step, history.max_divergence())
+            worst_cum = max(worst_cum, history.records[-1].divergence)
         ok = worst_step < args.tolerance
         failed = failed or not ok
         print(f"{model:10s} per-step max dev {worst_step:.3e}  "

@@ -78,6 +78,14 @@ class RunConfig:
     seeds: tuple = (0,)
     outdir: str = "runs/out"
 
+    def __post_init__(self):
+        if not self.models:
+            raise ValueError("models must name at least one model")
+        if not self.seeds:
+            raise ValueError("seeds must list at least one seed")
+        for model in self.models:
+            self.train_config(model)  # TrainConfig names any bad field
+
     @property
     def dataset_name(self) -> str:
         if self.name:

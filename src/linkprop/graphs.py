@@ -1,4 +1,5 @@
-"""Undirected graphs, degree normalization, and high-order proximity operators.
+"""Undirected graphs, degree normalization, high-order proximity operators,
+and the fixed support patterns that weight matrices are scored on.
 
 Everything downstream (losses, kernels, training) works on the sparse
 adjacency built here.  Conventions:
@@ -60,9 +61,6 @@ class Graph:
     def neighbors(self, node: int) -> np.ndarray:
         a = self.adjacency
         return a.indices[a.indptr[node]:a.indptr[node + 1]]
-
-    def is_bipartite(self) -> bool:
-        return self.partition is not None
 
 
 def _pairs_to_csr(pairs: np.ndarray, num_nodes: int) -> sp.csr_array:
@@ -174,6 +172,11 @@ def normalize_matrix(matrix: sp.csr_array, scheme: str) -> NormalizedAdjacency:
     return NormalizedAdjacency(scheme=scheme, matrix=scaled.tocsr(), base=matrix)
 
 
+def symmetrize(mat: sp.csr_array) -> sp.csr_array:
+    """(M + M^T) / 2, for row-normalized weight matrices."""
+    return ((mat + mat.T) * 0.5).tocsr()
+
+
 def normalize(graph: Graph, scheme: str) -> NormalizedAdjacency:
     """Normalized adjacency of a graph under the given scheme."""
     return normalize_matrix(graph.adjacency, scheme)
@@ -240,6 +243,71 @@ def proximity(base: NormalizedAdjacency, low: int, high: int,
     return ProximityOperator(base=base, low=low, high=high)
 
 
-def propagate(operator: ProximityOperator, X: np.ndarray) -> np.ndarray:
-    """Propagated representation: the operator applied to an embedding matrix."""
-    return operator.apply(X)
+# support entries scored per block: the two (block, d) gather buffers are
+# 256 KiB each at d = 32; blocks of 4096 and more, or no blocks, scored
+# 2-5x slower per call inside training on bench_500 (2-core Xeon)
+_CHUNK = 1024
+
+
+class MaskEntries:
+    """One weight matrix located in a SupportPattern: `weights` and `slots`
+    (union slot per entry) in the matrix's stored order, in which sums over
+    it run; `matrix` and `sorted_slots` in the canonical order of tocsr()."""
+
+    def __init__(self, mat: sp.csr_array, slots: np.ndarray, cols: np.ndarray):
+        order = np.argsort(slots)
+        self.weights, self.slots, self.sorted_slots = mat.data, slots, slots[order]
+        if np.any(self.sorted_slots[1:] == self.sorted_slots[:-1]):
+            raise ValueError("weight matrix stores an entry twice")
+        self.matrix = sp.csr_array((mat.data[order], cols[self.sorted_slots],
+                                    mat.indptr.astype(cols.dtype)), shape=mat.shape)
+
+    def weighted(self, values: np.ndarray) -> sp.csr_array:
+        """The matrix with each entry times `values` at its union slot."""
+        m = self.matrix
+        return sp.csr_array((m.data * values[self.sorted_slots], m.indices,
+                             m.indptr), shape=m.shape)
+
+
+class SupportPattern:
+    """Fixed union support of a (positive, negative) weight-matrix pair.
+
+    The linear keys u*n + v of both supports, sorted and deduplicated, give
+    the union once, as a CSR pattern (`indptr`, `cols`) in canonical order.
+    Per step only values change: `scores` gathers Gram scores block by
+    block, `matrix` puts one value per slot into the fixed pattern.
+    """
+
+    def __init__(self, pos: sp.csr_array, neg: sp.csr_array):
+        n = pos.shape[0]
+        keys = [np.repeat(np.arange(n, dtype=np.int64) * n, np.diff(m.indptr))
+                + m.indices for m in (pos, neg)]
+        union, slot = np.unique(np.concatenate(keys), return_inverse=True)
+        index = np.int32 if max(n, slot.shape[0]) < 2**31 else np.int64
+        self.num_nodes, self.nnz = n, union.shape[0]
+        self.rows, self.cols = (union // n).astype(index), (union % n).astype(index)
+        self.indptr = np.searchsorted(self.rows, np.arange(n + 1)).astype(index)
+        self.pos = MaskEntries(pos, slot[:keys[0].shape[0]], self.cols)
+        self.neg = MaskEntries(neg, slot[keys[0].shape[0]:], self.cols)
+
+    def scores(self, Y: np.ndarray) -> np.ndarray:
+        """Gram scores y_u . y_v on the union, gathered block by block into
+        two reused buffers instead of two (nnz, d) arrays."""
+        if Y.shape[0] != self.num_nodes:
+            raise ValueError(f"Y has {Y.shape[0]} rows, the pattern "
+                             f"{self.num_nodes} nodes")
+        out = np.empty(self.nnz, dtype=Y.dtype)
+        buffers = np.empty((2, min(_CHUNK, self.nnz), Y.shape[1]), dtype=Y.dtype)
+        for start in range(0, self.nnz, _CHUNK):
+            block = slice(start, min(start + _CHUNK, self.nnz))
+            a, b = buffers[:, :block.stop - start]
+            # indices are in range; mode="clip" skips take's buffered copy
+            np.take(Y, self.rows[block], axis=0, out=a, mode="clip")
+            np.take(Y, self.cols[block], axis=0, out=b, mode="clip")
+            np.einsum("ij,ij->i", a, b, out=out[block])
+        return out
+
+    def matrix(self, data: np.ndarray) -> sp.csr_array:
+        """The union pattern holding `data`, one value per slot."""
+        n = self.num_nodes
+        return sp.csr_array((data, self.cols, self.indptr), shape=(n, n))

@@ -23,14 +23,16 @@ instances only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from linkprop.graphs import (Graph, ProximityOperator, SCHEMES, normalize,
-                             normalize_matrix, proximity)
-from linkprop.losses import MODELS, DivergenceError, ModelParams, sigmoid
+from linkprop.graphs import (MAX_PROXIMITY_ORDER, SCHEMES, Graph,
+                             ProximityOperator, SupportPattern, normalize,
+                             normalize_matrix, proximity, symmetrize)
+from linkprop.losses import MODELS, ModelParams, check_finite, sigmoid
 from linkprop.negatives import NegativeSet
 
 DENSE_LIMIT = 500
@@ -67,8 +69,15 @@ class KernelConfig:
             raise ValueError(f"unknown model {self.model!r}")
         if self.c3 not in (0.0, 1.0):
             raise ValueError("c3 must be 0 or 1")
+        for name in ("c1", "c2", "lam"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (0 <= self.a1 <= self.b1) or not (0 <= self.a2 <= self.b2):
             raise ValueError("proximity orders need 0 <= a <= b")
+        for name in ("b1", "b2"):
+            if getattr(self, name) > MAX_PROXIMITY_ORDER:
+                raise ValueError(f"{name} must be <= {MAX_PROXIMITY_ORDER}, "
+                                 f"got {getattr(self, name)}")
         for scheme in (self.pos_norm, self.neg_norm):
             if scheme not in SCHEMES:
                 raise ValueError(f"unknown normalization scheme {scheme!r}")
@@ -128,29 +137,13 @@ def config_params(config: KernelConfig) -> ModelParams:
                        layers=config.b1, lam=config.lam, beta=beta)
 
 
-def _symmetrize(mat: sp.csr_array) -> sp.csr_array:
-    return ((mat + mat.T) * 0.5).tocsr()
-
-
-def _union_support(pos: sp.csr_array, neg: sp.csr_array):
-    """Union of the two supports plus index maps back into each one."""
-    pc = pos.tocoo()
-    nc = neg.tocoo()
-    stacked = np.concatenate([np.stack(pc.coords, axis=1),
-                              np.stack(nc.coords, axis=1)])
-    union, inverse = np.unique(stacked, axis=0, return_inverse=True)
-    k = pc.data.shape[0]
-    return (union[:, 0], union[:, 1], inverse[:k], inverse[k:],
-            pc.data, nc.data)
-
-
 @dataclass(frozen=True, eq=False)
 class KernelOperator:
     """Step-independent pieces of the kernel for a fixed (config, graph, negatives).
 
-    Holds the outer proximity operator, both blended masks with their
-    supports merged, and the selection arrays that align scores on the union
-    support with each mask.  Build once, step many times.
+    Holds the outer proximity operator, both blended masks, and their union
+    support pattern, on which scores and link kernels live.  Build once,
+    step many times.
     """
 
     config: KernelConfig
@@ -159,12 +152,9 @@ class KernelOperator:
     prop: ProximityOperator = field(repr=False)
     pos_mask: sp.csr_array = field(repr=False)
     neg_mask: sp.csr_array = field(repr=False)
-    rows: np.ndarray = field(repr=False)
+    pattern: SupportPattern = field(repr=False)
+    rows: np.ndarray = field(repr=False)  # the pattern's, for ScorePair
     cols: np.ndarray = field(repr=False)
-    pos_sel: np.ndarray = field(repr=False)
-    neg_sel: np.ndarray = field(repr=False)
-    pos_weights: np.ndarray = field(repr=False)
-    neg_weights: np.ndarray = field(repr=False)
 
     @classmethod
     def build(cls, config: KernelConfig, graph: Graph,
@@ -176,14 +166,13 @@ class KernelOperator:
         else:
             high_order = proximity(normalize(graph, config.pos_norm),
                                    config.a2, config.b2)
-            pos_mask = _symmetrize(high_order.materialize())
-            neg_mask = _symmetrize(
+            pos_mask = symmetrize(high_order.materialize())
+            neg_mask = symmetrize(
                 normalize_matrix(negatives.adjacency, config.neg_norm).matrix)
-        rows, cols, pos_sel, neg_sel, pw, nw = _union_support(pos_mask, neg_mask)
+        pattern = SupportPattern(pos_mask, neg_mask)
         return cls(config=config, graph=graph, negatives=negatives, prop=prop,
-                   pos_mask=pos_mask, neg_mask=neg_mask, rows=rows, cols=cols,
-                   pos_sel=pos_sel, neg_sel=neg_sel, pos_weights=pw,
-                   neg_weights=nw)
+                   pos_mask=pos_mask, neg_mask=neg_mask, pattern=pattern,
+                   rows=pattern.rows, cols=pattern.cols)
 
     def step(self, X: np.ndarray) -> np.ndarray:
         return kernel_step(X, self.config, self.graph, self.negatives,
@@ -221,8 +210,7 @@ def dense_score_matrices(Y: np.ndarray):
 
 def score_matrices(Y: np.ndarray, operator: KernelOperator) -> ScorePair:
     """Scores of the propagated embedding Y on the operator's union support."""
-    s = np.einsum("ij,ij->i", Y[operator.rows], Y[operator.cols])
-    s_b = sigmoid(s)
+    s_b = sigmoid(operator.pattern.scores(Y))
     return ScorePair(num_nodes=Y.shape[0], rows=operator.rows,
                      cols=operator.cols, s_a=1.0 - s_b, s_b=s_b)
 
@@ -237,16 +225,9 @@ class LinkKernels:
 
 def link_kernels(scores: ScorePair, operator: KernelOperator) -> LinkKernels:
     """Masks times scores: K_plus = S_A . mask_plus, K_minus = S_B . mask_minus."""
-    n = scores.num_nodes
-    k_plus = sp.coo_array(
-        (operator.pos_weights * scores.s_a[operator.pos_sel],
-         (scores.rows[operator.pos_sel], scores.cols[operator.pos_sel])),
-        shape=(n, n)).tocsr()
-    k_minus = sp.coo_array(
-        (operator.neg_weights * scores.s_b[operator.neg_sel],
-         (scores.rows[operator.neg_sel], scores.cols[operator.neg_sel])),
-        shape=(n, n)).tocsr()
-    return LinkKernels(k_plus=k_plus, k_minus=k_minus)
+    pattern = operator.pattern
+    return LinkKernels(k_plus=pattern.pos.weighted(scores.s_a),
+                       k_minus=pattern.neg.weighted(scores.s_b))
 
 
 @dataclass(frozen=True)
@@ -261,15 +242,18 @@ class SubstepTrace:
     norms: tuple[float, float, float, float]
 
 
-def _substeps(X: np.ndarray, operator: KernelOperator):
+def kernel_update(X: np.ndarray, Y: np.ndarray, kernels: LinkKernels,
+                  operator: KernelOperator):
+    """One kernel step from the forward pass at X: Y = P X and the link
+    kernels of its scores.  Returns X' (not checked for finiteness) and the
+    substep trace, whose five norms cost little next to the step."""
     config = operator.config
-    Y = operator.prop.apply(X)
-    scores = score_matrices(Y, operator)
-    kernels = link_kernels(scores, operator)
     Z = kernels.k_plus @ Y - config.lam * (kernels.k_minus @ Y)
     W = operator.prop.apply(Z)
     out = config.c1 * X + config.c2 * W
-    return Y, Z, W, out
+    frob = lambda M: float(np.linalg.norm(M))
+    return out, SubstepTrace(input_norm=frob(X),
+                             norms=(frob(Y), frob(Z), frob(W), frob(out)))
 
 
 def kernel_step(X: np.ndarray, config: KernelConfig, graph: Graph,
@@ -279,12 +263,8 @@ def kernel_step(X: np.ndarray, config: KernelConfig, graph: Graph,
 
     Pass a prebuilt operator to amortize mask construction across steps.
     """
-    if operator is None:
-        operator = KernelOperator.build(config, graph, negatives)
-    out = _substeps(X, operator)[-1]
-    if not np.all(np.isfinite(out)):
-        raise DivergenceError("non-finite embedding after kernel step", step)
-    return out
+    out, _ = kernel_step_traced(X, config, graph, negatives, operator)
+    return check_finite(out, "kernel step", step)
 
 
 def kernel_step_traced(X: np.ndarray, config: KernelConfig, graph: Graph,
@@ -293,11 +273,9 @@ def kernel_step_traced(X: np.ndarray, config: KernelConfig, graph: Graph,
     """Like kernel_step but also returns the per-substep norm trace."""
     if operator is None:
         operator = KernelOperator.build(config, graph, negatives)
-    Y, Z, W, out = _substeps(X, operator)
-    frob = lambda M: float(np.linalg.norm(M))
-    trace = SubstepTrace(input_norm=frob(X),
-                         norms=(frob(Y), frob(Z), frob(W), frob(out)))
-    return out, trace
+    Y = operator.prop.apply(X)
+    return kernel_update(X, Y, link_kernels(score_matrices(Y, operator), operator),
+                         operator)
 
 
 def materialize_kernel(config: KernelConfig, scores: ScorePair, graph: Graph,

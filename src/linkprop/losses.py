@@ -29,11 +29,13 @@ never formed densely.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from linkprop.graphs import Graph, ProximityOperator, normalize, normalize_matrix, proximity
+from linkprop.graphs import (Graph, ProximityOperator, SupportPattern, normalize,
+                             normalize_matrix, proximity, symmetrize)
 from linkprop.negatives import NegativeSet
 
 MODELS = ("mf", "line", "deepwalk", "lightgcn")
@@ -75,41 +77,42 @@ class ModelParams:
 
 @dataclass(frozen=True, eq=False)
 class MaskSet:
-    """Positive/negative weight matrices and the score propagation operator."""
+    """Positive/negative weight matrices, their union support, and the
+    score propagation operator."""
 
     pos: sp.csr_array = field(repr=False)
     neg: sp.csr_array = field(repr=False)
     prop: ProximityOperator = field(repr=False)
 
+    @cached_property
+    def pattern(self) -> SupportPattern:
+        # built on first use: callers that only score never pay for it
+        return SupportPattern(self.pos, self.neg)
 
-def _symmetrize(mat: sp.csr_array) -> sp.csr_array:
-    return ((mat + mat.T) * 0.5).tocsr()
+
+def scoring_propagation(graph: Graph, params: ModelParams) -> ProximityOperator:
+    """P of the model: symmetric-normalized powers 0..layers for lightgcn,
+    the identity otherwise."""
+    if params.model == "lightgcn":
+        return proximity(normalize(graph, "symmetric"), 0, params.layers)
+    return proximity(normalize(graph, "none"), 0, 0)
 
 
 def build_masks(graph: Graph, negatives: NegativeSet,
-                params: ModelParams, drop_below: float = 0.0) -> MaskSet:
+                params: ModelParams) -> MaskSet:
     """Weight matrices for one model, ready for model_loss / loss_gradient.
 
     deepwalk's positive matrix averages walk-transition powers 1..window and
-    is materialized once here; entries below drop_below are pruned (keep the
-    default 0.0 whenever the kernel path must match exactly).
+    is materialized once here.
     """
-    A = graph.adjacency
-    B = negatives.adjacency
-    identity = proximity(normalize(graph, "none"), 0, 0)
-    if params.model == "mf":
-        return MaskSet(pos=A, neg=B, prop=identity)
+    pos, neg = graph.adjacency, negatives.adjacency
     if params.model == "line":
-        return MaskSet(pos=_symmetrize(normalize(graph, "row").matrix),
-                       neg=B, prop=identity)
-    if params.model == "deepwalk":
+        pos = symmetrize(normalize(graph, "row").matrix)
+    elif params.model == "deepwalk":
         walk = proximity(normalize(graph, "row"), 1, params.window)
-        return MaskSet(pos=_symmetrize(walk.materialize(drop_below=drop_below)),
-                       neg=_symmetrize(normalize_matrix(B, "row").matrix),
-                       prop=identity)
-    # lightgcn: raw masks, propagated scores
-    return MaskSet(pos=A, neg=B,
-                   prop=proximity(normalize(graph, "symmetric"), 0, params.layers))
+        pos = symmetrize(walk.materialize())
+        neg = symmetrize(normalize_matrix(neg, "row").matrix)
+    return MaskSet(pos=pos, neg=neg, prop=scoring_propagation(graph, params))
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -123,36 +126,30 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _support(mat: sp.csr_array):
-    coo = mat.tocoo()
-    rows, cols = coo.coords
-    return rows, cols, coo.data
-
-
-def _support_scores(Y: np.ndarray, rows, cols) -> np.ndarray:
-    return np.einsum("ij,ij->i", Y[rows], Y[cols])
+def support_loss(X: np.ndarray, s: np.ndarray, pattern: SupportPattern,
+                 lam: float, beta: float) -> float:
+    """The loss from scores s on the pattern's union support, each mask's
+    term summed in its stored order.  -log sigma(s) is logaddexp(0, -s), so
+    saturated scores cannot overflow."""
+    total = 0.0
+    pos, neg = pattern.pos, pattern.neg
+    if pos.weights.size:
+        total += float(np.dot(pos.weights, np.logaddexp(0.0, -s[pos.slots])))
+    if neg.weights.size:
+        total += lam * float(np.dot(neg.weights, np.logaddexp(0.0, s[neg.slots])))
+    return 0.5 * total + 0.5 * beta * float(np.sum(X * X))
 
 
 def bce_loss(X: np.ndarray, pos: sp.csr_array, neg: sp.csr_array,
              lam: float = 1.0, beta: float = 0.0) -> float:
     """Weighted pairwise logistic loss of the Gram scores of X.
 
-    Only the nonzero entries of the weight matrices are touched.  -log
-    sigma(s) is evaluated as logaddexp(0, -s), so saturated scores cannot
-    overflow.
+    Only the nonzero entries of the weight matrices are touched.
     """
     if pos.shape != neg.shape or pos.shape[0] != X.shape[0]:
         raise ValueError("weight matrices must be square and match X rows")
-    total = 0.0
-    rows, cols, w = _support(pos)
-    if w.size:
-        s = _support_scores(X, rows, cols)
-        total += float(np.dot(w, np.logaddexp(0.0, -s)))
-    rows, cols, w = _support(neg)
-    if w.size:
-        s = _support_scores(X, rows, cols)
-        total += lam * float(np.dot(w, np.logaddexp(0.0, s)))
-    return 0.5 * total + 0.5 * beta * float(np.sum(X * X))
+    pattern = SupportPattern(pos, neg)
+    return support_loss(X, pattern.scores(X), pattern, lam, beta)
 
 
 def model_loss(X: np.ndarray, graph: Graph, negatives: NegativeSet,
@@ -161,22 +158,20 @@ def model_loss(X: np.ndarray, graph: Graph, negatives: NegativeSet,
     if masks is None:
         masks = build_masks(graph, negatives, params)
     Y = masks.prop.apply(X)
-    pairwise = bce_loss(Y, masks.pos, masks.neg, lam=params.lam, beta=0.0)
-    return pairwise + 0.5 * params.beta * float(np.sum(X * X))
+    return support_loss(X, masks.pattern.scores(Y), masks.pattern, params.lam,
+                        params.beta)
 
 
-def _residual_difference(Y: np.ndarray, masks: MaskSet, lam: float) -> sp.csr_array:
-    """Sparse W+ . sigma(-s) - lam * W- . sigma(s) on the union support."""
-    pr, pc, pw = _support(masks.pos)
-    nr, nc, nw = _support(masks.neg)
-    vals = np.concatenate([
-        pw * sigmoid(-_support_scores(Y, pr, pc)) if pw.size else pw,
-        -lam * nw * sigmoid(_support_scores(Y, nr, nc)) if nw.size else nw,
-    ])
-    rows = np.concatenate([pr, nr])
-    cols = np.concatenate([pc, nc])
-    n = Y.shape[0]
-    return sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
+def support_gradient(X: np.ndarray, Y: np.ndarray, s: np.ndarray,
+                     masks: MaskSet, params: ModelParams) -> np.ndarray:
+    """loss_gradient from the forward pass at X: Y = P X and its scores s.
+    M lives on the union support; a slot both masks share holds both terms."""
+    pattern = masks.pattern
+    pos, neg = pattern.pos, pattern.neg
+    data = np.zeros(pattern.nnz)
+    data[pos.slots] = pos.weights * sigmoid(-s[pos.slots])
+    data[neg.slots] += -params.lam * neg.weights * sigmoid(s[neg.slots])
+    return params.beta * X - masks.prop.apply(pattern.matrix(data) @ Y)
 
 
 def loss_gradient(X: np.ndarray, graph: Graph, negatives: NegativeSet,
@@ -189,8 +184,14 @@ def loss_gradient(X: np.ndarray, graph: Graph, negatives: NegativeSet,
     if masks is None:
         masks = build_masks(graph, negatives, params)
     Y = masks.prop.apply(X)
-    M = _residual_difference(Y, masks, params.lam)
-    return params.beta * X - masks.prop.apply(M @ Y)
+    return support_gradient(X, Y, masks.pattern.scores(Y), masks, params)
+
+
+def check_finite(X: np.ndarray, what: str, step: int | None = None) -> np.ndarray:
+    """X itself; raises DivergenceError if any entry is non-finite."""
+    if not np.all(np.isfinite(X)):
+        raise DivergenceError(f"non-finite embedding after {what}", step)
+    return X
 
 
 def gd_step(X: np.ndarray, gradient: np.ndarray, alpha: float,
@@ -201,7 +202,4 @@ def gd_step(X: np.ndarray, gradient: np.ndarray, alpha: float,
     """
     if alpha < 0:
         raise ValueError("step size must be nonnegative")
-    out = X - alpha * gradient
-    if not np.all(np.isfinite(out)):
-        raise DivergenceError("non-finite embedding after gradient step", step)
-    return out
+    return check_finite(X - alpha * gradient, "gradient step", step)

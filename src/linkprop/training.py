@@ -16,10 +16,12 @@ import numpy as np
 
 from linkprop.diagnostics import frobenius, mean_positive_kernel
 from linkprop.graphs import MAX_PROXIMITY_ORDER, Graph
-from linkprop.kernel import (KernelOperator, kernel_step, kernel_step_traced,
-                             link_kernels, model_config, score_matrices)
+from linkprop.kernel import (KernelOperator, kernel_update, link_kernels,
+                             model_config, score_matrices)
 from linkprop.losses import (MODELS, DivergenceError, MaskSet, ModelParams,
-                             build_masks, gd_step, loss_gradient, model_loss)
+                             build_masks, check_finite, gd_step,
+                             scoring_propagation, support_gradient,
+                             support_loss)
 from linkprop.negatives import NegativeSet, sample_negatives
 from linkprop.ranking import EvalResult, SplitSet, evaluate
 
@@ -140,6 +142,8 @@ def train(graph: Graph, negatives: NegativeSet, config: TrainConfig,
     Raises DivergenceError (tagged with the epoch) if either path produces
     non-finite embeddings.
     """
+    if graph.num_edges == 0:
+        raise ValueError("graph has no edges: there is nothing to train on")
     params = config.params
     masks = build_masks(graph, negatives, params)
     kcfg = model_config(config.model, alpha=config.alpha, beta=config.beta,
@@ -149,7 +153,11 @@ def train(graph: Graph, negatives: NegativeSet, config: TrainConfig,
 
     X = init_embeddings(graph.num_nodes, config.dim, config.init_scale,
                         config.seed)
+    # on "both" the kernel trajectory runs beside the authoritative gradient one
     Xk = X.copy() if config.path == "both" else None
+    # the forward pass at X, computed once per embedding: P X and its scores
+    Y = masks.prop.apply(X)
+    s = masks.pattern.scores(Y)
 
     early = splits is not None and splits.val.shape[0] > 0
     history = TrainHistory()
@@ -158,46 +166,28 @@ def train(graph: Graph, negatives: NegativeSet, config: TrainConfig,
     failed_evals = 0
 
     for epoch in range(1, config.max_epochs + 1):
-        scores = score_matrices(op.prop.apply(X), op)
-        mean_kp = mean_positive_kernel(link_kernels(scores, op).k_plus)
+        kernels = link_kernels(score_matrices(Y, op), op)
+        mean_kp = mean_positive_kernel(kernels.k_plus)
 
-        trace = None
-        if config.path == "gradient":
-            if config.trace_substeps:
-                _, trace = kernel_step_traced(X, kcfg, graph, negatives,
-                                              operator=op)
-            X = gd_step(X, loss_gradient(X, graph, negatives, params, masks),
-                        config.alpha, step=epoch)
-            divergence = None
-        elif config.path == "kernel":
-            if config.trace_substeps:
-                X, trace = kernel_step_traced(X, kcfg, graph, negatives,
-                                              operator=op)
-                if not np.all(np.isfinite(X)):
-                    raise DivergenceError("non-finite embedding after kernel step",
-                                          epoch)
-            else:
-                X = kernel_step(X, kcfg, graph, negatives, operator=op,
-                                step=epoch)
-            divergence = None
+        if config.path == "kernel":
+            X, trace = kernel_update(X, Y, kernels, op)
+            check_finite(X, "kernel step", epoch)
         else:
-            if config.trace_substeps:
-                Xk, trace = kernel_step_traced(Xk, kcfg, graph, negatives,
-                                               operator=op)
-            else:
-                Xk = kernel_step(Xk, kcfg, graph, negatives, operator=op,
-                                 step=epoch)
-            X = gd_step(X, loss_gradient(X, graph, negatives, params, masks),
+            if Xk is not None:
+                Yk = op.prop.apply(Xk)
+                Xk, trace = kernel_update(
+                    Xk, Yk, link_kernels(score_matrices(Yk, op), op), op)
+                check_finite(Xk, "kernel step", epoch)
+            elif config.trace_substeps:
+                trace = kernel_update(X, Y, kernels, op)[1]
+            X = gd_step(X, support_gradient(X, Y, s, masks, params),
                         config.alpha, step=epoch)
-            if not np.all(np.isfinite(Xk)):
-                raise DivergenceError("non-finite embedding after kernel step",
-                                      epoch)
-            divergence = float(np.abs(X - Xk).max())
+        Y = masks.prop.apply(X)
+        s = masks.pattern.scores(Y)
 
         val_recall = None
         if early and epoch % config.eval_every == 0:
-            result = evaluate(scoring_embeddings(X, masks), splits, graph,
-                              k=config.eval_k, split="val")
+            result = evaluate(Y, splits, graph, k=config.eval_k, split="val")
             val_recall = result.recall
             if val_recall > best_metric:
                 best_metric = val_recall
@@ -210,12 +200,12 @@ def train(graph: Graph, negatives: NegativeSet, config: TrainConfig,
 
         history.records.append(EpochRecord(
             epoch=epoch,
-            loss=model_loss(X, graph, negatives, params, masks),
+            loss=support_loss(X, s, masks.pattern, params.lam, params.beta),
             mean_k_plus=mean_kp,
             frob_norm=frobenius(X),
             val_recall=val_recall,
-            divergence=divergence,
-            substeps=trace.norms if trace is not None else None))
+            divergence=None if Xk is None else float(np.abs(X - Xk).max()),
+            substeps=trace.norms if config.trace_substeps else None))
 
         if early and failed_evals >= config.patience:
             history.stopped_epoch = epoch
@@ -276,10 +266,10 @@ def grid_search(graph: Graph, negatives: NegativeSet, splits: SplitSet,
                 continue
             metric = result.history.best_metric
             if metric is None:
-                metric = evaluate(
-                    scoring_embeddings(result.embeddings,
-                                       build_masks(graph, negatives, cfg.params)),
-                    splits, graph, k=cfg.eval_k, split="val").recall
+                scored = scoring_propagation(graph, cfg.params).apply(
+                    result.embeddings)
+                metric = evaluate(scored, splits, graph, k=cfg.eval_k,
+                                  split="val").recall
             points.append(GridPoint(alpha=alpha, layers=layers,
                                     metric=float(metric), diverged=False,
                                     stopped_epoch=result.history.stopped_epoch))
@@ -310,8 +300,7 @@ def repeat_train(graph: Graph, splits: SplitSet, config: TrainConfig, seeds,
                                      exponent=neg_exponent, seed=seed)
         cfg = replace(config, seed=seed)
         result = train(graph, negatives, cfg, splits=splits)
-        masks = build_masks(graph, negatives, cfg.params)
-        metrics = evaluate(scoring_embeddings(result.embeddings, masks),
-                           splits, graph, k=cfg.eval_k, split="test")
+        scored = scoring_propagation(graph, cfg.params).apply(result.embeddings)
+        metrics = evaluate(scored, splits, graph, k=cfg.eval_k, split="test")
         outcomes.append(RepeatOutcome(seed=seed, result=result, metrics=metrics))
     return outcomes

@@ -209,6 +209,23 @@ class TestRunConfig:
         assert RunConfig.from_ini(full) == RunConfig.from_ini(minimal)
 
 
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"alpha": float("nan")}, "alpha"), ({"k": 0}, "eval_k"),
+        ({"models": ("mf", "nope")}, "unknown model"),
+        ({"layers": 17}, "layers"), ({"models": ()}, "models"),
+        ({"seeds": ()}, "seeds")])
+    def test_rejected_at_construction(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            RunConfig(dataset_path="x", **kwargs)
+
+    def test_bad_train_key_fails_before_ingest(self, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[data]\npath = {tmp_path / 'absent.tsv'}\n"
+                        "[train]\nalpha = nan\n")
+        assert main(["report", "--config", str(path)]) == 2
+        assert "alpha must be positive and finite" in capsys.readouterr().err
+
+
 class TestRunExperiment:
     def test_artifacts_and_bit_identity(self, raw_dataset, tmp_path):
         raw, _ = raw_dataset

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from linkprop import reference
 from linkprop.graphs import (MAX_PROXIMITY_ORDER, Partition, build_graph,
-                             normalize, propagate, proximity)
+                             normalize, proximity)
 
 from conftest import graph_strategy
 
@@ -174,8 +174,3 @@ class TestProximity:
         pruned = op.materialize(drop_below=0.2)
         assert pruned.nnz < full.nnz
         assert np.all(np.abs(pruned.data) >= 0.2)
-
-    def test_propagate_wrapper(self, path_graph):
-        op = proximity(normalize(path_graph, "row"), 1, 1)
-        X = np.ones((4, 2))
-        assert np.array_equal(propagate(op, X), op.apply(X))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from linkprop import reference
-from linkprop.graphs import Partition, build_graph
+from linkprop.graphs import MAX_PROXIMITY_ORDER, Partition, build_graph
 from linkprop.kernel import (CONFIG_KEYS, KernelConfig, KernelOperator,
                              config_params, dense_score_matrices, kernel_step,
                              kernel_step_traced, link_kernels,
@@ -75,6 +75,29 @@ class TestModelConfig:
 
 
 class TestKernelConfig:
+    BASE = dict(model="mf", c1=1.0, c2=0.1, c3=0.0, a1=0, b1=0, a2=0, b2=0,
+                pos_norm="none", neg_norm="none", lam=1.0)
+
+    @pytest.mark.parametrize("field", ["c1", "c2", "lam"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_constant_names_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            KernelConfig(**{**self.BASE, field: value})
+
+    @pytest.mark.parametrize("field", ["b1", "b2"])
+    def test_order_above_maximum_names_the_field(self, field):
+        with pytest.raises(ValueError, match=f"{field} must be <= "
+                                             f"{MAX_PROXIMITY_ORDER}"):
+            KernelConfig(**{**self.BASE, field: MAX_PROXIMITY_ORDER + 1})
+        assert KernelConfig(**{**self.BASE, field: MAX_PROXIMITY_ORDER})
+
+    def test_model_config_rejects_at_construction(self):
+        with pytest.raises(ValueError, match="c1 must be finite"):
+            model_config("deepwalk", alpha=float("nan"))
+        with pytest.raises(ValueError, match="b1 must be <= "):
+            model_config("lightgcn", alpha=0.1, layers=MAX_PROXIMITY_ORDER + 1)
+
     @pytest.mark.parametrize("model,kwargs", MODEL_GRID,
                              ids=lambda v: str(v))
     def test_mapping_round_trip(self, model, kwargs):

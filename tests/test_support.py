@@ -1,0 +1,178 @@
+"""SupportPattern against the constructions it replaced.
+
+The oracles below are the per-step code the pattern took over: the union
+support found with np.unique over stacked coordinates, scores gathered per
+mask, link kernels and the gradient residual assembled as COO and converted
+with tocsr().  Every comparison is bitwise.
+"""
+
+from unittest import mock
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+from hypothesis import given, strategies as st
+
+from linkprop import graphs
+from linkprop.graphs import SupportPattern, build_graph
+from linkprop.kernel import (KernelOperator, link_kernels, model_config,
+                             score_matrices)
+from linkprop.losses import (ModelParams, bce_loss, build_masks, loss_gradient,
+                             model_loss, sigmoid)
+
+from conftest import negatives_from_pairs, random_graph_instance
+
+MODELS = [("mf", {}), ("line", {}), ("deepwalk", {"window": 3}),
+          ("lightgcn", {"layers": 2})]
+
+
+def old_support(mat):
+    coo = mat.tocoo()
+    rows, cols = coo.coords
+    return rows, cols, coo.data
+
+
+def old_scores(Y, rows, cols):
+    return np.einsum("ij,ij->i", Y[rows], Y[cols])
+
+
+def old_union(pos, neg):
+    pc, nc = pos.tocoo(), neg.tocoo()
+    stacked = np.concatenate([np.stack(pc.coords, axis=1),
+                              np.stack(nc.coords, axis=1)])
+    union, inverse = np.unique(stacked, axis=0, return_inverse=True)
+    k = pc.data.shape[0]
+    return union[:, 0], union[:, 1], inverse[:k], inverse[k:], pc.data, nc.data
+
+
+def old_bce(Y, pos, neg, lam):
+    total = 0.0
+    rows, cols, w = old_support(pos)
+    if w.size:
+        total += float(np.dot(w, np.logaddexp(0.0, -old_scores(Y, rows, cols))))
+    rows, cols, w = old_support(neg)
+    if w.size:
+        total += lam * float(np.dot(w, np.logaddexp(0.0, old_scores(Y, rows, cols))))
+    return 0.5 * total
+
+
+def old_residual(Y, pos, neg, lam):
+    pr, pc, pw = old_support(pos)
+    nr, nc, nw = old_support(neg)
+    vals = np.concatenate([
+        pw * sigmoid(-old_scores(Y, pr, pc)) if pw.size else pw,
+        -lam * nw * sigmoid(old_scores(Y, nr, nc)) if nw.size else nw,
+    ])
+    n = Y.shape[0]
+    return sp.coo_array((vals, (np.concatenate([pr, nr]),
+                                np.concatenate([pc, nc]))), shape=(n, n)).tocsr()
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def same_csr(a, b):
+    return (np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices)
+            and same_bits(a.data, b.data))
+
+
+def check_against_oracles(graph, negatives, model, kwargs, Y):
+    n = graph.num_nodes
+    lam, beta = 1.3, 0.02
+    params = ModelParams(model=model, lam=lam, beta=beta, **kwargs)
+    masks = build_masks(graph, negatives, params)
+    op = KernelOperator.build(model_config(model, alpha=0.05, beta=beta,
+                                           lam=lam, **kwargs),
+                              graph, negatives)
+    for pattern, pos, neg in ((masks.pattern, masks.pos, masks.neg),
+                              (op.pattern, op.pos_mask, op.neg_mask)):
+        rows, cols, pos_sel, neg_sel, _, _ = old_union(pos, neg)
+        assert np.array_equal(pattern.rows, rows)
+        assert np.array_equal(pattern.cols, cols)
+        assert np.array_equal(pattern.pos.slots, pos_sel)
+        assert np.array_equal(pattern.neg.slots, neg_sel)
+        assert same_bits(pattern.scores(Y), old_scores(Y, rows, cols))
+
+    # kernel side: scores, K+ and K- as tocsr() ordered them
+    rows, cols, pos_sel, neg_sel, pw, nw = old_union(op.pos_mask, op.neg_mask)
+    scores = score_matrices(Y, op)
+    s_b = sigmoid(old_scores(Y, rows, cols))
+    assert same_bits(scores.s_b, s_b) and same_bits(scores.s_a, 1.0 - s_b)
+    kernels = link_kernels(scores, op)
+    k_plus = sp.coo_array((pw * (1.0 - s_b)[pos_sel],
+                           (rows[pos_sel], cols[pos_sel])), shape=(n, n)).tocsr()
+    k_minus = sp.coo_array((nw * s_b[neg_sel],
+                            (rows[neg_sel], cols[neg_sel])), shape=(n, n)).tocsr()
+    assert same_csr(kernels.k_plus, k_plus)
+    assert same_csr(kernels.k_minus, k_minus)
+
+    # gradient side: loss in each mask's stored order, residual on the union
+    X = Y  # treat Y as the embedding; masks.prop propagates it for lightgcn
+    Yp = masks.prop.apply(X)
+    expected = old_bce(Yp, masks.pos, masks.neg, lam) + 0.5 * beta * float(np.sum(X * X))
+    assert model_loss(X, graph, negatives, params, masks) == expected
+    assert bce_loss(Yp, masks.pos, masks.neg, lam=lam) == old_bce(
+        Yp, masks.pos, masks.neg, lam)
+    M = old_residual(Yp, masks.pos, masks.neg, lam)
+    assert np.array_equal(masks.pattern.indptr, M.indptr)
+    assert np.array_equal(masks.pattern.cols, M.indices)
+    assert same_bits(loss_gradient(X, graph, negatives, params, masks),
+                     beta * X - masks.prop.apply(M @ Yp))
+
+
+@st.composite
+def instances(draw):
+    n = draw(st.integers(2, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    free = sorted(set(pairs) - set(edges))
+    negs = draw(st.lists(st.sampled_from(free), unique=True)) if free else []
+    return build_graph(edges, num_nodes=n), negatives_from_pairs(negs, n)
+
+
+@given(instance=instances(), model=st.sampled_from(MODELS),
+       chunk=st.sampled_from([1, 2, 3, 7, 8192]),
+       seed=st.integers(0, 2**16), dim=st.integers(1, 6))
+def test_pattern_matches_old_constructions(instance, model, chunk, seed, dim):
+    graph, negatives = instance
+    Y = np.random.default_rng(seed).normal(scale=2.0, size=(graph.num_nodes, dim))
+    with mock.patch.object(graphs, "_CHUNK", chunk):
+        check_against_oracles(graph, negatives, *model, Y)
+
+
+@pytest.mark.parametrize("chunk", [5, 8192])
+def test_non_canonical_deepwalk_mask(chunk):
+    # the materialized walk mask stores rows unsorted; the loss must keep
+    # that order while K+ takes the sorted one
+    graph, negatives = random_graph_instance(seed=3, min_nodes=20, max_nodes=20)
+    masks = build_masks(graph, negatives, ModelParams("deepwalk", window=4))
+    assert not masks.pos.has_canonical_format
+    Y = np.random.default_rng(1).normal(size=(graph.num_nodes, 4))
+    with mock.patch.object(graphs, "_CHUNK", chunk):
+        check_against_oracles(graph, negatives, "deepwalk", {"window": 4}, Y)
+
+
+def test_isolated_nodes_and_no_negatives():
+    graph = build_graph([(0, 1), (1, 2)], num_nodes=6)
+    Y = np.random.default_rng(2).normal(size=(6, 3))
+    for model, kwargs in MODELS:
+        check_against_oracles(graph, negatives_from_pairs([], 6), model, kwargs, Y)
+
+
+def test_duplicate_entries_rejected():
+    dup = sp.csr_array((np.ones(2), np.array([1, 1]), np.array([0, 2, 2])),
+                       shape=(2, 2))
+    with pytest.raises(ValueError, match="twice"):
+        SupportPattern(dup, sp.csr_array((2, 2)))
+
+
+def test_overlapping_supports_share_a_slot():
+    pos = sp.csr_array(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    neg = sp.csr_array(np.array([[0.0, 2.0], [0.0, 0.0]]))
+    pattern = SupportPattern(pos, neg)
+    assert pattern.nnz == 2
+    assert np.array_equal(pattern.pos.slots, [0, 1])
+    assert np.array_equal(pattern.neg.slots, [0])

@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from linkprop.graphs import MAX_PROXIMITY_ORDER, Partition, build_graph
+from linkprop.graphs import (MAX_PROXIMITY_ORDER, Partition, ProximityOperator,
+                             build_graph)
 from linkprop.losses import DivergenceError, build_masks, gd_step, loss_gradient
 from linkprop.negatives import sample_negatives
 from linkprop.ranking import SplitSet
@@ -9,6 +12,8 @@ from linkprop.training import (ALPHA_GRID, AllPointsDiverged, GridPoint,
                                TrainConfig, TrainHistory, TrainResult,
                                grid_search, init_embeddings, repeat_train,
                                scoring_embeddings, train)
+
+from conftest import negatives_from_pairs
 
 TINY = 1e-15  # small enough that rankings cannot move between epochs
 
@@ -125,6 +130,44 @@ class TestTrainPaths:
             assert record.substeps is not None
             assert len(record.substeps) == 4
             assert record.divergence is not None
+
+
+    @pytest.mark.parametrize("path", ["gradient", "kernel", "both"])
+    @pytest.mark.parametrize("model,extra", [
+        ("deepwalk", {"window": 2}), ("lightgcn", {"layers": 2})])
+    def test_trace_changes_nothing_but_substeps(self, split_instance, path,
+                                                model, extra):
+        graph, neg, splits = split_instance
+        cfg = TrainConfig(model, alpha=0.05, dim=4, beta=0.01, max_epochs=8,
+                          path=path, **extra)
+        plain = train(graph, neg, cfg, splits=splits)
+        traced = train(graph, neg, replace(cfg, trace_substeps=True),
+                       splits=splits)
+        assert np.array_equal(plain.embeddings, traced.embeddings)
+        assert all(r.substeps is not None for r in traced.history.records)
+        assert [replace(r, substeps=None) for r in traced.history.records] \
+            == plain.history.records
+
+    @pytest.mark.parametrize("model,extra", [("mf", {}),
+                                             ("lightgcn", {"layers": 2})])
+    def test_gradient_path_applies_p_twice_per_epoch(self, split_instance,
+                                                     monkeypatch, model, extra):
+        # once to X after each update, once to the residual; plus the
+        # forward pass at the initial embedding
+        graph, neg, splits = split_instance
+        calls = []
+        apply = ProximityOperator.apply
+        monkeypatch.setattr(ProximityOperator, "apply",
+                            lambda op, X: calls.append(1) or apply(op, X))
+        cfg = TrainConfig(model, alpha=0.05, dim=4, max_epochs=6, **extra)
+        train(graph, neg, cfg, splits=splits)
+        assert len(calls) == 2 * 6 + 1
+
+    def test_edgeless_graph_rejected_at_entry(self):
+        graph = build_graph([], num_nodes=4)
+        neg = negatives_from_pairs([(0, 1)], 4)
+        with pytest.raises(ValueError, match="no edges"):
+            train(graph, neg, TrainConfig("mf", alpha=0.05, dim=2))
 
 
 class TestEarlyStopping:
