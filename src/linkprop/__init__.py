@@ -10,9 +10,8 @@ from linkprop.losses import (DivergenceError, MaskSet, ModelParams, bce_loss,
                              build_masks, gd_step, loss_gradient, model_loss)
 from linkprop.kernel import (KernelConfig, KernelOperator, LinkKernels,
                              ScorePair, SubstepTrace, kernel_step,
-                             kernel_step_traced, link_kernels,
-                             materialize_kernel, model_config, score_matrices,
-                             sign_structure)
+                             link_kernels, materialize_kernel, model_config,
+                             score_matrices, sign_structure)
 from linkprop.training import (TrainConfig, TrainHistory, TrainResult,
                                grid_search, init_embeddings, repeat_train,
                                scoring_embeddings, train)
@@ -30,7 +29,7 @@ __all__ = [
     "DivergenceError", "MaskSet", "ModelParams", "bce_loss", "build_masks",
     "gd_step", "loss_gradient", "model_loss",
     "KernelConfig", "KernelOperator", "LinkKernels", "ScorePair",
-    "SubstepTrace", "kernel_step", "kernel_step_traced", "link_kernels",
+    "SubstepTrace", "kernel_step", "link_kernels",
     "materialize_kernel", "model_config", "score_matrices", "sign_structure",
     "TrainConfig", "TrainHistory", "TrainResult", "grid_search",
     "init_embeddings", "repeat_train", "scoring_embeddings", "train",

@@ -60,14 +60,6 @@ def substep_contractions(trace: SubstepTrace,
     return (s1 <= trace.input_norm * (1.0 + rtol), s3 <= s2 * (1.0 + rtol))
 
 
-def trace_record(step: int, mean_k_plus: float,
-                 trace: SubstepTrace) -> TrajectoryRecord:
-    if len(trace.norms) != 4:
-        raise ValueError("substep trace must carry exactly 4 norms")
-    return TrajectoryRecord(step=step, mean_k_plus=mean_k_plus,
-                            frob_norm=trace.norms[3], substeps=trace.norms)
-
-
 def _fmt(x: float) -> str:
     return "%.17g" % x
 

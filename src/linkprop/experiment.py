@@ -18,10 +18,10 @@ import numpy as np
 import scipy
 
 import linkprop
-from linkprop.data_io import (Dataset, graph_density_pct, graph_from_split,
+from linkprop.data_io import (graph_density_pct, graph_from_split,
                               load_edge_list, split_dataset, write_metrics_csv)
 from linkprop.diagnostics import emit_trajectories
-from linkprop.negatives import sample_negatives
+from linkprop.negatives import check_sampling, sample_negatives
 from linkprop.ranking import mean_result
 from linkprop.training import (TrainConfig, grid_search, repeat_train)
 
@@ -83,6 +83,7 @@ class RunConfig:
             raise ValueError("models must name at least one model")
         if not self.seeds:
             raise ValueError("seeds must list at least one seed")
+        check_sampling(self.neg_strategy, self.per_positive, self.neg_exponent)
         for model in self.models:
             self.train_config(model)  # TrainConfig names any bad field
 

@@ -145,9 +145,7 @@ class NormalizedAdjacency:
     is D^-1/2 A D^-1/2.  Zero degrees invert to zero.
     """
 
-    scheme: str
     matrix: sp.csr_array = field(repr=False)
-    base: sp.csr_array = field(repr=False)
 
 
 def _inv_power(degrees: np.ndarray, power: float) -> np.ndarray:
@@ -162,14 +160,14 @@ def normalize_matrix(matrix: sp.csr_array, scheme: str) -> NormalizedAdjacency:
     if scheme not in SCHEMES:
         raise ValueError(f"unknown normalization scheme {scheme!r}; pick from {SCHEMES}")
     if scheme == "none":
-        return NormalizedAdjacency(scheme=scheme, matrix=matrix.copy(), base=matrix)
+        return NormalizedAdjacency(matrix=matrix.copy())
     degrees = np.asarray(matrix.sum(axis=1)).ravel()
     if scheme == "row":
         scaled = sp.diags_array(_inv_power(degrees, 1.0)) @ matrix
     else:
         half = sp.diags_array(_inv_power(degrees, 0.5))
         scaled = half @ matrix @ half
-    return NormalizedAdjacency(scheme=scheme, matrix=scaled.tocsr(), base=matrix)
+    return NormalizedAdjacency(matrix=scaled.tocsr())
 
 
 def symmetrize(mat: sp.csr_array) -> sp.csr_array:
@@ -215,8 +213,8 @@ class ProximityOperator:
                 acc += term
         return acc / (self.high - self.low + 1)
 
-    def materialize(self, drop_below: float = 0.0) -> sp.csr_array:
-        """Explicit sparse matrix; entries with |value| < drop_below are pruned."""
+    def materialize(self) -> sp.csr_array:
+        """The operator as an explicit sparse matrix."""
         n = self.base.matrix.shape[0]
         acc = sp.csr_array((n, n))
         if self.low == 0:
@@ -226,20 +224,17 @@ class ProximityOperator:
             term = (term @ self.base.matrix).tocsr()
             if power >= self.low:
                 acc = acc + term
-        acc = (acc / (self.high - self.low + 1)).tocsr()
-        if drop_below > 0.0:
-            acc.data[np.abs(acc.data) < drop_below] = 0.0
-            acc.eliminate_zeros()
-        return acc
+        return (acc / (self.high - self.low + 1)).tocsr()
 
 
-def proximity(base: NormalizedAdjacency, low: int, high: int,
-              max_order: int = MAX_PROXIMITY_ORDER) -> ProximityOperator:
+def proximity(base: NormalizedAdjacency, low: int,
+              high: int) -> ProximityOperator:
     """High-order proximity operator averaging powers low..high of `base`."""
     if low < 0 or low > high:
         raise ValueError(f"need 0 <= low <= high, got ({low}, {high})")
-    if high > max_order:
-        raise ValueError(f"order {high} exceeds the configured maximum {max_order}")
+    if high > MAX_PROXIMITY_ORDER:
+        raise ValueError(f"order {high} exceeds the configured maximum "
+                         f"{MAX_PROXIMITY_ORDER}")
     return ProximityOperator(base=base, low=low, high=high)
 
 

@@ -32,13 +32,10 @@ import scipy.sparse as sp
 from linkprop.graphs import (MAX_PROXIMITY_ORDER, SCHEMES, Graph,
                              ProximityOperator, SupportPattern, normalize,
                              normalize_matrix, proximity, symmetrize)
-from linkprop.losses import MODELS, ModelParams, check_finite, sigmoid
+from linkprop.losses import MODELS, check_finite, sigmoid
 from linkprop.negatives import NegativeSet
 
 DENSE_LIMIT = 500
-
-CONFIG_KEYS = ("model", "c1", "c2", "c3", "a1", "b1", "a2", "b2",
-               "pos_norm", "neg_norm", "lambda")
 
 
 @dataclass(frozen=True)
@@ -84,26 +81,6 @@ class KernelConfig:
         if self.lam < 0:
             raise ValueError("lambda must be nonnegative")
 
-    def to_mapping(self) -> dict:
-        """Flat dict with the serialized field names ('lambda', not 'lam')."""
-        return {"model": self.model, "c1": self.c1, "c2": self.c2,
-                "c3": self.c3, "a1": self.a1, "b1": self.b1, "a2": self.a2,
-                "b2": self.b2, "pos_norm": self.pos_norm,
-                "neg_norm": self.neg_norm, "lambda": self.lam}
-
-    @classmethod
-    def from_mapping(cls, mapping: dict) -> "KernelConfig":
-        missing = [k for k in CONFIG_KEYS if k not in mapping]
-        if missing:
-            raise ValueError(f"kernel config missing keys {missing}")
-        return cls(model=str(mapping["model"]),
-                   c1=float(mapping["c1"]), c2=float(mapping["c2"]),
-                   c3=float(mapping["c3"]), a1=int(mapping["a1"]),
-                   b1=int(mapping["b1"]), a2=int(mapping["a2"]),
-                   b2=int(mapping["b2"]), pos_norm=str(mapping["pos_norm"]),
-                   neg_norm=str(mapping["neg_norm"]),
-                   lam=float(mapping["lambda"]))
-
 
 def model_config(model: str, alpha: float, beta: float = 0.0,
                  lam: float = 1.0, window: int = 5, layers: int = 3) -> KernelConfig:
@@ -125,16 +102,6 @@ def model_config(model: str, alpha: float, beta: float = 0.0,
         return KernelConfig(model, c1, c2, 0.0, 0, layers, 0, 0,
                             "symmetric", "none", lam)
     raise ValueError(f"unknown model {model!r}")
-
-
-def config_params(config: KernelConfig) -> ModelParams:
-    """ModelParams whose loss this kernel config propagates.
-
-    c1 = 1 - c2*beta pins beta = (1 - c1)/c2 when c2 > 0.
-    """
-    beta = 0.0 if config.c2 == 0 else (1.0 - config.c1) / config.c2
-    return ModelParams(model=config.model, window=max(config.b2, 1),
-                       layers=config.b1, lam=config.lam, beta=beta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,13 +126,13 @@ class KernelOperator:
     @classmethod
     def build(cls, config: KernelConfig, graph: Graph,
               negatives: NegativeSet) -> "KernelOperator":
-        prop = proximity(normalize(graph, config.pos_norm), config.a1, config.b1)
+        base = normalize(graph, config.pos_norm)
+        prop = proximity(base, config.a1, config.b1)
         if config.c3 == 0.0:
             pos_mask = graph.adjacency
             neg_mask = negatives.adjacency
         else:
-            high_order = proximity(normalize(graph, config.pos_norm),
-                                   config.a2, config.b2)
+            high_order = proximity(base, config.a2, config.b2)
             pos_mask = symmetrize(high_order.materialize())
             neg_mask = symmetrize(
                 normalize_matrix(negatives.adjacency, config.neg_norm).matrix)
@@ -175,12 +142,13 @@ class KernelOperator:
                    rows=pattern.rows, cols=pattern.cols)
 
     def step(self, X: np.ndarray) -> np.ndarray:
-        return kernel_step(X, self.config, self.graph, self.negatives,
-                           operator=self)
+        return kernel_step(X, self)
 
     def step_traced(self, X: np.ndarray):
-        return kernel_step_traced(X, self.config, self.graph, self.negatives,
-                                  operator=self)
+        """One kernel step from X: (X', substep trace), X' unchecked."""
+        Y = self.prop.apply(X)
+        return kernel_update(X, Y, link_kernels(score_matrices(Y, self), self),
+                             self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,7 +160,6 @@ class ScorePair:
     exactly by construction.
     """
 
-    num_nodes: int
     rows: np.ndarray
     cols: np.ndarray
     s_a: np.ndarray
@@ -211,8 +178,8 @@ def dense_score_matrices(Y: np.ndarray):
 def score_matrices(Y: np.ndarray, operator: KernelOperator) -> ScorePair:
     """Scores of the propagated embedding Y on the operator's union support."""
     s_b = sigmoid(operator.pattern.scores(Y))
-    return ScorePair(num_nodes=Y.shape[0], rows=operator.rows,
-                     cols=operator.cols, s_a=1.0 - s_b, s_b=s_b)
+    return ScorePair(rows=operator.rows, cols=operator.cols, s_a=1.0 - s_b,
+                     s_b=s_b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,26 +223,11 @@ def kernel_update(X: np.ndarray, Y: np.ndarray, kernels: LinkKernels,
                              norms=(frob(Y), frob(Z), frob(W), frob(out)))
 
 
-def kernel_step(X: np.ndarray, config: KernelConfig, graph: Graph,
-                negatives: NegativeSet, operator: KernelOperator | None = None,
+def kernel_step(X: np.ndarray, operator: KernelOperator,
                 step: int | None = None) -> np.ndarray:
-    """One forward-propagation update of the embeddings.
-
-    Pass a prebuilt operator to amortize mask construction across steps.
-    """
-    out, _ = kernel_step_traced(X, config, graph, negatives, operator)
-    return check_finite(out, "kernel step", step)
-
-
-def kernel_step_traced(X: np.ndarray, config: KernelConfig, graph: Graph,
-                       negatives: NegativeSet,
-                       operator: KernelOperator | None = None):
-    """Like kernel_step but also returns the per-substep norm trace."""
-    if operator is None:
-        operator = KernelOperator.build(config, graph, negatives)
-    Y = operator.prop.apply(X)
-    return kernel_update(X, Y, link_kernels(score_matrices(Y, operator), operator),
-                         operator)
+    """One forward-propagation update of the embeddings; raises
+    DivergenceError (tagged with `step`) on a non-finite result."""
+    return check_finite(operator.step_traced(X)[0], "kernel step", step)
 
 
 def materialize_kernel(config: KernelConfig, scores: ScorePair, graph: Graph,

@@ -28,6 +28,7 @@ never formed densely.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -71,8 +72,11 @@ class ModelParams:
             raise ValueError("deepwalk window must be >= 1")
         if self.layers < 0:
             raise ValueError("lightgcn layer count must be >= 0")
-        if self.lam < 0 or self.beta < 0:
-            raise ValueError("lambda and beta must be nonnegative")
+        for name in ("lam", "beta"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{name} must be finite and nonnegative, got {value}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,14 +120,11 @@ def build_masks(graph: Graph, negatives: NegativeSet,
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Elementwise logistic function, overflow-safe on both tails."""
+    """Elementwise logistic function, overflow-safe on both tails: exp only
+    sees -|z|.  np.minimum(z, -z), not -np.abs(z), keeps a NaN's sign."""
     z = np.asarray(z)
-    out = np.empty_like(z, dtype=float)
-    nonneg = z >= 0
-    out[nonneg] = 1.0 / (1.0 + np.exp(-z[nonneg]))
-    ez = np.exp(z[~nonneg])
-    out[~nonneg] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def support_loss(X: np.ndarray, s: np.ndarray, pattern: SupportPattern,

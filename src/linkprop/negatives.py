@@ -10,6 +10,7 @@ store canonical pairs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +59,16 @@ def degree_power_weights(degrees: np.ndarray, exponent: float = 0.75) -> np.ndar
     return weights
 
 
+def check_sampling(strategy: str, per_positive: int, exponent: float) -> None:
+    """Raise ValueError, naming the field, on a bad sampling setting."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; pick from {STRATEGIES}")
+    if per_positive < 1:
+        raise ValueError(f"per_positive must be >= 1, got {per_positive}")
+    if not math.isfinite(exponent):
+        raise ValueError(f"exponent must be finite, got {exponent}")
+
+
 def sample_negatives(graph: Graph, per_positive: int = 1,
                      strategy: str = "uniform", exponent: float = 0.75,
                      seed: int = 0, max_tries: int = 200) -> NegativeSet:
@@ -70,11 +81,7 @@ def sample_negatives(graph: Graph, per_positive: int = 1,
     sampled negative.  After `max_tries` failed draws for a single slot the
     whole call aborts with :class:`QuotaUnreachable`.
     """
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; pick from {STRATEGIES}")
-    if per_positive < 1:
-        raise ValueError("per_positive must be >= 1")
-
+    check_sampling(strategy, per_positive, exponent)
     rng = np.random.default_rng(seed)
     n = graph.num_nodes
     if graph.partition is not None:
@@ -89,6 +96,9 @@ def sample_negatives(graph: Graph, per_positive: int = 1,
         if total <= 0:
             raise ValueError("degree_power sampling needs at least one "
                              "candidate with positive degree")
+        if not np.isfinite(total):
+            raise ValueError(f"exponent {exponent} overflows the degree_power "
+                             "weights")
         cum = np.cumsum(weights)
     else:
         cum = None

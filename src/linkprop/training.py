@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -73,8 +74,9 @@ class TrainConfig:
             raise ValueError("eval_every must be >= 1")
         if self.eval_k < 1:
             raise ValueError(f"eval_k must be >= 1, got {self.eval_k}")
+        self.params  # ModelParams names a bad lam or beta
 
-    @property
+    @cached_property
     def params(self) -> ModelParams:
         return ModelParams(model=self.model, window=self.window,
                            layers=self.layers, lam=self.lam, beta=self.beta)
@@ -174,9 +176,7 @@ def train(graph: Graph, negatives: NegativeSet, config: TrainConfig,
             check_finite(X, "kernel step", epoch)
         else:
             if Xk is not None:
-                Yk = op.prop.apply(Xk)
-                Xk, trace = kernel_update(
-                    Xk, Yk, link_kernels(score_matrices(Yk, op), op), op)
+                Xk, trace = op.step_traced(Xk)
                 check_finite(Xk, "kernel step", epoch)
             elif config.trace_substeps:
                 trace = kernel_update(X, Y, kernels, op)[1]

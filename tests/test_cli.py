@@ -79,6 +79,17 @@ class TestPipelineChain:
         assert "recall@3" in out
         assert csv_path.read_text().startswith("dataset,model,seed,k,")
 
+    def test_train_bad_exponent_is_an_error_not_a_traceback(
+            self, raw_dataset, tmp_path, capsys):
+        raw, _ = raw_dataset
+        splitdir = tmp_path / "splits"
+        assert main(["split", "--input", str(raw), "--outdir", str(splitdir),
+                     "--ratios", "0.6", "0.2", "0.2"]) == 0
+        assert main(["train", "--splits", str(splitdir), "--model", "mf",
+                     "--neg-strategy", "degree_power", "--neg-exponent", "nan",
+                     "--outdir", str(tmp_path / "run")]) == 2
+        assert "exponent must be finite" in capsys.readouterr().err
+
     def test_train_kernel_path_matches_gradient_artifacts(self, raw_dataset,
                                                           tmp_path):
         raw, _ = raw_dataset
@@ -213,7 +224,10 @@ class TestRunConfig:
         ({"alpha": float("nan")}, "alpha"), ({"k": 0}, "eval_k"),
         ({"models": ("mf", "nope")}, "unknown model"),
         ({"layers": 17}, "layers"), ({"models": ()}, "models"),
-        ({"seeds": ()}, "seeds")])
+        ({"seeds": ()}, "seeds"), ({"beta": float("nan")}, "beta"),
+        ({"lam": float("inf")}, "lam"), ({"neg_strategy": "zipf"}, "strategy"),
+        ({"per_positive": 0}, "per_positive"),
+        ({"neg_exponent": float("nan")}, "exponent")])
     def test_rejected_at_construction(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
             RunConfig(dataset_path="x", **kwargs)

@@ -4,12 +4,9 @@ from hypothesis import given, strategies as st
 
 from linkprop.diagnostics import (CSV_FIELDS, TrajectoryRecord, frobenius,
                                   emit_trajectories, load_trajectories,
-                                  mean_positive_kernel, substep_contractions,
-                                  trace_record)
+                                  mean_positive_kernel, substep_contractions)
 from linkprop.kernel import (KernelOperator, SubstepTrace, link_kernels,
                              model_config, score_matrices)
-
-from conftest import negatives_from_pairs
 
 
 class TestMeanPositiveKernel:
@@ -70,20 +67,6 @@ class TestSubstepContractions:
             X = rng.normal(size=(graph.num_nodes, 4))
             _, trace = op.step_traced(X)
             assert substep_contractions(trace) == (True, True)
-
-
-class TestTraceRecord:
-    def test_builds_record(self):
-        trace = SubstepTrace(input_norm=1.0, norms=(0.9, 2.0, 1.9, 1.0))
-        rec = trace_record(3, 0.4, trace)
-        assert rec.step == 3
-        assert rec.frob_norm == 1.0
-        assert rec.substeps == trace.norms
-
-    def test_wrong_arity(self):
-        trace = SubstepTrace(input_norm=1.0, norms=(0.9, 2.0, 1.9))
-        with pytest.raises(ValueError, match="4 norms"):
-            trace_record(0, 0.1, trace)
 
 
 class TestCsvRoundTrip:

@@ -167,10 +167,3 @@ class TestProximity:
         Y = rng.normal(size=(g.num_nodes, 3))
         assert np.allclose(op.apply(2.0 * X - 0.5 * Y),
                            2.0 * op.apply(X) - 0.5 * op.apply(Y), atol=1e-10)
-
-    def test_materialize_drop_threshold_prunes(self, path_graph):
-        op = proximity(normalize(path_graph, "row"), 1, 3)
-        full = op.materialize()
-        pruned = op.materialize(drop_below=0.2)
-        assert pruned.nnz < full.nnz
-        assert np.all(np.abs(pruned.data) >= 0.2)

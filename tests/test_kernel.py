@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
+import linkprop
 from linkprop import reference
-from linkprop.graphs import MAX_PROXIMITY_ORDER, Partition, build_graph
-from linkprop.kernel import (CONFIG_KEYS, KernelConfig, KernelOperator,
-                             config_params, dense_score_matrices, kernel_step,
-                             kernel_step_traced, link_kernels,
+from linkprop.graphs import MAX_PROXIMITY_ORDER, build_graph
+from linkprop.kernel import (KernelConfig, KernelOperator,
+                             dense_score_matrices, kernel_step, link_kernels,
                              materialize_kernel, model_config, score_matrices,
                              sign_structure)
 from linkprop.losses import DivergenceError, ModelParams, loss_gradient
@@ -61,18 +60,6 @@ class TestModelConfig:
         with pytest.raises(ValueError, match="unknown model"):
             model_config("gat", alpha=0.1)
 
-    def test_beta_recovered_from_constants(self):
-        cfg = model_config("lightgcn", alpha=0.05, beta=0.3, lam=2.0, layers=4)
-        params = config_params(cfg)
-        assert params.beta == pytest.approx(0.3, rel=1e-12)
-        assert params.layers == 4
-        assert params.lam == 2.0
-
-    def test_zero_step_size_means_zero_beta(self):
-        cfg = KernelConfig("mf", c1=1.0, c2=0.0, c3=0.0, a1=0, b1=0,
-                           a2=0, b2=0, pos_norm="none", neg_norm="none")
-        assert config_params(cfg).beta == 0.0
-
 
 class TestKernelConfig:
     BASE = dict(model="mf", c1=1.0, c2=0.1, c3=0.0, a1=0, b1=0, a2=0, b2=0,
@@ -97,21 +84,6 @@ class TestKernelConfig:
             model_config("deepwalk", alpha=float("nan"))
         with pytest.raises(ValueError, match="b1 must be <= "):
             model_config("lightgcn", alpha=0.1, layers=MAX_PROXIMITY_ORDER + 1)
-
-    @pytest.mark.parametrize("model,kwargs", MODEL_GRID,
-                             ids=lambda v: str(v))
-    def test_mapping_round_trip(self, model, kwargs):
-        cfg = model_config(model, alpha=0.03, beta=0.01, lam=0.5, **kwargs)
-        mapping = cfg.to_mapping()
-        assert set(mapping) == set(CONFIG_KEYS)
-        assert mapping["lambda"] == 0.5
-        assert KernelConfig.from_mapping(mapping) == cfg
-
-    def test_from_mapping_missing_key(self):
-        mapping = model_config("mf", alpha=0.1).to_mapping()
-        del mapping["c2"]
-        with pytest.raises(ValueError, match="missing keys"):
-            KernelConfig.from_mapping(mapping)
 
     @pytest.mark.parametrize("bad", [
         {"c3": 0.5}, {"a1": 2, "b1": 1}, {"a2": -1}, {"pos_norm": "max"},
@@ -192,8 +164,8 @@ class TestKernelStep:
                               a2=0, b2=0, pos_norm="none", neg_norm="none")
         rng = np.random.default_rng(4)
         X = rng.normal(size=(graph.num_nodes, 3))
-        assert np.allclose(kernel_step(X, config, graph, neg), 0.7 * X,
-                           rtol=0, atol=1e-16)
+        op = KernelOperator.build(config, graph, neg)
+        assert np.allclose(kernel_step(X, op), 0.7 * X, rtol=0, atol=1e-16)
 
     def test_non_finite_input_raises(self, small_instance):
         graph, neg = small_instance
@@ -201,7 +173,7 @@ class TestKernelStep:
         X = np.zeros((graph.num_nodes, 2))
         X[0, 0] = np.inf
         with pytest.raises(DivergenceError, match="step 3"):
-            kernel_step(X, config, graph, neg, operator=op, step=3)
+            kernel_step(X, op, step=3)
 
     @pytest.mark.parametrize("model,kwargs", MODEL_GRID, ids=lambda v: str(v))
     def test_matches_dense_oracle(self, small_instance, model, kwargs):
@@ -244,7 +216,7 @@ class TestTrace:
         config, op = operator_for("lightgcn", graph, neg, layers=2)
         rng = np.random.default_rng(6)
         X = rng.normal(size=(graph.num_nodes, 3))
-        out, trace = kernel_step_traced(X, config, graph, neg, operator=op)
+        out, trace = op.step_traced(X)
         assert np.array_equal(out, op.step(X))
         assert trace.input_norm == pytest.approx(float(np.linalg.norm(X)))
         assert len(trace.norms) == 4
@@ -335,3 +307,8 @@ class TestSignStructure:
         report = sign_structure(H, graph, neg)
         assert not report.passed
         assert (int(u), int(v), -0.25) in report.violations
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in linkprop.__all__ if not hasattr(linkprop, name)]
+    assert missing == []

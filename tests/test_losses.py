@@ -207,9 +207,13 @@ class TestModelParams:
             ModelParams("svd")
 
     @pytest.mark.parametrize("kwargs", [
-        {"window": 0}, {"layers": -1}, {"lam": -0.5}, {"beta": -1e-9}])
+        {"window": 0}, {"layers": -1}, {"lam": -0.5}, {"beta": -1e-9},
+        {"lam": float("nan")}, {"lam": float("inf")},
+        {"beta": float("nan")}, {"beta": float("inf")}])
     def test_invalid_hyperparameters(self, kwargs):
-        with pytest.raises(ValueError):
+        (field,) = kwargs
+        with pytest.raises(ValueError,
+                           match=field if field in ("lam", "beta") else None):
             ModelParams("mf", **kwargs)
 
     def test_lightgcn_zero_layers_allowed(self):
@@ -225,6 +229,23 @@ class TestSigmoid:
     def test_extreme_arguments_saturate(self):
         assert sigmoid(np.array([900.0]))[0] == 1.0
         assert sigmoid(np.array([-900.0]))[0] == 0.0
+
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=30),
+           st.sampled_from([1e-3, 1.0, 30.0, 800.0]))
+    def test_bitwise_equal_to_masked_body(self, values, scale):
+        # sigmoid's earlier two-branch body, with boolean scatter
+        def masked(z):
+            out = np.empty_like(z, dtype=float)
+            nonneg = z >= 0
+            out[nonneg] = 1.0 / (1.0 + np.exp(-z[nonneg]))
+            ez = np.exp(z[~nonneg])
+            out[~nonneg] = ez / (1.0 + ez)
+            return out
+
+        drawn = np.random.default_rng(len(values)).normal(scale=scale, size=64)
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan]
+        z = np.concatenate([np.array(values, dtype=float), drawn, special])
+        assert np.array_equal(sigmoid(z).view(np.int64), masked(z).view(np.int64))
 
     @given(st.floats(-700, 700))
     def test_property_complement(self, z):

@@ -81,6 +81,19 @@ class TestSampleNegatives:
         with pytest.raises(ValueError, match="per_positive"):
             sample_negatives(graph, per_positive=0)
 
+    @pytest.mark.parametrize("exponent", [float("nan"), float("inf"),
+                                          float("-inf")])
+    def test_non_finite_exponent_rejected(self, bipartite_instance, exponent):
+        graph, _ = bipartite_instance
+        with pytest.raises(ValueError, match="exponent must be finite"):
+            sample_negatives(graph, strategy="degree_power", exponent=exponent)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_exponent_rejected(self, bipartite_instance):
+        graph, _ = bipartite_instance
+        with pytest.raises(ValueError, match="overflows"):
+            sample_negatives(graph, strategy="degree_power", exponent=1e4)
+
     def test_degree_power_draws_valid_set(self, bipartite_instance):
         graph, _ = bipartite_instance
         neg = sample_negatives(graph, strategy="degree_power", seed=3)

@@ -47,7 +47,9 @@ class TestTrainConfig:
         ("alpha", float("nan")), ("alpha", float("inf")),
         ("layers", -1), ("layers", MAX_PROXIMITY_ORDER + 1),
         ("window", 0), ("window", MAX_PROXIMITY_ORDER + 1),
-        ("eval_k", 0)])
+        ("eval_k", 0), ("lam", float("nan")), ("lam", float("inf")),
+        ("lam", -1.0), ("beta", float("nan")), ("beta", float("inf")),
+        ("beta", -1.0)])
     def test_rejection_names_the_field(self, field, value):
         kwargs = {"model": "lightgcn", "alpha": 0.05, field: value}
         with pytest.raises(ValueError, match=field):
