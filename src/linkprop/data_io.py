@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -182,6 +183,22 @@ def dataset_from_graph(graph: Graph, prefix: tuple[str, str] = ("u", "i")) -> Da
         item_labels=tuple(f"{prefix[1]}{k:0{iw}d}" for k in range(part.num_items)))
 
 
+def check_ratios(ratios) -> tuple[float, float, float]:
+    """The train/validation/test ratios as floats.
+
+    Raises ValueError naming `ratios` unless they are three finite,
+    nonnegative values summing to 1.
+    """
+    ratios = tuple(float(r) for r in ratios)
+    if len(ratios) != 3 or not all(math.isfinite(r) and r >= 0
+                                   for r in ratios):
+        raise ValueError(f"ratios must be three finite nonnegative values, "
+                         f"got {ratios}")
+    if abs(sum(ratios) - 1.0) > 1e-9:
+        raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
+    return ratios
+
+
 def split_dataset(graph: Graph, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> SplitSet:
     """Per-user random split into train/validation/test.
 
@@ -191,11 +208,7 @@ def split_dataset(graph: Graph, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> SplitS
     """
     if graph.partition is None:
         raise ValueError("splitting needs a bipartite partition")
-    ratios = tuple(float(r) for r in ratios)
-    if len(ratios) != 3 or any(r < 0 for r in ratios):
-        raise ValueError("need three nonnegative ratios")
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
+    ratios = check_ratios(ratios)
     rng = np.random.default_rng(seed)
     train, val, test, flagged = [], [], [], []
     for user in range(graph.partition.num_users):

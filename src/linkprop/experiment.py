@@ -18,8 +18,9 @@ import numpy as np
 import scipy
 
 import linkprop
-from linkprop.data_io import (graph_density_pct, graph_from_split,
-                              load_edge_list, split_dataset, write_metrics_csv)
+from linkprop.data_io import (check_ratios, graph_density_pct,
+                              graph_from_split, load_edge_list, split_dataset,
+                              write_metrics_csv)
 from linkprop.diagnostics import emit_trajectories
 from linkprop.negatives import check_sampling, sample_negatives
 from linkprop.ranking import mean_result
@@ -83,6 +84,7 @@ class RunConfig:
             raise ValueError("models must name at least one model")
         if not self.seeds:
             raise ValueError("seeds must list at least one seed")
+        check_ratios(self.ratios)
         check_sampling(self.neg_strategy, self.per_positive, self.neg_exponent)
         for model in self.models:
             self.train_config(model)  # TrainConfig names any bad field

@@ -8,7 +8,11 @@ results do not depend on sort internals.
 
 `evaluate` ranks a block of users at a time and keeps only each user's top
 k; `score_user`, `top_k` and `metrics_at_k` are the one-user definitions it
-reproduces bit for bit.
+reproduces bit for bit.  A block's scores come from one matrix product,
+which rounds differently from the per-user product `score_user` takes; a
+user's block ranking is kept only where a rounding-error bound proves that
+both products rank the same items in the same order, and recomputed from
+the per-user product otherwise.
 """
 
 from __future__ import annotations
@@ -113,10 +117,15 @@ def evaluate(X: np.ndarray, splits: SplitSet, train_graph: Graph,
 
     `split` picks the held-out edge set ("test" or "val"); candidates are
     always the items unseen in training.  Every result bit equals what
-    `top_k` and `metrics_at_k` give user by user: users are scored in blocks
-    (one GEMV per user, since a block GEMM rounds differently), each block
-    keeps its k best finite scores without a full sort, and the per-user
-    metrics are summed sequentially in user order.
+    `top_k` and `metrics_at_k` give user by user.  Users are scored in
+    blocks, one GEMM per block, and each block keeps its k + 1 best finite
+    scores without a full sort.  A user's ranking stands when every
+    adjacent gap among those k + 1 scores is wider than twice the bound on
+    the rounding error of any dot product (`_score_error`): the per-user
+    GEMV that `score_user` computes then ranks the same k items in the same
+    order.  Other users (near-ties, zero or non-finite embeddings,
+    non-float dtypes) are scored again with that GEMV and ranked at k.  The
+    per-user metrics are summed sequentially in user order.
     """
     if split not in ("test", "val"):
         raise ValueError("split must be 'test' or 'val'")
@@ -133,7 +142,8 @@ def evaluate(X: np.ndarray, splits: SplitSet, train_graph: Graph,
     if held_out.shape[0] == 0:
         raise ValueError(f"no users have {split} edges")
     num_users = splits.partition.num_users
-    items = X[train_graph.partition.num_users:]
+    first_item = train_graph.partition.num_users
+    items = X[first_item:]
     num_items = items.shape[0]
 
     # held-out edges as sorted keys user * num_items + item
@@ -155,16 +165,25 @@ def evaluate(X: np.ndarray, splits: SplitSet, train_graph: Graph,
                    dtype=np.result_type(X))
     scratch = np.empty_like(buf)
     adj = train_graph.adjacency
+    err = _score_error(X[users], items)
     per_user = np.empty((users.shape[0], 3))
     for lo in range(0, users.shape[0], block):
         ub = users[lo:lo + block]
         S = buf[:ub.shape[0]]
-        for j, user in enumerate(ub):
-            np.matmul(items, X[user], out=S[j])
-        _mask_training(S, ub, adj, train_graph.partition.num_users)
-        if not np.isfinite(S.max()):  # max is nan or +inf if any entry is
-            S[~np.isfinite(S)] = -np.inf
-        ranked = _top_k_rows(S, cut, scratch[:ub.shape[0]])
+        np.matmul(X[ub], items.T, out=S)
+        _mask_training(S, ub, adj, first_item)
+        _clear_non_finite(S)
+        ranked, sure = _certified_top_k(S, cut, err[lo:lo + ub.shape[0]],
+                                        scratch[:ub.shape[0]])
+        # rows left uncertified: one GEMV per user, the scores score_user gives
+        redo = np.flatnonzero(~sure)
+        if redo.shape[0]:
+            for j in redo:
+                np.matmul(items, X[ub[j]], out=S[j])
+            R = S[redo]
+            _mask_training(R, ub[redo], adj, first_item)
+            _clear_non_finite(R)
+            ranked[redo] = _top_k_rows(R, cut, scratch[:redo.shape[0]])
         keys = ub[:, None] * num_items + ranked
         pos = np.searchsorted(held_keys, keys)
         pos[pos == held_keys.shape[0]] = 0
@@ -191,6 +210,67 @@ def _starts(counts: np.ndarray) -> np.ndarray:
     starts = np.zeros(counts.shape[0], dtype=np.int64)
     np.cumsum(counts[:-1], out=starts[1:])
     return starts
+
+
+def _clear_non_finite(S: np.ndarray):
+    """Set every nan and +-inf score to -inf: such items are never ranked."""
+    if not np.isfinite(S.max()):  # max is nan or +inf if any entry is
+        S[~np.isfinite(S)] = -np.inf
+
+
+def _score_error(Y: np.ndarray, items: np.ndarray) -> np.ndarray:
+    """Per row of Y, a bound on the rounding error of any score `items @ y`.
+
+    Any floating-point evaluation of a length-d dot product, summed in any
+    order, with or without FMA, is within `gamma_d * sum|x_j y_j| + d * tiny`
+    of the exact value, where `gamma_d = d*u / (1 - d*u)`, u is the unit
+    roundoff and the smallest normal number `tiny` covers underflow, gradual
+    or flushed to zero (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., section 3.1).
+    By Cauchy-Schwarz the sum is at most `||y|| * max_i ||x_i||`.  The
+    bound is doubled, which covers the rounding of the norms, of the bound
+    and of the gaps it is compared with.  It is inf, and certifies nothing,
+    for dtypes other than float32/float64, and where `||y|| * max ||x||` is
+    not finite or within a factor 8 of overflow, so that no certified
+    score, partial sum or gap can overflow.
+    """
+    if items.dtype not in (np.float32, np.float64):
+        return np.full(Y.shape[0], np.inf)
+    info = np.finfo(items.dtype)
+    d = items.shape[1]
+    du = d * float(info.eps) / 2
+    gamma = du / (1 - du) if du < 1 else np.inf
+    # float64 norms of either dtype; `pad` covers squares lost to underflow
+    pad = np.sqrt(d * np.finfo(np.float64).tiny)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = [np.sqrt(np.einsum("ij,ij->i", A, A, dtype=np.float64)) + pad
+                 for A in (Y, items)]
+        base = norms[0] * norms[1].max(initial=0.0)
+        err = 2 * gamma * base + d * float(info.tiny)
+    err[~(base <= float(info.max) / 8)] = np.inf
+    return err
+
+
+def _certified_top_k(S: np.ndarray, cut: int, err: np.ndarray,
+                     scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's `cut` best columns, and whether any rounding keeps them.
+
+    A row is certified when `err[row]` is finite and every adjacent gap
+    among its `cut + 1` best finite scores exceeds `2 * err[row]`.  Scores
+    that each lie within `err` of the same exact values then rank the same
+    columns in the same order, with no tie left for the column order to
+    break.  Gaps to -inf (masked, or fewer candidates than `cut + 1`) do not
+    count.  `scratch` is S-shaped workspace.
+    """
+    top = min(cut + 1, S.shape[1])
+    ranked = _top_k_rows(S, top, scratch)
+    vals = np.take_along_axis(S, ranked, axis=1)
+    vals[ranked < 0] = -np.inf
+    lower = vals[:, 1:]
+    # -inf - -inf is nan, and rows near overflow are rejected by `err`
+    with np.errstate(over="ignore", invalid="ignore"):
+        apart = (vals[:, :-1] - lower > 2 * err[:, None]) | (lower == -np.inf)
+    return ranked[:, :cut], np.isfinite(err) & apart.all(axis=1)
 
 
 def _mask_training(S: np.ndarray, users: np.ndarray, adj, num_users: int):

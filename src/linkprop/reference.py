@@ -138,8 +138,9 @@ def evaluate_scalar(X: np.ndarray, splits, train_graph, k: int = 20,
     Every user with a held-out edge ranks the items it has no training edge
     to and whose score is finite, by descending score and then ascending
     item id; per-user metrics are added in user order and averaged.  The
-    scores are the same per-user product `items @ X[user]` the fast path
-    computes, so the two agree bit for bit.  Returns the EvalResult fields
+    scores are the per-user product `items @ X[user]`, which the fast path
+    computes wherever its block product cannot be proved to rank the same,
+    so the two agree bit for bit.  Returns the EvalResult fields
     as a tuple: (k, precision, recall, ndcg, users_evaluated, users_skipped).
     """
     num_users = splits.partition.num_users

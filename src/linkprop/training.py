@@ -141,8 +141,8 @@ def train(graph: Graph, negatives: NegativeSet, config: TrainConfig,
     evaluations, and the best-validation snapshot is returned.  Without
     splits the loop always runs max_epochs and returns the final state.
 
-    Raises DivergenceError (tagged with the epoch) if either path produces
-    non-finite embeddings.
+    Raises DivergenceError (tagged with the epoch) at the first non-finite
+    embedding of either path or non-finite loss.
     """
     if graph.num_edges == 0:
         raise ValueError("graph has no edges: there is nothing to train on")
@@ -157,63 +157,70 @@ def train(graph: Graph, negatives: NegativeSet, config: TrainConfig,
                         config.seed)
     # on "both" the kernel trajectory runs beside the authoritative gradient one
     Xk = X.copy() if config.path == "both" else None
-    # the forward pass at X, computed once per embedding: P X and its scores
-    Y = masks.prop.apply(X)
-    s = masks.pattern.scores(Y)
-
     early = splits is not None and splits.val.shape[0] > 0
     history = TrainHistory()
     best_X = X.copy()
     best_metric = -np.inf
     failed_evals = 0
 
-    for epoch in range(1, config.max_epochs + 1):
-        kernels = link_kernels(score_matrices(Y, op), op)
-        mean_kp = mean_positive_kernel(kernels.k_plus)
-
-        if config.path == "kernel":
-            X, trace = kernel_update(X, Y, kernels, op)
-            check_finite(X, "kernel step", epoch)
-        else:
-            if Xk is not None:
-                Xk, trace = op.step_traced(Xk)
-                check_finite(Xk, "kernel step", epoch)
-            elif config.trace_substeps:
-                trace = kernel_update(X, Y, kernels, op)[1]
-            X = gd_step(X, support_gradient(X, Y, s, masks, params),
-                        config.alpha, step=epoch)
+    # overflow and nan end the run as a DivergenceError at the first
+    # non-finite embedding or loss, so numpy need not warn about them
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the forward pass at X, computed once per embedding: P X and its scores
         Y = masks.prop.apply(X)
         s = masks.pattern.scores(Y)
 
-        val_recall = None
-        if early and epoch % config.eval_every == 0:
-            result = evaluate(Y, splits, graph, k=config.eval_k, split="val")
-            val_recall = result.recall
-            if val_recall > best_metric:
-                best_metric = val_recall
-                best_X = X.copy()
-                history.best_epoch = epoch
-                history.best_metric = val_recall
-                failed_evals = 0
+        for epoch in range(1, config.max_epochs + 1):
+            kernels = link_kernels(score_matrices(Y, op), op)
+            mean_kp = mean_positive_kernel(kernels.k_plus)
+
+            if config.path == "kernel":
+                X, trace = kernel_update(X, Y, kernels, op)
+                check_finite(X, "kernel step", epoch)
             else:
-                failed_evals += 1
+                if Xk is not None:
+                    Xk, trace = op.step_traced(Xk)
+                    check_finite(Xk, "kernel step", epoch)
+                elif config.trace_substeps:
+                    trace = kernel_update(X, Y, kernels, op)[1]
+                X = gd_step(X, support_gradient(X, Y, s, masks, params),
+                            config.alpha, step=epoch)
+            Y = masks.prop.apply(X)
+            s = masks.pattern.scores(Y)
+            loss = support_loss(X, s, masks.pattern, params.lam, params.beta)
+            if not math.isfinite(loss):
+                raise DivergenceError(f"non-finite loss ({loss}) in substep "
+                                      f"'loss'", epoch)
 
-        history.records.append(EpochRecord(
-            epoch=epoch,
-            loss=support_loss(X, s, masks.pattern, params.lam, params.beta),
-            mean_k_plus=mean_kp,
-            frob_norm=frobenius(X),
-            val_recall=val_recall,
-            divergence=None if Xk is None else float(np.abs(X - Xk).max()),
-            substeps=trace.norms if config.trace_substeps else None))
+            val_recall = None
+            if early and epoch % config.eval_every == 0:
+                result = evaluate(Y, splits, graph, k=config.eval_k, split="val")
+                val_recall = result.recall
+                if val_recall > best_metric:
+                    best_metric = val_recall
+                    best_X = X.copy()
+                    history.best_epoch = epoch
+                    history.best_metric = val_recall
+                    failed_evals = 0
+                else:
+                    failed_evals += 1
 
-        if early and failed_evals >= config.patience:
-            history.stopped_epoch = epoch
-            history.reason = "early_stop"
-            break
-    else:
-        history.stopped_epoch = config.max_epochs
-        history.reason = "max_epochs"
+            history.records.append(EpochRecord(
+                epoch=epoch,
+                loss=loss,
+                mean_k_plus=mean_kp,
+                frob_norm=frobenius(X),
+                val_recall=val_recall,
+                divergence=None if Xk is None else float(np.abs(X - Xk).max()),
+                substeps=trace.norms if config.trace_substeps else None))
+
+            if early and failed_evals >= config.patience:
+                history.stopped_epoch = epoch
+                history.reason = "early_stop"
+                break
+        else:
+            history.stopped_epoch = config.max_epochs
+            history.reason = "max_epochs"
 
     final = best_X if early else X
     return TrainResult(embeddings=final, history=history, config=config)

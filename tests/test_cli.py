@@ -227,7 +227,10 @@ class TestRunConfig:
         ({"seeds": ()}, "seeds"), ({"beta": float("nan")}, "beta"),
         ({"lam": float("inf")}, "lam"), ({"neg_strategy": "zipf"}, "strategy"),
         ({"per_positive": 0}, "per_positive"),
-        ({"neg_exponent": float("nan")}, "exponent")])
+        ({"neg_exponent": float("nan")}, "exponent"),
+        ({"ratios": (0.5, 0.2, 0.1)}, "ratios"),
+        ({"ratios": (float("nan"), 0.5, 0.5)}, "ratios"),
+        ({"ratios": (0.9, 0.1)}, "ratios")])
     def test_rejected_at_construction(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
             RunConfig(dataset_path="x", **kwargs)
@@ -238,6 +241,13 @@ class TestRunConfig:
                         "[train]\nalpha = nan\n")
         assert main(["report", "--config", str(path)]) == 2
         assert "alpha must be positive and finite" in capsys.readouterr().err
+
+    def test_bad_ratios_fail_before_ingest(self, tmp_path, capsys):
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[data]\npath = {tmp_path / 'absent.tsv'}\n"
+                        "[split]\nratios = nan 0.5 0.5\n")
+        assert main(["report", "--config", str(path)]) == 2
+        assert "ratios must be three finite" in capsys.readouterr().err
 
 
 class TestRunExperiment:
@@ -278,10 +288,14 @@ class TestRunExperiment:
         with pytest.raises(ExperimentError, match="ingest"):
             run_experiment(cfg)
 
-    def test_split_stage_error(self, raw_dataset, tmp_path):
+    def test_split_stage_error(self, raw_dataset, tmp_path, monkeypatch):
+        # bad ratios fail in RunConfig now; any other split failure is
+        # still reported under the stage's name
+        def fail(*args):
+            raise ValueError("cannot split")
+        monkeypatch.setattr("linkprop.experiment.split_dataset", fail)
         raw, _ = raw_dataset
-        cfg = RunConfig(dataset_path=str(raw), ratios=(0.5, 0.4, 0.3),
-                        outdir=str(tmp_path / "o"))
+        cfg = RunConfig(dataset_path=str(raw), outdir=str(tmp_path / "o"))
         with pytest.raises(ExperimentError, match="split"):
             run_experiment(cfg)
 

@@ -133,10 +133,12 @@ class TestCanonicalForm:
 
 class TestSplitDataset:
     @pytest.mark.parametrize("ratios", [
-        (0.8, 0.2), (0.5, 0.3, 0.3), (-0.1, 0.6, 0.5), (0.8, 0.1, 0.2)])
+        (0.8, 0.2), (0.5, 0.3, 0.3), (-0.1, 0.6, 0.5), (0.8, 0.1, 0.2),
+        (float("nan"), 0.5, 0.5), (float("inf"), 0.5, 0.5),
+        (0.5, float("-inf"), 0.5)])
     def test_ratio_validation(self, ratios):
         graph = random_bipartite(4, 4, 8, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="ratios"):
             split_dataset(graph, ratios=ratios)
 
     def test_needs_partition(self):

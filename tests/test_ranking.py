@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from linkprop import ranking
 from linkprop.graphs import Partition, build_graph
@@ -205,12 +205,16 @@ def ranking_case(draw):
     """A small bipartite split, embeddings, a cutoff and a users-per-block.
 
     Embeddings are Gaussian, rounded to integers or all zero (heavy ties at
-    the cutoff), with optional nan/+-inf entries.  Some users get every item
-    as a training edge, held-out edges notwithstanding, so they have no
+    the cutoff), some items duplicated or moved one ulp, the whole matrix
+    scaled by 1e150, 1e-160 or into the subnormals, some rows zeroed, and
+    optional nan/+-inf entries.  At 17 or 40 dimensions the block product
+    and the per-user product differ in the last bits for most entries
+    (OpenBLAS).  Some users get every item as a
+    training edge, held-out edges notwithstanding, so they have no
     candidate left.
     """
     num_users = draw(st.integers(1, 6))
-    num_items = draw(st.integers(1, 8))
+    num_items = draw(st.integers(1, 10))
     part = Partition(num_users, num_items)
     cells = [(u, num_users + i) for u in range(num_users)
              for i in range(num_items)]
@@ -228,14 +232,21 @@ def ranking_case(draw):
                          test=edges["s"])
     graph = build_graph(edges["t"], partition=part)
 
-    dim = draw(st.integers(1, 4))
-    X = np.random.default_rng(draw(st.integers(0, 2**16))).normal(
-        size=(part.num_nodes, dim))
+    dim = draw(st.sampled_from([1, 2, 3, 4, 17, 40]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    X = rng.normal(size=(part.num_nodes, dim))
     kind = draw(st.sampled_from(["gaussian", "rounded", "zeros"]))
     if kind == "rounded":
         X = np.round(X)
     elif kind == "zeros":
         X[:] = 0.0
+    item = st.integers(num_users, part.num_nodes - 1)
+    for src, dst, ulp in draw(st.lists(st.tuples(item, item, st.booleans()),
+                                       max_size=4)):
+        X[dst] = np.nextafter(X[src], np.inf) if ulp else X[src]
+    X *= draw(st.sampled_from([1.0, 1e150, 1e-160, 1e-315]))
+    for row in draw(st.sets(st.integers(0, part.num_nodes - 1), max_size=2)):
+        X[row] = 0.0
     for row, col, value in draw(st.lists(st.tuples(
             st.integers(0, part.num_nodes - 1), st.integers(0, dim - 1),
             st.sampled_from([np.nan, np.inf, -np.inf])), max_size=3)):
@@ -246,6 +257,7 @@ def ranking_case(draw):
 
 
 class TestEvaluateMatchesOracle:
+    @settings(max_examples=300)
     @given(ranking_case())
     def test_bit_identical_to_scalar_oracle(self, case):
         X, splits, graph, k, split, per_block = case
@@ -275,6 +287,90 @@ class TestEvaluateMatchesOracle:
                     assert dataclasses.astuple(
                         evaluate(X, splits, graph, k=k, split=split)) == \
                         evaluate_scalar(X, splits, graph, k=k, split=split)
+
+
+def certify(S, cut, err):
+    S = np.array(S, dtype=float)
+    return ranking._certified_top_k(S, cut, np.array(err, dtype=float),
+                                    np.empty_like(S))
+
+
+class TestCertification:
+    def test_exact_tie_at_cut_plus_one_is_rejected(self):
+        # the tie sits between rank 1 and rank 2: outside the kept list,
+        # inside the cut + 1 the certificate has to look at
+        ranked, sure = certify([[3.0, 3.0, 1.0]], 1, [1e-12])
+        assert list(sure) == [False]
+        assert ranked.tolist() == [[0]]
+
+    def test_well_separated_row_is_accepted(self):
+        ranked, sure = certify([[1.0, 3.0, 2.0, 0.0]], 2, [0.1])
+        assert list(sure) == [True]
+        assert ranked.tolist() == [[1, 2]]
+
+    def test_near_tie_below_the_bound_is_rejected(self):
+        ranked, sure = certify([[1.0, np.nextafter(1.0, 0.0), 0.0]], 2,
+                               [1e-15])
+        assert list(sure) == [False]
+
+    def test_gap_must_exceed_twice_the_bound_strictly(self):
+        row = [[2.0, 1.0, 0.0]]
+        assert list(certify(row, 2, [0.5])[1]) == [False]
+        assert list(certify(row, 2, [0.499])[1]) == [True]
+
+    def test_gaps_to_masked_scores_do_not_count(self):
+        ranked, sure = certify([[-np.inf, 1.0, -np.inf, -np.inf]], 3, [0.1])
+        assert list(sure) == [True]
+        assert ranked.tolist() == [[1, -1, -1]]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_bound_certifies_nothing(self, bad):
+        _, sure = certify([[-np.inf, 1.0, -np.inf], [3.0, 2.0, 1.0]], 2,
+                          [bad, bad])
+        assert list(sure) == [False, False]
+
+    def test_rows_are_judged_separately(self):
+        _, sure = certify([[3.0, 2.0, 1.0], [3.0, 3.0, 1.0]], 2, [0.1, 0.1])
+        assert list(sure) == [True, False]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_error_bound_covers_gamma_d(self, dtype):
+        rng = np.random.default_rng(0)
+        Y = rng.normal(size=(4, 32)).astype(dtype)
+        items = rng.normal(size=(50, 32)).astype(dtype)
+        u = np.finfo(dtype).eps / 2
+        gamma = 32 * u / (1 - 32 * u)
+        floor = gamma * np.linalg.norm(Y.astype(float), axis=1) * \
+            np.linalg.norm(items.astype(float), axis=1).max()
+        err = ranking._score_error(Y, items)
+        assert np.all(err >= floor)
+        assert np.all(err < 4 * floor)
+
+    def test_error_bound_is_inf_where_scores_may_overflow(self):
+        items = np.array([[1.3e154, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        # norms ~1e154 are finite, but their product is within 8x of overflow
+        Y = np.array([[1e150, 0.0], [1.3e154, 0.0], [np.nan, 0.0],
+                      [np.inf, 0.0], [1e200, 0.0]])
+        err = ranking._score_error(Y, items)
+        assert np.isfinite(err[0])
+        assert np.all(np.isinf(err[1:]))
+        items[1, 0] = np.nan
+        assert np.all(np.isinf(ranking._score_error(Y[:1], items)))
+
+    def test_non_float_dtype_is_never_certified(self):
+        err = ranking._score_error(np.ones((2, 3), dtype=np.int64),
+                                   np.ones((4, 3), dtype=np.int64))
+        assert np.all(np.isinf(err))
+
+    def test_gaussian_embeddings_take_the_block_product(self):
+        # the fast path must not quietly fall back on ordinary embeddings
+        rng = np.random.default_rng(3)
+        Y = rng.normal(size=(64, 32))
+        items = rng.normal(size=(500, 32))
+        S = Y @ items.T
+        _, sure = ranking._certified_top_k(
+            S, 20, ranking._score_error(Y, items), np.empty_like(S))
+        assert sure.all()
 
 
 class TestMeanResult:

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from linkprop.graphs import (MAX_PROXIMITY_ORDER, Partition, ProximityOperator,
 from linkprop.losses import DivergenceError, build_masks, gd_step, loss_gradient
 from linkprop.negatives import sample_negatives
 from linkprop.ranking import SplitSet
+from linkprop.synthetic import block_bipartite
 from linkprop.training import (ALPHA_GRID, AllPointsDiverged, GridPoint,
                                TrainConfig, TrainHistory, TrainResult,
                                grid_search, init_embeddings, repeat_train,
@@ -122,6 +124,20 @@ class TestTrainPaths:
         with pytest.raises(DivergenceError) as exc:
             train(graph, neg, cfg)
         assert exc.value.step is not None
+
+    @pytest.mark.parametrize("max_epochs", [44, 200])
+    def test_first_non_finite_loss_raises_without_warnings(self, max_epochs):
+        # the loss reaches inf at epoch 43 while the embedding is still
+        # finite; before epoch 45 no step fails, so the run must stop on
+        # the loss itself, and nothing numpy warns about may precede it
+        graph = block_bipartite(50, 80, 4, mean_degree=6, seed=0)
+        cfg = TrainConfig("mf", alpha=500, init_scale=1.0, dim=8,
+                          max_epochs=max_epochs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="loss") as exc:
+                train(graph, sample_negatives(graph, seed=0), cfg)
+        assert exc.value.step == 43
 
     def test_substep_traces_recorded(self, bipartite_instance):
         graph, neg = bipartite_instance
