@@ -9,6 +9,7 @@ environment variable can take effect before numpy loads its BLAS.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -117,6 +118,11 @@ def cmd_verify_equivalence(args) -> int:
     from linkprop.synthetic import equivalence_instance
     from linkprop.training import TrainConfig, train
 
+    if args.graphs < 1:
+        raise ValueError(f"--graphs must be >= 1, got {args.graphs}")
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise ValueError(f"--tolerance must be positive and finite, "
+                         f"got {args.tolerance}")
     variants = [("mf", {}), ("line", {}), ("deepwalk", {"window": 2}),
                 ("lightgcn", {"layers": 3})]
     if args.model != "all":

@@ -6,13 +6,13 @@ rest are ranked, and Precision/Recall/NDCG at a cutoff are averaged over
 users that have at least one test item.  Ties rank lower item ids first so
 results do not depend on sort internals.
 
-`evaluate` ranks a block of users at a time and keeps only each user's top
-k; `score_user`, `top_k` and `metrics_at_k` are the one-user definitions it
-reproduces bit for bit.  A block's scores come from one matrix product,
-which rounds differently from the per-user product `score_user` takes; a
-user's block ranking is kept only where a rounding-error bound proves that
-both products rank the same items in the same order, and recomputed from
-the per-user product otherwise.
+`evaluate` counts each held-out item's rank instead of sorting: the scores
+above it plus the equal ones at lower item ids.  `score_user`, `top_k` and
+`metrics_at_k` are the one-user definitions it reproduces bit for bit.  A
+block's scores come from one matrix product, which rounds differently from
+the per-user product `score_user` takes; a count from the block is kept
+only where a rounding-error margin proves it, and users with any other
+held-out item are scored again with the per-user product.
 """
 
 from __future__ import annotations
@@ -117,15 +117,15 @@ def evaluate(X: np.ndarray, splits: SplitSet, train_graph: Graph,
 
     `split` picks the held-out edge set ("test" or "val"); candidates are
     always the items unseen in training.  Every result bit equals what
-    `top_k` and `metrics_at_k` give user by user.  Users are scored in
-    blocks, one GEMM per block, and each block keeps its k + 1 best finite
-    scores without a full sort.  A user's ranking stands when every
-    adjacent gap among those k + 1 scores is wider than twice the bound on
-    the rounding error of any dot product (`_score_error`): the per-user
-    GEMV that `score_user` computes then ranks the same k items in the same
-    order.  Other users (near-ties, zero or non-finite embeddings,
-    non-float dtypes) are scored again with that GEMV and ranked at k.  The
-    per-user metrics are summed sequentially in user order.
+    `top_k` and `metrics_at_k` give user by user: the metrics need only
+    each held-out item's rank, which `_ranks` counts.  Users are scored in
+    blocks, one GEMM per block, with a margin of twice the rounding-error
+    bound `_score_error`; the per-user GEMV of `score_user` then ranks
+    every held-out item the block ranks sure the same.  Users with any
+    other item (near-ties, zero or non-finite embeddings, non-float
+    dtypes) are scored again with that GEMV and ranked at margin 0.  Hits
+    add their discounts in rank order and the per-user metrics are summed
+    sequentially in user order.
     """
     if split not in ("test", "val"):
         raise ValueError("split must be 'test' or 'val'")
@@ -146,15 +146,18 @@ def evaluate(X: np.ndarray, splits: SplitSet, train_graph: Graph,
     items = X[first_item:]
     num_items = items.shape[0]
 
-    # held-out edges as sorted keys user * num_items + item
+    # held-out edges as sorted keys user * num_items + item, without repeats
     held_out = held_out.astype(np.int64)
     held_users = held_out[:, 0]
-    held_keys = np.sort(held_users * num_items + (held_out[:, 1] - num_users))
+    held_keys = np.unique(held_users * num_items + (held_out[:, 1] - num_users))
     test_counts = np.bincount(held_users, minlength=num_users)
     users = np.flatnonzero(test_counts)
+    # each key's user as an index into `users`, and its item
+    key_rows = np.searchsorted(users, held_keys // num_items)
+    key_cols = held_keys % num_items
 
     cut = min(k, num_items)
-    # the discounts cover every kept rank and every ideal list
+    # the discounts cover every rank below the cut and every ideal list
     ideal_len = min(k, max(num_items, int(test_counts.max())))
     discount = np.array([1.0 / float(np.log2(r + 2.0))
                          for r in range(ideal_len)])
@@ -165,34 +168,38 @@ def evaluate(X: np.ndarray, splits: SplitSet, train_graph: Graph,
                    dtype=np.result_type(X))
     scratch = np.empty_like(buf)
     adj = train_graph.adjacency
-    err = _score_error(X[users], items)
+    margin = 2 * _score_error(X[users], items)
     per_user = np.empty((users.shape[0], 3))
     for lo in range(0, users.shape[0], block):
         ub = users[lo:lo + block]
-        S = buf[:ub.shape[0]]
+        nb = ub.shape[0]
+        S = buf[:nb]
         np.matmul(X[ub], items.T, out=S)
         _mask_training(S, ub, adj, first_item)
         _clear_non_finite(S)
-        ranked, sure = _certified_top_k(S, cut, err[lo:lo + ub.shape[0]],
-                                        scratch[:ub.shape[0]])
-        # rows left uncertified: one GEMV per user, the scores score_user gives
-        redo = np.flatnonzero(~sure)
+        a, b = np.searchsorted(key_rows, [lo, lo + nb])
+        rows, cols = key_rows[a:b] - lo, key_cols[a:b]
+        rank, sure = _ranks(S, rows, cols, margin[lo:lo + nb], cut,
+                            scratch[:nb])
+        # users with an unsure item: one GEMV each, the scores score_user
+        # gives, and every held-out item of theirs ranked exactly
+        redo = np.unique(rows[~sure])
         if redo.shape[0]:
             for j in redo:
                 np.matmul(items, X[ub[j]], out=S[j])
-            R = S[redo]
-            _mask_training(R, ub[redo], adj, first_item)
-            _clear_non_finite(R)
-            ranked[redo] = _top_k_rows(R, cut, scratch[:redo.shape[0]])
-        keys = ub[:, None] * num_items + ranked
-        pos = np.searchsorted(held_keys, keys)
-        pos[pos == held_keys.shape[0]] = 0
-        hit = (held_keys[pos] == keys) & (ranked >= 0)
+            _mask_training(S, ub, adj, first_item)
+            _clear_non_finite(S)
+            again = np.isin(rows, redo)
+            rank[again], _ = _ranks(S, rows[again], cols[again],
+                                    np.zeros(nb), cut, scratch[:nb])
+        hit = rank < cut
         # sequential sums in rank order, as the scalar definition adds them
-        dcg = np.cumsum(np.where(hit, discount[:cut], 0.0), axis=1)[:, -1]
-        hits = np.count_nonzero(hit, axis=1)
+        gains = np.zeros((nb, cut))
+        gains[rows[hit], rank[hit]] = discount[rank[hit]]
+        dcg = np.cumsum(gains, axis=1)[:, -1]
+        hits = np.bincount(rows[hit], minlength=nb)
         n_test = test_counts[ub]
-        out = per_user[lo:lo + ub.shape[0]]
+        out = per_user[lo:lo + nb]
         out[:, 0] = hits / k
         out[:, 1] = hits / n_test
         out[:, 2] = dcg / ideal[np.minimum(k, n_test) - 1]
@@ -203,13 +210,6 @@ def evaluate(X: np.ndarray, splits: SplitSet, train_graph: Graph,
     return EvalResult(k=k, precision=float(prec), recall=float(rec),
                       ndcg=float(ndcg), users_evaluated=evaluated,
                       users_skipped=num_users - evaluated)
-
-
-def _starts(counts: np.ndarray) -> np.ndarray:
-    """Exclusive prefix sum: where each of consecutive runs begins."""
-    starts = np.zeros(counts.shape[0], dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    return starts
 
 
 def _clear_non_finite(S: np.ndarray):
@@ -251,76 +251,71 @@ def _score_error(Y: np.ndarray, items: np.ndarray) -> np.ndarray:
     return err
 
 
-def _certified_top_k(S: np.ndarray, cut: int, err: np.ndarray,
-                     scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's `cut` best columns, and whether any rounding keeps them.
-
-    A row is certified when `err[row]` is finite and every adjacent gap
-    among its `cut + 1` best finite scores exceeds `2 * err[row]`.  Scores
-    that each lie within `err` of the same exact values then rank the same
-    columns in the same order, with no tie left for the column order to
-    break.  Gaps to -inf (masked, or fewer candidates than `cut + 1`) do not
-    count.  `scratch` is S-shaped workspace.
-    """
-    top = min(cut + 1, S.shape[1])
-    ranked = _top_k_rows(S, top, scratch)
-    vals = np.take_along_axis(S, ranked, axis=1)
-    vals[ranked < 0] = -np.inf
-    lower = vals[:, 1:]
-    # -inf - -inf is nan, and rows near overflow are rejected by `err`
-    with np.errstate(over="ignore", invalid="ignore"):
-        apart = (vals[:, :-1] - lower > 2 * err[:, None]) | (lower == -np.inf)
-    return ranked[:, :cut], np.isfinite(err) & apart.all(axis=1)
-
-
 def _mask_training(S: np.ndarray, users: np.ndarray, adj, num_users: int):
     """Set each row's training items to -inf (row j belongs to users[j])."""
     starts = adj.indptr[users]
     counts = adj.indptr[users + 1] - starts
-    offsets = np.repeat(starts - _starts(counts), counts)
+    # each edge's index in adj.indices: its row's start, plus its position
+    offsets = np.repeat(starts - np.cumsum(counts) + counts, counts)
     cols = adj.indices[offsets + np.arange(offsets.shape[0])] - num_users
     S[np.repeat(np.arange(users.shape[0]), counts), cols] = -np.inf
 
 
-def _top_k_rows(S: np.ndarray, cut: int, scratch: np.ndarray) -> np.ndarray:
-    """Each row's `cut` best finite columns, best first, padded with -1.
+def _ranks(S: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+           margin: np.ndarray, cut: int,
+           scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rank of each score S[rows, cols] in its row, and whether it is sure.
 
-    Scores equal to a row's cut-th best fill the list in ascending column
-    order, so every row matches a stable descending sort of its finite
-    scores truncated at `cut`.  `scratch` is S-shaped workspace.
+    The rank is the position in a stable descending sort of the row's
+    finite scores: the scores above, plus the equal ones in lower columns.
+    A rank of `cut` or more is a miss, as is -inf.  `margin[r]` bounds how
+    far apart row r's scores and another rounding of the same products may
+    put two scores.  An item that the row's `cut`-th best score beats by
+    more than the margin misses under any such rounding.  Otherwise the
+    scores above it by more than the margin are counted; below `cut`, the
+    count is the rank, sure only when no other score of the row lies
+    within the margin.  At margin 0 every rank is exact; a non-finite
+    margin makes nothing sure.  `scratch` is S-shaped workspace.
     """
-    num_rows, width = S.shape
+    width = S.shape[1]
     np.copyto(scratch, S)
     scratch.partition(width - cut, axis=1)
     kth = scratch[:, width - cut]
-    # a row with fewer than `cut` finite scores keeps all of them
-    floor = np.where(kth == -np.inf, np.finfo(S.dtype).min, kth)
-    keep = S >= floor[:, None]
-    # rows where more than `cut` entries reach the k-th score have ties
-    # there; only those rows are trimmed, one at a time
-    crowded = np.flatnonzero(np.count_nonzero(keep, axis=1) > cut)
-    keep[crowded] = False
-    flat = np.flatnonzero(keep)
-    rows = flat // width
-    counts = np.bincount(rows, minlength=num_rows)
-    slots = np.arange(flat.shape[0]) - np.repeat(_starts(counts), counts)
-    # row, flat index into S and slot of every survivor; equal scores come
-    # in ascending column order within a row
-    parts = [(rows, flat, slots)]
-    for r in crowded:
-        above = np.flatnonzero(S[r] > kth[r])
-        ties = np.flatnonzero(S[r] == kth[r])[:cut - above.shape[0]]
-        cols = np.concatenate([above, ties])
-        parts.append((np.full(cut, r), r * width + cols, np.arange(cut)))
-    rows, flat, slots = (np.concatenate(p) for p in zip(*parts))
-    dest = rows * cut + slots
-    # sort every row stably by descending score; padding sorts last
-    neg = np.full(num_rows * cut, np.inf)
-    neg[dest] = -S.ravel()[flat]
-    ranked = np.full(num_rows * cut, -1)
-    ranked[dest] = flat - rows * width
-    order = np.argsort(neg.reshape(num_rows, cut), axis=1, kind="stable")
-    return ranked[order + cut * np.arange(num_rows)[:, None]]
+    t = S[rows, cols].astype(np.float64)
+    m = margin[rows]
+    rank = np.full(rows.shape[0], cut)
+    sure = np.isfinite(m)
+    columns = np.arange(width)
+    # differences, not sums, are compared with m: rounding is monotone and
+    # m is a float, so a rounded difference exceeds m only if the exact one
+    # does.  -inf - -inf is nan (such items are misses anyway), and scores
+    # near overflow come only with margin 0, where an infinite difference
+    # still has the right sign.
+    with np.errstate(invalid="ignore", over="ignore"):
+        near = np.flatnonzero(sure & (t > -np.inf) & ~(kth[rows] - t > m))
+        # two of the row's `cut` best scores within a positive margin: one
+        # is another item's, so the item is unsure without a count (this
+        # spares rows of ties the full count)
+        top = scratch[rows[near], width - cut:]
+        crowded = (m[near] > 0) & (np.count_nonzero(
+            np.abs(top - t[near, None]) <= m[near, None], axis=1) > 1)
+        sure[near[crowded]] = False
+        near = near[~crowded]
+        # the other items' rows minus their scores, a quarter of S's row
+        # count at a time so that the differences stay in cache
+        step = max(1, S.shape[0] // 4)
+        for lo in range(0, near.shape[0], step):
+            i = near[lo:lo + step]
+            D = S[rows[i]].astype(np.float64, copy=False)
+            D -= t[i, None]
+            above = np.count_nonzero(D > m[i, None], axis=1)
+            within = np.abs(D, out=D) <= m[i, None]
+            ties = np.count_nonzero(
+                within & (columns < cols[i, None]), axis=1)
+            rank[i] = np.where(above < cut, above + ties, cut)
+            sure[i] = ((above >= cut) | (m[i] == 0)
+                       | (np.count_nonzero(within, axis=1) == 1))
+    return rank, sure
 
 
 def mean_result(results) -> EvalResult:

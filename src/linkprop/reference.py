@@ -138,10 +138,12 @@ def evaluate_scalar(X: np.ndarray, splits, train_graph, k: int = 20,
     Every user with a held-out edge ranks the items it has no training edge
     to and whose score is finite, by descending score and then ascending
     item id; per-user metrics are added in user order and averaged.  The
-    scores are the per-user product `items @ X[user]`, which the fast path
-    computes wherever its block product cannot be proved to rank the same,
-    so the two agree bit for bit.  Returns the EvalResult fields
-    as a tuple: (k, precision, recall, ndcg, users_evaluated, users_skipped).
+    scores are the per-user product `items @ X[user]`.  `ranking.evaluate`
+    counts each held-out item's rank instead of sorting, from a block
+    product where a rounding margin proves the count, and from this
+    per-user product otherwise, so the two agree bit for bit.  Returns the
+    EvalResult fields as a tuple: (k, precision, recall, ndcg,
+    users_evaluated, users_skipped).
     """
     num_users = splits.partition.num_users
     held_out = splits.test if split == "test" else splits.val

@@ -68,8 +68,9 @@ class TrainConfig:
             raise ValueError("dim, max_epochs and patience must be >= 1")
         if self.path not in PATHS:
             raise ValueError(f"path must be one of {PATHS}")
-        if self.init_scale <= 0:
-            raise ValueError("init_scale must be positive")
+        if not (math.isfinite(self.init_scale) and self.init_scale > 0):
+            raise ValueError(f"init_scale must be positive and finite, "
+                             f"got {self.init_scale}")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
         if self.eval_k < 1:
@@ -121,8 +122,8 @@ class TrainResult:
 def init_embeddings(num_nodes: int, dim: int, scale: float = 0.01,
                     seed: int = 0) -> np.ndarray:
     """Gaussian init, sd = scale.  Exactly zero would be a stationary point."""
-    if scale <= 0:
-        raise ValueError("init scale must be positive")
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"init_scale must be positive and finite, got {scale}")
     rng = np.random.default_rng(seed)
     return rng.normal(0.0, scale, size=(num_nodes, dim))
 

@@ -90,6 +90,19 @@ class TestPipelineChain:
                      "--outdir", str(tmp_path / "run")]) == 2
         assert "exponent must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale", ["nan", "inf", "0"])
+    def test_train_bad_init_scale_is_an_error(self, raw_dataset, tmp_path,
+                                              capsys, scale):
+        raw, _ = raw_dataset
+        splitdir = tmp_path / "splits"
+        assert main(["split", "--input", str(raw), "--outdir", str(splitdir),
+                     "--ratios", "0.6", "0.2", "0.2"]) == 0
+        assert main(["train", "--splits", str(splitdir), "--model", "mf",
+                     "--init-scale", scale,
+                     "--outdir", str(tmp_path / "run")]) == 2
+        assert "init_scale must be positive and finite" in \
+            capsys.readouterr().err
+
     def test_train_kernel_path_matches_gradient_artifacts(self, raw_dataset,
                                                           tmp_path):
         raw, _ = raw_dataset
@@ -115,9 +128,23 @@ class TestVerifyEquivalence:
         assert "OK" in out and "per-step max dev" in out
 
     def test_impossible_tolerance_fails(self, capsys):
+        # the smallest tolerances are positive: 0 and below are rejected
         assert main(["verify-equivalence", "--model", "mf", "--graphs", "1",
-                     "--steps", "2", "--tolerance", "0.0"]) == 1
+                     "--steps", "2", "--tolerance", "1e-300"]) == 1
         assert "EXCEEDS" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--graphs", "0"), ("--graphs", "-3"), ("--tolerance", "nan"),
+        ("--tolerance", "inf"), ("--tolerance", "0"),
+        ("--tolerance", "-1e-8")])
+    def test_rejects_vacuous_settings(self, capsys, flag, value):
+        # --graphs 0 checked nothing and printed OK; --tolerance nan
+        # failed every model whatever the deviation
+        assert main(["verify-equivalence", "--model", "mf",
+                     f"{flag}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {flag} must be" in captured.err
+        assert captured.out == ""
 
     def test_unknown_model(self, capsys):
         assert main(["verify-equivalence", "--model", "sage"]) == 2

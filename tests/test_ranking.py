@@ -288,50 +288,122 @@ class TestEvaluateMatchesOracle:
                         evaluate(X, splits, graph, k=k, split=split)) == \
                         evaluate_scalar(X, splits, graph, k=k, split=split)
 
+    def test_items_one_ulp_from_a_twin(self):
+        # every held-out item has a twin one ulp away; at 40 dimensions the
+        # block product and the per-user product may order a pair
+        # differently, so only the margin keeps the block ranks exact
+        rng = np.random.default_rng(0)
+        part = Partition(4, 12)
+        X = rng.normal(size=(16, 40))
+        X[5::2] = np.nextafter(X[4::2], np.inf)
+        splits = make_splits(part, [], test=[(u, 4 + i) for u in range(4)
+                                             for i in range(0, 12, 2)])
+        graph = build_graph([], partition=part)
+        for k in (1, 3, 6):
+            assert dataclasses.astuple(evaluate(X, splits, graph, k=k)) == \
+                evaluate_scalar(X, splits, graph, k=k)
 
-def certify(S, cut, err):
+    def test_more_held_out_items_than_k_over_three_user_blocks(self):
+        # every user holds about 12 test items against k = 5; rounded
+        # embeddings tie many scores, so certified misses, exact ranks and
+        # the per-user fallback all run
+        rng = np.random.default_rng(11)
+        part = Partition(30, 40)
+        cells = [(u, 30 + i) for u in range(30) for i in range(40)]
+        labels = rng.choice(3, size=len(cells), p=[0.5, 0.2, 0.3])
+        train = [c for c, l in zip(cells, labels) if l == 1]
+        splits = make_splits(part, train,
+                             test=[c for c, l in zip(cells, labels) if l == 2])
+        graph = build_graph(train, partition=part)
+        X = np.round(rng.normal(size=(70, 4)), 1)
+        calls = []
+        real = ranking._ranks
+
+        def spy(S, rows, cols, margin, cut, scratch):
+            rank, sure = real(S, rows, cols, margin, cut, scratch)
+            calls.append((bool(margin.any()), rank.copy(), sure.copy()))
+            return rank, sure
+
+        with mock.patch.object(ranking, "_BLOCK_BYTES", 3 * 8 * 40), \
+                mock.patch.object(ranking, "_ranks", spy):
+            got = evaluate(X, splits, graph, k=5)
+        assert dataclasses.astuple(got) == evaluate_scalar(X, splits, graph,
+                                                           k=5)
+        first = [c for c in calls if c[0]]
+        rank, sure = (np.concatenate([c[i] for c in first]) for i in (1, 2))
+        assert np.any(sure & (rank >= 5))  # certified misses
+        assert np.any(sure & (rank < 5))  # exact ranks from the block GEMM
+        assert not sure.all()
+        assert any(not c[0] for c in calls)  # the per-user fallback ran
+
+
+def ranks(S, held, margin, cut):
+    """`ranking._ranks` of the (row, column) pairs `held` of the rows S."""
     S = np.array(S, dtype=float)
-    return ranking._certified_top_k(S, cut, np.array(err, dtype=float),
-                                    np.empty_like(S))
+    rows, cols = np.array(held).T
+    return ranking._ranks(S, rows, cols, np.array(margin, dtype=float), cut,
+                          np.empty_like(S))
 
 
 class TestCertification:
-    def test_exact_tie_at_cut_plus_one_is_rejected(self):
-        # the tie sits between rank 1 and rank 2: outside the kept list,
-        # inside the cut + 1 the certificate has to look at
-        ranked, sure = certify([[3.0, 3.0, 1.0]], 1, [1e-12])
-        assert list(sure) == [False]
-        assert ranked.tolist() == [[0]]
+    def test_exact_tie_inside_the_margin_is_unsure(self):
+        # another rounding may put either of two equal scores first, both
+        # among the row's two best (row 0) or one of them below (row 1)
+        rows = [[3.0, 1.0, 3.0, 0.0], [4.0, 2.0, 2.0, 0.0]]
+        held = [(0, 2), (1, 1), (1, 2)]
+        _, sure = ranks(rows, held, [1e-12, 1e-12], 2)
+        assert list(sure) == [False] * 3
+        # at margin 0 the ties are real and the lower column ranks first
+        rank, sure = ranks(rows, held, [0.0, 0.0], 2)
+        assert sure.all()
+        assert list(rank[:2]) == [1, 1] and rank[2] >= 2
 
-    def test_well_separated_row_is_accepted(self):
-        ranked, sure = certify([[1.0, 3.0, 2.0, 0.0]], 2, [0.1])
-        assert list(sure) == [True]
-        assert ranked.tolist() == [[1, 2]]
+    def test_well_separated_item_gets_its_exact_rank(self):
+        rank, sure = ranks([[1.0, 3.0, 2.0, 0.0]], [(0, 2), (0, 1), (0, 0)],
+                           [0.1], 2)
+        assert list(sure) == [True, True, True]
+        assert list(rank[:2]) == [1, 0]
+        assert rank[2] >= 2  # the two best beat it by more than the margin
 
     def test_near_tie_below_the_bound_is_rejected(self):
-        ranked, sure = certify([[1.0, np.nextafter(1.0, 0.0), 0.0]], 2,
-                               [1e-15])
+        _, sure = ranks([[1.0, np.nextafter(1.0, 0.0), 0.0]], [(0, 1)],
+                        [2e-15], 2)
         assert list(sure) == [False]
 
     def test_gap_must_exceed_twice_the_bound_strictly(self):
+        # the cut-th best score, 2.0, lies exactly one margin above the item
         row = [[2.0, 1.0, 0.0]]
-        assert list(certify(row, 2, [0.5])[1]) == [False]
-        assert list(certify(row, 2, [0.499])[1]) == [True]
+        rank, sure = ranks(row, [(0, 1)], [0.998], 1)
+        assert list(sure) == [True] and rank[0] >= 1
+        _, sure = ranks(row, [(0, 1)], [1.0], 1)
+        assert list(sure) == [False]
 
     def test_gaps_to_masked_scores_do_not_count(self):
-        ranked, sure = certify([[-np.inf, 1.0, -np.inf, -np.inf]], 3, [0.1])
-        assert list(sure) == [True]
-        assert ranked.tolist() == [[1, -1, -1]]
+        rank, sure = ranks([[-np.inf, 1.0, -np.inf, -np.inf]],
+                           [(0, 1), (0, 2)], [0.1], 3)
+        assert list(sure) == [True, True]
+        assert rank[0] == 0 and rank[1] >= 3
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_bound_certifies_nothing(self, bad):
-        _, sure = certify([[-np.inf, 1.0, -np.inf], [3.0, 2.0, 1.0]], 2,
-                          [bad, bad])
-        assert list(sure) == [False, False]
+        # a lone finite score, a masked one and a well-separated row
+        _, sure = ranks([[-np.inf, 1.0, -np.inf], [3.0, 2.0, 1.0]],
+                        [(0, 1), (0, 0), (1, 0), (1, 2)], [bad, bad], 2)
+        assert list(sure) == [False] * 4
 
     def test_rows_are_judged_separately(self):
-        _, sure = certify([[3.0, 2.0, 1.0], [3.0, 3.0, 1.0]], 2, [0.1, 0.1])
+        rank, sure = ranks([[3.0, 2.0, 1.0], [3.0, 3.0, 1.0]],
+                           [(0, 1), (1, 1)], [0.1, 0.1], 2)
         assert list(sure) == [True, False]
+        assert rank[0] == 1
+
+    def test_equal_scores_rank_by_ascending_column_at_margin_zero(self):
+        row = [1.0, 2.0, 1.0, 1.0, -np.inf]
+        rank, sure = ranks([row], [(0, c) for c in range(5)], [0.0], 3)
+        assert sure.all()
+        assert list(rank[:3]) == [1, 0, 2]
+        assert rank[3] >= 3 and rank[4] >= 3
+        assert list(top_k(np.array(row), 3)) == [1, 0, 2]
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_error_bound_covers_gamma_d(self, dtype):
@@ -368,9 +440,15 @@ class TestCertification:
         Y = rng.normal(size=(64, 32))
         items = rng.normal(size=(500, 32))
         S = Y @ items.T
-        _, sure = ranking._certified_top_k(
-            S, 20, ranking._score_error(Y, items), np.empty_like(S))
+        best = np.argsort(-S, axis=1, kind="stable")
+        rows = np.repeat(np.arange(64), 4)
+        cols = np.concatenate([best[:, [0, 7, 19]],
+                               rng.integers(0, 500, (64, 1))], axis=1).ravel()
+        rank, sure = ranking._ranks(S, rows, cols,
+                                    2 * ranking._score_error(Y, items), 20,
+                                    np.empty_like(S))
         assert sure.all()
+        assert list(rank.reshape(64, 4)[:, :3].ravel()) == [0, 7, 19] * 64
 
 
 class TestMeanResult:

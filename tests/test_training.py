@@ -51,7 +51,8 @@ class TestTrainConfig:
         ("window", 0), ("window", MAX_PROXIMITY_ORDER + 1),
         ("eval_k", 0), ("lam", float("nan")), ("lam", float("inf")),
         ("lam", -1.0), ("beta", float("nan")), ("beta", float("inf")),
-        ("beta", -1.0)])
+        ("beta", -1.0), ("init_scale", float("nan")),
+        ("init_scale", float("inf")), ("init_scale", float("-inf"))])
     def test_rejection_names_the_field(self, field, value):
         kwargs = {"model": "lightgcn", "alpha": 0.05, field: value}
         with pytest.raises(ValueError, match=field):
@@ -85,6 +86,12 @@ class TestInitEmbeddings:
     def test_bad_scale(self):
         with pytest.raises(ValueError, match="scale"):
             init_embeddings(5, 2, scale=0.0)
+
+    @pytest.mark.parametrize("scale", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_scale(self, scale):
+        with pytest.raises(ValueError, match="init_scale"):
+            init_embeddings(5, 2, scale=scale)
 
 
 class TestTrainPaths:
