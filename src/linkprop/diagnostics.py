@@ -9,7 +9,6 @@ substeps.  Emitted as plot-ready CSV; rendering is left to external tools.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -21,14 +20,6 @@ CSV_FIELDS = ("step", "mean_k_plus", "frob_norm", "sub1", "sub2", "sub3", "sub4"
 # slack for the substep contraction checks: spectral contraction is exact in
 # real arithmetic, this only absorbs last-bit rounding
 CONTRACTION_RTOL = 1e-12
-
-
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    step: int
-    mean_k_plus: float
-    frob_norm: float
-    substeps: tuple[float, float, float, float] | None = None
 
 
 def mean_positive_kernel(k_plus: sp.csr_array) -> float:
@@ -80,21 +71,3 @@ def emit_trajectories(records, path) -> None:
             writer.writerow([rec.step, _fmt(rec.mean_k_plus),
                              _fmt(rec.frob_norm)] + tail)
 
-
-def load_trajectories(path) -> list[TrajectoryRecord]:
-    """Inverse of emit_trajectories; round-trips to full float precision."""
-    out = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != CSV_FIELDS:
-            raise ValueError(f"unexpected trajectory header {header}")
-        for row in reader:
-            subs = None
-            if row[3] != "":
-                subs = tuple(float(v) for v in row[3:7])
-            out.append(TrajectoryRecord(step=int(row[0]),
-                                        mean_k_plus=float(row[1]),
-                                        frob_norm=float(row[2]),
-                                        substeps=subs))
-    return out

@@ -110,7 +110,7 @@ class KernelOperator:
 
     Holds the outer proximity operator, both blended masks, and their union
     support pattern, on which scores and link kernels live.  Build once,
-    step many times.
+    step many times; train() reads its pattern and P on both paths.
     """
 
     config: KernelConfig
@@ -167,12 +167,6 @@ class ScorePair:
 
     def complement_deviation(self) -> float:
         return float(np.abs(self.s_a + self.s_b - 1.0).max(initial=0.0))
-
-
-def dense_score_matrices(Y: np.ndarray):
-    """Dense (S_A, S_B) of the full Gram matrix, for small-instance checks."""
-    S_B = sigmoid(Y @ Y.T)
-    return 1.0 - S_B, S_B
 
 
 def score_matrices(Y: np.ndarray, operator: KernelOperator) -> ScorePair:

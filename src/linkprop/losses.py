@@ -164,15 +164,16 @@ def model_loss(X: np.ndarray, graph: Graph, negatives: NegativeSet,
 
 
 def support_gradient(X: np.ndarray, Y: np.ndarray, s: np.ndarray,
-                     masks: MaskSet, params: ModelParams) -> np.ndarray:
-    """loss_gradient from the forward pass at X: Y = P X and its scores s.
-    M lives on the union support; a slot both masks share holds both terms."""
-    pattern = masks.pattern
+                     pattern: SupportPattern, prop: ProximityOperator,
+                     params: ModelParams) -> np.ndarray:
+    """loss_gradient from the forward pass at X: Y = prop X and its scores s
+    on `pattern`.  M lives on the union support; a slot both masks share
+    holds both terms."""
     pos, neg = pattern.pos, pattern.neg
     data = np.zeros(pattern.nnz)
     data[pos.slots] = pos.weights * sigmoid(-s[pos.slots])
     data[neg.slots] += -params.lam * neg.weights * sigmoid(s[neg.slots])
-    return params.beta * X - masks.prop.apply(pattern.matrix(data) @ Y)
+    return params.beta * X - prop.apply(pattern.matrix(data) @ Y)
 
 
 def loss_gradient(X: np.ndarray, graph: Graph, negatives: NegativeSet,
@@ -185,7 +186,8 @@ def loss_gradient(X: np.ndarray, graph: Graph, negatives: NegativeSet,
     if masks is None:
         masks = build_masks(graph, negatives, params)
     Y = masks.prop.apply(X)
-    return support_gradient(X, Y, masks.pattern.scores(Y), masks, params)
+    return support_gradient(X, Y, masks.pattern.scores(Y), masks.pattern,
+                            masks.prop, params)
 
 
 def check_finite(X: np.ndarray, what: str, step: int | None = None) -> np.ndarray:

@@ -111,6 +111,9 @@ class EvalResult:
     users_skipped: int
 
 
+# non-finite embeddings give nan and inf scores, which are never ranked, so
+# numpy need not warn about them in the block GEMM or the fallback GEMVs
+@np.errstate(invalid="ignore", over="ignore")
 def evaluate(X: np.ndarray, splits: SplitSet, train_graph: Graph,
              k: int = 20, split: str = "test") -> EvalResult:
     """Rank candidates for every user with held-out edges, average metrics.

@@ -1,10 +1,12 @@
 """Full-batch training loops, early stopping, and the hyperparameter grid.
 
-A run owns nothing mutable but the embedding matrix: masks, kernels, and
-negatives are fixed before the first step.  The two update paths (analytic
-gradient vs forward propagation) can be run singly or side by side; in
-"both" mode the per-epoch max-abs divergence between them is recorded and
-the gradient trajectory is the authoritative one.
+A run owns nothing mutable but the embedding matrix.  Its step-independent
+state is one KernelOperator (P, the masks and their support pattern), built
+before the first step and read by both update paths (analytic gradient vs
+forward propagation), each with its own per-step algebra.  The paths can be
+run singly or side by side; in "both" mode the per-epoch max-abs divergence
+between them is recorded and the gradient trajectory is the authoritative
+one.
 """
 
 from __future__ import annotations
@@ -20,9 +22,8 @@ from linkprop.graphs import MAX_PROXIMITY_ORDER, Graph
 from linkprop.kernel import (KernelOperator, kernel_update, link_kernels,
                              model_config, score_matrices)
 from linkprop.losses import (MODELS, DivergenceError, MaskSet, ModelParams,
-                             build_masks, check_finite, gd_step,
-                             scoring_propagation, support_gradient,
-                             support_loss)
+                             check_finite, gd_step, scoring_propagation,
+                             support_gradient, support_loss)
 from linkprop.negatives import NegativeSet, sample_negatives
 from linkprop.ranking import EvalResult, SplitSet, evaluate
 
@@ -76,6 +77,9 @@ class TrainConfig:
         if self.eval_k < 1:
             raise ValueError(f"eval_k must be >= 1, got {self.eval_k}")
         self.params  # ModelParams names a bad lam or beta
+        if not math.isfinite(self.alpha * self.beta):  # the kernel's c1
+            raise ValueError(f"alpha * beta must be finite, got alpha="
+                             f"{self.alpha}, beta={self.beta}")
 
     @cached_property
     def params(self) -> ModelParams:
@@ -148,7 +152,6 @@ def train(graph: Graph, negatives: NegativeSet, config: TrainConfig,
     if graph.num_edges == 0:
         raise ValueError("graph has no edges: there is nothing to train on")
     params = config.params
-    masks = build_masks(graph, negatives, params)
     kcfg = model_config(config.model, alpha=config.alpha, beta=config.beta,
                         lam=config.lam, window=config.window,
                         layers=config.layers)
@@ -168,8 +171,8 @@ def train(graph: Graph, negatives: NegativeSet, config: TrainConfig,
     # non-finite embedding or loss, so numpy need not warn about them
     with np.errstate(over="ignore", invalid="ignore"):
         # the forward pass at X, computed once per embedding: P X and its scores
-        Y = masks.prop.apply(X)
-        s = masks.pattern.scores(Y)
+        Y = op.prop.apply(X)
+        s = op.pattern.scores(Y)
 
         for epoch in range(1, config.max_epochs + 1):
             kernels = link_kernels(score_matrices(Y, op), op)
@@ -184,11 +187,11 @@ def train(graph: Graph, negatives: NegativeSet, config: TrainConfig,
                     check_finite(Xk, "kernel step", epoch)
                 elif config.trace_substeps:
                     trace = kernel_update(X, Y, kernels, op)[1]
-                X = gd_step(X, support_gradient(X, Y, s, masks, params),
-                            config.alpha, step=epoch)
-            Y = masks.prop.apply(X)
-            s = masks.pattern.scores(Y)
-            loss = support_loss(X, s, masks.pattern, params.lam, params.beta)
+                grad = support_gradient(X, Y, s, op.pattern, op.prop, params)
+                X = gd_step(X, grad, config.alpha, step=epoch)
+            Y = op.prop.apply(X)
+            s = op.pattern.scores(Y)
+            loss = support_loss(X, s, op.pattern, params.lam, params.beta)
             if not math.isfinite(loss):
                 raise DivergenceError(f"non-finite loss ({loss}) in substep "
                                       f"'loss'", epoch)

@@ -1,9 +1,11 @@
+import csv
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from linkprop.diagnostics import (CSV_FIELDS, TrajectoryRecord, frobenius,
-                                  emit_trajectories, load_trajectories,
+from linkprop.diagnostics import (CSV_FIELDS, emit_trajectories, frobenius,
                                   mean_positive_kernel, substep_contractions)
 from linkprop.kernel import (KernelOperator, SubstepTrace, link_kernels,
                              model_config, score_matrices)
@@ -69,18 +71,34 @@ class TestSubstepContractions:
             assert substep_contractions(trace) == (True, True)
 
 
+def record(step, mean_k_plus, frob_norm, substeps=None):
+    return SimpleNamespace(step=step, mean_k_plus=mean_k_plus,
+                           frob_norm=frob_norm, substeps=substeps)
+
+
+def fields(rec):
+    return rec.step, rec.mean_k_plus, rec.frob_norm, rec.substeps
+
+
+def read_back(path):
+    """The emitted rows as (step, mean_k_plus, frob_norm, substeps)."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert tuple(rows[0]) == CSV_FIELDS
+    return [(int(row[0]), float(row[1]), float(row[2]),
+             tuple(float(v) for v in row[3:7]) if row[3] else None)
+            for row in rows[1:]]
+
+
 class TestCsvRoundTrip:
     def test_exact_round_trip(self, tmp_path):
         records = [
-            TrajectoryRecord(step=1, mean_k_plus=1.0 / 3.0,
-                             frob_norm=np.sqrt(2.0),
-                             substeps=(0.1, 0.2, np.pi, 1e-300)),
-            TrajectoryRecord(step=2, mean_k_plus=0.25, frob_norm=1.0,
-                             substeps=None),
+            record(1, 1.0 / 3.0, np.sqrt(2.0), (0.1, 0.2, np.pi, 1e-300)),
+            record(2, 0.25, 1.0),
         ]
         path = tmp_path / "trajectory.csv"
         emit_trajectories(records, path)
-        assert load_trajectories(path) == records
+        assert read_back(path) == [fields(r) for r in records]
 
     def test_header_written(self, tmp_path):
         path = tmp_path / "trajectory.csv"
@@ -89,14 +107,8 @@ class TestCsvRoundTrip:
 
     def test_untraced_cells_empty(self, tmp_path):
         path = tmp_path / "trajectory.csv"
-        emit_trajectories([TrajectoryRecord(1, 0.5, 1.0)], path)
+        emit_trajectories([record(1, 0.5, 1.0)], path)
         assert path.read_text().splitlines()[1].endswith(",,,")
-
-    def test_rejects_foreign_header(self, tmp_path):
-        path = tmp_path / "other.csv"
-        path.write_text("a,b,c\n1,2,3\n")
-        with pytest.raises(ValueError, match="header"):
-            load_trajectories(path)
 
     def test_consumes_training_history(self, bipartite_instance, tmp_path):
         from linkprop.training import TrainConfig, train
@@ -106,17 +118,14 @@ class TestCsvRoundTrip:
         result = train(graph, neg, cfg)
         path = tmp_path / "run.csv"
         emit_trajectories(result.history.records, path)
-        loaded = load_trajectories(path)
-        assert [r.step for r in loaded] == [1, 2, 3, 4]
-        for rec, orig in zip(loaded, result.history.records):
-            assert rec.frob_norm == orig.frob_norm
-            assert rec.substeps == orig.substeps
+        loaded = read_back(path)
+        assert [row[0] for row in loaded] == [1, 2, 3, 4]
+        assert loaded == [fields(r) for r in result.history.records]
 
     @given(st.lists(st.tuples(
         st.floats(1e-300, 1e300), st.floats(1e-300, 1e300)), max_size=8))
     def test_property_floats_survive(self, tmp_path_factory, values):
-        records = [TrajectoryRecord(step=i, mean_k_plus=a, frob_norm=b)
-                   for i, (a, b) in enumerate(values)]
+        records = [record(i, a, b) for i, (a, b) in enumerate(values)]
         path = tmp_path_factory.mktemp("traj") / "t.csv"
         emit_trajectories(records, path)
-        assert load_trajectories(path) == records
+        assert read_back(path) == [fields(r) for r in records]

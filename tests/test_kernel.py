@@ -4,11 +4,10 @@ import pytest
 import linkprop
 from linkprop import reference
 from linkprop.graphs import MAX_PROXIMITY_ORDER, build_graph
-from linkprop.kernel import (KernelConfig, KernelOperator,
-                             dense_score_matrices, kernel_step, link_kernels,
-                             materialize_kernel, model_config, score_matrices,
-                             sign_structure)
-from linkprop.losses import DivergenceError, ModelParams, loss_gradient
+from linkprop.kernel import (KernelConfig, KernelOperator, kernel_step,
+                             link_kernels, materialize_kernel, model_config,
+                             score_matrices, sign_structure)
+from linkprop.losses import DivergenceError, ModelParams, loss_gradient, sigmoid
 
 from conftest import negatives_from_pairs, random_graph_instance
 
@@ -118,7 +117,8 @@ class TestScores:
         rng = np.random.default_rng(1)
         Y = rng.normal(size=(graph.num_nodes, 4))
         scores = score_matrices(Y, op)
-        S_A, S_B = dense_score_matrices(Y)
+        S_B = sigmoid(Y @ Y.T)
+        S_A = 1.0 - S_B
         assert np.allclose(scores.s_a, S_A[scores.rows, scores.cols],
                            rtol=0, atol=1e-15)
         assert np.allclose(scores.s_b, S_B[scores.rows, scores.cols],
@@ -132,7 +132,8 @@ class TestLinkKernels:
         rng = np.random.default_rng(2)
         Y = rng.normal(size=(graph.num_nodes, 4))
         kernels = link_kernels(score_matrices(Y, op), op)
-        S_A, S_B = dense_score_matrices(Y)
+        S_B = sigmoid(Y @ Y.T)
+        S_A = 1.0 - S_B
         A = graph.adjacency.toarray()
         B = neg.adjacency.toarray()
         assert np.allclose(kernels.k_plus.toarray(), S_A * A, atol=1e-15)

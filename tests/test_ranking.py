@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -263,9 +264,12 @@ class TestEvaluateMatchesOracle:
         X, splits, graph, k, split, per_block = case
         budget = (ranking._BLOCK_BYTES if per_block is None
                   else per_block * 8 * splits.partition.num_items)
-        with np.errstate(invalid="ignore", over="ignore"), \
+        # evaluate itself must not warn about non-finite scores
+        with warnings.catch_warnings(), \
                 mock.patch.object(ranking, "_BLOCK_BYTES", budget):
+            warnings.simplefilter("error", RuntimeWarning)
             got = evaluate(X, splits, graph, k=k, split=split)
+        with np.errstate(invalid="ignore", over="ignore"):
             expected = evaluate_scalar(X, splits, graph, k=k, split=split)
         assert dataclasses.astuple(got) == expected
 

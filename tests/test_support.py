@@ -87,6 +87,16 @@ def check_against_oracles(graph, negatives, model, kwargs, Y):
     op = KernelOperator.build(model_config(model, alpha=0.05, beta=beta,
                                            lam=lam, **kwargs),
                               graph, negatives)
+    # train() reads the operator's pattern and P where the loss API reads
+    # the masks': the two independent builds must agree bit for bit
+    for name in ("rows", "cols", "indptr"):
+        assert same_bits(getattr(masks.pattern, name), getattr(op.pattern, name))
+    for mine, theirs in ((masks.pattern.pos, op.pattern.pos),
+                         (masks.pattern.neg, op.pattern.neg)):
+        for name in ("weights", "slots", "sorted_slots"):
+            assert same_bits(getattr(mine, name), getattr(theirs, name))
+    assert same_bits(masks.prop.apply(Y), op.prop.apply(Y))
+
     for pattern, pos, neg in ((masks.pattern, masks.pos, masks.neg),
                               (op.pattern, op.pos_mask, op.neg_mask)):
         rows, cols, pos_sel, neg_sel, _, _ = old_union(pos, neg)

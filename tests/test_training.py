@@ -1,11 +1,12 @@
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from linkprop.graphs import (MAX_PROXIMITY_ORDER, Partition, ProximityOperator,
-                             build_graph)
+                             SupportPattern, build_graph)
 from linkprop.losses import DivergenceError, build_masks, gd_step, loss_gradient
 from linkprop.negatives import sample_negatives
 from linkprop.ranking import SplitSet
@@ -57,6 +58,11 @@ class TestTrainConfig:
         kwargs = {"model": "lightgcn", "alpha": 0.05, field: value}
         with pytest.raises(ValueError, match=field):
             TrainConfig(**kwargs)
+
+    def test_overflowing_alpha_times_beta_names_both(self):
+        # each is finite, but the kernel's c1 = 1 - alpha * beta is not
+        with pytest.raises(ValueError, match=r"alpha \* beta.*alpha=.*beta="):
+            TrainConfig(model="mf", alpha=1e300, beta=1e300)
 
     @pytest.mark.parametrize("kwargs", [
         {"layers": 0}, {"layers": MAX_PROXIMITY_ORDER}, {"window": 1},
@@ -187,6 +193,18 @@ class TestTrainPaths:
         cfg = TrainConfig(model, alpha=0.05, dim=4, max_epochs=6, **extra)
         train(graph, neg, cfg, splits=splits)
         assert len(calls) == 2 * 6 + 1
+
+    @pytest.mark.parametrize("path", ["gradient", "kernel", "both"])
+    def test_one_support_pattern_per_run(self, split_instance, path):
+        # every path, the validation forward pass and the diagnostic read
+        # the one KernelOperator's pattern
+        graph, neg, splits = split_instance
+        cfg = TrainConfig("deepwalk", alpha=0.05, dim=4, window=2,
+                          max_epochs=3, path=path, trace_substeps=True)
+        with mock.patch.object(SupportPattern, "__init__", autospec=True,
+                               side_effect=SupportPattern.__init__) as built:
+            train(graph, neg, cfg, splits=splits)
+        assert built.call_count == 1
 
     def test_edgeless_graph_rejected_at_entry(self):
         graph = build_graph([], num_nodes=4)
