@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from linkprop.graphs import Graph, Partition, build_graph
+from linkprop.graphs import Graph, Partition, build_graph, unique_rows
 from linkprop.ranking import SplitSet
 
 HEADER_TOKENS = {"user", "item", "user_id", "item_id", "userid", "itemid",
@@ -52,9 +52,9 @@ class Dataset:
         return self.user_labels[u], self.item_labels[i - self.partition.num_users]
 
 
-def _parse_pair_lines(lines) -> list[tuple[str, str]]:
-    """(user, item) label pairs from two-column lines; delimiter per line."""
-    pairs = []
+def _parse_pair_lines(lines) -> tuple[list[str], list[str]]:
+    """User and item label columns from two-column lines; delimiter per line."""
+    users, items = [], []
     for lineno, line in lines:
         if "\t" in line:
             fields = line.split("\t")
@@ -62,7 +62,7 @@ def _parse_pair_lines(lines) -> list[tuple[str, str]]:
             fields = line.split(",")
         else:
             fields = line.split()
-        fields = [f.strip() for f in fields if f.strip() != ""]
+        fields = [f for f in map(str.strip, fields) if f]
         if lineno == 1 and len(fields) == 2 and (
                 fields[0].lower() in HEADER_TOKENS
                 or fields[1].lower() in HEADER_TOKENS):
@@ -70,29 +70,30 @@ def _parse_pair_lines(lines) -> list[tuple[str, str]]:
         if len(fields) != 2:
             raise ValueError(f"line {lineno}: expected 2 fields, got "
                              f"{len(fields)}: {line!r}")
-        pairs.append((fields[0], fields[1]))
-    return pairs
+        users.append(fields[0])
+        items.append(fields[1])
+    return users, items
 
 
-def _parse_adjlist_lines(lines) -> list[tuple[str, str]]:
-    pairs = []
+def _parse_adjlist_lines(lines) -> tuple[list[str], list[str]]:
+    users, items = [], []
     for lineno, line in lines:
         fields = line.split()
         if len(fields) < 2:
             raise ValueError(f"line {lineno}: adjacency line needs a user "
                              f"and at least one item: {line!r}")
-        user = fields[0]
-        pairs.extend((user, item) for item in fields[1:])
-    return pairs
+        users.extend([fields[0]] * (len(fields) - 1))
+        items.extend(fields[1:])
+    return users, items
 
 
-def _check_declared_counts(header_line: str, pairs, body: str):
+def _check_declared_counts(header_line: str, num_pairs: int, body: str):
     """Validate counts/checksum a canonical header declares about its body."""
     declared = dict(tok.split("=", 1) for tok in header_line[1:].split()
                     if "=" in tok)
-    if "edges" in declared and int(declared["edges"]) != len(pairs):
+    if "edges" in declared and int(declared["edges"]) != num_pairs:
         raise ValueError(f"header declares {declared['edges']} edges, "
-                         f"file has {len(pairs)}")
+                         f"file has {num_pairs}")
     if "checksum" in declared:
         digest = hashlib.sha256(body.encode()).hexdigest()
         if digest != declared["checksum"]:
@@ -114,38 +115,36 @@ def load_edge_list(path, fmt: str = "auto") -> Dataset:
     with open(path) as fh:
         raw = fh.read()
     header_comment = None
-    data_lines = []
     body_lines = []
-    for lineno, line in enumerate(raw.splitlines(), start=1):
+    for line in raw.splitlines():
         stripped = line.strip()
         if stripped.startswith("#"):
             if "checksum=" in stripped and header_comment is None:
                 header_comment = stripped
-            continue
-        if stripped == "":
-            continue
-        data_lines.append((len(data_lines) + 1, stripped))
-        body_lines.append(stripped)
-    if not data_lines:
+        elif stripped:
+            body_lines.append(stripped)
+    if not body_lines:
         raise ValueError(f"{path}: no data lines")
     if fmt == "auto":
-        first = data_lines[0][1]
+        first = body_lines[0]
         fields = first.split("\t") if "\t" in first else (
             first.split(",") if "," in first else first.split())
         fmt = "pairs" if len(fields) == 2 else "adjlist"
-    pairs = (_parse_pair_lines(data_lines) if fmt == "pairs"
-             else _parse_adjlist_lines(data_lines))
+    parse = _parse_pair_lines if fmt == "pairs" else _parse_adjlist_lines
+    user_col, item_col = parse(enumerate(body_lines, start=1))
     if header_comment is not None:
-        _check_declared_counts(header_comment, pairs,
+        _check_declared_counts(header_comment, len(user_col),
                                "\n".join(body_lines) + "\n")
 
-    users = sorted({u for u, _ in pairs})
-    items = sorted({i for _, i in pairs})
+    users = sorted(set(user_col))
+    items = sorted(set(item_col))
     part = Partition(len(users), len(items))
-    user_id = {u: k for k, u in enumerate(users)}
-    item_id = {i: part.num_users + k for k, i in enumerate(items)}
-    edges = np.unique(np.array([(user_id[u], item_id[i]) for u, i in pairs],
-                               dtype=np.int64), axis=0)
+    user_id = dict(zip(users, range(part.num_users)))
+    item_id = dict(zip(items, range(part.num_users, part.num_nodes)))
+    count = len(user_col)
+    edges = unique_rows(np.column_stack((
+        np.fromiter(map(user_id.__getitem__, user_col), np.int64, count),
+        np.fromiter(map(item_id.__getitem__, item_col), np.int64, count))))
     return Dataset(partition=part, edges=edges, user_labels=tuple(users),
                    item_labels=tuple(items))
 
@@ -204,38 +203,47 @@ def split_dataset(graph: Graph, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> SplitS
 
     Per-user counts are the rounded ratios, clamped so at least one edge
     stays in train; users ending up with no test edges are flagged, not
-    dropped.  Deterministic per seed.
+    dropped.  Deterministic per seed: each user's neighbor list is shuffled
+    in user order, its first edges go to test, the next to validation.
     """
     if graph.partition is None:
         raise ValueError("splitting needs a bipartite partition")
     ratios = check_ratios(ratios)
     rng = np.random.default_rng(seed)
-    train, val, test, flagged = [], [], [], []
-    for user in range(graph.partition.num_users):
-        nbrs = graph.neighbors(user).copy()
-        rng.shuffle(nbrs)
-        m = nbrs.shape[0]
-        n_test = int(round(m * ratios[2]))
-        n_val = int(round(m * ratios[1]))
-        while m - n_test - n_val < 1 and (n_test > 0 or n_val > 0):
-            if n_test >= n_val:
-                n_test -= 1
-            else:
-                n_val -= 1
-        test.extend((user, int(i)) for i in nbrs[:n_test])
-        val.extend((user, int(i)) for i in nbrs[n_test:n_test + n_val])
-        train.extend((user, int(i)) for i in nbrs[n_test + n_val:])
-        if n_test == 0:
-            flagged.append(user)
+    num_users = graph.partition.num_users
+    indptr = graph.adjacency.indptr[:num_users + 1]
+    # a shuffle's permutation depends only on the length, so shuffling the
+    # positions of each user's neighbors permutes them as the neighbors
+    position = np.arange(indptr[-1])
+    bounds = indptr.tolist()
+    for start, stop in zip(bounds, bounds[1:]):
+        rng.shuffle(position[start:stop])
 
-    def _arr(rows):
-        if not rows:
-            return np.empty((0, 2), dtype=np.int64)
-        return np.unique(np.array(rows, dtype=np.int64), axis=0)
+    # rounding half to even, like round(); then give train its edge back,
+    # one at a time from the larger of test and validation
+    degree = np.diff(indptr).astype(np.int64)
+    n_test = np.rint(degree * ratios[2]).astype(np.int64)
+    n_val = np.rint(degree * ratios[1]).astype(np.int64)
+    while True:
+        over = (degree - n_test - n_val < 1) & ((n_test > 0) | (n_val > 0))
+        if not over.any():
+            break
+        from_test = over & (n_test >= n_val)
+        n_test -= from_test
+        n_val -= over & ~from_test
 
-    return SplitSet(partition=graph.partition, train=_arr(train),
-                    val=_arr(val), test=_arr(test), ratios=ratios, seed=seed,
-                    flagged=tuple(flagged))
+    # the first n_test shuffled neighbors are test (0), the next n_val
+    # validation (1), the rest train (2); parts keep the adjacency's order
+    users = np.repeat(np.arange(num_users, dtype=np.int64), degree)
+    rank = np.arange(position.shape[0]) - indptr[users]
+    part = np.empty(position.shape[0], dtype=np.int8)
+    part[position] = ((rank >= n_test[users]).astype(np.int8)
+                      + (rank >= (n_test + n_val)[users]))
+    pairs = np.column_stack((users, graph.adjacency.indices[:indptr[-1]]))
+    test, val, train = (unique_rows(pairs[part == k]) for k in range(3))
+    return SplitSet(partition=graph.partition, train=train, val=val, test=test,
+                    ratios=ratios, seed=seed,
+                    flagged=tuple(np.flatnonzero(n_test == 0).tolist()))
 
 
 def graph_from_split(splits: SplitSet) -> Graph:
@@ -285,7 +293,7 @@ def load_splits(outdir) -> tuple[Dataset, SplitSet]:
                 except KeyError as err:
                     raise ValueError(f"{part}.tsv line {lineno}: id {err} "
                                      "not in dataset.tsv") from None
-        parts[part] = (np.unique(np.array(loaded, dtype=np.int64), axis=0)
+        parts[part] = (unique_rows(np.array(loaded, dtype=np.int64))
                        if loaded else np.empty((0, 2), dtype=np.int64))
     with open(os.path.join(outdir, "split.json")) as fh:
         meta = json.load(fh)

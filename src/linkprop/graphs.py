@@ -75,13 +75,32 @@ def _pairs_to_csr(pairs: np.ndarray, num_nodes: int) -> sp.csr_array:
     return mat
 
 
+def unique_rows(arr: np.ndarray) -> np.ndarray:
+    """The distinct rows of an (m, 2) array in lexicographic order.
+
+    Equal to `np.unique(arr, axis=0)`, from compares of adjacent rows and,
+    unless the rows already increase strictly, a `lexsort`, rather than a
+    sort of a void view.  Nothing is added or multiplied, so no id can
+    overflow.
+    """
+    head, tail = arr[:-1], arr[1:]
+    if np.all((head[:, 0] < tail[:, 0])
+              | ((head[:, 0] == tail[:, 0]) & (head[:, 1] < tail[:, 1]))):
+        return arr.copy()
+    rows = arr[np.lexsort((arr[:, 1], arr[:, 0]))]
+    keep = np.ones(rows.shape[0], dtype=bool)
+    np.any(rows[1:] != rows[:-1], axis=1, out=keep[1:])
+    return rows[keep]
+
+
 def canonical_pairs(edge_list) -> np.ndarray:
     """Deduplicated (u, v) pairs with u < v, sorted lexicographically."""
-    arr = np.asarray(list(edge_list), dtype=np.int64)
+    if not isinstance(edge_list, np.ndarray):
+        edge_list = list(edge_list)
+    arr = np.asarray(edge_list, dtype=np.int64)
     if arr.size == 0:
         return np.empty((0, 2), dtype=np.int64)
-    arr = np.sort(arr.reshape(-1, 2), axis=1)
-    return np.unique(arr, axis=0)
+    return unique_rows(np.sort(arr.reshape(-1, 2), axis=1))
 
 
 def build_graph(edge_list, num_nodes: int | None = None,
@@ -197,13 +216,17 @@ class ProximityOperator:
         return self.low == 0 and self.high == 0
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        """Average of M^r X for r in [low, high]; costs `high` sparse products."""
+        """Average of M^r X for r in [low, high]; costs `high` sparse products.
+
+        The identity operator returns `X` itself, so the result may alias
+        `X`: callers must not write into it.
+        """
         if X.shape[0] != self.base.matrix.shape[0]:
             raise ValueError(
                 f"row count {X.shape[0]} does not match node count "
                 f"{self.base.matrix.shape[0]}")
         if self.is_identity():
-            return X.copy()
+            return X
         mat = self.base.matrix
         acc = X.copy() if self.low == 0 else np.zeros_like(X)
         term = X

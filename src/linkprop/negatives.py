@@ -20,6 +20,9 @@ from linkprop.graphs import Graph, _pairs_to_csr
 
 STRATEGIES = ("uniform", "degree_power")
 
+# partner draws per generator call
+_BATCH = 4096
+
 
 class QuotaUnreachable(RuntimeError):
     """Raised when rejection sampling cannot fill the requested quota.
@@ -80,18 +83,21 @@ def sample_negatives(graph: Graph, per_positive: int = 1,
     rejected when it hits an existing edge, a self pair, or a previously
     sampled negative.  After `max_tries` failed draws for a single slot the
     whole call aborts with :class:`QuotaUnreachable`.
+
+    Draws are made `_BATCH` at a time; a batch of draws equals as many single
+    draws from the same generator, so the result does not depend on the batch
+    size.  Pairs are tracked as keys lo * n + hi, which sort like the pairs.
     """
     check_sampling(strategy, per_positive, exponent)
+    if max_tries < 1:
+        raise ValueError(f"max_tries must be >= 1, got {max_tries}")
     rng = np.random.default_rng(seed)
     n = graph.num_nodes
-    if graph.partition is not None:
-        lo = graph.partition.num_users
-        candidates = np.arange(lo, n)
-    else:
-        candidates = np.arange(n)
+    # partners are offset + the index of a draw among the candidates
+    offset = graph.partition.num_users if graph.partition is not None else 0
 
     if strategy == "degree_power":
-        weights = degree_power_weights(graph.degrees[candidates], exponent)
+        weights = degree_power_weights(graph.degrees[offset:], exponent)
         total = weights.sum()
         if total <= 0:
             raise ValueError("degree_power sampling needs at least one "
@@ -103,32 +109,44 @@ def sample_negatives(graph: Graph, per_positive: int = 1,
     else:
         cum = None
 
-    forbidden = {(int(u), int(v)) for u, v in graph.edges}
-    taken: set[tuple[int, int]] = set()
-    anchors = np.repeat(graph.edges[:, 0], per_positive)
-    requested = anchors.shape[0]
-    out = np.empty((requested, 2), dtype=np.int64)
-
-    for slot, anchor in enumerate(anchors):
-        anchor = int(anchor)
-        for _ in range(max_tries):
-            if cum is None:
-                partner = int(candidates[rng.integers(candidates.shape[0])])
-            else:
-                partner = int(candidates[np.searchsorted(
-                    cum, rng.random() * cum[-1], side="right")])
-            if partner == anchor:
-                continue
-            pair = (anchor, partner) if anchor < partner else (partner, anchor)
-            if pair in forbidden or pair in taken:
-                continue
-            taken.add(pair)
-            out[slot] = pair
-            break
+    def draw() -> list[int]:
+        if cum is None:
+            picks = rng.integers(n - offset, size=_BATCH)
         else:
-            achieved = np.array(sorted(taken), dtype=np.int64).reshape(-1, 2)
-            raise QuotaUnreachable(requested, len(taken), achieved)
+            picks = np.searchsorted(cum, rng.random(_BATCH) * cum[-1],
+                                    side="right")
+        return (picks + offset).tolist()
 
-    pairs = np.unique(out, axis=0)
+    edges = graph.edges
+    forbidden = set((edges[:, 0] * n + edges[:, 1]).tolist())
+    taken: set[int] = set()
+    partners: list[int] = []
+    used = 0
+    for anchor in edges[:, 0].tolist():
+        for _ in range(per_positive):
+            for _ in range(max_tries):
+                if used == len(partners):
+                    partners, used = draw(), 0
+                partner = partners[used]
+                used += 1
+                if partner == anchor:
+                    continue
+                key = (anchor * n + partner if anchor < partner
+                       else partner * n + anchor)
+                if key in forbidden or key in taken:
+                    continue
+                taken.add(key)
+                break
+            else:
+                raise QuotaUnreachable(edges.shape[0] * per_positive,
+                                       len(taken), _key_pairs(taken, n))
+
+    pairs = _key_pairs(taken, n)
     return NegativeSet(num_nodes=n, pairs=pairs, strategy=strategy, seed=seed,
                        adjacency=_pairs_to_csr(pairs, n))
+
+
+def _key_pairs(keys: set[int], n: int) -> np.ndarray:
+    """(m, 2) pairs from keys lo * n + hi, in sorted order."""
+    ordered = np.sort(np.fromiter(keys, dtype=np.int64, count=len(keys)))
+    return np.stack(np.divmod(ordered, n), axis=1)

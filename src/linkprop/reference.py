@@ -198,3 +198,88 @@ def dense_kernel_step(X: np.ndarray, c1: float, c2: float, c3: float,
     K_neg = S_B * (c3 * A_neg_norm + (1.0 - c3) * B_raw)
     H = dense_propagation_matrix(c1, c2, P1, K_pos, K_neg, lam)
     return H @ X
+
+
+def sample_negatives_scalar(graph, per_positive: int = 1,
+                            strategy: str = "uniform", exponent: float = 0.75,
+                            seed: int = 0, max_tries: int = 200):
+    """Negative sampling one generator call per draw, with sets of tuples.
+
+    The per-draw loop `negatives.sample_negatives` batches: each anchor (the
+    lower endpoint of each positive edge, `per_positive` times) draws a
+    partner until one is neither itself, an edge, nor taken, or `max_tries`
+    draws failed.  Returns (pairs, requested): the taken pairs in sorted
+    order, and the number of slots; a quota that could not be filled stops
+    at the first slot that ran out of tries, so len(pairs) < requested.
+    """
+    rng = np.random.default_rng(seed)
+    n = graph.num_nodes
+    if graph.partition is not None:
+        candidates = np.arange(graph.partition.num_users, n)
+    else:
+        candidates = np.arange(n)
+    cum = None
+    if strategy == "degree_power":
+        degrees = graph.degrees[candidates]
+        weights = np.zeros(degrees.shape[0])
+        nz = degrees > 0
+        weights[nz] = degrees[nz].astype(float) ** exponent
+        cum = np.cumsum(weights)
+    forbidden = {(int(u), int(v)) for u, v in graph.edges}
+    taken: set = set()
+    anchors = np.repeat(graph.edges[:, 0], per_positive)
+    for anchor in anchors:
+        anchor = int(anchor)
+        for _ in range(max_tries):
+            if cum is None:
+                partner = int(candidates[rng.integers(candidates.shape[0])])
+            else:
+                partner = int(candidates[np.searchsorted(
+                    cum, rng.random() * cum[-1], side="right")])
+            if partner == anchor:
+                continue
+            pair = (anchor, partner) if anchor < partner else (partner, anchor)
+            if pair in forbidden or pair in taken:
+                continue
+            taken.add(pair)
+            break
+        else:
+            break
+    pairs = np.array(sorted(taken), dtype=np.int64).reshape(-1, 2)
+    return pairs, anchors.shape[0]
+
+
+def split_dataset_scalar(graph, ratios=(0.8, 0.1, 0.1), seed: int = 0):
+    """Per-user split one user and one edge at a time.
+
+    Each user's neighbors are shuffled in user order; the first
+    round(m * test ratio) go to test and the next round(m * val ratio) to
+    validation, taking back from the larger of the two until train keeps
+    one.  Returns (train, val, test, flagged): sorted (user, item) arrays
+    and the users left without a test edge.
+    """
+    rng = np.random.default_rng(seed)
+    train, val, test, flagged = [], [], [], []
+    for user in range(graph.partition.num_users):
+        nbrs = graph.neighbors(user).copy()
+        rng.shuffle(nbrs)
+        m = nbrs.shape[0]
+        n_test = int(round(m * ratios[2]))
+        n_val = int(round(m * ratios[1]))
+        while m - n_test - n_val < 1 and (n_test > 0 or n_val > 0):
+            if n_test >= n_val:
+                n_test -= 1
+            else:
+                n_val -= 1
+        test.extend((user, int(i)) for i in nbrs[:n_test])
+        val.extend((user, int(i)) for i in nbrs[n_test:n_test + n_val])
+        train.extend((user, int(i)) for i in nbrs[n_test + n_val:])
+        if n_test == 0:
+            flagged.append(user)
+
+    def _arr(rows):
+        if not rows:
+            return np.empty((0, 2), dtype=np.int64)
+        return np.unique(np.array(rows, dtype=np.int64), axis=0)
+
+    return _arr(train), _arr(val), _arr(test), tuple(flagged)

@@ -1,7 +1,11 @@
+import pathlib
+import tempfile
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from linkprop import reference
 from linkprop.data_io import (DENSITY_PCT_TOL, Dataset, ExpectedStats,
                               graph_density_pct, graph_from_split,
                               dataset_from_graph, load_edge_list, load_splits,
@@ -46,6 +50,29 @@ class TestLoadEdgeList:
     def test_duplicates_collapse(self, tmp_path):
         ds = load_edge_list(write(tmp_path, "u\ti\nu\ti\nu\tj\n"))
         assert ds.edges.shape == (2, 2)
+
+    @given(st.lists(st.tuples(st.sampled_from(["u1", "u10", "u9", "U", "ü"]),
+                              st.sampled_from(["i1", "i10", "i2", "x y", "é"])),
+                    min_size=1, max_size=25),
+           st.sampled_from(["\t", ",", " \t "]), st.booleans())
+    def test_ids_follow_sorted_labels(self, pairs, sep, adjlist):
+        # labels in Python's sorted order, then each distinct pair once
+        if adjlist:
+            pairs = [(u, i.replace(" ", "_")) for u, i in pairs]
+            text = "".join(f"{u} {i}\n" for u, i in pairs)
+        else:
+            text = "".join(f"{u}{sep}{i}\n" for u, i in pairs)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write(pathlib.Path(tmp), text)
+            ds = load_edge_list(path, fmt="adjlist" if adjlist else "pairs")
+        users = sorted({u for u, _ in pairs})
+        items = sorted({i for _, i in pairs})
+        assert ds.user_labels == tuple(users)
+        assert ds.item_labels == tuple(items)
+        expected = sorted({(users.index(u), len(users) + items.index(i))
+                           for u, i in pairs})
+        assert ds.edges.dtype == np.int64
+        assert ds.edges.tolist() == [list(e) for e in expected]
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = write(tmp_path, "u1\ti1\nu2\ti2\textra\tmore\n")
@@ -189,6 +216,45 @@ class TestSplitDataset:
         assert not (sets[0] & sets[1] or sets[0] & sets[2] or sets[1] & sets[2])
         # every user keeps at least one training edge
         assert set(splits.train[:, 0]) == set(range(12))
+
+
+@st.composite
+def user_item_graph(draw):
+    """Bipartite graph in which some users may have no edge at all."""
+    part = Partition(draw(st.integers(1, 8)), draw(st.integers(1, 8)))
+    cells = [(u, part.num_users + i) for u in range(part.num_users)
+             for i in range(part.num_items)]
+    chosen = draw(st.lists(st.sampled_from(cells), max_size=len(cells)))
+    return build_graph(chosen, partition=part)
+
+
+class TestSplitMatchesScalarLoop:
+    """The vectorized split against the per-user, per-edge loop it replaced."""
+
+    @staticmethod
+    def check(graph, ratios, seed):
+        got = split_dataset(graph, ratios=ratios, seed=seed)
+        train, val, test, flagged = reference.split_dataset_scalar(
+            graph, ratios, seed)
+        for part, expected in zip((got.train, got.val, got.test),
+                                  (train, val, test)):
+            assert part.dtype == expected.dtype
+            assert np.array_equal(part, expected)
+        assert got.flagged == flagged
+        assert all(type(u) is int for u in got.flagged)
+
+    @settings(max_examples=100)
+    @given(user_item_graph(), st.sampled_from([
+        (0.8, 0.1, 0.1), (0.5, 0.3, 0.2), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+        (0.0, 0.0, 1.0), (0.2, 0.3, 0.5), (0.5, 0.25, 0.25),
+        (0.0, 0.5, 0.5)]), st.integers(0, 2**16))
+    def test_equal_to_scalar_oracle(self, graph, ratios, seed):
+        self.check(graph, ratios, seed)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_equal_to_scalar_oracle_on_bench_500(self, seed):
+        graph = load_edge_list(f"{DATA_DIR}/bench_500.tsv").to_graph()
+        self.check(graph, (0.8, 0.1, 0.1), seed)
 
 
 class TestSaveLoadSplits:

@@ -1,10 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from linkprop import reference
 from linkprop.graphs import (MAX_PROXIMITY_ORDER, Partition, build_graph,
-                             normalize, proximity)
+                             canonical_pairs, normalize, proximity,
+                             unique_rows)
 
 from conftest import graph_strategy
 
@@ -53,6 +56,69 @@ class TestBuildGraph:
         assert g.num_edges == 0
         assert g.degrees.tolist() == [0, 0, 0, 0]
 
+    @pytest.mark.parametrize("as_array", [False, True])
+    @pytest.mark.parametrize("edges, message, bad", [
+        ([(0, 2), (2**63 - 1, 1)], "node id out of range [0, 4)",
+         (1, 2**63 - 1)),
+        ([(0, 2), (-2**63, 3)], "node id out of range [0, 4)", (-2**63, 3)),
+        ([(3, 0), (2, 2), (1, 1)], "self-loop not allowed", (1, 1)),
+    ])
+    def test_messages_name_the_first_bad_pair_at_any_id(self, edges, message,
+                                                          bad, as_array):
+        edge_list = np.array(edges, dtype=np.int64) if as_array else edges
+        expected = f"{message}: pair {tuple(np.array(bad, dtype=np.int64))}"
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            build_graph(edge_list, num_nodes=4)
+
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_bipartite_message_names_the_first_bad_pair(self, as_array):
+        edges = [(3, 4), (1, 3), (2, 0)]
+        edge_list = np.array(edges, dtype=np.int64) if as_array else edges
+        expected = (f"bipartite violation: pair "
+                    f"{tuple(np.array([3, 4], dtype=np.int64))}")
+        with pytest.raises(ValueError, match=re.escape(expected)):
+            build_graph(edge_list, num_nodes=5, partition=Partition(2, 3))
+
+
+# ids at which key arithmetic such as u * n + v overflows int64
+EXTREME_IDS = st.sampled_from([-2**63, -2**63 + 1, -2**31, 2**31, 2**62,
+                               2**63 - 2, 2**63 - 1])
+ROW_IDS = st.one_of(st.integers(-3, 3), EXTREME_IDS)
+
+
+@st.composite
+def int_rows(draw):
+    """(m, 2) int64 rows: empty, duplicated, negative or near int64's
+    limits, in any order or already sorted."""
+    rows = draw(st.lists(st.tuples(ROW_IDS, ROW_IDS), max_size=30))
+    arr = np.array(rows, dtype=np.int64).reshape(-1, 2)
+    order = draw(st.sampled_from(["as drawn", "sorted", "unique"]))
+    if order != "as drawn" and arr.size:
+        arr = np.unique(arr, axis=0)
+        if order == "sorted":
+            arr = np.repeat(arr, 2, axis=0)
+    return arr
+
+
+class TestUniqueRows:
+    @given(int_rows())
+    def test_equal_to_numpy_unique(self, arr):
+        before = arr.copy()
+        got = unique_rows(arr)
+        expected = np.unique(arr, axis=0)
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert np.array_equal(got, expected)
+        assert np.array_equal(arr, before)
+        assert not np.shares_memory(got, arr)
+
+    @given(int_rows())
+    def test_canonical_pairs_same_for_arrays_and_lists(self, arr):
+        got = canonical_pairs(arr)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, canonical_pairs(arr.tolist()))
+        assert np.array_equal(got, np.unique(np.sort(arr, axis=1), axis=0)
+                              if arr.size else np.empty((0, 2)))
+
 
 class TestNormalize:
     def test_row_scheme_path(self, path_graph):
@@ -98,12 +164,10 @@ class TestNormalize:
 
 
 class TestProximity:
-    def test_identity_operator_copies(self, path_graph):
+    def test_identity_operator_passes_x_through(self, path_graph):
         op = proximity(normalize(path_graph, "row"), 0, 0)
         X = np.arange(8.0).reshape(4, 2)
-        out = op.apply(X)
-        assert out is not X
-        assert np.array_equal(out, X)
+        assert op.apply(X) is X
         assert op.is_identity()
 
     def test_single_power_is_plain_product(self, path_graph):

@@ -1,12 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from linkprop import negatives, reference
+from linkprop.data_io import load_edge_list
 from linkprop.graphs import Partition, build_graph
-from linkprop.negatives import (QuotaUnreachable, degree_power_weights,
-                                sample_negatives)
+from linkprop.negatives import (STRATEGIES, QuotaUnreachable,
+                                degree_power_weights, sample_negatives)
 
-from conftest import graph_strategy
+from conftest import DATA_DIR, graph_strategy
 
 
 def edge_set(pairs):
@@ -71,6 +75,15 @@ class TestSampleNegatives:
         assert exc.value.achieved == 1
         assert edge_set(exc.value.pairs) == {(0, 3)}
 
+    @pytest.mark.parametrize("max_tries", [0, -1])
+    def test_max_tries_below_one_rejected(self, max_tries):
+        # a quota no draw can fill: the check must come first
+        graph = build_graph([(0, 1), (0, 2)], partition=Partition(1, 2))
+        with mock.patch.object(negatives.np.random, "default_rng") as rng, \
+                pytest.raises(ValueError, match="max_tries"):
+            sample_negatives(graph, max_tries=max_tries)
+        rng.assert_not_called()
+
     def test_unknown_strategy(self, small_instance):
         graph, _ = small_instance
         with pytest.raises(ValueError, match="unknown strategy"):
@@ -119,6 +132,62 @@ class TestSampleNegatives:
             return  # dense little graphs may legitimately run out of room
         assert not (edge_set(graph.edges) & edge_set(neg.pairs))
         assert neg.num_pairs == graph.num_edges
+
+
+class TestBatchedDraws:
+    """The batched walk against the per-draw loop it replaced."""
+
+    @settings(max_examples=150)
+    @given(graph=st.one_of(graph_strategy(bipartite=True), graph_strategy()),
+           strategy=st.sampled_from(STRATEGIES),
+           exponent=st.sampled_from([0.75, 1.0, -0.5]),
+           per_positive=st.integers(1, 3),
+           max_tries=st.sampled_from([1, 2, 3, 5, 200]),
+           seed=st.integers(0, 2**16),
+           batch=st.sampled_from([1, 2, 3, 7, 4096]))
+    def test_equal_to_scalar_oracle(self, graph, strategy, exponent,
+                                    per_positive, max_tries, seed, batch):
+        expected, requested = reference.sample_negatives_scalar(
+            graph, per_positive, strategy, exponent, seed, max_tries)
+        with mock.patch.object(negatives, "_BATCH", batch):
+            try:
+                got = sample_negatives(graph, per_positive, strategy,
+                                       exponent, seed, max_tries)
+            except QuotaUnreachable as err:
+                assert expected.shape[0] < requested
+                assert (err.requested, err.achieved) == (requested,
+                                                         expected.shape[0])
+                assert err.pairs.dtype == expected.dtype
+                assert np.array_equal(err.pairs, expected)
+                return
+        assert got.pairs.dtype == expected.dtype
+        assert np.array_equal(got.pairs, expected)
+        assert np.array_equal(got.adjacency.toarray(), reference.dense_adjacency(
+            expected.tolist(), graph.num_nodes))
+
+    @pytest.mark.parametrize("batch", [1, 2, 5, 4096])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_equal_to_scalar_oracle_on_bench_500(self, batch, strategy):
+        graph = load_edge_list(f"{DATA_DIR}/bench_500.tsv").to_graph()
+        expected, _ = reference.sample_negatives_scalar(
+            graph, 2, strategy, seed=7)
+        with mock.patch.object(negatives, "_BATCH", batch):
+            got = sample_negatives(graph, 2, strategy, seed=7)
+        assert np.array_equal(got.pairs, expected)
+
+    def test_unfillable_quota_matches_the_oracle(self):
+        # user 1 saturates the items; user 0 fills its slots first
+        graph = build_graph([(0, 3), (1, 2), (1, 3), (1, 4)],
+                            partition=Partition(2, 3))
+        expected, requested = reference.sample_negatives_scalar(
+            graph, per_positive=2, max_tries=30)
+        assert expected.shape[0] < requested
+        with mock.patch.object(negatives, "_BATCH", 3), \
+                pytest.raises(QuotaUnreachable) as exc:
+            sample_negatives(graph, per_positive=2, max_tries=30)
+        assert exc.value.requested == requested == 8
+        assert exc.value.achieved == expected.shape[0] == 2
+        assert np.array_equal(exc.value.pairs, expected)
 
 
 class TestDegreePowerWeights:
