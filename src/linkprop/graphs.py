@@ -132,12 +132,14 @@ def build_graph(edge_list, num_nodes: int | None = None,
 
     if pairs.size:
         if pairs.min() < 0 or pairs.max() >= num_nodes:
+            # pairs print as Python ints, `(1, 2)`, whatever the numpy version
             bad = pairs[(pairs < 0).any(axis=1) | (pairs >= num_nodes).any(axis=1)][0]
-            raise ValueError(f"node id out of range [0, {num_nodes}): pair {tuple(bad)}")
+            raise ValueError(f"node id out of range [0, {num_nodes}): pair "
+                             f"{tuple(bad.tolist())}")
         self_loops = pairs[:, 0] == pairs[:, 1]
         if self_loops.any():
             bad = pairs[self_loops][0]
-            raise ValueError(f"self-loop not allowed: pair {tuple(bad)}")
+            raise ValueError(f"self-loop not allowed: pair {tuple(bad.tolist())}")
         if partition is not None:
             # canonical order puts the smaller id first, so row[0] must be a
             # user and row[1] an item
@@ -147,8 +149,8 @@ def build_graph(edge_list, num_nodes: int | None = None,
             if bad_mask.any():
                 bad = pairs[bad_mask][0]
                 raise ValueError(
-                    f"bipartite violation: pair {tuple(bad)} does not join a "
-                    f"user [0, {partition.num_users}) to an item")
+                    f"bipartite violation: pair {tuple(bad.tolist())} does not "
+                    f"join a user [0, {partition.num_users}) to an item")
 
     adjacency = _pairs_to_csr(pairs, num_nodes)
     degrees = np.asarray(adjacency.sum(axis=1)).ravel().astype(np.int64)
@@ -294,6 +296,12 @@ class SupportPattern:
     the union once, as a CSR pattern (`indptr`, `cols`) in canonical order.
     Per step only values change: `scores` gathers Gram scores block by
     block, `matrix` puts one value per slot into the fixed pattern.
+
+    A slot (u, v) whose mirror (v, u) is also in the union shares its score
+    with it, so only the owned slots, those with u <= v or without a mirror,
+    are gathered (`owned_rows`, `owned_cols`); `owner` gives each slot the
+    position of its own or its mirror's score among them.  A symmetric
+    pattern owns about half its slots, any other pattern more.
     """
 
     def __init__(self, pos: sp.csr_array, neg: sp.csr_array):
@@ -307,23 +315,44 @@ class SupportPattern:
         self.indptr = np.searchsorted(self.rows, np.arange(n + 1)).astype(index)
         self.pos = MaskEntries(pos, slot[:keys[0].shape[0]], self.cols)
         self.neg = MaskEntries(neg, slot[keys[0].shape[0]:], self.cols)
+        del keys, union  # free the int64 keys before the mirror search peaks
+
+        # the slot of each slot's mirror, -1 if it has none: the pattern
+        # holding -(nnz + 1) everywhere plus its transpose, which holds
+        # 1 + the slot of (u, v) at (v, u), is -(nnz + 1) where a slot has
+        # no mirror and the mirror's slot - nnz where it has one.  Both are
+        # canonical, so the sum is, and its negative entries are the
+        # pattern's, in the pattern's order.  No value leaves `index`.
+        top = self.nnz + 1
+        summed = (self.matrix(np.full(self.nnz, -top, dtype=index))
+                  + self.matrix(np.arange(1, top, dtype=index)).T.tocsr())
+        mirror = summed.data[summed.data < 0] + self.nnz
+        owned = (self.rows <= self.cols) | (mirror < 0)
+        self.owned_rows, self.owned_cols = self.rows[owned], self.cols[owned]
+        rank = np.cumsum(owned, dtype=index) - 1
+        self.owner = np.where(owned, rank, rank[mirror])
 
     def scores(self, Y: np.ndarray) -> np.ndarray:
-        """Gram scores y_u . y_v on the union, gathered block by block into
-        two reused buffers instead of two (nnz, d) arrays."""
+        """Gram scores y_u . y_v on the union, bitwise as a full gather would
+        give them for finite Y (y_u . y_v sums the same products in the same
+        order as y_v . y_u).  The owned slots are gathered block by block
+        into two reused buffers instead of two (nnz, d) arrays; one `take`
+        then spreads their scores over every slot."""
         if Y.shape[0] != self.num_nodes:
             raise ValueError(f"Y has {Y.shape[0]} rows, the pattern "
                              f"{self.num_nodes} nodes")
-        out = np.empty(self.nnz, dtype=Y.dtype)
-        buffers = np.empty((2, min(_CHUNK, self.nnz), Y.shape[1]), dtype=Y.dtype)
-        for start in range(0, self.nnz, _CHUNK):
-            block = slice(start, min(start + _CHUNK, self.nnz))
+        rows, cols = self.owned_rows, self.owned_cols
+        owned = np.empty(rows.shape[0], dtype=Y.dtype)
+        buffers = np.empty((2, min(_CHUNK, rows.shape[0]), Y.shape[1]),
+                           dtype=Y.dtype)
+        for start in range(0, rows.shape[0], _CHUNK):
+            block = slice(start, min(start + _CHUNK, rows.shape[0]))
             a, b = buffers[:, :block.stop - start]
             # indices are in range; mode="clip" skips take's buffered copy
-            np.take(Y, self.rows[block], axis=0, out=a, mode="clip")
-            np.take(Y, self.cols[block], axis=0, out=b, mode="clip")
-            np.einsum("ij,ij->i", a, b, out=out[block])
-        return out
+            np.take(Y, rows[block], axis=0, out=a, mode="clip")
+            np.take(Y, cols[block], axis=0, out=b, mode="clip")
+            np.einsum("ij,ij->i", a, b, out=owned[block])
+        return owned.take(self.owner)
 
     def matrix(self, data: np.ndarray) -> sp.csr_array:
         """The union pattern holding `data`, one value per slot."""

@@ -169,9 +169,17 @@ class ScorePair:
         return float(np.abs(self.s_a + self.s_b - 1.0).max(initial=0.0))
 
 
-def score_matrices(Y: np.ndarray, operator: KernelOperator) -> ScorePair:
-    """Scores of the propagated embedding Y on the operator's union support."""
-    s_b = sigmoid(operator.pattern.scores(Y))
+def score_matrices(Y: np.ndarray, operator: KernelOperator,
+                   scores: np.ndarray | None = None) -> ScorePair:
+    """Scores of the propagated embedding Y on the operator's union support.
+
+    `scores`, if given, must be `operator.pattern.scores(Y)`: a caller that
+    already holds the forward pass's Gram scores passes them in and the
+    support is not gathered again.
+    """
+    if scores is None:
+        scores = operator.pattern.scores(Y)
+    s_b = sigmoid(scores)
     return ScorePair(rows=operator.rows, cols=operator.cols, s_a=1.0 - s_b,
                      s_b=s_b)
 

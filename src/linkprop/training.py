@@ -35,7 +35,13 @@ LAYER_GRID = (1, 3, 5)
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Everything one training run depends on, seeds included."""
+    """Everything one training run depends on, seeds included.
+
+    `trace_substeps` records the kernel substep norms each epoch.  On the
+    gradient path that runs one `kernel_update` per epoch just for them:
+    two sparse products and one more application of P.  The kernel and
+    "both" paths compute the norms with their step.
+    """
 
     model: str
     alpha: float
@@ -175,7 +181,8 @@ def train(graph: Graph, negatives: NegativeSet, config: TrainConfig,
         s = op.pattern.scores(Y)
 
         for epoch in range(1, config.max_epochs + 1):
-            kernels = link_kernels(score_matrices(Y, op), op)
+            # the diagnostic and the kernel-path step read the forward scores
+            kernels = link_kernels(score_matrices(Y, op, s), op)
             mean_kp = mean_positive_kernel(kernels.k_plus)
 
             if config.path == "kernel":

@@ -66,7 +66,8 @@ class TestBuildGraph:
     def test_messages_name_the_first_bad_pair_at_any_id(self, edges, message,
                                                           bad, as_array):
         edge_list = np.array(edges, dtype=np.int64) if as_array else edges
-        expected = f"{message}: pair {tuple(np.array(bad, dtype=np.int64))}"
+        # the pair prints as plain ints whatever the numpy version
+        expected = f"{message}: pair {bad}"
         with pytest.raises(ValueError, match=re.escape(expected)):
             build_graph(edge_list, num_nodes=4)
 
@@ -74,8 +75,7 @@ class TestBuildGraph:
     def test_bipartite_message_names_the_first_bad_pair(self, as_array):
         edges = [(3, 4), (1, 3), (2, 0)]
         edge_list = np.array(edges, dtype=np.int64) if as_array else edges
-        expected = (f"bipartite violation: pair "
-                    f"{tuple(np.array([3, 4], dtype=np.int64))}")
+        expected = "bipartite violation: pair (3, 4) does not join a user"
         with pytest.raises(ValueError, match=re.escape(expected)):
             build_graph(edge_list, num_nodes=5, partition=Partition(2, 3))
 

@@ -111,6 +111,9 @@ def check_against_oracles(graph, negatives, model, kwargs, Y):
     scores = score_matrices(Y, op)
     s_b = sigmoid(old_scores(Y, rows, cols))
     assert same_bits(scores.s_b, s_b) and same_bits(scores.s_a, 1.0 - s_b)
+    # the forward pass's scores, handed in, give the same pair
+    given = score_matrices(Y, op, op.pattern.scores(Y))
+    assert same_bits(given.s_a, scores.s_a) and same_bits(given.s_b, scores.s_b)
     kernels = link_kernels(scores, op)
     k_plus = sp.coo_array((pw * (1.0 - s_b)[pos_sel],
                            (rows[pos_sel], cols[pos_sel])), shape=(n, n)).tocsr()
@@ -170,6 +173,60 @@ def test_isolated_nodes_and_no_negatives():
     Y = np.random.default_rng(2).normal(size=(6, 3))
     for model, kwargs in MODELS:
         check_against_oracles(graph, negatives_from_pairs([], 6), model, kwargs, Y)
+
+
+def cells_csr(cells, n):
+    """An (n, n) CSR weight matrix holding 1, 2, ... at the given cells."""
+    rows, cols = np.array(cells, dtype=np.int64).reshape(-1, 2).T
+    data = np.arange(1.0, len(cells) + 1)
+    return sp.coo_array((data, (rows, cols)), shape=(n, n)).tocsr()
+
+
+@st.composite
+def weight_pairs(draw):
+    """Arbitrary (pos, neg) weight matrices: unsymmetric, with diagonal
+    entries, empty, or leaving nodes out of both supports."""
+    n = draw(st.integers(1, 9))
+    cells = st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                     unique=True, max_size=n * n)
+    return cells_csr(draw(cells), n), cells_csr(draw(cells), n)
+
+
+def check_half_gather(pos, neg, Y):
+    pattern = SupportPattern(pos, neg)
+    rows, cols, _, _, _, _ = old_union(pos, neg)
+    assert np.array_equal(pattern.rows, rows)
+    assert np.array_equal(pattern.cols, cols)
+    assert same_bits(pattern.scores(Y), old_scores(Y, rows, cols))
+    # one gather per unordered pair: a slot is gathered unless it lies
+    # below the diagonal and its mirror above it is in the union too
+    cells = set(zip(rows.tolist(), cols.tolist()))
+    owned = [(u, v) for u, v in sorted(cells) if u <= v or (v, u) not in cells]
+    assert list(zip(pattern.owned_rows.tolist(),
+                    pattern.owned_cols.tolist())) == owned
+    for name in ("owned_rows", "owned_cols", "owner"):
+        assert getattr(pattern, name).dtype == pattern.cols.dtype
+
+
+@given(pair=weight_pairs(), chunk=st.sampled_from([1, 2, 3, 7, 8192]),
+       seed=st.integers(0, 2**16), dim=st.integers(1, 6))
+def test_half_gather_matches_full_gather(pair, chunk, seed, dim):
+    pos, neg = pair
+    Y = np.random.default_rng(seed).normal(scale=2.0, size=(pos.shape[0], dim))
+    with mock.patch.object(graphs, "_CHUNK", chunk):
+        check_half_gather(pos, neg, Y)
+
+
+@pytest.mark.parametrize("pos, neg", [
+    # (0, 1) without (1, 0), a diagonal entry, node 3 in neither support
+    ([(0, 1), (2, 2), (2, 0)], [(1, 2), (0, 2)]),
+    ([], []),  # empty union
+    ([(1, 1)], []),
+    ([(0, 1), (1, 0)], [(2, 3)]),
+])
+def test_half_gather_hand_made(pos, neg):
+    Y = np.random.default_rng(5).normal(size=(4, 3))
+    check_half_gather(cells_csr(pos, 4), cells_csr(neg, 4), Y)
 
 
 def test_duplicate_entries_rejected():

@@ -206,6 +206,25 @@ class TestTrainPaths:
             train(graph, neg, cfg, splits=splits)
         assert built.call_count == 1
 
+    @pytest.mark.parametrize("trace", [False, True])
+    @pytest.mark.parametrize("path, per_epoch", [("gradient", 1), ("kernel", 1),
+                                                 ("both", 2)])
+    def test_support_gathered_once_per_forward_pass(self, split_instance, path,
+                                                    per_epoch, trace):
+        # the forward pass at each X is gathered once, at the start and
+        # after every step; the diagnostic, the traced substeps and the
+        # kernel-path step read its scores, and only the kernel trajectory
+        # beside the gradient one on "both" gathers its own
+        graph, neg, splits = split_instance
+        cfg = TrainConfig("deepwalk", alpha=0.05, dim=4, window=2,
+                          max_epochs=5, path=path, trace_substeps=trace)
+        with mock.patch.object(SupportPattern, "scores", autospec=True,
+                               side_effect=SupportPattern.scores) as scores:
+            result = train(graph, neg, cfg, splits=splits)
+        epochs = result.history.stopped_epoch
+        assert epochs == 5
+        assert scores.call_count == 1 + per_epoch * epochs
+
     def test_edgeless_graph_rejected_at_entry(self):
         graph = build_graph([], num_nodes=4)
         neg = negatives_from_pairs([(0, 1)], 4)
