@@ -192,11 +192,15 @@ class LinkKernels:
     k_minus: sp.csr_array = field(repr=False)
 
 
+def positive_kernel(scores: ScorePair, operator: KernelOperator) -> sp.csr_array:
+    """K_plus = S_A . mask_plus alone, for a caller that never reads K_minus."""
+    return operator.pattern.pos.weighted(scores.s_a)
+
+
 def link_kernels(scores: ScorePair, operator: KernelOperator) -> LinkKernels:
     """Masks times scores: K_plus = S_A . mask_plus, K_minus = S_B . mask_minus."""
-    pattern = operator.pattern
-    return LinkKernels(k_plus=pattern.pos.weighted(scores.s_a),
-                       k_minus=pattern.neg.weighted(scores.s_b))
+    return LinkKernels(k_plus=positive_kernel(scores, operator),
+                       k_minus=operator.pattern.neg.weighted(scores.s_b))
 
 
 @dataclass(frozen=True)

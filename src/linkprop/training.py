@@ -12,6 +12,7 @@ one.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -20,7 +21,7 @@ import numpy as np
 from linkprop.diagnostics import frobenius, mean_positive_kernel
 from linkprop.graphs import MAX_PROXIMITY_ORDER, Graph
 from linkprop.kernel import (KernelOperator, kernel_update, link_kernels,
-                             model_config, score_matrices)
+                             model_config, positive_kernel, score_matrices)
 from linkprop.losses import (MODELS, DivergenceError, MaskSet, ModelParams,
                              check_finite, gd_step, scoring_propagation,
                              support_gradient, support_loss)
@@ -28,6 +29,10 @@ from linkprop.negatives import NegativeSet, sample_negatives
 from linkprop.ranking import EvalResult, SplitSet, evaluate
 
 PATHS = ("gradient", "kernel", "both")
+
+# settings that count something: a float or a bool among them is rejected
+INTEGER_FIELDS = ("dim", "window", "layers", "max_epochs", "patience",
+                  "eval_every", "eval_k")
 
 ALPHA_GRID = (1e-5, 1e-4, 1e-3, 1e-2, 1e-1)
 LAYER_GRID = (1, 3, 5)
@@ -62,6 +67,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}")
+        for name in INTEGER_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value,
+                                                         numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(
                 f"alpha must be positive and finite, got {self.alpha}")
@@ -181,9 +191,16 @@ def train(graph: Graph, negatives: NegativeSet, config: TrainConfig,
         s = op.pattern.scores(Y)
 
         for epoch in range(1, config.max_epochs + 1):
-            # the diagnostic and the kernel-path step read the forward scores
-            kernels = link_kernels(score_matrices(Y, op, s), op)
-            mean_kp = mean_positive_kernel(kernels.k_plus)
+            # the diagnostic and the kernel-path step read the forward scores;
+            # K- serves only a kernel_update at X, so the other steps and
+            # the diagnostic build K+ alone
+            if config.path == "kernel" or (config.path == "gradient"
+                                           and config.trace_substeps):
+                kernels = link_kernels(score_matrices(Y, op, s), op)
+                k_plus = kernels.k_plus
+            else:
+                k_plus = positive_kernel(score_matrices(Y, op, s), op)
+            mean_kp = mean_positive_kernel(k_plus)
 
             if config.path == "kernel":
                 X, trace = kernel_update(X, Y, kernels, op)

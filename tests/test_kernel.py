@@ -6,7 +6,7 @@ from linkprop import reference
 from linkprop.graphs import MAX_PROXIMITY_ORDER, build_graph
 from linkprop.kernel import (KernelConfig, KernelOperator, kernel_step,
                              link_kernels, materialize_kernel, model_config,
-                             score_matrices, sign_structure)
+                             positive_kernel, score_matrices, sign_structure)
 from linkprop.losses import DivergenceError, ModelParams, loss_gradient, sigmoid
 
 from conftest import negatives_from_pairs, random_graph_instance
@@ -150,6 +150,20 @@ class TestLinkKernels:
         KN = kernels.k_minus.toarray()
         assert np.all(KP >= 0) and np.all(KP <= op.pos_mask.toarray() + 1e-15)
         assert np.all(KN >= 0) and np.all(KN <= op.neg_mask.toarray() + 1e-15)
+
+    @pytest.mark.parametrize("model,kwargs", MODEL_GRID, ids=lambda v: str(v))
+    def test_positive_kernel_is_k_plus_bit_for_bit(self, small_instance, model,
+                                                   kwargs):
+        # training builds K+ alone where no step reads K-
+        graph, neg = small_instance
+        _, op = operator_for(model, graph, neg, **kwargs)
+        rng = np.random.default_rng(4)
+        scores = score_matrices(op.prop.apply(
+            rng.normal(size=(graph.num_nodes, 4))), op)
+        alone = positive_kernel(scores, op)
+        k_plus = link_kernels(scores, op).k_plus
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(alone, part), getattr(k_plus, part))
 
 
 class TestKernelStep:

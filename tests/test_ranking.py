@@ -200,6 +200,19 @@ class TestEvaluateInputs:
         with pytest.raises(ValueError, match="k must be >= 1"):
             evaluate(np.ones((5, 2)), splits, graph, k=k)
 
+    @pytest.mark.parametrize("k", [2.5, 2.0, True, np.float64(2.0)])
+    def test_rejects_non_integer_cutoff(self, case, k):
+        # not a TypeError from inside np.partition
+        splits, graph = case
+        with pytest.raises(ValueError, match="k must be an integer"):
+            evaluate(np.ones((5, 2)), splits, graph, k=k)
+
+    def test_accepts_numpy_integer_cutoff(self, case):
+        splits, graph = case
+        X = np.arange(10.0).reshape(5, 2)
+        assert evaluate(X, splits, graph, k=np.int32(2)) == \
+            evaluate(X, splits, graph, k=2)
+
 
 @st.composite
 def ranking_case(draw):
@@ -212,10 +225,11 @@ def ranking_case(draw):
     and the per-user product differ in the last bits for most entries
     (OpenBLAS).  Some users get every item as a
     training edge, held-out edges notwithstanding, so they have no
-    candidate left.
+    candidate left.  Up to 40 items with a cutoff of 1 or 2 give `_ranks`
+    column groups of two or more columns and a ragged tail.
     """
     num_users = draw(st.integers(1, 6))
-    num_items = draw(st.integers(1, 10))
+    num_items = draw(st.one_of(st.integers(1, 10), st.integers(11, 40)))
     part = Partition(num_users, num_items)
     cells = [(u, num_users + i) for u in range(num_users)
              for i in range(num_items)]
@@ -252,7 +266,7 @@ def ranking_case(draw):
             st.integers(0, part.num_nodes - 1), st.integers(0, dim - 1),
             st.sampled_from([np.nan, np.inf, -np.inf])), max_size=3)):
         X[row, col] = value
-    k = draw(st.integers(1, num_items + 2))
+    k = draw(st.one_of(st.integers(1, num_items + 2), st.integers(1, 2)))
     per_block = draw(st.sampled_from([1, 2, 3, None]))
     return X, splits, graph, k, split, per_block
 
@@ -408,6 +422,56 @@ class TestCertification:
         assert list(rank[:3]) == [1, 0, 2]
         assert rank[3] >= 3 and rank[4] >= 3
         assert list(top_k(np.array(row), 3)) == [1, 0, 2]
+
+    def test_cut_th_score_sharing_a_group_with_a_better_one(self):
+        # 40 columns, cut 2: 16 groups, column j in group j % 16.  The best
+        # score (column 3) and the second (column 19) share group 3, so the
+        # second-best group maximum is only the third score of the row
+        row = np.linspace(0.0, 1.0, 40)[::-1].copy()
+        row[[3, 19, 4]] = [10.0, 9.0, 8.0]
+        held = [(0, 19), (0, 4), (0, 3), (0, 39)]
+        for margin in (0.0, 0.5):
+            rank, sure = ranks([row], held, [margin], 2)
+            assert sure.all()
+            assert list(rank[:3]) == [1, 2, 0] and rank[3] >= 2
+        assert list(top_k(row, 2)) == [3, 19]
+
+    def test_whole_group_masked(self):
+        # cut 1 over 20 columns: 8 groups, and group 5 (columns 5 and 13)
+        # masked; group 2 takes the tail column 18
+        row = np.arange(20.0)
+        row[[5, 13]] = -np.inf
+        held = [(0, 19), (0, 18), (0, 5), (0, 13), (0, 12)]
+        rank, sure = ranks([row], held, [0.0], 1)
+        assert sure.all()
+        assert rank[0] == 0 and np.all(rank[1:] >= 1)
+        # cut 2 over 40 columns: 16 groups, and every finite score in group
+        # 1 (columns 1, 17 and the tail column 33).  One finite maximum is
+        # fewer than the cut, so every held-out item is counted
+        row = np.full(40, -np.inf)
+        row[[1, 17, 33]] = [1.0, 3.0, 2.0]
+        rank, sure = ranks([row], [(0, 1), (0, 17), (0, 33), (0, 0)],
+                           [0.1], 2)
+        assert sure.all()
+        assert list(rank[1:3]) == [0, 1] and rank[0] >= 2 and rank[3] >= 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_score_only_in_the_tail(self, bad):
+        # cut 1 over 20 columns: 8 groups of two, the tail columns 16..19
+        # folded into groups 0..3.  The bad score is never ranked, and
+        # must not hide the best finite one (column 2)
+        row = np.linspace(0.0, 1.0, 20)
+        row[2] = 5.0
+        row[17] = bad
+        S = np.array([row])
+        rows, cols = np.array([[0, 2], [0, 17], [0, 19]]).T
+        for margin in (0.0, 0.1):
+            rank, sure = ranking._ranks(S, rows, cols, np.array([margin]), 1,
+                                        np.empty_like(S))
+            assert sure.all()
+            assert rank[0] == 0 and np.all(rank[1:] >= 1)
+            # cleared in place: the fallback re-ranks the same rows
+            assert S[0, 17] == -np.inf and np.isfinite(np.delete(S, 17)).all()
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_error_bound_covers_gamma_d(self, dtype):

@@ -7,12 +7,13 @@ import pytest
 
 from linkprop.graphs import (MAX_PROXIMITY_ORDER, Partition, ProximityOperator,
                              SupportPattern, build_graph)
+from linkprop.kernel import link_kernels
 from linkprop.losses import DivergenceError, build_masks, gd_step, loss_gradient
 from linkprop.negatives import sample_negatives
 from linkprop.ranking import SplitSet
 from linkprop.synthetic import block_bipartite
-from linkprop.training import (ALPHA_GRID, AllPointsDiverged, GridPoint,
-                               TrainConfig, TrainHistory, TrainResult,
+from linkprop.training import (ALPHA_GRID, INTEGER_FIELDS, AllPointsDiverged,
+                               GridPoint, TrainConfig, TrainHistory, TrainResult,
                                grid_search, init_embeddings, repeat_train,
                                scoring_embeddings, train)
 
@@ -58,6 +59,19 @@ class TestTrainConfig:
         kwargs = {"model": "lightgcn", "alpha": 0.05, field: value}
         with pytest.raises(ValueError, match=field):
             TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, np.float64(2.0)])
+    @pytest.mark.parametrize("field", INTEGER_FIELDS)
+    def test_integer_fields_reject_floats_and_bools(self, field, value):
+        # eval_k=2.5 used to fail only inside the first validation ranking
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            TrainConfig(model="lightgcn", alpha=0.05, **{field: value})
+
+    @pytest.mark.parametrize("field", INTEGER_FIELDS)
+    def test_integer_fields_accept_numpy_integers(self, field):
+        config = TrainConfig(model="lightgcn", alpha=0.05,
+                             **{field: np.int64(2)})
+        assert getattr(config, field) == 2
 
     def test_overflowing_alpha_times_beta_names_both(self):
         # each is finite, but the kernel's c1 = 1 - alpha * beta is not
@@ -224,6 +238,23 @@ class TestTrainPaths:
         epochs = result.history.stopped_epoch
         assert epochs == 5
         assert scores.call_count == 1 + per_epoch * epochs
+
+    @pytest.mark.parametrize("trace", [False, True])
+    @pytest.mark.parametrize("path", ["gradient", "kernel", "both"])
+    def test_negative_kernel_built_only_for_a_step_at_x(self, split_instance,
+                                                        path, trace):
+        # K- feeds only a kernel_update at X: the kernel path's step and the
+        # gradient path's traced substeps; elsewhere the diagnostic builds
+        # K+ alone ("both" traces with its own kernel trajectory)
+        graph, neg, splits = split_instance
+        cfg = TrainConfig("deepwalk", alpha=0.05, dim=4, window=2,
+                          max_epochs=5, path=path, trace_substeps=trace)
+        with mock.patch("linkprop.training.link_kernels",
+                        side_effect=link_kernels) as built:
+            result = train(graph, neg, cfg, splits=splits)
+        at_x = path == "kernel" or (path == "gradient" and trace)
+        assert built.call_count == (result.history.stopped_epoch if at_x
+                                    else 0)
 
     def test_edgeless_graph_rejected_at_entry(self):
         graph = build_graph([], num_nodes=4)
