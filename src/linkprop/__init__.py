@@ -2,9 +2,8 @@
 descent, each with an equivalent forward-propagation kernel, plus the
 evaluation and diagnostics harness around them."""
 
-from linkprop.graphs import (Graph, NormalizedAdjacency, Partition,
-                             ProximityOperator, build_graph, normalize,
-                             proximity)
+from linkprop.graphs import (Graph, Partition, ProximityOperator,
+                             build_graph, normalize, proximity)
 from linkprop.negatives import NegativeSet, QuotaUnreachable, sample_negatives
 from linkprop.losses import (DivergenceError, MaskSet, ModelParams, bce_loss,
                              build_masks, gd_step, loss_gradient, model_loss)
@@ -23,7 +22,7 @@ from linkprop.data_io import (Dataset, ExpectedStats, load_edge_list,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Graph", "NormalizedAdjacency", "Partition", "ProximityOperator",
+    "Graph", "Partition", "ProximityOperator",
     "build_graph", "normalize", "proximity",
     "NegativeSet", "QuotaUnreachable", "sample_negatives",
     "DivergenceError", "MaskSet", "ModelParams", "bce_loss", "build_masks",

@@ -158,17 +158,6 @@ def build_graph(edge_list, num_nodes: int | None = None,
                  adjacency=adjacency, degrees=degrees)
 
 
-@dataclass(frozen=True, eq=False)
-class NormalizedAdjacency:
-    """A degree-normalized view of a symmetric adjacency.
-
-    scheme "none" leaves the matrix untouched, "row" is D^-1 A, "symmetric"
-    is D^-1/2 A D^-1/2.  Zero degrees invert to zero.
-    """
-
-    matrix: sp.csr_array = field(repr=False)
-
-
 def _inv_power(degrees: np.ndarray, power: float) -> np.ndarray:
     inv = np.zeros(degrees.shape[0])
     nz = degrees > 0
@@ -176,19 +165,21 @@ def _inv_power(degrees: np.ndarray, power: float) -> np.ndarray:
     return inv
 
 
-def normalize_matrix(matrix: sp.csr_array, scheme: str) -> NormalizedAdjacency:
-    """Normalize an arbitrary symmetric nonnegative sparse matrix."""
+def normalize_matrix(matrix: sp.csr_array, scheme: str) -> sp.csr_array:
+    """A degree-normalized copy of a symmetric nonnegative sparse matrix:
+    scheme "none" copies it unchanged, "row" is D^-1 A, "symmetric" is
+    D^-1/2 A D^-1/2.  Zero degrees invert to zero."""
     if scheme not in SCHEMES:
         raise ValueError(f"unknown normalization scheme {scheme!r}; pick from {SCHEMES}")
     if scheme == "none":
-        return NormalizedAdjacency(matrix=matrix.copy())
+        return matrix.copy()
     degrees = np.asarray(matrix.sum(axis=1)).ravel()
     if scheme == "row":
         scaled = sp.diags_array(_inv_power(degrees, 1.0)) @ matrix
     else:
         half = sp.diags_array(_inv_power(degrees, 0.5))
         scaled = half @ matrix @ half
-    return NormalizedAdjacency(matrix=scaled.tocsr())
+    return scaled.tocsr()
 
 
 def symmetrize(mat: sp.csr_array) -> sp.csr_array:
@@ -196,7 +187,7 @@ def symmetrize(mat: sp.csr_array) -> sp.csr_array:
     return ((mat + mat.T) * 0.5).tocsr()
 
 
-def normalize(graph: Graph, scheme: str) -> NormalizedAdjacency:
+def normalize(graph: Graph, scheme: str) -> sp.csr_array:
     """Normalized adjacency of a graph under the given scheme."""
     return normalize_matrix(graph.adjacency, scheme)
 
@@ -210,7 +201,7 @@ class ProximityOperator:
     (0, 0) operator is the identity.
     """
 
-    base: NormalizedAdjacency
+    matrix: sp.csr_array = field(repr=False)
     low: int
     high: int
 
@@ -223,13 +214,13 @@ class ProximityOperator:
         The identity operator returns `X` itself, so the result may alias
         `X`: callers must not write into it.
         """
-        if X.shape[0] != self.base.matrix.shape[0]:
+        if X.shape[0] != self.matrix.shape[0]:
             raise ValueError(
                 f"row count {X.shape[0]} does not match node count "
-                f"{self.base.matrix.shape[0]}")
+                f"{self.matrix.shape[0]}")
         if self.is_identity():
             return X
-        mat = self.base.matrix
+        mat = self.matrix
         acc = X.copy() if self.low == 0 else np.zeros_like(X)
         term = X
         for power in range(1, self.high + 1):
@@ -240,19 +231,19 @@ class ProximityOperator:
 
     def materialize(self) -> sp.csr_array:
         """The operator as an explicit sparse matrix."""
-        n = self.base.matrix.shape[0]
+        n = self.matrix.shape[0]
         acc = sp.csr_array((n, n))
         if self.low == 0:
             acc = acc + sp.eye_array(n, format="csr")
         term = sp.eye_array(n, format="csr")
         for power in range(1, self.high + 1):
-            term = (term @ self.base.matrix).tocsr()
+            term = (term @ self.matrix).tocsr()
             if power >= self.low:
                 acc = acc + term
         return (acc / (self.high - self.low + 1)).tocsr()
 
 
-def proximity(base: NormalizedAdjacency, low: int,
+def proximity(base: sp.csr_array, low: int,
               high: int) -> ProximityOperator:
     """High-order proximity operator averaging powers low..high of `base`."""
     if low < 0 or low > high:
@@ -260,7 +251,7 @@ def proximity(base: NormalizedAdjacency, low: int,
     if high > MAX_PROXIMITY_ORDER:
         raise ValueError(f"order {high} exceeds the configured maximum "
                          f"{MAX_PROXIMITY_ORDER}")
-    return ProximityOperator(base=base, low=low, high=high)
+    return ProximityOperator(matrix=base, low=low, high=high)
 
 
 # support entries scored per block: the two (block, d) gather buffers are

@@ -30,9 +30,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from linkprop.graphs import (MAX_PROXIMITY_ORDER, SCHEMES, Graph,
-                             ProximityOperator, SupportPattern, normalize,
-                             normalize_matrix, proximity, symmetrize)
-from linkprop.losses import MODELS, check_finite, sigmoid
+                             ProximityOperator, SupportPattern)
+from linkprop.losses import (MODELS, check_finite, mask_set, model_table,
+                             sigmoid)
 from linkprop.negatives import NegativeSet
 
 DENSE_LIMIT = 500
@@ -84,32 +84,22 @@ class KernelConfig:
 
 def model_config(model: str, alpha: float, beta: float = 0.0,
                  lam: float = 1.0, window: int = 5, layers: int = 3) -> KernelConfig:
-    """Kernel constants of one of the four built-in models.
-
-    c1 = 1 - alpha*beta and c2 = alpha for all of them; the rest encodes
-    which masks and propagations the model's loss implies.
-    """
+    """Kernel constants of a built-in model: c1 = 1 - alpha*beta and
+    c2 = alpha for all of them, the rest its row of losses.model_table."""
     if alpha < 0:
         raise ValueError("step size must be nonnegative")
-    c1, c2 = 1.0 - alpha * beta, alpha
-    if model == "mf":
-        return KernelConfig(model, c1, c2, 0.0, 0, 0, 0, 0, "none", "none", lam)
-    if model == "line":
-        return KernelConfig(model, c1, c2, 1.0, 0, 0, 1, 1, "row", "none", lam)
-    if model == "deepwalk":
-        return KernelConfig(model, c1, c2, 1.0, 0, 0, 1, window, "row", "row", lam)
-    if model == "lightgcn":
-        return KernelConfig(model, c1, c2, 0.0, 0, layers, 0, 0,
-                            "symmetric", "none", lam)
-    raise ValueError(f"unknown model {model!r}")
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}")
+    return KernelConfig(model, 1.0 - alpha * beta, alpha,
+                        *model_table(window, layers)[model], lam)
 
 
 @dataclass(frozen=True, eq=False)
 class KernelOperator:
     """Step-independent pieces of the kernel for a fixed (config, graph, negatives).
 
-    Holds the outer proximity operator, both blended masks, and their union
-    support pattern, on which scores and link kernels live.  Build once,
+    Holds the outer proximity operator and the union support pattern of
+    both blended masks, on which scores and link kernels live.  Build once,
     step many times; train() reads its pattern and P on both paths.
     """
 
@@ -117,32 +107,16 @@ class KernelOperator:
     graph: Graph
     negatives: NegativeSet
     prop: ProximityOperator = field(repr=False)
-    pos_mask: sp.csr_array = field(repr=False)
-    neg_mask: sp.csr_array = field(repr=False)
     pattern: SupportPattern = field(repr=False)
     rows: np.ndarray = field(repr=False)  # the pattern's, for ScorePair
-    cols: np.ndarray = field(repr=False)
 
     @classmethod
     def build(cls, config: KernelConfig, graph: Graph,
               negatives: NegativeSet) -> "KernelOperator":
-        base = normalize(graph, config.pos_norm)
-        prop = proximity(base, config.a1, config.b1)
-        if config.c3 == 0.0:
-            pos_mask = graph.adjacency
-            neg_mask = negatives.adjacency
-        else:
-            high_order = proximity(base, config.a2, config.b2)
-            pos_mask = symmetrize(high_order.materialize())
-            neg_mask = symmetrize(
-                normalize_matrix(negatives.adjacency, config.neg_norm).matrix)
-        pattern = SupportPattern(pos_mask, neg_mask)
-        return cls(config=config, graph=graph, negatives=negatives, prop=prop,
-                   pos_mask=pos_mask, neg_mask=neg_mask, pattern=pattern,
-                   rows=pattern.rows, cols=pattern.cols)
-
-    def step(self, X: np.ndarray) -> np.ndarray:
-        return kernel_step(X, self)
+        masks = mask_set(graph, negatives, config)
+        pattern = masks.pattern
+        return cls(config=config, graph=graph, negatives=negatives,
+                   prop=masks.prop, pattern=pattern, rows=pattern.rows)
 
     def step_traced(self, X: np.ndarray):
         """One kernel step from X: (X', substep trace), X' unchecked."""
@@ -180,8 +154,8 @@ def score_matrices(Y: np.ndarray, operator: KernelOperator,
     if scores is None:
         scores = operator.pattern.scores(Y)
     s_b = sigmoid(scores)
-    return ScorePair(rows=operator.rows, cols=operator.cols, s_a=1.0 - s_b,
-                     s_b=s_b)
+    return ScorePair(rows=operator.rows, cols=operator.pattern.cols,
+                     s_a=1.0 - s_b, s_b=s_b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,19 +210,15 @@ def kernel_step(X: np.ndarray, operator: KernelOperator,
     return check_finite(operator.step_traced(X)[0], "kernel step", step)
 
 
-def materialize_kernel(config: KernelConfig, scores: ScorePair, graph: Graph,
-                       negatives: NegativeSet,
-                       operator: KernelOperator | None = None,
+def materialize_kernel(scores: ScorePair, operator: KernelOperator,
                        limit: int = DENSE_LIMIT) -> np.ndarray:
     """Explicit dense propagation matrix H, for small-instance inspection.
 
     Refuses to run above `limit` nodes; the main path never needs H.
     """
-    n = graph.num_nodes
+    config, n = operator.config, operator.graph.num_nodes
     if n > limit:
         raise ValueError(f"{n} nodes exceeds the dense limit {limit}")
-    if operator is None:
-        operator = KernelOperator.build(config, graph, negatives)
     kernels = link_kernels(scores, operator)
     middle = (kernels.k_plus - config.lam * kernels.k_minus).toarray()
     P = operator.prop.materialize().toarray()

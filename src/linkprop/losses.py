@@ -29,17 +29,37 @@ never formed densely.
 from __future__ import annotations
 
 import math
+import numbers
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from linkprop.graphs import (Graph, ProximityOperator, SupportPattern, normalize,
-                             normalize_matrix, proximity, symmetrize)
+from linkprop.graphs import (MAX_PROXIMITY_ORDER, Graph, ProximityOperator,
+                             SupportPattern, normalize, normalize_matrix,
+                             proximity, symmetrize)
 from linkprop.negatives import NegativeSet
 
-MODELS = ("mf", "line", "deepwalk", "lightgcn")
+
+# the fields of kernel.KernelConfig that fix a model's masks and P
+MaskConstants = namedtuple("MaskConstants",
+                           "c3 a1 b1 a2 b2 pos_norm neg_norm")
+
+
+def model_table(window: int = 5, layers: int = 3) -> dict[str, MaskConstants]:
+    """Each model's MaskConstants: the one place where a model name selects
+    masks and P."""
+    return {
+        "mf": MaskConstants(0.0, 0, 0, 0, 0, "none", "none"),
+        "line": MaskConstants(1.0, 0, 0, 1, 1, "row", "none"),
+        "deepwalk": MaskConstants(1.0, 0, 0, 1, window, "row", "row"),
+        "lightgcn": MaskConstants(0.0, 0, layers, 0, 0, "symmetric", "none"),
+    }
+
+
+MODELS = tuple(model_table())
 
 
 class DivergenceError(RuntimeError):
@@ -56,7 +76,7 @@ class ModelParams:
     """Which model, plus the shared loss hyperparameters.
 
     window only matters for deepwalk, layers only for lightgcn; both are
-    ignored elsewhere.
+    checked for every model, so a bad value fails here and names itself.
     """
 
     model: str
@@ -68,15 +88,23 @@ class ModelParams:
     def __post_init__(self):
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}; pick from {MODELS}")
-        if self.window < 1:
-            raise ValueError("deepwalk window must be >= 1")
-        if self.layers < 0:
-            raise ValueError("lightgcn layer count must be >= 0")
+        for name, low in (("window", 1), ("layers", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value,
+                                                         numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if not low <= value <= MAX_PROXIMITY_ORDER:
+                raise ValueError(f"{name} must be in {low}.."
+                                 f"{MAX_PROXIMITY_ORDER}, got {value}")
         for name in ("lam", "beta"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(
                     f"{name} must be finite and nonnegative, got {value}")
+
+    @property
+    def constants(self) -> MaskConstants:  # the model's row of model_table
+        return model_table(self.window, self.layers)[self.model]
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,29 +122,29 @@ class MaskSet:
         return SupportPattern(self.pos, self.neg)
 
 
+def mask_set(graph: Graph, negatives: NegativeSet, k: MaskConstants) -> MaskSet:
+    """Masks and P from a row of model_table or a KernelConfig, for
+    build_masks and KernelOperator.build alike: the adjacency is normalized
+    once, and deepwalk's walk mask is materialized here."""
+    base = normalize(graph, k.pos_norm)
+    pos, neg = graph.adjacency, negatives.adjacency
+    if k.c3 != 0.0:
+        pos = symmetrize(proximity(base, k.a2, k.b2).materialize())
+        neg = symmetrize(normalize_matrix(neg, k.neg_norm))
+    return MaskSet(pos=pos, neg=neg, prop=proximity(base, k.a1, k.b1))
+
+
 def scoring_propagation(graph: Graph, params: ModelParams) -> ProximityOperator:
-    """P of the model: symmetric-normalized powers 0..layers for lightgcn,
-    the identity otherwise."""
-    if params.model == "lightgcn":
-        return proximity(normalize(graph, "symmetric"), 0, params.layers)
-    return proximity(normalize(graph, "none"), 0, 0)
+    """P of the model: the orders a1..b1 of its table row over the pos_norm
+    adjacency (the identity for every model but lightgcn)."""
+    k = params.constants
+    return proximity(normalize(graph, k.pos_norm), k.a1, k.b1)
 
 
 def build_masks(graph: Graph, negatives: NegativeSet,
                 params: ModelParams) -> MaskSet:
-    """Weight matrices for one model, ready for model_loss / loss_gradient.
-
-    deepwalk's positive matrix averages walk-transition powers 1..window and
-    is materialized once here.
-    """
-    pos, neg = graph.adjacency, negatives.adjacency
-    if params.model == "line":
-        pos = symmetrize(normalize(graph, "row").matrix)
-    elif params.model == "deepwalk":
-        walk = proximity(normalize(graph, "row"), 1, params.window)
-        pos = symmetrize(walk.materialize())
-        neg = symmetrize(normalize_matrix(neg, "row").matrix)
-    return MaskSet(pos=pos, neg=neg, prop=scoring_propagation(graph, params))
+    """Weight matrices for one model, ready for model_loss / loss_gradient."""
+    return mask_set(graph, negatives, params.constants)
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:

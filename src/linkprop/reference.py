@@ -12,8 +12,6 @@ import math
 
 import numpy as np
 
-DENSE_LIMIT = 500
-
 
 def dense_adjacency(edges, n: int) -> np.ndarray:
     A = np.zeros((n, n))
@@ -47,6 +45,32 @@ def dense_proximity(M: np.ndarray, low: int, high: int) -> np.ndarray:
         if power >= low:
             acc += term
     return acc / (high - low + 1)
+
+
+def dense_weights(graph, negatives, params):
+    """(W_pos, W_neg, P) of one model, dense and spelled from its formula,
+    not from the library's table of constants; P is None where scores use
+    X itself.  Reads graph.edges, graph.num_nodes, negatives.pairs and
+    params.model, .window and .layers."""
+    n = graph.num_nodes
+    A = dense_adjacency(graph.edges, n)
+    B = dense_adjacency(negatives.pairs, n)
+    P = None
+    if params.model == "mf":
+        W_pos, W_neg = A, B
+    elif params.model == "line":
+        R = dense_normalize(A, "row")
+        W_pos, W_neg = 0.5 * (R + R.T), B
+    elif params.model == "deepwalk":
+        R = dense_proximity(dense_normalize(A, "row"), 1, params.window)
+        RB = dense_normalize(B, "row")
+        W_pos, W_neg = 0.5 * (R + R.T), 0.5 * (RB + RB.T)
+    elif params.model == "lightgcn":
+        W_pos, W_neg = A, B
+        P = dense_proximity(dense_normalize(A, "symmetric"), 0, params.layers)
+    else:
+        raise ValueError(params.model)
+    return W_pos, W_neg, P
 
 
 def sigmoid_scalar(x: float) -> float:
@@ -179,25 +203,19 @@ def dense_propagation_matrix(c1: float, c2: float, P1: np.ndarray,
     return c1 * np.eye(n) + c2 * (P1 @ (K_pos - lam * K_neg) @ P1)
 
 
-def dense_kernel_step(X: np.ndarray, c1: float, c2: float, c3: float,
-                      P1: np.ndarray, P2: np.ndarray, A_neg_norm: np.ndarray,
-                      A_raw: np.ndarray, B_raw: np.ndarray,
+def dense_kernel_step(X: np.ndarray, c1: float, c2: float, P1: np.ndarray,
+                      W_pos: np.ndarray, W_neg: np.ndarray,
                       lam: float) -> np.ndarray:
     """One propagation update assembled entirely from dense pieces.
 
-    Residual weights come from sigmoids of propagated scores; the link
-    kernels blend the positive high-order proximity matrix P2 / the
-    normalized negative adjacency against the raw 0/1 adjacencies with
-    coefficient c3.
+    Residual weights come from sigmoids of propagated scores and weight the
+    model's masks (dense_weights gives them, and P1) into the link kernels.
     """
     Y = P1 @ X
     S = Y @ Y.T
-    S_A = np.vectorize(sigmoid_scalar)(-S)
-    S_B = np.vectorize(sigmoid_scalar)(S)
-    K_pos = S_A * (c3 * P2 + (1.0 - c3) * A_raw)
-    K_neg = S_B * (c3 * A_neg_norm + (1.0 - c3) * B_raw)
-    H = dense_propagation_matrix(c1, c2, P1, K_pos, K_neg, lam)
-    return H @ X
+    K_pos = np.vectorize(sigmoid_scalar)(-S) * W_pos
+    K_neg = np.vectorize(sigmoid_scalar)(S) * W_neg
+    return dense_propagation_matrix(c1, c2, P1, K_pos, K_neg, lam) @ X
 
 
 def sample_negatives_scalar(graph, per_positive: int = 1,

@@ -19,20 +19,21 @@ from functools import cached_property
 import numpy as np
 
 from linkprop.diagnostics import frobenius, mean_positive_kernel
-from linkprop.graphs import MAX_PROXIMITY_ORDER, Graph
+from linkprop.graphs import Graph
 from linkprop.kernel import (KernelOperator, kernel_update, link_kernels,
                              model_config, positive_kernel, score_matrices)
-from linkprop.losses import (MODELS, DivergenceError, MaskSet, ModelParams,
-                             check_finite, gd_step, scoring_propagation,
-                             support_gradient, support_loss)
+from linkprop.losses import (DivergenceError, MaskSet, ModelParams,
+                             check_finite, gd_step, model_table,
+                             scoring_propagation, support_gradient,
+                             support_loss)
 from linkprop.negatives import NegativeSet, sample_negatives
 from linkprop.ranking import EvalResult, SplitSet, evaluate
 
 PATHS = ("gradient", "kernel", "both")
 
-# settings that count something: a float or a bool among them is rejected
-INTEGER_FIELDS = ("dim", "window", "layers", "max_epochs", "patience",
-                  "eval_every", "eval_k")
+# settings that count something, each at least 1: a float or a bool among
+# them is rejected (window and layers by ModelParams)
+INTEGER_FIELDS = ("dim", "max_epochs", "patience", "eval_every", "eval_k")
 
 ALPHA_GRID = (1e-5, 1e-4, 1e-3, 1e-2, 1e-1)
 LAYER_GRID = (1, 3, 5)
@@ -65,34 +66,22 @@ class TrainConfig:
     trace_substeps: bool = False
 
     def __post_init__(self):
-        if self.model not in MODELS:
-            raise ValueError(f"unknown model {self.model!r}")
+        self.params  # ModelParams checks model, window, layers, lam and beta
         for name in INTEGER_FIELDS:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value,
                                                          numbers.Integral):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(
                 f"alpha must be positive and finite, got {self.alpha}")
-        if not 0 <= self.layers <= MAX_PROXIMITY_ORDER:
-            raise ValueError(f"layers must be in 0..{MAX_PROXIMITY_ORDER}, "
-                             f"got {self.layers}")
-        if not 1 <= self.window <= MAX_PROXIMITY_ORDER:
-            raise ValueError(f"window must be in 1..{MAX_PROXIMITY_ORDER}, "
-                             f"got {self.window}")
-        if self.dim < 1 or self.max_epochs < 1 or self.patience < 1:
-            raise ValueError("dim, max_epochs and patience must be >= 1")
         if self.path not in PATHS:
             raise ValueError(f"path must be one of {PATHS}")
         if not (math.isfinite(self.init_scale) and self.init_scale > 0):
             raise ValueError(f"init_scale must be positive and finite, "
                              f"got {self.init_scale}")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
-        if self.eval_k < 1:
-            raise ValueError(f"eval_k must be >= 1, got {self.eval_k}")
-        self.params  # ModelParams names a bad lam or beta
         if not math.isfinite(self.alpha * self.beta):  # the kernel's c1
             raise ValueError(f"alpha * beta must be finite, got alpha="
                              f"{self.alpha}, beta={self.beta}")
@@ -285,7 +274,9 @@ def grid_search(graph: Graph, negatives: NegativeSet, splits: SplitSet,
     """
     if splits.val.shape[0] == 0:
         raise ValueError("grid search needs validation edges")
-    layer_values = tuple(layer_grid) if base.model == "lightgcn" else (base.layers,)
+    # the layer grid covers the models whose table row reads `layers`
+    rows = model_table(layers=0)[base.model], model_table(layers=1)[base.model]
+    layer_values = tuple(layer_grid) if rows[0] != rows[1] else (base.layers,)
     points = []
     best_cfg = None
     best_metric = -np.inf

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import HealthCheck, settings, strategies as st
 
-from linkprop.graphs import Graph, Partition, build_graph
+from linkprop import reference
+from linkprop.graphs import Graph, Partition, build_graph, proximity
+from linkprop.losses import MaskSet
 from linkprop.negatives import NegativeSet, QuotaUnreachable, sample_negatives
 
 settings.register_profile(
@@ -82,6 +85,16 @@ def negatives_from_pairs(pairs, num_nodes: int, seed: int = 0) -> NegativeSet:
     arr = arr.reshape(-1, 2)
     return NegativeSet(num_nodes=num_nodes, pairs=arr, strategy="uniform",
                        seed=seed, adjacency=_pairs_csr(arr, num_nodes))
+
+
+def oracle_masks(graph, negatives, params) -> MaskSet:
+    """reference.dense_weights as a MaskSet for the loss and gradient API:
+    masks and P built without the library's table or mask builder."""
+    W_pos, W_neg, P = reference.dense_weights(graph, negatives, params)
+    n = graph.num_nodes
+    prop = (proximity(sp.csr_array((n, n)), 0, 0) if P is None
+            else proximity(sp.csr_array(P), 1, 1))
+    return MaskSet(pos=sp.csr_array(W_pos), neg=sp.csr_array(W_neg), prop=prop)
 
 
 @pytest.fixture

@@ -13,15 +13,17 @@ import time
 import numpy as np
 import pytest
 
-from conftest import DATA_DIR, negatives_from_pairs, random_graph_instance
+from conftest import (DATA_DIR, negatives_from_pairs, oracle_masks,
+                      random_graph_instance)
 from linkprop.data_io import (ExpectedStats, dataset_from_graph,
                               graph_from_split, load_edge_list, split_dataset,
                               verify_stats, write_canonical)
 from linkprop.diagnostics import frobenius, substep_contractions
 from linkprop.experiment import RunConfig, run_experiment
 from linkprop.graphs import build_graph
-from linkprop.kernel import (KernelOperator, SubstepTrace, materialize_kernel,
-                             model_config, score_matrices, sign_structure)
+from linkprop.kernel import (KernelOperator, SubstepTrace, kernel_step,
+                             materialize_kernel, model_config, score_matrices,
+                             sign_structure)
 from linkprop.losses import (ModelParams, build_masks, gd_step, loss_gradient,
                              model_loss)
 from linkprop.negatives import sample_negatives
@@ -60,7 +62,9 @@ def check(capsys):
 def test_criterion_1_kernel_gd_trajectories_coincide(check):
     # both update rules advance independently from a shared init; the
     # per-step bound must hold along the whole trajectory, the looser
-    # cumulative bound at step 50
+    # cumulative bound at step 50.  The gradient path steps on the dense
+    # oracle's masks and P, the kernel path on the library's, so a wrong
+    # mask or table entry cannot hide behind one build read by both
     start = time.perf_counter()
     worst_step, worst_final = 0.0, 0.0
     for seed in range(20):
@@ -70,7 +74,7 @@ def test_criterion_1_kernel_gd_trajectories_coincide(check):
         alpha = (1e-3, 1e-2)[(seed // 4) % 2]
         for model, extra in EQUIV_VARIANTS:
             params = ModelParams(model=model, lam=1.0, beta=beta, **extra)
-            masks = build_masks(graph, negatives, params)
+            masks = oracle_masks(graph, negatives, params)
             config = model_config(model, alpha=alpha, beta=beta, lam=1.0,
                                   **extra)
             op = KernelOperator.build(config, graph, negatives)
@@ -79,7 +83,7 @@ def test_criterion_1_kernel_gd_trajectories_coincide(check):
             for step in range(1, 51):
                 grad = loss_gradient(Xg, graph, negatives, params, masks)
                 Xg = gd_step(Xg, grad, alpha, step=step)
-                Xk = op.step(Xk)
+                Xk = kernel_step(Xk, op)
                 worst_step = max(worst_step, float(np.abs(Xg - Xk).max()))
             worst_final = max(worst_final, float(np.abs(Xg - Xk).max()))
     elapsed = time.perf_counter() - start
@@ -152,7 +156,7 @@ def test_criterion_4_score_and_kernel_structure(check):
         op = KernelOperator.build(config, graph, negatives)
         rng = np.random.default_rng(seed)
         scores = score_matrices(rng.normal(size=(graph.num_nodes, 4)), op)
-        H = materialize_kernel(config, scores, graph, negatives, operator=op)
+        H = materialize_kernel(scores, op)
         signs_passed += sign_structure(H, graph, negatives).passed
 
     # perfectly reconstructed blocks saturate every residual sigmoid to an
@@ -163,7 +167,7 @@ def test_criterion_4_score_and_kernel_structure(check):
     X = np.array([[30.0]] * 4 + [[-30.0]] * 4)
     config = model_config("mf", alpha=0.1, beta=0.0)
     op = KernelOperator.build(config, graph, negatives)
-    fixed = np.array_equal(op.step(X), X)
+    fixed = np.array_equal(kernel_step(X, op), X)
 
     ok = worst_complement <= 1e-14 and signs_passed == 50 and fixed
     check(4, ok, f"complement deviation {worst_complement:.1e}, sign "

@@ -103,6 +103,25 @@ class TestPipelineChain:
         assert "init_scale must be positive and finite" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("model", ["mf", "lightgcn"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--layers", "17", "layers must be in 0..16, got 17"),
+        ("--window", "17", "window must be in 1..16, got 17"),
+        ("--window", "0", "window must be in 1..16, got 0")])
+    def test_evaluate_bad_model_setting_names_it(self, raw_dataset, tmp_path,
+                                                 capsys, model, flag, value,
+                                                 message):
+        raw, ds = raw_dataset
+        splitdir = tmp_path / "splits"
+        assert main(["split", "--input", str(raw), "--outdir", str(splitdir),
+                     "--ratios", "0.6", "0.2", "0.2"]) == 0
+        emb = tmp_path / "emb.npy"
+        np.save(emb, np.zeros((ds.partition.num_nodes, 2)))
+        capsys.readouterr()
+        assert main(["evaluate", "--splits", str(splitdir), "--embeddings",
+                     str(emb), "--model", model, flag, value]) == 2
+        assert message in capsys.readouterr().err
+
     def test_train_kernel_path_matches_gradient_artifacts(self, raw_dataset,
                                                           tmp_path):
         raw, _ = raw_dataset

@@ -122,7 +122,7 @@ class TestUniqueRows:
 
 class TestNormalize:
     def test_row_scheme_path(self, path_graph):
-        M = normalize(path_graph, "row").matrix.toarray()
+        M = normalize(path_graph, "row").toarray()
         expected = np.array([[0, 1, 0, 0],
                              [0.5, 0, 0.5, 0],
                              [0, 0.5, 0, 0.5],
@@ -130,7 +130,7 @@ class TestNormalize:
         assert np.allclose(M, expected)
 
     def test_symmetric_scheme_path(self, path_graph):
-        M = normalize(path_graph, "symmetric").matrix.toarray()
+        M = normalize(path_graph, "symmetric").toarray()
         r2 = 1.0 / np.sqrt(2.0)
         expected = np.array([[0, r2, 0, 0],
                              [r2, 0, 0.5, 0],
@@ -139,13 +139,14 @@ class TestNormalize:
         assert np.allclose(M, expected)
 
     def test_none_scheme_is_copy(self, path_graph):
-        M = normalize(path_graph, "none").matrix
+        M = normalize(path_graph, "none")
         assert np.array_equal(M.toarray(), path_graph.adjacency.toarray())
+        assert not np.shares_memory(M.data, path_graph.adjacency.data)
 
     def test_zero_degree_rows_stay_zero(self):
         g = build_graph([(0, 1)], num_nodes=3)
         for scheme in ("row", "symmetric"):
-            M = normalize(g, scheme).matrix.toarray()
+            M = normalize(g, scheme).toarray()
             assert np.all(M[2] == 0)
             assert np.all(M[:, 2] == 0)
             assert np.all(np.isfinite(M))
@@ -157,7 +158,7 @@ class TestNormalize:
     @given(graph_strategy())
     def test_matches_dense_oracle(self, g):
         for scheme in ("none", "row", "symmetric"):
-            fast = normalize(g, scheme).matrix.toarray()
+            fast = normalize(g, scheme).toarray()
             dense = reference.dense_normalize(
                 reference.dense_adjacency(g.edges, g.num_nodes), scheme)
             assert np.allclose(fast, dense, atol=1e-14)
@@ -174,7 +175,7 @@ class TestProximity:
         base = normalize(path_graph, "row")
         op = proximity(base, 1, 1)
         X = np.arange(8.0).reshape(4, 2)
-        assert np.allclose(op.apply(X), base.matrix @ X)
+        assert np.allclose(op.apply(X), base @ X)
 
     def test_order_validation(self, path_graph):
         base = normalize(path_graph, "row")

@@ -7,7 +7,8 @@ from linkprop.graphs import MAX_PROXIMITY_ORDER, build_graph
 from linkprop.kernel import (KernelConfig, KernelOperator, kernel_step,
                              link_kernels, materialize_kernel, model_config,
                              positive_kernel, score_matrices, sign_structure)
-from linkprop.losses import DivergenceError, ModelParams, loss_gradient, sigmoid
+from linkprop.losses import (DivergenceError, ModelParams, build_masks,
+                             loss_gradient, scoring_propagation, sigmoid)
 
 from conftest import negatives_from_pairs, random_graph_instance
 
@@ -58,6 +59,33 @@ class TestModelConfig:
     def test_unknown_model(self):
         with pytest.raises(ValueError, match="unknown model"):
             model_config("gat", alpha=0.1)
+
+
+class TestOneBuild:
+    @pytest.mark.parametrize("model,kwargs", MODEL_GRID, ids=lambda v: str(v))
+    def test_build_masks_is_the_operators_build(self, small_instance, model,
+                                                kwargs):
+        # the loss API reads masks from ModelParams, train() from a
+        # KernelConfig; both rows of the table must give the same bits
+        graph, neg = small_instance
+        params = ModelParams(model, lam=1.3, beta=0.02, **kwargs)
+        masks = build_masks(graph, neg, params)
+        _, op = operator_for(model, graph, neg, beta=0.02, lam=1.3, **kwargs)
+        same = lambda a, b: (a.dtype == b.dtype and a.shape == b.shape
+                             and a.tobytes() == b.tobytes())
+        mine, theirs = masks.pattern, op.pattern
+        for name in ("rows", "cols", "indptr", "owned_rows", "owned_cols",
+                     "owner"):
+            assert same(getattr(mine, name), getattr(theirs, name))
+        for a, b in ((mine.pos, theirs.pos), (mine.neg, theirs.neg)):
+            for name in ("weights", "slots", "sorted_slots"):
+                assert same(getattr(a, name), getattr(b, name))
+            for part in ("data", "indices", "indptr"):
+                assert same(getattr(a.matrix, part), getattr(b.matrix, part))
+        X = np.random.default_rng(0).normal(size=(graph.num_nodes, 3))
+        assert same(masks.prop.apply(X), op.prop.apply(X))
+        assert same(scoring_propagation(graph, params).apply(X),
+                    op.prop.apply(X))
 
 
 class TestKernelConfig:
@@ -148,8 +176,8 @@ class TestLinkKernels:
         kernels = link_kernels(score_matrices(Y, op), op)
         KP = kernels.k_plus.toarray()
         KN = kernels.k_minus.toarray()
-        assert np.all(KP >= 0) and np.all(KP <= op.pos_mask.toarray() + 1e-15)
-        assert np.all(KN >= 0) and np.all(KN <= op.neg_mask.toarray() + 1e-15)
+        assert np.all(KP >= 0) and np.all(KP <= op.pattern.pos.matrix.toarray() + 1e-15)
+        assert np.all(KN >= 0) and np.all(KN <= op.pattern.neg.matrix.toarray() + 1e-15)
 
     @pytest.mark.parametrize("model,kwargs", MODEL_GRID, ids=lambda v: str(v))
     def test_positive_kernel_is_k_plus_bit_for_bit(self, small_instance, model,
@@ -171,7 +199,7 @@ class TestKernelStep:
         graph, neg = small_instance
         config, op = operator_for("line", graph, neg)
         X = np.zeros((graph.num_nodes, 4))
-        assert np.array_equal(op.step(X), X)
+        assert np.array_equal(kernel_step(X, op), X)
 
     def test_zero_c2_scales_by_c1(self, small_instance):
         graph, neg = small_instance
@@ -197,18 +225,14 @@ class TestKernelStep:
                                   **kwargs)
         rng = np.random.default_rng(5)
         X = rng.normal(scale=0.4, size=(graph.num_nodes, 4))
-        n = graph.num_nodes
-        A = reference.dense_adjacency(graph.edges, n)
-        B = reference.dense_adjacency(neg.pairs, n)
-        P1 = reference.dense_proximity(
-            reference.dense_normalize(A, config.pos_norm), config.a1, config.b1)
-        R = reference.dense_proximity(
-            reference.dense_normalize(A, config.pos_norm), config.a2, config.b2)
-        NB = reference.dense_normalize(B, config.neg_norm)
+        # the oracle's masks and P are spelled per model, not read from
+        # the constants in config
+        W_pos, W_neg, P = reference.dense_weights(
+            graph, neg, ModelParams(model, **kwargs))
+        P1 = np.eye(graph.num_nodes) if P is None else P
         expected = reference.dense_kernel_step(
-            X, config.c1, config.c2, config.c3, P1, 0.5 * (R + R.T), 0.5 * (NB + NB.T),
-            A, B, config.lam)
-        assert np.allclose(op.step(X), expected, rtol=0, atol=1e-12)
+            X, config.c1, config.c2, P1, W_pos, W_neg, config.lam)
+        assert np.allclose(kernel_step(X, op), expected, rtol=0, atol=1e-12)
 
     def test_saturated_blocks_are_exactly_fixed(self):
         # two fully reconstructed cliques, negatives across them: every
@@ -220,7 +244,7 @@ class TestKernelStep:
         neg = negatives_from_pairs([(0, 4), (1, 5), (2, 6), (3, 7)], 8)
         X = np.array([[30.0]] * 4 + [[-30.0]] * 4)
         config, op = operator_for("mf", graph, neg, alpha=0.1, beta=0.0)
-        assert np.array_equal(op.step(X), X)
+        assert np.array_equal(kernel_step(X, op), X)
         grad = loss_gradient(X, graph, neg, ModelParams("mf"))
         assert np.array_equal(grad, np.zeros_like(X))
 
@@ -232,7 +256,7 @@ class TestTrace:
         rng = np.random.default_rng(6)
         X = rng.normal(size=(graph.num_nodes, 3))
         out, trace = op.step_traced(X)
-        assert np.array_equal(out, op.step(X))
+        assert np.array_equal(out, kernel_step(X, op))
         assert trace.input_norm == pytest.approx(float(np.linalg.norm(X)))
         assert len(trace.norms) == 4
         assert trace.norms[3] == pytest.approx(float(np.linalg.norm(out)))
@@ -257,16 +281,15 @@ class TestMaterialize:
             rng = np.random.default_rng(8)
             X = rng.normal(size=(graph.num_nodes, 4))
             scores = score_matrices(op.prop.apply(X), op)
-            H = materialize_kernel(config, scores, graph, neg, operator=op)
-            assert np.allclose(H @ X, op.step(X), rtol=0, atol=1e-10)
+            H = materialize_kernel(scores, op)
+            assert np.allclose(H @ X, kernel_step(X, op), rtol=0, atol=1e-10)
 
     def test_limit_guard(self, small_instance):
         graph, neg = small_instance
         config, op = operator_for("mf", graph, neg)
         scores = score_matrices(np.zeros((graph.num_nodes, 2)), op)
         with pytest.raises(ValueError, match="dense limit"):
-            materialize_kernel(config, scores, graph, neg, operator=op,
-                               limit=graph.num_nodes - 1)
+            materialize_kernel(scores, op, limit=graph.num_nodes - 1)
 
     def test_mf_zero_embedding_closed_form(self, small_instance):
         # all sigmoids sit at 1/2, so H = (1 - alpha*beta) I + alpha/2 (A - lam B)
@@ -276,7 +299,7 @@ class TestMaterialize:
                                   lam=lam)
         X = np.zeros((graph.num_nodes, 2))
         scores = score_matrices(X, op)
-        H = materialize_kernel(config, scores, graph, neg, operator=op)
+        H = materialize_kernel(scores, op)
         n = graph.num_nodes
         A = reference.dense_adjacency(graph.edges, n)
         B = reference.dense_adjacency(neg.pairs, n)
@@ -291,7 +314,7 @@ class TestMaterialize:
         rng = np.random.default_rng(9)
         X = rng.normal(size=(4, 3))
         scores = score_matrices(op.prop.apply(X), op)
-        H = materialize_kernel(config, scores, graph, neg, operator=op)
+        H = materialize_kernel(scores, op)
         expected_row = np.zeros(4)
         expected_row[3] = config.c1
         assert np.array_equal(H[3], expected_row)
@@ -306,7 +329,7 @@ class TestSignStructure:
             rng = np.random.default_rng(seed)
             X = rng.normal(size=(graph.num_nodes, 4))
             scores = score_matrices(op.prop.apply(X), op)
-            H = materialize_kernel(config, scores, graph, neg, operator=op)
+            H = materialize_kernel(scores, op)
             report = sign_structure(H, graph, neg)
             assert report.passed
             assert report.checked_positive == 2 * graph.num_edges
@@ -316,7 +339,7 @@ class TestSignStructure:
         graph, neg = small_instance
         config, op = operator_for("mf", graph, neg)
         scores = score_matrices(np.zeros((graph.num_nodes, 2)), op)
-        H = materialize_kernel(config, scores, graph, neg, operator=op)
+        H = materialize_kernel(scores, op)
         u, v = graph.edges[0]
         H[u, v] = -0.25
         report = sign_structure(H, graph, neg)

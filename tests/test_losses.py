@@ -1,42 +1,69 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from linkprop import reference
-from linkprop.graphs import build_graph
+from linkprop import losses, reference
+from linkprop.graphs import MAX_PROXIMITY_ORDER, build_graph
 from linkprop.losses import (DivergenceError, ModelParams, build_masks,
                              bce_loss, gd_step, loss_gradient, model_loss,
                              sigmoid)
+from linkprop.synthetic import equivalence_instance
 
 from conftest import graph_with_negatives, negatives_from_pairs, random_graph_instance
 
 ALL_MODELS = [ModelParams("mf"), ModelParams("line"),
               ModelParams("deepwalk", window=3), ModelParams("lightgcn", layers=2)]
 
+ORACLE_MODELS = ALL_MODELS + [ModelParams("deepwalk", window=1),
+                              ModelParams("deepwalk", window=5),
+                              ModelParams("lightgcn", layers=0),
+                              ModelParams("lightgcn", layers=5)]
 
-def dense_weights(graph, negatives, params):
-    """Reassemble one model's weight matrices and propagation from scratch."""
-    n = graph.num_nodes
-    A = reference.dense_adjacency(graph.edges, n)
-    B = reference.dense_adjacency(negatives.pairs, n)
-    P = None
-    if params.model == "mf":
-        W_pos, W_neg = A, B
-    elif params.model == "line":
-        R = reference.dense_normalize(A, "row")
-        W_pos, W_neg = 0.5 * (R + R.T), B
-    elif params.model == "deepwalk":
-        R = reference.dense_proximity(
-            reference.dense_normalize(A, "row"), 1, params.window)
-        RB = reference.dense_normalize(B, "row")
-        W_pos, W_neg = 0.5 * (R + R.T), 0.5 * (RB + RB.T)
-    else:
-        W_pos, W_neg = A, B
-        P = reference.dense_proximity(
-            reference.dense_normalize(A, "symmetric"), 0, params.layers)
-    return W_pos, W_neg, P
+# wrong rows of losses.model_table that the oracle must catch
+TABLE_MUTANTS = {
+    "deepwalk-a2-b2-swapped": ("deepwalk", lambda r: r._replace(a2=r.b2, b2=r.a2)),
+    "deepwalk-neg-norm-none": ("deepwalk", lambda r: r._replace(neg_norm="none")),
+    "line-c3-flipped": ("line", lambda r: r._replace(c3=1.0 - r.c3)),
+}
+
+
+def check_masks_against_oracle(graph, negatives, params):
+    """build_masks (the library's table and builder) against
+    reference.dense_weights (each model spelled from its formula)."""
+    masks = build_masks(graph, negatives, params)
+    W_pos, W_neg, P = reference.dense_weights(graph, negatives, params)
+    if P is None:
+        P = np.eye(graph.num_nodes)
+    for mine, theirs in ((masks.pos, W_pos), (masks.neg, W_neg),
+                         (masks.prop.materialize(), P)):
+        assert np.abs(mine.toarray() - theirs).max(initial=0.0) <= 1e-15
+
+
+class TestMaskOracle:
+    @pytest.mark.parametrize("params", ORACLE_MODELS,
+                             ids=lambda p: f"{p.model}-{p.window}-{p.layers}")
+    def test_library_masks_match_dense_weights(self, params):
+        for seed in range(20):
+            check_masks_against_oracle(*equivalence_instance(seed), params)
+
+    @pytest.mark.parametrize("mutant", TABLE_MUTANTS)
+    def test_wrong_table_entry_is_caught(self, mutant):
+        model, edit = TABLE_MUTANTS[mutant]
+        real = losses.model_table
+
+        def mutated(window=5, layers=3):
+            table = real(window, layers)
+            return {**table, model: edit(table[model])}
+
+        params = ModelParams(model, window=3)
+        graph, negatives = equivalence_instance(0)
+        check_masks_against_oracle(graph, negatives, params)
+        with mock.patch.object(losses, "model_table", mutated):
+            with pytest.raises((AssertionError, ValueError)):
+                check_masks_against_oracle(graph, negatives, params)
 
 
 class TestModelLoss:
@@ -62,7 +89,7 @@ class TestModelLoss:
         X = rng.normal(scale=0.5, size=(graph.num_nodes, 4))
         params = ModelParams(params.model, window=params.window,
                              layers=params.layers, lam=1.5, beta=0.2)
-        W_pos, W_neg, P = dense_weights(graph, neg, params)
+        W_pos, W_neg, P = reference.dense_weights(graph, neg, params)
         expected = reference.brute_force_loss(X, W_pos, W_neg, lam=params.lam,
                                               beta=params.beta, P=P)
         assert model_loss(X, graph, neg, params) == pytest.approx(expected, rel=1e-12)
@@ -209,12 +236,31 @@ class TestModelParams:
     @pytest.mark.parametrize("kwargs", [
         {"window": 0}, {"layers": -1}, {"lam": -0.5}, {"beta": -1e-9},
         {"lam": float("nan")}, {"lam": float("inf")},
-        {"beta": float("nan")}, {"beta": float("inf")}])
+        {"beta": float("nan")}, {"beta": float("inf")},
+        {"window": MAX_PROXIMITY_ORDER + 1}, {"layers": MAX_PROXIMITY_ORDER + 1}])
     def test_invalid_hyperparameters(self, kwargs):
         (field,) = kwargs
-        with pytest.raises(ValueError,
-                           match=field if field in ("lam", "beta") else None):
+        with pytest.raises(ValueError, match=field):
             ModelParams("mf", **kwargs)
+
+    @pytest.mark.parametrize("model", losses.MODELS)
+    @pytest.mark.parametrize("field, value, message", [
+        ("window", 17, "window must be in 1..16, got 17"),
+        ("layers", 17, "layers must be in 0..16, got 17"),
+        ("window", 2.5, "window must be an integer, got 2.5"),
+        ("layers", True, "layers must be an integer, got True")],
+        ids=["window-17", "layers-17", "window-2.5", "layers-True"])
+    def test_window_and_layers_checked_for_every_model(self, model, field,
+                                                       value, message):
+        # layers=17 used to pass here and fail inside proximity() without
+        # naming the field; layers=True trained with one layer
+        with pytest.raises(ValueError, match=message):
+            ModelParams(model, **{field: value})
+
+    def test_orders_at_the_maximum_allowed(self):
+        params = ModelParams("deepwalk", window=MAX_PROXIMITY_ORDER,
+                             layers=np.int64(MAX_PROXIMITY_ORDER))
+        assert params.constants[4] == MAX_PROXIMITY_ORDER
 
     def test_lightgcn_zero_layers_allowed(self):
         assert ModelParams("lightgcn", layers=0).layers == 0

@@ -4,7 +4,11 @@ The oracles vouch for the fast implementations, so they get their own
 closed-form checks: everything here is verifiable with pencil and paper.
 """
 
+import ast
 import math
+import pathlib
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +16,8 @@ import pytest
 from linkprop import reference
 from linkprop.graphs import Partition, build_graph
 from linkprop.ranking import SplitSet
+
+SRC = pathlib.Path(reference.__file__).parent
 
 
 PATH_EDGES = [(0, 1), (1, 2), (2, 3)]
@@ -188,6 +194,68 @@ class TestDenseKernelPieces:
         A = reference.dense_adjacency([(0, 1)], 3)
         B = reference.dense_adjacency([(0, 2)], 3)
         X = np.zeros((3, 2))
-        out = reference.dense_kernel_step(X, 1.0, 0.1, 0.0, np.eye(3),
-                                          np.eye(3), B, A, B, 1.0)
+        out = reference.dense_kernel_step(X, 1.0, 0.1, np.eye(3), A, B, 1.0)
         assert np.array_equal(out, X)
+
+
+class TestDenseWeights:
+    def test_path_graph_closed_forms(self):
+        graph = SimpleNamespace(edges=PATH_EDGES, num_nodes=4)
+        negatives = SimpleNamespace(pairs=[(0, 2), (0, 3)])
+        params = lambda model, window=5, layers=3: SimpleNamespace(
+            model=model, window=window, layers=layers)
+        A = reference.dense_adjacency(PATH_EDGES, 4)
+        B = reference.dense_adjacency(negatives.pairs, 4)
+        W_pos, W_neg, P = reference.dense_weights(graph, negatives, params("mf"))
+        assert np.array_equal(W_pos, A) and np.array_equal(W_neg, B) and P is None
+        # (D^-1 A + A D^-1) / 2 on the path: degrees 1, 2, 2, 1
+        line = np.array([[0, 0.75, 0, 0], [0.75, 0, 0.5, 0],
+                         [0, 0.5, 0, 0.75], [0, 0, 0.75, 0]])
+        W_pos, W_neg, P = reference.dense_weights(graph, negatives,
+                                                  params("line"))
+        assert np.array_equal(W_pos, line) and np.array_equal(W_neg, B)
+        W_pos, W_neg, P = reference.dense_weights(graph, negatives,
+                                                  params("deepwalk", window=1))
+        # node 0 has two negatives, nodes 2 and 3 one each
+        neg = np.array([[0, 0, 0.75, 0.75], [0, 0, 0, 0],
+                        [0.75, 0, 0, 0], [0.75, 0, 0, 0]])
+        assert np.array_equal(W_pos, line) and np.array_equal(W_neg, neg)
+        W_pos, W_neg, P = reference.dense_weights(graph, negatives,
+                                                  params("lightgcn", layers=0))
+        assert np.array_equal(W_pos, A) and np.array_equal(P, np.eye(4))
+
+    def test_unknown_model(self):
+        graph = SimpleNamespace(edges=PATH_EDGES, num_nodes=4)
+        with pytest.raises(ValueError):
+            reference.dense_weights(graph, SimpleNamespace(pairs=[]),
+                                    SimpleNamespace(model="svd"))
+
+
+def imported_modules(path):
+    """Every module a source file imports, with `from m import x` also
+    giving `m.x` (x may be a submodule)."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert node.level == 0, f"{path.name}: relative import"
+            names.add(node.module)
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return names
+
+
+class TestOracleIndependence:
+    # criterion 1 steps the gradient path on reference.dense_weights: the
+    # oracle must not lean on the library it checks, in any CI job
+    def test_reference_imports_only_stdlib_and_numpy(self):
+        roots = {name.split(".")[0]
+                 for name in imported_modules(SRC / "reference.py")}
+        allowed = set(sys.stdlib_module_names) | {"numpy"}
+        assert roots <= allowed, roots - allowed
+
+    def test_no_library_module_imports_reference(self):
+        offenders = [path.name for path in sorted(SRC.glob("*.py"))
+                     if path.name != "reference.py"
+                     and "linkprop.reference" in imported_modules(path)]
+        assert offenders == []

@@ -61,13 +61,13 @@ class TestTrainConfig:
             TrainConfig(**kwargs)
 
     @pytest.mark.parametrize("value", [2.5, 3.0, True, np.float64(2.0)])
-    @pytest.mark.parametrize("field", INTEGER_FIELDS)
+    @pytest.mark.parametrize("field", INTEGER_FIELDS + ("window", "layers"))
     def test_integer_fields_reject_floats_and_bools(self, field, value):
         # eval_k=2.5 used to fail only inside the first validation ranking
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             TrainConfig(model="lightgcn", alpha=0.05, **{field: value})
 
-    @pytest.mark.parametrize("field", INTEGER_FIELDS)
+    @pytest.mark.parametrize("field", INTEGER_FIELDS + ("window", "layers"))
     def test_integer_fields_accept_numpy_integers(self, field):
         config = TrainConfig(model="lightgcn", alpha=0.05,
                              **{field: np.int64(2)})
