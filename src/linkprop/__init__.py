@@ -2,6 +2,25 @@
 descent, each with an equivalent forward-propagation kernel, plus the
 evaluation and diagnostics harness around them."""
 
+import os
+
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "NUMEXPR_NUM_THREADS")
+
+
+def _apply_thread_env():
+    """Copy LINKPROP_THREADS to every BLAS/OpenMP thread variable not
+    already set."""
+    threads = os.environ.get("LINKPROP_THREADS")
+    if threads:
+        for var in THREAD_VARS:
+            os.environ.setdefault(var, threads)
+
+
+# a BLAS sizes its thread pool when numpy first loads it, so this runs
+# before the imports below bring numpy in
+_apply_thread_env()
+
 from linkprop.graphs import (Graph, Partition, ProximityOperator,
                              build_graph, normalize, proximity)
 from linkprop.negatives import NegativeSet, QuotaUnreachable, sample_negatives

@@ -2,8 +2,8 @@
 
 Subcommands map to pipeline stages (ingest, split, train, evaluate), plus
 the dual-path verification harness and the full experiment orchestrator
-(report).  Heavy imports happen inside handlers so the thread-count
-environment variable can take effect before numpy loads its BLAS.
+(report).  The package's `__init__` applies LINKPROP_THREADS before any
+module of it imports numpy.
 """
 
 from __future__ import annotations
@@ -18,16 +18,6 @@ EPILOG = """environment:
                      required for bit-reproducible reports across runs)
   LINKPROP_OUTDIR    default output directory for train/report artifacts
 """
-
-THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-               "NUMEXPR_NUM_THREADS")
-
-
-def _apply_thread_env():
-    threads = os.environ.get("LINKPROP_THREADS")
-    if threads:
-        for var in THREAD_VARS:
-            os.environ.setdefault(var, threads)
 
 
 def _default_outdir(flag_value):
@@ -245,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_env()
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -9,13 +9,14 @@ results do not depend on sort internals.
 `evaluate` counts each held-out item's rank instead of sorting: the scores
 above it plus the equal ones at lower item ids.  `score_user`, `top_k` and
 `metrics_at_k` are the one-user definitions it reproduces bit for bit.  A
-block's scores come from one matrix product, which rounds differently from
-the per-user product `score_user` takes; a count from the block is kept
-only where a rounding-error margin proves it, and users with any other
-held-out item are scored again with the per-user product.  The score that
-proves an item a miss is the cut-th best of the row's column-group
-maxima: a lower bound on the row's own cut-th best score, read in one pass
-over the row instead of a partition of all of it.
+block's scores come from one matrix product, in float32 for float64
+embeddings, which rounds differently from the per-user float64 product
+`score_user` takes; a count from the block is kept only where a per-item
+rounding-error margin proves it, and users with any other held-out item
+are scored again with the per-user product.  The score that proves an
+item a miss is the cut-th best of the row's column-group maxima: a lower
+bound on the row's own cut-th best score, read in one pass over the row
+instead of a partition of all of it.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from linkprop.graphs import Graph, Partition
 
 # bytes of scores `evaluate` holds at once; sets how many users share a block
-_BLOCK_BYTES = 2 << 20
+_BLOCK_BYTES = 4 << 20
 
 # column groups per rank of the cut: `_ranks` reads each row's cut-th best
 # score from the maxima of _GROUPS * cut groups of columns
@@ -130,15 +131,19 @@ def evaluate(X: np.ndarray, splits: SplitSet, train_graph: Graph,
     always the items unseen in training.  Every result bit equals what
     `top_k` and `metrics_at_k` give user by user: the metrics need only
     each held-out item's rank, which `_ranks` counts.  Users are scored in
-    blocks, one GEMM per block, with a margin of twice the rounding-error
-    bound `_score_error`; the per-user GEMV of `score_user` then ranks
-    every held-out item the block ranks sure the same.  A held-out item
-    is proven a miss against the cut-th best of its row's column-group
-    maxima, which one pass over the block finds, and any other is ranked
-    by a count over its row.  Users with any other item (near-ties, zero
-    or non-finite embeddings, non-float dtypes) are scored again with that
-    GEMV and ranked at margin 0.  Hits add their discounts in rank order
-    and the per-user metrics are summed sequentially in user order.
+    blocks, one GEMM per block, in float32 for float64 embeddings that
+    `_score_error` finds safe to cast.  The block compares two items'
+    scores with a margin, the sum of their rounding-error bounds, and the
+    per-user GEMV of `score_user` ranks every held-out item that the block
+    ranks sure the same way.  A held-out item is proven a miss against
+    the cut-th best of its row's column-group maxima, which one pass over
+    the block finds, and any other is ranked by a count over its row.  A
+    user row of zeros scores exactly on both paths and is ranked from the
+    block at margin 0.  Users with any other item (near-ties, non-finite
+    user embeddings, non-float dtypes) are scored again with that GEMV,
+    into a buffer of X's dtype, and ranked at margin 0.  Hits add their
+    discounts in rank order and the per-user metrics are summed
+    sequentially in user order.
     """
     if split not in ("test", "val"):
         raise ValueError("split must be 'test' or 'val'")
@@ -178,34 +183,41 @@ def evaluate(X: np.ndarray, splits: SplitSet, train_graph: Graph,
                          for r in range(ideal_len)])
     ideal = np.cumsum(discount)
 
-    block = max(1, _BLOCK_BYTES // (8 * num_items))
-    buf = np.empty((min(block, users.shape[0]), num_items),
-                   dtype=np.result_type(X))
-    heads = np.empty((buf.shape[0], _group_count(num_items, cut)),
-                     dtype=buf.dtype)
+    Y = X[users]
+    dtype, scale, norms, offset = _score_error(Y, items)
+    block_items = items.astype(dtype, copy=False)
+    Y = Y.astype(dtype, copy=False)
+    block = max(1, _BLOCK_BYTES // (dtype.itemsize * num_items))
+    G = _group_count(num_items, cut)
+    buf = np.empty((min(block, users.shape[0]), num_items), dtype=dtype)
+    heads = np.empty((buf.shape[0], G), dtype=dtype)
     adj = train_graph.adjacency
-    margin = 2 * _score_error(X[users], items)
     per_user = np.empty((users.shape[0], 3))
     for lo in range(0, users.shape[0], block):
         ub = users[lo:lo + block]
         nb = ub.shape[0]
         S = buf[:nb]
-        np.matmul(X[ub], items.T, out=S)
+        np.matmul(Y[lo:lo + nb], block_items.T, out=S)
         _mask_training(S, ub, adj, first_item)
         a, b = np.searchsorted(key_rows, [lo, lo + nb])
         rows, cols = key_rows[a:b] - lo, key_cols[a:b]
-        rank, sure = _ranks(S, rows, cols, margin[lo:lo + nb], cut,
-                            heads[:nb])
+        bound = (scale[lo:lo + nb], norms, offset[lo:lo + nb])
+        rank, sure = _ranks(S, rows, cols, bound, cut, heads[:nb])
         # users with an unsure item: one GEMV each, the scores score_user
-        # gives, and every held-out item of theirs ranked exactly
+        # gives, and every held-out item of theirs ranked exactly (in
+        # buffers made only then: held for every call, the page faults
+        # they cost slowed small calls)
         redo = np.unique(rows[~sure])
         if redo.shape[0]:
-            for j in redo:
-                np.matmul(items, X[ub[j]], out=S[j])
-            _mask_training(S, ub, adj, first_item)
+            E = np.empty((redo.shape[0], num_items), dtype=X.dtype)
+            for i, j in enumerate(redo):
+                np.matmul(items, X[ub[j]], out=E[i])
+            _mask_training(E, ub[redo], adj, first_item)
             again = np.isin(rows, redo)
-            rank[again], _ = _ranks(S, rows[again], cols[again],
-                                    np.zeros(nb), cut, heads[:nb])
+            zero = np.zeros(redo.shape[0])
+            rank[again], _ = _ranks(E, np.searchsorted(redo, rows[again]),
+                                    cols[again], (zero, norms, zero), cut,
+                                    np.empty((redo.shape[0], G), E.dtype))
         hit = rank < cut
         # sequential sums in rank order, as the scalar definition adds them
         gains = np.zeros((nb, cut))
@@ -226,37 +238,102 @@ def evaluate(X: np.ndarray, splits: SplitSet, train_graph: Graph,
                       users_skipped=num_users - evaluated)
 
 
-def _score_error(Y: np.ndarray, items: np.ndarray) -> np.ndarray:
-    """Per row of Y, a bound on the rounding error of any score `items @ y`.
+@np.errstate(over="ignore", invalid="ignore")
+def _score_error(Y: np.ndarray, items: np.ndarray):
+    """The block product's dtype, and per user row y and item row x_j a
+    bound on how far the block score of (y, x_j) may lie from `x_j @ y`
+    as `score_user` computes it.
+
+    Returns `(dtype, scale, norms, offset)`; the bound is
+    `scale[r] * norms[j] + offset[r]`, already doubled as below.
 
     Any floating-point evaluation of a length-d dot product, summed in any
-    order, with or without FMA, is within `gamma_d * sum|x_j y_j| + d * tiny`
-    of the exact value, where `gamma_d = d*u / (1 - d*u)`, u is the unit
-    roundoff and the smallest normal number `tiny` covers underflow, gradual
-    or flushed to zero (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., section 3.1).
-    By Cauchy-Schwarz the sum is at most `||y|| * max_i ||x_i||`.  The
-    bound is doubled, which covers the rounding of the norms, of the bound
-    and of the gaps it is compared with.  It is inf, and certifies nothing,
-    for dtypes other than float32/float64, and where `||y|| * max ||x||` is
-    not finite or within a factor 8 of overflow, so that no certified
-    score, partial sum or gap can overflow.
+    order, with or without FMA, is within `gamma_d * sum|x_k y_k| + 4d * t`
+    of the exact value, where `gamma_n = n*u / (1 - n*u)`, u is the unit
+    roundoff and the smallest normal number t covers underflow, gradual or
+    flushed to zero, in the 2d - 1 operations (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 3.1).  By
+    Cauchy-Schwarz the sum is at most `||y|| * ||x_j||`.
+
+    For float64 input the block product runs in float32 on casts of y and
+    x_j (mixed precision: Higham and Mary, Acta Numerica 31, 2022).  A
+    cast moves each entry v by at most `u|v| + t`, so a product of two
+    casts is `y_k x_k (1 + theta_2)` plus at most `t (|x_k| + |y_k|)
+    (1 + u) + t^2`; the two extra relative roundings make the float32
+    score `gamma_{d+2} * ||y|| * ||x_j||` from the exact product, and the
+    absolute terms, summed over k with `sum|v_k| <= sqrt(d) ||v||` and
+    carried through the sum, add at most
+    `3 sqrt(d) t (||x_j|| + ||y||) + 5d * t` (t and u of float32).  The
+    float64 GEMV is within `gamma_d * ||y|| * ||x_j|| + 4d * t` (float64)
+    of the same exact product, and the bound is the sum of the two.
+    Without a cast (float32 input, or float64 input kept in float64) the
+    block adds `gamma_d` and `5d * t` of its own dtype instead.
+
+    The norms are float64, raised by `pad` to cover squares lost to
+    underflow.  The bound is doubled, which covers the rounding of the
+    norms, of the bound and of the gaps it is compared with.  The block
+    stays in X's dtype unless the input is float64, every finite row
+    norm and the product of the largest finite user and item norms are
+    within float32's largest value / 8, so that no finite entry casts to
+    inf and no float32 score or partial sum can overflow, and that product
+    is at least the square root of float32's smallest normal number, so
+    that the absolute terms stay below the relative ones by about 2^36
+    rather than swamping scores that underflow in float32.  A row with a
+    non-finite entry scores nan or +-inf on either path and is never
+    ranked: its item norm is 0 and leaves the other users' bounds alone,
+    while a user of such a row gets an infinite offset, as does a user
+    with `||y|| * max ||x||` not within the block dtype's largest value / 8,
+    and every user for dtypes other than float32/float64.  A user row of
+    zeros scores an exact +-0 (or nan) on both paths: its bound is 0.
     """
-    if items.dtype not in (np.float32, np.float64):
-        return np.full(Y.shape[0], np.inf)
-    info = np.finfo(items.dtype)
+    n = Y.shape[0]
+    truth = items.dtype
+    if truth not in (np.float32, np.float64):
+        return (np.result_type(Y, items), np.zeros(n),
+                np.zeros(items.shape[0]), np.full(n, np.inf))
     d = items.shape[1]
-    du = d * float(info.eps) / 2
-    gamma = du / (1 - du) if du < 1 else np.inf
-    # float64 norms of either dtype; `pad` covers squares lost to underflow
-    pad = np.sqrt(d * np.finfo(np.float64).tiny)
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = [np.sqrt(np.einsum("ij,ij->i", A, A, dtype=np.float64)) + pad
-                 for A in (Y, items)]
-        base = norms[0] * norms[1].max(initial=0.0)
-        err = 2 * gamma * base + d * float(info.tiny)
-    err[~(base <= float(info.max) / 8)] = np.inf
-    return err
+    y_norms, x_norms = _norms(Y), _norms(items)
+    y_max = np.fmax.reduce(y_norms, initial=0.0)
+    x_max = np.fmax.reduce(x_norms, initial=0.0)
+    single = np.finfo(np.float32)
+    high = float(single.max) / 8
+    dtype = truth
+    if (truth == np.float64 and y_max <= high and x_max <= high
+            and np.sqrt(float(single.tiny)) <= y_max * x_max <= high):
+        dtype = np.dtype(np.float32)
+    block, gemv = np.finfo(dtype), np.finfo(truth)
+    cast = dtype != truth
+    gamma = _gamma(d + 2 * cast, block) + _gamma(d, gemv)
+    spread = 3 * np.sqrt(d) * float(block.tiny) if cast else 0.0
+    floor = 5 * d * float(block.tiny) + 4 * d * float(gemv.tiny)
+    scale = y_norms * (2 * gamma) + 2 * spread
+    offset = y_norms * (2 * spread) + 2 * floor
+    offset[~(y_norms * x_max <= float(block.max) / 8)] = np.inf
+    zero = ~Y.any(axis=1)
+    scale[zero] = 0.0
+    offset[zero] = 0.0
+    return (dtype, scale, np.where(np.isfinite(x_norms), x_norms, 0.0),
+            offset)
+
+
+def _gamma(n: int, info: np.finfo) -> float:
+    """Higham's `gamma_n = n*u / (1 - n*u)` for the unit roundoff u of
+    `info`; inf where n*u > 1/2, which the absolute terms of
+    `_score_error` rule out (they take 1 + gamma_d <= 2)."""
+    nu = n * float(info.eps) / 2
+    return nu / (1 - nu) if nu <= 0.5 else np.inf
+
+
+def _norms(A: np.ndarray) -> np.ndarray:
+    """float64 row norms of A plus `sqrt(d * tiny)`, which covers squares
+    lost to underflow; inf for a finite row whose squares overflow, nan
+    for a row with a non-finite entry."""
+    pad = np.sqrt(A.shape[1] * np.finfo(np.float64).tiny)
+    norms = np.sqrt(np.einsum("ij,ij->i", A, A, dtype=np.float64)) + pad
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if bad.shape[0]:
+        norms[bad] = np.where(np.isfinite(A[bad]).all(axis=1), np.inf, np.nan)
+    return norms
 
 
 def _mask_training(S: np.ndarray, users: np.ndarray, adj, num_users: int):
@@ -291,28 +368,31 @@ def _group_maxima(S: np.ndarray, heads: np.ndarray):
     np.maximum(heads[:, :tail.shape[1]], tail, out=heads[:, :tail.shape[1]])
 
 
-def _ranks(S: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-           margin: np.ndarray, cut: int,
-           scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _ranks(S: np.ndarray, rows: np.ndarray, cols: np.ndarray, bound,
+           cut: int, scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rank of each score S[rows, cols] in its row, and whether it is sure.
 
     First every nan and +-inf score of S is set to -inf, in place: such
     items are never ranked.  The rank is the position in a stable
     descending sort of the row's finite scores: the scores above, plus the
     equal ones in lower columns.  A rank of `cut` or more is a miss, as is
-    -inf.  `margin[r]` bounds how far apart row r's scores and another
-    rounding of the same products may put two scores.
+    -inf.  `bound = (scale, norms, offset)` bounds how far another rounding
+    of the same products may move each score: item j's score in row r by
+    `w = scale[r] * norms[j] + offset[r]`.  Two items of a row may swap
+    only when their scores lie within the sum of their two bounds, the
+    pair's margin; `norms` is finite.
 
     The row's columns fall into G groups (8 * cut where that leaves two or
     more columns per group, else one per column), column j into group
     j % G, and `kth` is the cut-th best of the G group maxima.
     These are distinct scores of the row, so at least `cut` scores lie at
-    or above `kth`, and an item that `kth` beats by more than the margin
-    misses under any rounding.  Otherwise the scores above it by more than
-    the margin are counted; below `cut`, the count is the rank, sure only
-    when no other score of the row lies within the margin.  At margin 0
-    every rank is exact; a non-finite margin makes nothing sure.
-    `scratch` is workspace with S's rows and at least G columns.
+    or above `kth`, and an item that `kth` beats by more than its own
+    bound plus the row's largest misses under any rounding.  Otherwise the
+    scores above it by more than the pair's margin are counted; below
+    `cut`, the count is the rank, sure only when no other score of the row
+    lies within the margin.  At bound 0 every rank is exact; a non-finite
+    bound makes nothing sure.  `scratch` is workspace with S's rows and at
+    least G columns.
     """
     width = S.shape[1]
     G = _group_count(width, cut)
@@ -325,16 +405,20 @@ def _ranks(S: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     heads.partition(G - cut, axis=1)
     kth = heads[:, G - cut]
     t = S[rows, cols].astype(np.float64)
-    m = margin[rows]
+    scale, norms, offset = bound
+    exact = (scale == 0) & (offset == 0)
     rank = np.full(rows.shape[0], cut)
-    sure = np.isfinite(m)
     columns = np.arange(width)
-    # differences, not sums, are compared with m: rounding is monotone and
-    # m is a float, so a rounded difference exceeds m only if the exact one
-    # does.  -inf - -inf is nan (such items are misses anyway), and scores
-    # near overflow come only with margin 0, where an infinite difference
-    # still has the right sign.
+    # differences, not sums, are compared with margins: rounding is
+    # monotone and m is a float, so a rounded difference exceeds m only if
+    # the exact one does.  -inf - -inf is nan (such items are misses
+    # anyway), and scores near overflow come only with bound 0, where an
+    # infinite difference still has the right sign.
     with np.errstate(invalid="ignore", over="ignore"):
+        own = scale[rows] * norms[cols] + offset[rows]
+        # the margin to any other item of the row
+        m = own + (scale * norms.max(initial=0.0) + offset)[rows]
+        sure = np.isfinite(m)
         near = np.flatnonzero(sure & (t > -np.inf) & ~(kth[rows] - t > m))
         # two of the row's `cut` best maxima within a positive margin: they
         # are distinct scores, one is another item's, so the item is
@@ -349,14 +433,17 @@ def _ranks(S: np.ndarray, rows: np.ndarray, cols: np.ndarray,
         step = max(1, S.shape[0] // 4)
         for lo in range(0, near.shape[0], step):
             i = near[lo:lo + step]
-            D = S[rows[i]].astype(np.float64, copy=False)
-            D -= t[i, None]
-            above = np.count_nonzero(D > m[i, None], axis=1)
-            within = np.abs(D, out=D) <= m[i, None]
+            r = rows[i]
+            D = np.subtract(S[r], t[i, None], dtype=np.float64)
+            # each pair's margin: the item's own bound plus the other's
+            M = np.multiply.outer(scale[r], norms)
+            M += (own[i] + offset[r])[:, None]
+            above = np.count_nonzero(D > M, axis=1)
+            within = np.abs(D, out=D) <= M
             ties = np.count_nonzero(
                 within & (columns < cols[i, None]), axis=1)
             rank[i] = np.where(above < cut, above + ties, cut)
-            sure[i] = ((above >= cut) | (m[i] == 0)
+            sure[i] = ((above >= cut) | exact[r]
                        | (np.count_nonzero(within, axis=1) == 1))
     return rank, sure
 

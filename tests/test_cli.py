@@ -1,10 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from linkprop.cli import THREAD_VARS, _apply_thread_env, main
+import linkprop
+from linkprop import THREAD_VARS, _apply_thread_env
+from linkprop.cli import main
 from linkprop.data_io import dataset_from_graph, load_edge_list
 from linkprop.experiment import (CONFIG_DEFAULTS, ExperimentError, RunConfig,
                                  run_experiment)
@@ -201,6 +205,37 @@ class TestEnvironment:
         monkeypatch.setenv("LINKPROP_THREADS", "1")
         _apply_thread_env()
         assert os.environ["OMP_NUM_THREADS"] == "4"
+
+    def test_thread_vars_are_set_before_numpy_loads(self):
+        # a BLAS reads its thread count once, when numpy first loads it;
+        # importing the command line must fan LINKPROP_THREADS out before
+        # that, and a threaded BLAS then runs a product on one thread
+        script = """if True:
+            import os, sys
+            seen = []
+
+            class Spy:
+                def find_spec(self, name, path=None, target=None):
+                    if name == "numpy" and not seen:
+                        seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+
+            sys.meta_path.insert(0, Spy())
+            import linkprop.cli
+            import numpy as np
+            a = np.ones((600, 600))
+            a @ a
+            tasks = "/proc/self/task"
+            print(seen[0], len(os.listdir(tasks)) if os.path.isdir(tasks)
+                  else 1)
+        """
+        env = {key: value for key, value in os.environ.items()
+               if key not in THREAD_VARS}
+        env["LINKPROP_THREADS"] = "1"
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(linkprop.__file__))
+        out = subprocess.run([sys.executable, "-c", script], env=env,
+                             capture_output=True, text=True, check=True,
+                             timeout=120)
+        assert out.stdout.split() == ["1", "1"]
 
     def test_outdir_env_default(self, raw_dataset, tmp_path, monkeypatch):
         raw, _ = raw_dataset

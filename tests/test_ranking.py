@@ -219,11 +219,14 @@ def ranking_case(draw):
     """A small bipartite split, embeddings, a cutoff and a users-per-block.
 
     Embeddings are Gaussian, rounded to integers or all zero (heavy ties at
-    the cutoff), some items duplicated or moved one ulp, the whole matrix
-    scaled by 1e150, 1e-160 or into the subnormals, some rows zeroed, and
-    optional nan/+-inf entries.  At 17 or 40 dimensions the block product
-    and the per-user product differ in the last bits for most entries
-    (OpenBLAS).  Some users get every item as a
+    the cutoff), some items duplicated, moved one float64 ulp or less than
+    one float32 ulp, the whole matrix scaled by 1e150, 1e19 (scores past
+    float32's range), 1e-160, 1e-46 (below float32's smallest subnormal)
+    or into the float64 subnormals, some rows zeroed, optional nan/+-inf
+    entries, entries at float32's largest value / 8 or just above its
+    largest value, and whole item rows of nan or +-inf.  At 17 or 40
+    dimensions the block product and the per-user product differ in the
+    last bits for most entries.  Some users get every item as a
     training edge, held-out edges notwithstanding, so they have no
     candidate left.  Up to 40 items with a cutoff of 1 or 2 give `_ranks`
     column groups of two or more columns and a ragged tail.
@@ -256,16 +259,23 @@ def ranking_case(draw):
     elif kind == "zeros":
         X[:] = 0.0
     item = st.integers(num_users, part.num_nodes - 1)
-    for src, dst, ulp in draw(st.lists(st.tuples(item, item, st.booleans()),
+    twin = st.sampled_from(["copy", "ulp", "below float32 ulp"])
+    for src, dst, how in draw(st.lists(st.tuples(item, item, twin),
                                        max_size=4)):
-        X[dst] = np.nextafter(X[src], np.inf) if ulp else X[src]
-    X *= draw(st.sampled_from([1.0, 1e150, 1e-160, 1e-315]))
+        X[dst] = {"copy": X[src], "ulp": np.nextafter(X[src], np.inf),
+                  "below float32 ulp": X[src] * (1 + 2.0 ** -30)}[how]
+    X *= draw(st.sampled_from([1.0, 1e150, 1e19, 1e-160, 1e-46, 1e-315]))
     for row in draw(st.sets(st.integers(0, part.num_nodes - 1), max_size=2)):
         X[row] = 0.0
+    f32_max = float(np.finfo(np.float32).max)
     for row, col, value in draw(st.lists(st.tuples(
             st.integers(0, part.num_nodes - 1), st.integers(0, dim - 1),
-            st.sampled_from([np.nan, np.inf, -np.inf])), max_size=3)):
+            st.sampled_from([np.nan, np.inf, -np.inf, f32_max / 8,
+                             f32_max * 1.01])), max_size=3)):
         X[row, col] = value
+    for row, value in draw(st.lists(st.tuples(
+            item, st.sampled_from([np.nan, np.inf, -np.inf])), max_size=1)):
+        X[row] = value
     k = draw(st.one_of(st.integers(1, num_items + 2), st.integers(1, 2)))
     per_block = draw(st.sampled_from([1, 2, 3, None]))
     return X, splits, graph, k, split, per_block
@@ -276,8 +286,9 @@ class TestEvaluateMatchesOracle:
     @given(ranking_case())
     def test_bit_identical_to_scalar_oracle(self, case):
         X, splits, graph, k, split, per_block = case
+        # per_block users of float32 scores (and no more of float64)
         budget = (ranking._BLOCK_BYTES if per_block is None
-                  else per_block * 8 * splits.partition.num_items)
+                  else per_block * 4 * splits.partition.num_items)
         # evaluate itself must not warn about non-finite scores
         with warnings.catch_warnings(), \
                 mock.patch.object(ranking, "_BLOCK_BYTES", budget):
@@ -299,7 +310,7 @@ class TestEvaluateMatchesOracle:
                              test=[c for c, l in zip(cells, labels) if l == 3])
         graph = build_graph(train, partition=part)
         X = np.round(rng.normal(size=(70, 3)), 1)
-        with mock.patch.object(ranking, "_BLOCK_BYTES", 3 * 8 * 30):
+        with mock.patch.object(ranking, "_BLOCK_BYTES", 3 * 4 * 30):
             for k in (1, 5, 30, 50):
                 for split in ("val", "test"):
                     assert dataclasses.astuple(
@@ -337,12 +348,14 @@ class TestEvaluateMatchesOracle:
         calls = []
         real = ranking._ranks
 
-        def spy(S, rows, cols, margin, cut, scratch):
-            rank, sure = real(S, rows, cols, margin, cut, scratch)
-            calls.append((bool(margin.any()), rank.copy(), sure.copy()))
+        def spy(S, rows, cols, bound, cut, scratch):
+            rank, sure = real(S, rows, cols, bound, cut, scratch)
+            scale, _, offset = bound
+            calls.append((bool(scale.any() or offset.any()), rank.copy(),
+                          sure.copy()))
             return rank, sure
 
-        with mock.patch.object(ranking, "_BLOCK_BYTES", 3 * 8 * 40), \
+        with mock.patch.object(ranking, "_BLOCK_BYTES", 3 * 4 * 40), \
                 mock.patch.object(ranking, "_ranks", spy):
             got = evaluate(X, splits, graph, k=5)
         assert dataclasses.astuple(got) == evaluate_scalar(X, splits, graph,
@@ -355,11 +368,19 @@ class TestEvaluateMatchesOracle:
         assert any(not c[0] for c in calls)  # the per-user fallback ran
 
 
+def flat_bound(S, margin):
+    """A `_ranks` bound that gives every pair of row r the margin
+    margin[r]: half of it on each item, none from the item norms."""
+    half = np.array(margin, dtype=float) / 2
+    return np.zeros_like(half), np.zeros(np.shape(S)[1]), half
+
+
 def ranks(S, held, margin, cut):
-    """`ranking._ranks` of the (row, column) pairs `held` of the rows S."""
+    """`ranking._ranks` of the (row, column) pairs `held` of the rows S,
+    every pair of row r within margin[r] unsure."""
     S = np.array(S, dtype=float)
     rows, cols = np.array(held).T
-    return ranking._ranks(S, rows, cols, np.array(margin, dtype=float), cut,
+    return ranking._ranks(S, rows, cols, flat_bound(S, margin), cut,
                           np.empty_like(S))
 
 
@@ -466,7 +487,8 @@ class TestCertification:
         S = np.array([row])
         rows, cols = np.array([[0, 2], [0, 17], [0, 19]]).T
         for margin in (0.0, 0.1):
-            rank, sure = ranking._ranks(S, rows, cols, np.array([margin]), 1,
+            rank, sure = ranking._ranks(S, rows, cols,
+                                        flat_bound(S, [margin]), 1,
                                         np.empty_like(S))
             assert sure.all()
             assert rank[0] == 0 and np.all(rank[1:] >= 1)
@@ -475,48 +497,171 @@ class TestCertification:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_error_bound_covers_gamma_d(self, dtype):
+        # float64 input: a float32 product of casts (gamma_{d+2}) against
+        # the float64 GEMV (gamma_d); float32 input: two float32 products.
+        # Both bounds are doubled, per item
         rng = np.random.default_rng(0)
         Y = rng.normal(size=(4, 32)).astype(dtype)
         items = rng.normal(size=(50, 32)).astype(dtype)
-        u = np.finfo(dtype).eps / 2
-        gamma = 32 * u / (1 - 32 * u)
-        floor = gamma * np.linalg.norm(Y.astype(float), axis=1) * \
-            np.linalg.norm(items.astype(float), axis=1).max()
-        err = ranking._score_error(Y, items)
-        assert np.all(err >= floor)
-        assert np.all(err < 4 * floor)
+
+        def gamma(n, dtype):
+            u = float(np.finfo(dtype).eps) / 2
+            return n * u / (1 - n * u)
+
+        if dtype == np.float64:
+            total = gamma(34, np.float32) + gamma(32, np.float64)
+        else:
+            total = 2 * gamma(32, np.float32)
+        floor = 2 * total * np.outer(np.linalg.norm(Y.astype(float), axis=1),
+                                     np.linalg.norm(items.astype(float),
+                                                    axis=1))
+        block, scale, norms, offset = ranking._score_error(Y, items)
+        assert block == np.float32
+        err = np.outer(scale, norms) + offset[:, None]
+        # the norms may round an ulp apart
+        assert np.all(err >= floor * (1 - 1e-12))
+        assert np.all(err < floor * (1 + 1e-6))
 
     def test_error_bound_is_inf_where_scores_may_overflow(self):
         items = np.array([[1.3e154, 0.0], [0.0, 1.0], [1.0, 1.0]])
         # norms ~1e154 are finite, but their product is within 8x of overflow
         Y = np.array([[1e150, 0.0], [1.3e154, 0.0], [np.nan, 0.0],
                       [np.inf, 0.0], [1e200, 0.0]])
-        err = ranking._score_error(Y, items)
-        assert np.isfinite(err[0])
-        assert np.all(np.isinf(err[1:]))
+        block, _, _, offset = ranking._score_error(Y, items)
+        assert block == np.float64
+        assert np.isfinite(offset[0])
+        assert np.all(np.isinf(offset[1:]))
+        # an item row that is not finite is never ranked: it leaves the
+        # other users' bounds finite and has no norm of its own
         items[1, 0] = np.nan
-        assert np.all(np.isinf(ranking._score_error(Y[:1], items)))
+        _, scale, norms, offset = ranking._score_error(Y[:1], items)
+        assert np.isfinite(scale[0]) and np.isfinite(offset[0])
+        assert norms[1] == 0 and np.all(norms[[0, 2]] > 0)
 
     def test_non_float_dtype_is_never_certified(self):
-        err = ranking._score_error(np.ones((2, 3), dtype=np.int64),
-                                   np.ones((4, 3), dtype=np.int64))
-        assert np.all(np.isinf(err))
+        _, _, _, offset = ranking._score_error(
+            np.ones((2, 3), dtype=np.int64), np.ones((4, 3), dtype=np.int64))
+        assert np.all(np.isinf(offset))
+
+    def test_zero_user_rows_have_bound_zero(self):
+        Y = np.array([[0.0, -0.0], [1.0, 0.0], [1e-320, 0.0]])
+        items = np.array([[1.0, 2.0], [np.inf, 0.0], [3e38, 1.0]])
+        _, scale, _, offset = ranking._score_error(Y, items)
+        assert scale[0] == 0 and offset[0] == 0
+        assert np.all(offset[1:] > 0)
+
+    @pytest.mark.parametrize("entry, other", [
+        (float(np.finfo(np.float32).max) * 1.01, 1e-2),  # casts to inf
+        (1e20, 1e20),  # castable, but the products overflow float32
+        (float(np.finfo(np.float32).max) / 8, 1.0),
+    ])
+    def test_float32_range_guards_the_float32_block(self, entry, other):
+        # the huge item ranks first in float64, so a float32 block that
+        # scored it inf, nan or -inf would move the held-out item up
+        part = Partition(1, 3)
+        X = np.array([[other, other], [entry, 0.0], [1.0, 1.0], [0.5, 0.0]])
+        splits = make_splits(part, [], test=[(0, 2)])
+        graph = build_graph([], partition=part)
+        assert ranking._score_error(X[:1], X[1:])[0] == np.float64
+        assert dataclasses.astuple(evaluate(X, splits, graph, k=1)) == \
+            evaluate_scalar(X, splits, graph, k=1) == \
+            (1, 0.0, 0.0, 0.0, 1, 0)
+        assert ranking._score_error(X[:1], X[2:])[0] == np.float32
+
+    def test_bound_includes_the_held_out_items_own_norm(self):
+        # item 0 has a norm near 17460 and a score near 0.58 by
+        # cancellation, so its float32 score is off by about 2e-4; item 1
+        # has a small norm and a score between the two.  Only the bound of
+        # item 0 covers the gap; without it the block ranks item 0 second
+        part = Partition(1, 2)
+        x0 = np.array([12346.1789, -12345.6])
+        b0 = float(np.float32(x0[0]) + np.float32(x0[1]))
+        p0 = float(x0[0] + x0[1])
+        assert b0 - p0 > 1e-4
+        X = np.array([[1.0, 1.0], x0, [(b0 + p0) / 2, 0.0]])
+        splits = make_splits(part, [], test=[(0, 1)])
+        graph = build_graph([], partition=part)
+        assert ranking._score_error(X[:1], X[1:])[0] == np.float32
+        assert dataclasses.astuple(evaluate(X, splits, graph, k=1)) == \
+            evaluate_scalar(X, splits, graph, k=1) == (1, 0.0, 0.0, 0.0, 1, 0)
 
     def test_gaussian_embeddings_take_the_block_product(self):
         # the fast path must not quietly fall back on ordinary embeddings
         rng = np.random.default_rng(3)
         Y = rng.normal(size=(64, 32))
         items = rng.normal(size=(500, 32))
-        S = Y @ items.T
-        best = np.argsort(-S, axis=1, kind="stable")
+        best = np.argsort(-(Y @ items.T), axis=1, kind="stable")
+        block, scale, norms, offset = ranking._score_error(Y, items)
+        S = Y.astype(block) @ items.astype(block).T
         rows = np.repeat(np.arange(64), 4)
         cols = np.concatenate([best[:, [0, 7, 19]],
                                rng.integers(0, 500, (64, 1))], axis=1).ravel()
-        rank, sure = ranking._ranks(S, rows, cols,
-                                    2 * ranking._score_error(Y, items), 20,
+        rank, sure = ranking._ranks(S, rows, cols, (scale, norms, offset), 20,
                                     np.empty_like(S))
         assert sure.all()
         assert list(rank.reshape(64, 4)[:, :3].ravel()) == [0, 7, 19] * 64
+
+
+def fallback_users(X, splits, graph, **kwargs):
+    """`evaluate`'s result, and how many users it scored again one GEMV
+    each because the block left one of their items unsure."""
+    real = ranking._ranks
+    unsure = []
+
+    def spy(S, rows, cols, bound, cut, scratch):
+        rank, sure = real(S, rows, cols, bound, cut, scratch)
+        unsure.append(np.unique(rows[~sure]).shape[0])
+        return rank, sure
+
+    with mock.patch.object(ranking, "_ranks", spy):
+        result = evaluate(X, splits, graph, **kwargs)
+    return dataclasses.astuple(result), sum(unsure)
+
+
+class TestFallback:
+    @pytest.fixture
+    def case(self):
+        rng = np.random.default_rng(7)
+        part = Partition(60, 300)
+        cells = [(u, 60 + i) for u in range(60) for i in range(300)]
+        labels = rng.choice(3, size=len(cells), p=[0.9, 0.07, 0.03])
+        train = [c for c, l in zip(cells, labels) if l == 1]
+        splits = make_splits(part, train,
+                             test=[c for c, l in zip(cells, labels) if l == 2])
+        return rng.normal(size=(360, 32)), splits, \
+            build_graph(train, partition=part)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_one_bad_item_row_keeps_the_block_product(self, case, bad):
+        X, splits, graph = case
+        X[100] = bad
+        X[200, 3] = bad
+        X[5] = np.nan  # one user's own embedding is bad
+        result, fell_back = fallback_users(X, splits, graph, k=20)
+        with np.errstate(invalid="ignore"):
+            assert result == evaluate_scalar(X, splits, graph, k=20)
+        assert fell_back == 1
+
+    def test_zero_users_are_ranked_from_the_block(self, case):
+        X, splits, graph = case
+        X[:30] = 0.0
+        for Z in (X, np.zeros_like(X)):
+            result, fell_back = fallback_users(Z, splits, graph, k=20)
+            assert result == evaluate_scalar(Z, splits, graph, k=20)
+            assert fell_back == 0
+
+    @pytest.mark.parametrize("scale, block", [
+        (1e-30, np.float64), (1e-8, np.float32), (1.0, np.float32),
+        (1e30, np.float64)])
+    def test_gaussian_embeddings_do_not_fall_back(self, case, scale, block):
+        # at 1e-30 and 1e30 float32 scores would underflow or overflow
+        X, splits, graph = case
+        first_item = splits.partition.num_users
+        assert ranking._score_error(X[:first_item] * scale,
+                                    X[first_item:] * scale)[0] == block
+        result, fell_back = fallback_users(X * scale, splits, graph, k=20)
+        assert result == evaluate_scalar(X * scale, splits, graph, k=20)
+        assert fell_back == 0
 
 
 class TestMeanResult:
