@@ -263,20 +263,35 @@ _CHUNK = 1024
 class MaskEntries:
     """One weight matrix located in a SupportPattern: `weights` and `slots`
     (union slot per entry) in the matrix's stored order, in which sums over
-    it run; `matrix` and `sorted_slots` in the canonical order of tocsr()."""
+    it run; `matrix` and `sorted_slots` in the canonical order of tocsr().
 
-    def __init__(self, mat: sp.csr_array, slots: np.ndarray, cols: np.ndarray):
+    The owned scores the entries read are `reads`, ascending and distinct;
+    `stored` gives each entry, in stored order, its score's position in
+    `reads`, and `sorted_owner` gives each entry, in canonical order, its
+    score's position among all owned scores.  So `reads[stored]` is
+    `owner[slots]` and `sorted_owner` is `owner[sorted_slots]`, and a
+    per-slot map runs once per score it reads before one `take` spreads it.
+    """
+
+    def __init__(self, mat: sp.csr_array, slots: np.ndarray, cols: np.ndarray,
+                 owner: np.ndarray, num_owned: int):
         order = np.argsort(slots)
         self.weights, self.slots, self.sorted_slots = mat.data, slots, slots[order]
         if np.any(self.sorted_slots[1:] == self.sorted_slots[:-1]):
             raise ValueError("weight matrix stores an entry twice")
         self.matrix = sp.csr_array((mat.data[order], cols[self.sorted_slots],
                                     mat.indptr.astype(cols.dtype)), shape=mat.shape)
+        read = owner[slots]
+        hit = np.zeros(num_owned, dtype=bool)
+        hit[read] = True
+        self.reads = np.flatnonzero(hit).astype(owner.dtype)
+        self.stored = (np.cumsum(hit, dtype=owner.dtype) - 1)[read]
+        self.sorted_owner = read[order]
 
     def weighted(self, values: np.ndarray) -> sp.csr_array:
-        """The matrix with each entry times `values` at its union slot."""
+        """The matrix with each entry times `values` at its owned slot."""
         m = self.matrix
-        return sp.csr_array((m.data * values[self.sorted_slots], m.indices,
+        return sp.csr_array((m.data * values.take(self.sorted_owner), m.indices,
                              m.indptr), shape=m.shape)
 
 
@@ -290,9 +305,11 @@ class SupportPattern:
 
     A slot (u, v) whose mirror (v, u) is also in the union shares its score
     with it, so only the owned slots, those with u <= v or without a mirror,
-    are gathered (`owned_rows`, `owned_cols`); `owner` gives each slot the
+    are scored (`owned_rows`, `owned_cols`); `owner` gives each slot the
     position of its own or its mirror's score among them.  A symmetric
-    pattern owns about half its slots, any other pattern more.
+    pattern owns about half its slots, any other pattern more.  Scores
+    stay per owned slot: `pos` and `neg` carry the index maps from them to
+    their entries.
     """
 
     def __init__(self, pos: sp.csr_array, neg: sp.csr_array):
@@ -304,8 +321,7 @@ class SupportPattern:
         self.num_nodes, self.nnz = n, union.shape[0]
         self.rows, self.cols = (union // n).astype(index), (union % n).astype(index)
         self.indptr = np.searchsorted(self.rows, np.arange(n + 1)).astype(index)
-        self.pos = MaskEntries(pos, slot[:keys[0].shape[0]], self.cols)
-        self.neg = MaskEntries(neg, slot[keys[0].shape[0]:], self.cols)
+        split = keys[0].shape[0]
         del keys, union  # free the int64 keys before the mirror search peaks
 
         # the slot of each slot's mirror, -1 if it has none: the pattern
@@ -322,13 +338,15 @@ class SupportPattern:
         self.owned_rows, self.owned_cols = self.rows[owned], self.cols[owned]
         rank = np.cumsum(owned, dtype=index) - 1
         self.owner = np.where(owned, rank, rank[mirror])
+        num_owned = self.owned_rows.shape[0]
+        self.pos = MaskEntries(pos, slot[:split], self.cols, self.owner, num_owned)
+        self.neg = MaskEntries(neg, slot[split:], self.cols, self.owner, num_owned)
 
     def scores(self, Y: np.ndarray) -> np.ndarray:
-        """Gram scores y_u . y_v on the union, bitwise as a full gather would
-        give them for finite Y (y_u . y_v sums the same products in the same
-        order as y_v . y_u).  The owned slots are gathered block by block
-        into two reused buffers instead of two (nnz, d) arrays; one `take`
-        then spreads their scores over every slot."""
+        """Gram scores y_u . y_v of the owned slots, bitwise those of a full
+        gather for finite Y (y_u . y_v sums the same products in the same
+        order as y_v . y_u).  They are gathered block by block into two
+        reused buffers instead of two (nnz, d) arrays."""
         if Y.shape[0] != self.num_nodes:
             raise ValueError(f"Y has {Y.shape[0]} rows, the pattern "
                              f"{self.num_nodes} nodes")
@@ -343,7 +361,7 @@ class SupportPattern:
             np.take(Y, rows[block], axis=0, out=a, mode="clip")
             np.take(Y, cols[block], axis=0, out=b, mode="clip")
             np.einsum("ij,ij->i", a, b, out=owned[block])
-        return owned.take(self.owner)
+        return owned
 
     def matrix(self, data: np.ndarray) -> sp.csr_array:
         """The union pattern holding `data`, one value per slot."""

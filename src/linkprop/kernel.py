@@ -108,7 +108,7 @@ class KernelOperator:
     negatives: NegativeSet
     prop: ProximityOperator = field(repr=False)
     pattern: SupportPattern = field(repr=False)
-    rows: np.ndarray = field(repr=False)  # the pattern's, for ScorePair
+    rows: np.ndarray = field(repr=False)  # the pattern's, one per union slot
 
     @classmethod
     def build(cls, config: KernelConfig, graph: Graph,
@@ -127,7 +127,8 @@ class KernelOperator:
 
 @dataclass(frozen=True, eq=False)
 class ScorePair:
-    """Complementary score matrices on the union of the two mask supports.
+    """Complementary score matrices on the owned slots of the union of the
+    two mask supports (a slot's mirror holds the same values).
 
     s_a weights positive positions (high where a training link is still
     poorly reconstructed), s_b weights negative positions.  They sum to one
@@ -145,16 +146,18 @@ class ScorePair:
 
 def score_matrices(Y: np.ndarray, operator: KernelOperator,
                    scores: np.ndarray | None = None) -> ScorePair:
-    """Scores of the propagated embedding Y on the operator's union support.
+    """Scores of the propagated embedding Y on the owned slots of the
+    operator's union support: sigmoid runs once per unordered pair.
 
-    `scores`, if given, must be `operator.pattern.scores(Y)`: a caller that
-    already holds the forward pass's Gram scores passes them in and the
-    support is not gathered again.
+    `scores`, if given, must be `operator.pattern.scores(Y)`, the owned
+    Gram scores: a caller that already holds the forward pass's scores
+    passes them in and the support is not gathered again.
     """
+    pattern = operator.pattern
     if scores is None:
-        scores = operator.pattern.scores(Y)
+        scores = pattern.scores(Y)
     s_b = sigmoid(scores)
-    return ScorePair(rows=operator.rows, cols=operator.pattern.cols,
+    return ScorePair(rows=pattern.owned_rows, cols=pattern.owned_cols,
                      s_a=1.0 - s_b, s_b=s_b)
 
 

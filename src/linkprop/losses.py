@@ -149,23 +149,34 @@ def build_masks(graph: Graph, negatives: NegativeSet,
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
     """Elementwise logistic function, overflow-safe on both tails: exp only
-    sees -|z|.  np.minimum(z, -z), not -np.abs(z), keeps a NaN's sign."""
+    sees -|z|.  np.minimum(z, -z), not -np.abs(z), keeps a NaN's sign.
+
+    An element z >= 0 gets 1 / (1 + e), any other e / (1 + e), e =
+    exp(-|z|): the quotient e / (1 + e) is written into e's buffer and
+    1 / (1 + e) over it where z >= 0, so `z` is never written.
+    """
     z = np.asarray(z)
-    e = np.exp(np.minimum(z, -z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    # asarray: for a 0-d z, exp returns a scalar, which cannot be written
+    e = np.asarray(np.exp(np.minimum(z, -z)))
+    d = 1.0 + e
+    np.divide(e, d, out=e)
+    return np.divide(1.0, d, out=e, where=z >= 0)
 
 
 def support_loss(X: np.ndarray, s: np.ndarray, pattern: SupportPattern,
                  lam: float, beta: float) -> float:
-    """The loss from scores s on the pattern's union support, each mask's
-    term summed in its stored order.  -log sigma(s) is logaddexp(0, -s), so
-    saturated scores cannot overflow."""
+    """The loss from the owned scores s of `pattern`, each mask's term
+    summed in its stored order.  -log sigma(s) is logaddexp(0, -s), so
+    saturated scores cannot overflow; it runs once per owned score a mask
+    reads."""
     total = 0.0
     pos, neg = pattern.pos, pattern.neg
     if pos.weights.size:
-        total += float(np.dot(pos.weights, np.logaddexp(0.0, -s[pos.slots])))
+        total += float(np.dot(pos.weights, np.logaddexp(
+            0.0, -s.take(pos.reads)).take(pos.stored)))
     if neg.weights.size:
-        total += lam * float(np.dot(neg.weights, np.logaddexp(0.0, s[neg.slots])))
+        total += lam * float(np.dot(neg.weights, np.logaddexp(
+            0.0, s.take(neg.reads)).take(neg.stored)))
     return 0.5 * total + 0.5 * beta * float(np.sum(X * X))
 
 
@@ -194,13 +205,15 @@ def model_loss(X: np.ndarray, graph: Graph, negatives: NegativeSet,
 def support_gradient(X: np.ndarray, Y: np.ndarray, s: np.ndarray,
                      pattern: SupportPattern, prop: ProximityOperator,
                      params: ModelParams) -> np.ndarray:
-    """loss_gradient from the forward pass at X: Y = prop X and its scores s
-    on `pattern`.  M lives on the union support; a slot both masks share
-    holds both terms."""
+    """loss_gradient from the forward pass at X: Y = prop X and its owned
+    scores s on `pattern`.  M lives on the union support; a slot both masks
+    share holds both terms.  Each sigmoid runs once per owned score its
+    mask reads."""
     pos, neg = pattern.pos, pattern.neg
     data = np.zeros(pattern.nnz)
-    data[pos.slots] = pos.weights * sigmoid(-s[pos.slots])
-    data[neg.slots] += -params.lam * neg.weights * sigmoid(s[neg.slots])
+    data[pos.slots] = pos.weights * sigmoid(-s.take(pos.reads)).take(pos.stored)
+    data[neg.slots] += -params.lam * neg.weights * sigmoid(
+        s.take(neg.reads)).take(neg.stored)
     return params.beta * X - prop.apply(pattern.matrix(data) @ Y)
 
 

@@ -65,6 +65,7 @@ def score_user(X: np.ndarray, user: int, graph: Graph) -> np.ndarray:
     """
     if graph.partition is None:
         raise ValueError("scoring needs a bipartite partition")
+    X = _float_embeddings(X)
     part = graph.partition
     scores = X[part.num_users:] @ X[user]
     interacted = graph.neighbors(user) - part.num_users
@@ -140,10 +141,11 @@ def evaluate(X: np.ndarray, splits: SplitSet, train_graph: Graph,
     the block finds, and any other is ranked by a count over its row.  A
     user row of zeros scores exactly on both paths and is ranked from the
     block at margin 0.  Users with any other item (near-ties, non-finite
-    user embeddings, non-float dtypes) are scored again with that GEMV,
-    into a buffer of X's dtype, and ranked at margin 0.  Hits add their
-    discounts in rank order and the per-user metrics are summed
-    sequentially in user order.
+    user embeddings, floating dtypes other than float32 and float64) are
+    scored again with that GEMV, into a buffer of X's dtype, and ranked at
+    margin 0.  Hits add their discounts in rank order and the per-user
+    metrics are summed sequentially in user order.  X must have a real
+    floating-point dtype.
     """
     if split not in ("test", "val"):
         raise ValueError("split must be 'test' or 'val'")
@@ -151,7 +153,7 @@ def evaluate(X: np.ndarray, splits: SplitSet, train_graph: Graph,
         raise ValueError(f"k must be an integer, got {k!r}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    X = np.asarray(X)
+    X = _float_embeddings(X)
     if X.ndim != 2 or X.shape[0] != train_graph.num_nodes:
         raise ValueError(
             f"X must be a 2-d array with one row per node of train_graph "
@@ -238,6 +240,16 @@ def evaluate(X: np.ndarray, splits: SplitSet, train_graph: Graph,
                       users_skipped=num_users - evaluated)
 
 
+def _float_embeddings(X) -> np.ndarray:
+    """X as an array; raises ValueError unless its dtype is real floating
+    point, on which training items can be set to -inf."""
+    X = np.asarray(X)
+    if not np.issubdtype(X.dtype, np.floating):
+        raise ValueError(f"X must have a real floating-point dtype, got "
+                         f"{X.dtype}")
+    return X
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _score_error(Y: np.ndarray, items: np.ndarray):
     """The block product's dtype, and per user row y and item row x_j a
@@ -283,8 +295,8 @@ def _score_error(Y: np.ndarray, items: np.ndarray):
     ranked: its item norm is 0 and leaves the other users' bounds alone,
     while a user of such a row gets an infinite offset, as does a user
     with `||y|| * max ||x||` not within the block dtype's largest value / 8,
-    and every user for dtypes other than float32/float64.  A user row of
-    zeros scores an exact +-0 (or nan) on both paths: its bound is 0.
+    and every user for floating dtypes other than float32/float64.  A user
+    row of zeros scores an exact +-0 (or nan) on both paths: its bound is 0.
     """
     n = Y.shape[0]
     truth = items.dtype

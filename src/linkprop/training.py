@@ -175,7 +175,8 @@ def train(graph: Graph, negatives: NegativeSet, config: TrainConfig,
     # overflow and nan end the run as a DivergenceError at the first
     # non-finite embedding or loss, so numpy need not warn about them
     with np.errstate(over="ignore", invalid="ignore"):
-        # the forward pass at X, computed once per embedding: P X and its scores
+        # the forward pass at X, computed once per embedding: P X and the
+        # scores of the pattern's owned slots, one per unordered pair
         Y = op.prop.apply(X)
         s = op.pattern.scores(Y)
 

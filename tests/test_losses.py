@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from linkprop import losses, reference
 from linkprop.graphs import MAX_PROXIMITY_ORDER, build_graph
@@ -27,6 +27,26 @@ TABLE_MUTANTS = {
     "deepwalk-a2-b2-swapped": ("deepwalk", lambda r: r._replace(a2=r.b2, b2=r.a2)),
     "deepwalk-neg-norm-none": ("deepwalk", lambda r: r._replace(neg_norm="none")),
     "line-c3-flipped": ("line", lambda r: r._replace(c3=1.0 - r.c3)),
+}
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# nan of both signs, infinities, the edge of exp's float64 range (exp(-745)
+# is the smallest subnormal, exp(-746) is 0), subnormals and signed zeros
+SPECIAL_SCORES = [np.nan, -np.nan, np.inf, -np.inf, 745.0, -745.0, 745.2,
+                  -745.2, 709.8, -709.8, 36.8, -36.8, 5e-324, -5e-324,
+                  2.2250738585072014e-308 / 3, -1e-310, 0.0, -0.0]
+
+# the per-slot maps that training runs on owned scores only
+SLOT_MAPS = {
+    "sigmoid(z)": sigmoid,
+    "sigmoid(-z)": lambda z: sigmoid(-z),
+    "logaddexp(0, z)": lambda z: np.logaddexp(0.0, z),
+    "logaddexp(0, -z)": lambda z: np.logaddexp(0.0, -z),
 }
 
 
@@ -298,3 +318,65 @@ class TestSigmoid:
         a = sigmoid(np.array([z]))[0]
         b = sigmoid(np.array([-z]))[0]
         assert a + b == pytest.approx(1.0, abs=1e-15)
+
+    @staticmethod
+    def where_body(z):
+        # sigmoid's body before it wrote its quotients in place
+        z = np.asarray(z)
+        e = np.exp(np.minimum(z, -z))
+        return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+    @given(st.lists(st.one_of(st.floats(), st.floats(-40, 40),
+                              st.sampled_from(SPECIAL_SCORES)), max_size=70))
+    def test_bitwise_equal_to_where_body(self, values):
+        z = np.array(values + SPECIAL_SCORES, dtype=float)
+        assert same_bits(sigmoid(z), self.where_body(z))
+
+    @pytest.mark.parametrize("z", [
+        np.array(2.0), np.array(-2.0), np.array(np.nan), np.float64(-0.0),
+        3.5, np.empty(0), np.empty((0, 3)), np.array([[1.0, -1.0], [0.0, 9.0]]),
+        np.array([3, -2, 0]), np.array([1.5, -0.25], dtype=np.float32)])
+    def test_shapes_and_dtypes_as_the_where_body(self, z):
+        got = sigmoid(z)
+        assert isinstance(got, np.ndarray)
+        assert same_bits(got, self.where_body(z))
+
+    def test_never_writes_or_aliases_its_input(self):
+        base = np.array([-3.0, 0.0, -0.0, 2.0, np.nan, np.inf, -np.inf, 1e-320])
+        z = base.copy()
+        z.flags.writeable = False  # a write into z would raise
+        out = sigmoid(z)
+        assert same_bits(z, base) and not np.shares_memory(out, z)
+        view = base.copy()[1::2]
+        out = sigmoid(view)
+        assert same_bits(view, base[1::2]) and not np.shares_memory(out, view)
+
+
+@settings(max_examples=200)
+@given(name=st.sampled_from(sorted(SLOT_MAPS)), data=st.data(),
+       offset=st.integers(0, 15), length=st.integers(1, 67),
+       tail=st.integers(0, 15))
+def test_map_of_a_subset_is_the_full_map_there(name, data, offset, length,
+                                               tail):
+    # training maps each owned score once and spreads the results with a
+    # take; that keeps every bit only if an element's value does not depend
+    # on where it sits in the array: SIMD loops with their scalar tails,
+    # unaligned starts and gathered subsets must all agree with the map of
+    # the full array
+    f = SLOT_MAPS[name]
+    values = data.draw(st.lists(
+        st.one_of(st.floats(), st.floats(-40, 40), st.floats(-800, 800),
+                  st.sampled_from(SPECIAL_SCORES)),
+        min_size=offset + length + tail, max_size=offset + length + tail))
+    z = np.array(values, dtype=float)
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=z.shape[0],
+                                       max_size=z.shape[0])), dtype=bool)
+    picked = np.flatnonzero(keep)
+    # one map per distinct bit pattern, spread back over every position
+    distinct, spread = np.unique(z.view(np.int64), return_inverse=True)
+    window = slice(offset, offset + length)
+    with np.errstate(invalid="ignore"):  # logaddexp of a nan, as in training
+        full = f(z)
+        assert same_bits(f(z[window]), full[window])
+        assert same_bits(f(z.take(picked)), full.take(picked))
+        assert same_bits(f(distinct.view(float)).take(spread.ravel()), full)

@@ -213,6 +213,29 @@ class TestEvaluateInputs:
         assert evaluate(X, splits, graph, k=np.int32(2)) == \
             evaluate(X, splits, graph, k=2)
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.bool_])
+    def test_rejects_non_float_embeddings(self, case, dtype):
+        # a training item is set to -inf, which no integer score holds, and
+        # bool products are no scores at all
+        splits, graph = case
+        X = np.ones((5, 2), dtype=dtype)
+        message = (f"X must have a real floating-point dtype, got "
+                   f"{np.dtype(dtype)}")
+        with pytest.raises(ValueError, match=message):
+            evaluate(X, splits, graph)
+        with pytest.raises(ValueError, match=message):
+            score_user(X, 0, graph)
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_ranks_float_embeddings(self, case, dtype):
+        splits, graph = case
+        X = (np.arange(10.0).reshape(5, 2) * [1.0, -0.5]).astype(dtype)
+        result = evaluate(X, splits, graph, k=2)
+        assert dataclasses.astuple(result) == evaluate_scalar(X, splits,
+                                                              graph, k=2)
+        scores = score_user(X, 0, graph)
+        assert scores.dtype == dtype and scores[0] == -np.inf
+
 
 @st.composite
 def ranking_case(draw):

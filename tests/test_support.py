@@ -6,6 +6,7 @@ mask, link kernels and the gradient residual assembled as COO and converted
 with tocsr().  Every comparison is bitwise.
 """
 
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -14,11 +15,12 @@ import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
 from linkprop import graphs
-from linkprop.graphs import SupportPattern, build_graph
+from linkprop.graphs import SupportPattern, build_graph, proximity
 from linkprop.kernel import (KernelOperator, link_kernels, model_config,
-                             score_matrices)
+                             positive_kernel, score_matrices)
 from linkprop.losses import (ModelParams, bce_loss, build_masks, loss_gradient,
-                             model_loss, sigmoid)
+                             model_loss, sigmoid, support_gradient,
+                             support_loss)
 
 from conftest import negatives_from_pairs, random_graph_instance
 
@@ -97,12 +99,18 @@ def check_against_oracles(graph, negatives, model, kwargs, Y):
     assert np.array_equal(pattern.cols, cols)
     assert np.array_equal(pattern.pos.slots, pos_sel)
     assert np.array_equal(pattern.neg.slots, neg_sel)
-    assert same_bits(pattern.scores(Y), old_scores(Y, rows, cols))
+    # scores stay per owned slot; spread by `owner` they are the full gather
+    assert same_bits(pattern.scores(Y).take(pattern.owner),
+                     old_scores(Y, rows, cols))
 
-    # kernel side: scores, K+ and K- as tocsr() ordered them
+    # kernel side: scores on the owned slots, K+ and K- as tocsr() ordered
+    # them; a map over the owned scores, spread, is the map over the union
     scores = score_matrices(Y, op)
+    assert np.array_equal(scores.rows, pattern.owned_rows)
+    assert np.array_equal(scores.cols, pattern.owned_cols)
     s_b = sigmoid(old_scores(Y, rows, cols))
-    assert same_bits(scores.s_b, s_b) and same_bits(scores.s_a, 1.0 - s_b)
+    assert same_bits(scores.s_b.take(pattern.owner), s_b)
+    assert same_bits(scores.s_a.take(pattern.owner), 1.0 - s_b)
     # the forward pass's scores, handed in, give the same pair
     given = score_matrices(Y, op, op.pattern.scores(Y))
     assert same_bits(given.s_a, scores.s_a) and same_bits(given.s_b, scores.s_b)
@@ -189,13 +197,16 @@ def check_half_gather(pos, neg, Y):
     rows, cols, _, _, _, _ = old_union(pos, neg)
     assert np.array_equal(pattern.rows, rows)
     assert np.array_equal(pattern.cols, cols)
-    assert same_bits(pattern.scores(Y), old_scores(Y, rows, cols))
+    assert same_bits(pattern.scores(Y).take(pattern.owner),
+                     old_scores(Y, rows, cols))
     # one gather per unordered pair: a slot is gathered unless it lies
     # below the diagonal and its mirror above it is in the union too
     cells = set(zip(rows.tolist(), cols.tolist()))
     owned = [(u, v) for u, v in sorted(cells) if u <= v or (v, u) not in cells]
     assert list(zip(pattern.owned_rows.tolist(),
                     pattern.owned_cols.tolist())) == owned
+    assert same_bits(pattern.scores(Y), old_scores(Y, pattern.owned_rows,
+                                                   pattern.owned_cols))
     for name in ("owned_rows", "owned_cols", "owner"):
         assert getattr(pattern, name).dtype == pattern.cols.dtype
 
@@ -235,3 +246,85 @@ def test_overlapping_supports_share_a_slot():
     assert pattern.nnz == 2
     assert np.array_equal(pattern.pos.slots, [0, 1])
     assert np.array_equal(pattern.neg.slots, [0])
+
+
+def stored_csr(cells, n):
+    """An (n, n) CSR holding 0.3, 0.6, ... at the given cells, listed in
+    row order; each row keeps its cells in the listed order, so a row
+    listed with falling columns is stored out of canonical order."""
+    rows, cols = np.array(cells, dtype=np.int64).reshape(-1, 2).T
+    assert np.all(rows[1:] >= rows[:-1])
+    data = 0.3 * np.arange(1.0, len(cells) + 1)
+    indptr = np.searchsorted(rows, np.arange(n + 1))
+    return sp.csr_array((data, cols, indptr), shape=(n, n))
+
+
+# (pos cells, neg cells) on 5 nodes: every pos has rows listed with
+# falling columns, and the masks share slots
+INDEX_MAP_PATTERNS = {
+    "symmetric": (
+        [(0, 3), (0, 1), (1, 0), (1, 4), (2, 2), (3, 0), (3, 4), (4, 3),
+         (4, 1)],
+        [(0, 2), (0, 1), (1, 3), (1, 0), (2, 0), (3, 1)]),
+    "asymmetric": (
+        [(0, 4), (0, 1), (1, 2), (2, 3), (2, 0), (3, 2), (4, 4)],
+        [(1, 0), (1, 3), (4, 0)]),
+    "edgeless negatives": (
+        [(0, 3), (0, 1), (1, 0), (2, 4), (3, 0), (4, 2)], []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INDEX_MAP_PATTERNS))
+def test_index_maps_compose_owner_with_slots(name):
+    pos_cells, neg_cells = INDEX_MAP_PATTERNS[name]
+    pos, neg = stored_csr(pos_cells, 5), stored_csr(neg_cells, 5)
+    assert not pos.has_sorted_indices
+    pattern = SupportPattern(pos, neg)
+    owner = pattern.owner
+    for entries in (pattern.pos, pattern.neg):
+        read = owner[entries.slots]
+        assert np.array_equal(entries.reads, np.unique(read))
+        assert np.array_equal(entries.reads[entries.stored], read)
+        assert np.array_equal(entries.sorted_owner,
+                              owner[entries.sorted_slots])
+        for attr in ("reads", "stored", "sorted_owner"):
+            assert getattr(entries, attr).dtype == owner.dtype
+    if not neg_cells:
+        assert pattern.neg.reads.shape == pattern.neg.stored.shape == (0,)
+
+
+@pytest.mark.parametrize("name", sorted(INDEX_MAP_PATTERNS))
+def test_owned_maps_equal_the_full_union_formulas(name):
+    # the loss, the gradient and both link kernels from maps over the owned
+    # scores, against each formula over the whole union written out here
+    pos_cells, neg_cells = INDEX_MAP_PATTERNS[name]
+    pattern = SupportPattern(stored_csr(pos_cells, 5), stored_csr(neg_cells, 5))
+    pos, neg = pattern.pos, pattern.neg
+    lam, beta = 1.3, 0.02
+    params = ModelParams("mf", lam=lam, beta=beta)
+    prop = proximity(sp.csr_array((5, 5)), 0, 0)
+    Y = np.random.default_rng(7).normal(scale=2.0, size=(5, 3))
+    s = pattern.scores(Y)
+    union = old_scores(Y, pattern.rows, pattern.cols)
+
+    total = float(np.dot(pos.weights, np.logaddexp(0.0, -union[pos.slots])))
+    if neg.weights.size:
+        total += lam * float(np.dot(neg.weights,
+                                    np.logaddexp(0.0, union[neg.slots])))
+    expected = 0.5 * total + 0.5 * beta * float(np.sum(Y * Y))
+    assert same_bits(support_loss(Y, s, pattern, lam, beta), expected)
+
+    data = np.zeros(pattern.nnz)
+    data[pos.slots] = pos.weights * sigmoid(-union[pos.slots])
+    data[neg.slots] += -lam * neg.weights * sigmoid(union[neg.slots])
+    assert same_bits(support_gradient(Y, Y, s, pattern, prop, params),
+                     beta * Y - pattern.matrix(data) @ Y)
+
+    op = SimpleNamespace(pattern=pattern)
+    scores = score_matrices(Y, op)
+    s_b = sigmoid(union)
+    k_plus = positive_kernel(scores, op)
+    assert same_bits(k_plus.data, pos.matrix.data * (1.0 - s_b)[pos.sorted_slots])
+    assert np.array_equal(k_plus.indices, pos.matrix.indices)
+    k_minus = neg.weighted(scores.s_b)
+    assert same_bits(k_minus.data, neg.matrix.data * s_b[neg.sorted_slots])
