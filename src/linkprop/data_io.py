@@ -8,6 +8,13 @@ the label tables so every artifact written back uses original ids.  The
 canonical form is sorted tab-separated pairs under a comment header with
 counts and a checksum, so reloading is idempotent and corruption is
 detectable.
+
+Files are read as UTF-8 in one of two ways.  A pair file whose body under
+its leading comment lines is tab-separated pairs with no other whitespace
+or `#` (every canonical file) passes one regular-expression test and is
+tokenized by one `split`; any other file is read line by line, with errors
+that name the file line.  Both give the same dataset, which
+`reference.load_edge_list_scalar` checks.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ import hashlib
 import json
 import math
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,10 +60,15 @@ class Dataset:
         return self.user_labels[u], self.item_labels[i - self.partition.num_users]
 
 
+def _is_header_row(user: str, item: str) -> bool:
+    return user.lower() in HEADER_TOKENS or item.lower() in HEADER_TOKENS
+
+
 def _parse_pair_lines(lines) -> tuple[list[str], list[str]]:
-    """User and item label columns from two-column lines; delimiter per line."""
+    """User and item label columns from (file line number, line) pairs of
+    two-column lines; delimiter per line, the first line may be a header."""
     users, items = [], []
-    for lineno, line in lines:
+    for k, (lineno, line) in enumerate(lines):
         if "\t" in line:
             fields = line.split("\t")
         elif "," in line:
@@ -63,9 +76,7 @@ def _parse_pair_lines(lines) -> tuple[list[str], list[str]]:
         else:
             fields = line.split()
         fields = [f for f in map(str.strip, fields) if f]
-        if lineno == 1 and len(fields) == 2 and (
-                fields[0].lower() in HEADER_TOKENS
-                or fields[1].lower() in HEADER_TOKENS):
+        if k == 0 and len(fields) == 2 and _is_header_row(*fields):
             continue
         if len(fields) != 2:
             raise ValueError(f"line {lineno}: expected 2 fields, got "
@@ -87,6 +98,65 @@ def _parse_adjlist_lines(lines) -> tuple[list[str], list[str]]:
     return users, items
 
 
+# `re`'s \s is the set `str.split` and `str.strip` split and strip at, and
+# `str.splitlines` breaks only at members of it: a body this matches is its
+# stripped lines joined by "\n" plus a final "\n", so `split` tokenizes it.
+# A line with a tab splits at the tab, whatever commas it holds.
+_CLEAN_PAIRS = re.compile(r"(?:[^\s#]+\t[^\s#]+\n)+")
+
+
+def _read_clean_pairs(raw: str):
+    """(checksum header or None, body, user column, item column) of a file
+    of leading `#` lines over tab-separated pairs with no other whitespace
+    or `#`; None for any other file."""
+    header = None
+    start = 0
+    while raw.startswith("#", start):
+        stop = raw.find("\n", start) + 1
+        line = raw[start:stop]
+        # a break other than the final "\n" would start a data line
+        if not stop or len(line.splitlines()) != 1:
+            return None
+        if header is None and "checksum=" in line:
+            header = line.strip()
+        start = stop
+    body = raw[start:]
+    if not _CLEAN_PAIRS.fullmatch(body):
+        return None
+    tokens = body.split()
+    users, items = tokens[0::2], tokens[1::2]
+    if _is_header_row(users[0], items[0]):
+        del users[0], items[0]
+    return header, body, users, items
+
+
+def _read_lines(raw: str, fmt: str, path):
+    """The (header, body, user column, item column) of any file, one line at
+    a time; errors name the file line."""
+    header = None
+    data = []
+    for lineno, line in enumerate(raw.splitlines(), start=1):
+        stripped = line.strip()
+        if stripped.startswith("#"):
+            if "checksum=" in stripped and header is None:
+                header = stripped
+        elif stripped:
+            data.append((lineno, stripped))
+    if not data:
+        raise ValueError(f"{path}: no data lines")
+    if fmt == "auto":
+        first = data[0][1]
+        fields = first.split("\t") if "\t" in first else (
+            first.split(",") if "," in first else first.split())
+        fmt = "pairs" if len(fields) == 2 else "adjlist"
+    parse = _parse_pair_lines if fmt == "pairs" else _parse_adjlist_lines
+    users, items = parse(data)
+    body = None
+    if header is not None:
+        body = "\n".join(line for _, line in data) + "\n"
+    return header, body, users, items
+
+
 def _check_declared_counts(header_line: str, num_pairs: int, body: str):
     """Validate counts/checksum a canonical header declares about its body."""
     declared = dict(tok.split("=", 1) for tok in header_line[1:].split()
@@ -102,39 +172,27 @@ def _check_declared_counts(header_line: str, num_pairs: int, body: str):
 
 
 def load_edge_list(path, fmt: str = "auto") -> Dataset:
-    """Parse and remap an interaction file.
+    """Parse and remap a UTF-8 interaction file.
 
     fmt "pairs" expects two delimited columns (tab, comma, or whitespace;
     one optional header row), "adjlist" expects `user item item ...` lines,
     "auto" decides from the first data line.  Lines starting with `#` are
     comments; a canonical-form header among them has its counts and
-    checksum verified.
+    checksum verified.  A pair file that is clean tab-separated pairs under
+    its leading comments, as every canonical file is, is tokenized in one
+    `split`; any other file is read line by line, and its errors name the
+    file line.
     """
     if fmt not in ("auto", "pairs", "adjlist"):
         raise ValueError(f"unknown format {fmt!r}")
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         raw = fh.read()
-    header_comment = None
-    body_lines = []
-    for line in raw.splitlines():
-        stripped = line.strip()
-        if stripped.startswith("#"):
-            if "checksum=" in stripped and header_comment is None:
-                header_comment = stripped
-        elif stripped:
-            body_lines.append(stripped)
-    if not body_lines:
-        raise ValueError(f"{path}: no data lines")
-    if fmt == "auto":
-        first = body_lines[0]
-        fields = first.split("\t") if "\t" in first else (
-            first.split(",") if "," in first else first.split())
-        fmt = "pairs" if len(fields) == 2 else "adjlist"
-    parse = _parse_pair_lines if fmt == "pairs" else _parse_adjlist_lines
-    user_col, item_col = parse(enumerate(body_lines, start=1))
-    if header_comment is not None:
-        _check_declared_counts(header_comment, len(user_col),
-                               "\n".join(body_lines) + "\n")
+    read = _read_clean_pairs(raw) if fmt != "adjlist" else None
+    if read is None:
+        read = _read_lines(raw, fmt, path)
+    header, body, user_col, item_col = read
+    if header is not None:
+        _check_declared_counts(header, len(user_col), body)
 
     users = sorted(set(user_col))
     items = sorted(set(item_col))
@@ -158,7 +216,7 @@ def write_canonical(dataset: Dataset, path) -> None:
     """Sorted tab-separated pairs with a counts-and-checksum header."""
     body = _canonical_body(dataset)
     digest = hashlib.sha256(body.encode()).hexdigest()
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# users={dataset.partition.num_users} "
                  f"items={dataset.partition.num_items} "
                  f"edges={dataset.edges.shape[0]} checksum={digest}\n")
@@ -169,7 +227,10 @@ def dataset_from_graph(graph: Graph, prefix: tuple[str, str] = ("u", "i")) -> Da
     """Attach zero-padded synthetic labels to a bipartite graph.
 
     Padding keeps lexicographic label order equal to numeric id order, so a
-    write/reload round trip reproduces the same internal ids.
+    write/reload round trip gives back the same internal ids when every
+    node has an edge.  The file holds pairs only: a node without an edge
+    leaves no label in it, a reload drops it and the ids after it shift
+    down.  The header's users= and items= are not checked on load.
     """
     if graph.partition is None:
         raise ValueError("only bipartite graphs can become datasets")
@@ -261,12 +322,14 @@ def save_splits(dataset: Dataset, splits: SplitSet, outdir) -> None:
     for part in SPLIT_PARTS:
         edges = getattr(splits, part)
         rows = sorted(dataset.label_pair(e) for e in edges)
-        with open(os.path.join(outdir, f"{part}.tsv"), "w") as fh:
+        with open(os.path.join(outdir, f"{part}.tsv"), "w",
+                  encoding="utf-8") as fh:
             fh.write(f"# part={part} edges={len(rows)}\n")
             fh.writelines(f"{u}\t{i}\n" for u, i in rows)
     meta = {"ratios": list(splits.ratios), "seed": splits.seed,
             "flagged_users": [dataset.user_labels[u] for u in splits.flagged]}
-    with open(os.path.join(outdir, "split.json"), "w") as fh:
+    with open(os.path.join(outdir, "split.json"), "w",
+              encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -280,7 +343,8 @@ def load_splits(outdir) -> tuple[Dataset, SplitSet]:
     parts = {}
     for part in SPLIT_PARTS:
         loaded = []
-        with open(os.path.join(outdir, f"{part}.tsv")) as fh:
+        with open(os.path.join(outdir, f"{part}.tsv"),
+                  encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, start=1):
                 line = line.strip()
                 if line == "" or line.startswith("#"):
@@ -295,7 +359,7 @@ def load_splits(outdir) -> tuple[Dataset, SplitSet]:
                                      "not in dataset.tsv") from None
         parts[part] = (unique_rows(np.array(loaded, dtype=np.int64))
                        if loaded else np.empty((0, 2), dtype=np.int64))
-    with open(os.path.join(outdir, "split.json")) as fh:
+    with open(os.path.join(outdir, "split.json"), encoding="utf-8") as fh:
         meta = json.load(fh)
     flagged = tuple(user_id[u] for u in meta["flagged_users"])
     splits = SplitSet(partition=dataset.partition, train=parts["train"],
@@ -368,7 +432,7 @@ METRICS_FIELDS = ("dataset", "model", "seed", "k", "precision", "recall", "ndcg"
 
 def write_metrics_csv(rows, path) -> None:
     """Rows of (dataset, model, seed, k, EvalResult) as a flat CSV."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(METRICS_FIELDS)
         for dataset, model, seed, result in rows:

@@ -62,7 +62,7 @@ def emit_trajectories(records, path) -> None:
     substeps attributes, e.g. TrainHistory.records.  Substep cells stay
     empty for untraced steps.
     """
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_FIELDS)
         for rec in records:

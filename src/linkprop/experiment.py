@@ -128,7 +128,7 @@ class RunConfig:
     def from_ini(cls, path) -> "RunConfig":
         parser = configparser.ConfigParser()
         parser.read_dict(CONFIG_DEFAULTS)
-        read = parser.read(path)
+        read = parser.read(path, encoding="utf-8")
         if not read:
             raise FileNotFoundError(f"config file {path} not found")
         for section in parser.sections():
@@ -293,9 +293,11 @@ def run_experiment(config: RunConfig) -> Report:
 
     try:
         write_metrics_csv(metric_rows, os.path.join(config.outdir, "metrics.csv"))
-        with open(os.path.join(config.outdir, "report.json"), "w") as fh:
+        with open(os.path.join(config.outdir, "report.json"), "w",
+                  encoding="utf-8") as fh:
             fh.write(report.to_json())
-        with open(os.path.join(config.outdir, "report.txt"), "w") as fh:
+        with open(os.path.join(config.outdir, "report.txt"), "w",
+                  encoding="utf-8") as fh:
             fh.write(report.table())
     except Exception as err:
         raise ExperimentError("report", err) from err

@@ -8,6 +8,7 @@ the vectorized code is checked against, so they must not reuse it.
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -301,3 +302,91 @@ def split_dataset_scalar(graph, ratios=(0.8, 0.1, 0.1), seed: int = 0):
         return np.unique(np.array(rows, dtype=np.int64), axis=0)
 
     return _arr(train), _arr(val), _arr(test), tuple(flagged)
+
+
+def load_edge_list_scalar(path, fmt: str = "auto"):
+    """An interaction file parsed one line at a time, the way
+    `data_io.load_edge_list` reads any file.
+
+    Lines are `splitlines` of the UTF-8 text, stripped; `#` lines are
+    comments, the first one with `checksum=` a canonical header whose edge
+    count and checksum are checked; blank lines are skipped.  Pair lines
+    split at a tab, else a comma, else whitespace, and a first data line
+    naming a header token is skipped; adjacency lines split at whitespace.
+    Errors name the file line.  Returns (user labels, item labels, edges):
+    labels sorted, users 0..U-1 and items U..U+I-1, edges the distinct
+    (user, item) rows in sorted order.
+    """
+    if fmt not in ("auto", "pairs", "adjlist"):
+        raise ValueError(f"unknown format {fmt!r}")
+    header_tokens = {"user", "item", "user_id", "item_id", "userid",
+                     "itemid", "source", "target", "uid", "iid"}
+    with open(path, encoding="utf-8") as fh:
+        raw = fh.read()
+    header = None
+    data = []
+    for lineno, line in enumerate(raw.splitlines(), start=1):
+        stripped = line.strip()
+        if stripped.startswith("#"):
+            if "checksum=" in stripped and header is None:
+                header = stripped
+        elif stripped:
+            data.append((lineno, stripped))
+    if not data:
+        raise ValueError(f"{path}: no data lines")
+
+    def pair_fields(line):
+        if "\t" in line:
+            return line.split("\t")
+        if "," in line:
+            return line.split(",")
+        return line.split()
+
+    if fmt == "auto":
+        fmt = "pairs" if len(pair_fields(data[0][1])) == 2 else "adjlist"
+    user_col, item_col = [], []
+    for k, (lineno, line) in enumerate(data):
+        if fmt == "adjlist":
+            fields = line.split()
+            if len(fields) < 2:
+                raise ValueError(f"line {lineno}: adjacency line needs a "
+                                 f"user and at least one item: {line!r}")
+            for item in fields[1:]:
+                user_col.append(fields[0])
+                item_col.append(item)
+            continue
+        fields = [f.strip() for f in pair_fields(line) if f.strip()]
+        if k == 0 and len(fields) == 2 and (
+                fields[0].lower() in header_tokens
+                or fields[1].lower() in header_tokens):
+            continue
+        if len(fields) != 2:
+            raise ValueError(f"line {lineno}: expected 2 fields, got "
+                             f"{len(fields)}: {line!r}")
+        user_col.append(fields[0])
+        item_col.append(fields[1])
+
+    if header is not None:
+        declared = {}
+        for token in header[1:].split():
+            if "=" in token:
+                key, value = token.split("=", 1)
+                declared[key] = value
+        if "edges" in declared and int(declared["edges"]) != len(user_col):
+            raise ValueError(f"header declares {declared['edges']} edges, "
+                             f"file has {len(user_col)}")
+        body = "".join(line + "\n" for _, line in data)
+        if ("checksum" in declared and hashlib.sha256(body.encode("utf-8"))
+                .hexdigest() != declared["checksum"]):
+            raise ValueError("checksum mismatch: file body does not match "
+                             "its canonical header")
+
+    users = sorted(set(user_col))
+    items = sorted(set(item_col))
+    if not users or not items:
+        raise ValueError("partition needs at least one user and one item")
+    user_id = {u: k for k, u in enumerate(users)}
+    item_id = {i: len(users) + k for k, i in enumerate(items)}
+    edges = {(user_id[u], item_id[i]) for u, i in zip(user_col, item_col)}
+    return (tuple(users), tuple(items),
+            np.array(sorted(edges), dtype=np.int64).reshape(-1, 2))

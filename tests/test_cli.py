@@ -22,7 +22,7 @@ def raw_dataset(tmp_path):
     ds = dataset_from_graph(graph)
     path = tmp_path / "raw.tsv"
     rows = sorted(ds.label_pair(e) for e in ds.edges)
-    path.write_text("".join(f"{u}\t{i}\n" for u, i in rows))
+    path.write_text("".join(f"{u}\t{i}\n" for u, i in rows), encoding="utf-8")
     return path, ds
 
 
@@ -47,7 +47,7 @@ seeds = 0 1
 
 [output]
 outdir = {outdir}
-""")
+""", encoding="utf-8")
     return path
 
 
@@ -81,7 +81,8 @@ class TestPipelineChain:
                      "--csv", str(csv_path)]) == 0
         out = capsys.readouterr().out
         assert "recall@3" in out
-        assert csv_path.read_text().startswith("dataset,model,seed,k,")
+        assert csv_path.read_text(encoding="utf-8").startswith(
+            "dataset,model,seed,k,")
 
     def test_train_bad_exponent_is_an_error_not_a_traceback(
             self, raw_dataset, tmp_path, capsys):
@@ -233,8 +234,8 @@ class TestEnvironment:
         env["LINKPROP_THREADS"] = "1"
         env["PYTHONPATH"] = os.path.dirname(os.path.dirname(linkprop.__file__))
         out = subprocess.run([sys.executable, "-c", script], env=env,
-                             capture_output=True, text=True, check=True,
-                             timeout=120)
+                             capture_output=True, encoding="utf-8",
+                             check=True, timeout=120)
         assert out.stdout.split() == ["1", "1"]
 
     def test_outdir_env_default(self, raw_dataset, tmp_path, monkeypatch):
@@ -253,7 +254,7 @@ class TestEnvironment:
 class TestRunConfig:
     def test_defaults_from_minimal_ini(self, tmp_path):
         path = tmp_path / "min.ini"
-        path.write_text("[data]\npath = data.tsv\n")
+        path.write_text("[data]\npath = data.tsv\n", encoding="utf-8")
         cfg = RunConfig.from_ini(path)
         assert cfg.models == ("mf",)
         assert cfg.alpha == 0.01
@@ -266,7 +267,7 @@ class TestRunConfig:
         path = tmp_path / "run.ini"
         path.write_text("[data]\npath = x.tsv\nname = custom\n"
                         "[model]\nmodels = mf, lightgcn\n"
-                        "[eval]\nseeds = 0 1 2\n")
+                        "[eval]\nseeds = 0 1 2\n", encoding="utf-8")
         cfg = RunConfig.from_ini(path)
         assert cfg.dataset_name == "custom"
         assert cfg.models == ("mf", "lightgcn")
@@ -274,13 +275,15 @@ class TestRunConfig:
 
     def test_unknown_section(self, tmp_path):
         path = tmp_path / "bad.ini"
-        path.write_text("[data]\npath = x\n[tuning]\nlr = 1\n")
+        path.write_text("[data]\npath = x\n[tuning]\nlr = 1\n",
+                        encoding="utf-8")
         with pytest.raises(ValueError, match="unknown config section"):
             RunConfig.from_ini(path)
 
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "bad.ini"
-        path.write_text("[train]\nalpha = 0.1\nmomentum = 0.9\n")
+        path.write_text("[train]\nalpha = 0.1\nmomentum = 0.9\n",
+                        encoding="utf-8")
         with pytest.raises(ValueError, match="unknown keys"):
             RunConfig.from_ini(path)
 
@@ -295,9 +298,9 @@ class TestRunConfig:
             lines.append(f"[{section}]")
             lines += [f"{k} = {v}" for k, v in keys.items() if v != ""]
         full = tmp_path / "full.ini"
-        full.write_text("\n".join(lines) + "\n")
+        full.write_text("\n".join(lines) + "\n", encoding="utf-8")
         minimal = tmp_path / "min.ini"
-        minimal.write_text("[data]\npath =\n")
+        minimal.write_text("[data]\npath =\n", encoding="utf-8")
         assert RunConfig.from_ini(full) == RunConfig.from_ini(minimal)
 
 
@@ -319,14 +322,14 @@ class TestRunConfig:
     def test_bad_train_key_fails_before_ingest(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text(f"[data]\npath = {tmp_path / 'absent.tsv'}\n"
-                        "[train]\nalpha = nan\n")
+                        "[train]\nalpha = nan\n", encoding="utf-8")
         assert main(["report", "--config", str(path)]) == 2
         assert "alpha must be positive and finite" in capsys.readouterr().err
 
     def test_bad_ratios_fail_before_ingest(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text(f"[data]\npath = {tmp_path / 'absent.tsv'}\n"
-                        "[split]\nratios = nan 0.5 0.5\n")
+                        "[split]\nratios = nan 0.5 0.5\n", encoding="utf-8")
         assert main(["report", "--config", str(path)]) == 2
         assert "ratios must be three finite" in capsys.readouterr().err
 
@@ -343,7 +346,8 @@ class TestRunExperiment:
             assert (outdir / name).exists()
         assert set(report.models) == {"mf"}
         assert len(report.models["mf"]["per_seed"]) == 2
-        payload = json.loads((outdir / "report.json").read_text())
+        payload = json.loads(
+            (outdir / "report.json").read_text(encoding="utf-8"))
         assert payload["versions"]["linkprop"]
 
         before = {name: (outdir / name).read_bytes() for name in files}
@@ -402,5 +406,6 @@ class TestReportCommand:
         assert "dataset toy" in out
         assert str(override) in out
         assert (override / "report.json").exists()
-        payload = json.loads((override / "report.json").read_text())
+        payload = json.loads(
+            (override / "report.json").read_text(encoding="utf-8"))
         assert payload["config"]["output"]["outdir"] == str(override)

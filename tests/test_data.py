@@ -1,11 +1,13 @@
+import hashlib
 import pathlib
+import re
 import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from linkprop import reference
+from linkprop import data_io, reference
 from linkprop.data_io import (DENSITY_PCT_TOL, Dataset, ExpectedStats,
                               graph_density_pct, graph_from_split,
                               dataset_from_graph, load_edge_list, load_splits,
@@ -20,7 +22,7 @@ from conftest import DATA_DIR
 
 def write(tmp_path, text, name="edges.txt"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return path
 
 
@@ -79,6 +81,21 @@ class TestLoadEdgeList:
         with pytest.raises(ValueError, match="line 2"):
             load_edge_list(path, fmt="pairs")
 
+    def test_malformed_line_names_the_file_line(self, tmp_path):
+        # comment and blank lines count: the short pair is file line 4
+        path = write(tmp_path, "# a comment\n\nu1\ti1\nu2\n")
+        with pytest.raises(ValueError, match="^line 4: expected 2 fields"):
+            load_edge_list(path)
+        path = write(tmp_path, "# a comment\nu1 i1\n\nu2\n")
+        with pytest.raises(ValueError, match="^line 4: adjacency line"):
+            load_edge_list(path, fmt="adjlist")
+
+    def test_header_row_is_the_first_data_line(self, tmp_path):
+        ds = load_edge_list(write(tmp_path, "# c\n\nuser\titem\nu\ti\n"))
+        assert ds.user_labels == ("u",)
+        with pytest.raises(ValueError, match="^line 2: expected 2 fields"):
+            load_edge_list(write(tmp_path, "u\ti\nuser\titem\textra\n"))
+
     def test_empty_file(self, tmp_path):
         with pytest.raises(ValueError, match="no data lines"):
             load_edge_list(write(tmp_path, "# nothing here\n"))
@@ -129,13 +146,44 @@ class TestCanonicalForm:
         write_canonical(load_edge_list(first), second)
         assert first.read_bytes() == second.read_bytes()
 
+    def test_edgeless_nodes_do_not_survive_a_round_trip(self, tmp_path):
+        # the file holds pairs only, so a node without an edge leaves no
+        # label in it; the header's users= and items= are not checked
+        graph = block_bipartite(20, 80, 2, mean_degree=2, seed=0)
+        ds = dataset_from_graph(graph)
+        path = tmp_path / "canon.tsv"
+        write_canonical(ds, path)
+        back = load_edge_list(path)
+        assert back.partition == Partition(20, 41)
+        assert back.item_labels == tuple(
+            ds.item_labels[k - 20] for k in np.unique(graph.edges[:, 1]))
+        assert back.user_labels == ds.user_labels
+        assert not np.array_equal(back.edges, ds.edges)
+        assert ({back.label_pair(e) for e in back.edges}
+                == {ds.label_pair(e) for e in ds.edges})
+
+    @pytest.mark.parametrize("tail", ["", "\n"])
+    def test_first_checksum_comment_counts(self, tmp_path, tail):
+        # tail "" keeps the file clean pairs, "\n" has it read line by line
+        graph = random_bipartite(4, 4, 8, seed=2)
+        path = tmp_path / "canon.tsv"
+        write_canonical(dataset_from_graph(graph), path)
+        header, body = path.read_text(encoding="utf-8").split("\n", 1)
+        path.write_text(f"{header}\n# checksum=0\n{body}{tail}",
+                        encoding="utf-8")
+        assert load_edge_list(path).edges.shape == (8, 2)
+        path.write_text(f"# checksum=0\n{header}\n{body}{tail}",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match="checksum mismatch"):
+            load_edge_list(path)
+
     def test_checksum_detects_tampering(self, tmp_path):
         graph = random_bipartite(4, 4, 8, seed=2)
         path = tmp_path / "canon.tsv"
         write_canonical(dataset_from_graph(graph), path)
-        lines = path.read_text().splitlines(keepends=True)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         lines[1] = lines[1].replace("u", "v", 1)
-        path.write_text("".join(lines))
+        path.write_text("".join(lines), encoding="utf-8")
         with pytest.raises(ValueError, match="checksum mismatch"):
             load_edge_list(path)
 
@@ -143,9 +191,9 @@ class TestCanonicalForm:
         graph = random_bipartite(4, 4, 8, seed=2)
         path = tmp_path / "canon.tsv"
         write_canonical(dataset_from_graph(graph), path)
-        lines = path.read_text().splitlines(keepends=True)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
         body = "".join(lines[1:-1])  # drop one data line
-        path.write_text(lines[0] + body)
+        path.write_text(lines[0] + body, encoding="utf-8")
         with pytest.raises(ValueError, match="edges"):
             load_edge_list(path)
 
@@ -156,6 +204,161 @@ class TestCanonicalForm:
         bench = load_edge_list(DATA_DIR + "/bench_500.tsv")
         assert bench.partition == Partition(300, 200)
         assert bench.edges.shape[0] == 2644
+
+
+def loaded(path, fmt="auto"):
+    """What load_edge_list makes of a file, in the oracle's terms: (user
+    labels, item labels, partition, edges and their dtype), or the type and
+    message of the error it raises."""
+    try:
+        ds = load_edge_list(path, fmt)
+    except Exception as err:
+        return type(err), str(err)
+    return (ds.user_labels, ds.item_labels, ds.partition,
+            ds.edges.tolist(), ds.edges.dtype)
+
+
+def loaded_by_oracle(path, fmt="auto"):
+    try:
+        users, items, edges = reference.load_edge_list_scalar(path, fmt)
+    except Exception as err:
+        return type(err), str(err)
+    return (users, items, Partition(len(users), len(items)),
+            edges.tolist(), edges.dtype)
+
+
+CLEAN_LABELS = st.sampled_from(["u1", "u10", "u9", "007", "7", "1e3", "-0",
+                                "ü", "日本", "U", "é", "user", "ITEM",
+                                "a\x00", "x,y", ",", "x,"])
+LABELS = st.one_of(CLEAN_LABELS, st.sampled_from(
+    ["a#b", "#x", "x y", "x\xa0y", "x\ty", "x\x1cy", ""]))
+SEPARATORS = st.sampled_from(["\t", ",", " ", " \t ", "\t\t", ", ", "\xa0",
+                              "\x1c", "\u3000", "\t\x0b"])
+ENDINGS = st.sampled_from(["\r\n", "\r", "\x85", "\u2028", " \n", "\n\n",
+                           "\n  \n", "\n# c\n"])
+OTHER_LINES = st.sampled_from(["", "   ", "# a comment", "  # indented",
+                               "#", "# checksum=0", "user\titem",
+                               "user_id,item_id", "Source target", "u1 i1 i2",
+                               "u1", "u1\ti1\ti2", "u1\t\ti1", ",u1,i1",
+                               "#u1\ti1"])
+
+
+@st.composite
+def pair_files(draw):
+    """The text of an interaction file: clean tab-separated pairs, some
+    turned into other delimiters, labels, line endings, blank, comment,
+    header or malformed lines, sometimes without the final newline, and
+    sometimes under a canonical header over the text that follows it."""
+    n = draw(st.integers(1, 8))
+    lines = [draw(CLEAN_LABELS) + "\t" + draw(CLEAN_LABELS)
+             for _ in range(n)]
+    endings = ["\n"] * n
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, n - 1))
+        change = draw(st.integers(0, 2))
+        if change == 0:
+            lines[k] = draw(LABELS) + draw(SEPARATORS) + draw(LABELS)
+        elif change == 1:
+            lines[k] = draw(OTHER_LINES)
+        else:
+            endings[k] = draw(ENDINGS)
+    if draw(st.integers(0, 3)) == 0:
+        endings[-1] = ""
+    body = "".join(map(str.__add__, lines, endings))
+    fields = []
+    if draw(st.booleans()):
+        fields.append(f"edges={draw(st.integers(max(n - 2, 0), n + 1))}")
+    if draw(st.booleans()):
+        fields.append("checksum=" + hashlib.sha256(body.encode()).hexdigest())
+    header = "# users=2 " + " ".join(fields) + "\n" if fields else ""
+    comments = draw(st.lists(st.sampled_from(
+        ["#\n", "# c\n", "\n", " #\n", "# checksum=0\n"]), max_size=2))
+    return "".join(comments) + header + body
+
+
+class TestLoadEqualsOracle:
+    @settings(max_examples=400)
+    @given(pair_files(), st.sampled_from(["auto", "pairs", "adjlist"]))
+    @example("u1\ti1\n#u1\ti1\nu9\ti9\n", "auto")
+    @example("# a\x1cb\tc\nu1\ti1\n", "auto")
+    @example("u1\ti1\nu9\ti9", "pairs")
+    @example("a,b\tc\nd\te,f\n", "auto")
+    @example("user\ti1\nu1\ti1\n", "adjlist")
+    def test_any_file(self, text, fmt):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "edges.txt"
+            path.write_bytes(text.encode("utf-8"))
+            assert loaded(path, fmt) == loaded_by_oracle(path, fmt)
+
+    @given(st.lists(st.tuples(CLEAN_LABELS, CLEAN_LABELS), min_size=1,
+                    max_size=30), st.booleans())
+    def test_clean_pair_files(self, pairs, with_header):
+        text = "".join(f"{u}\t{i}\n" for u, i in pairs)
+        if with_header:
+            text = (f"# edges={len(pairs)} checksum="
+                    f"{hashlib.sha256(text.encode()).hexdigest()}\n" + text)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "edges.tsv"
+            path.write_bytes(text.encode("utf-8"))
+            assert loaded(path) == loaded_by_oracle(path)
+
+    @pytest.mark.parametrize("name", ["bench_500.tsv", "toy_50.tsv"])
+    def test_bundled_files(self, name):
+        path = f"{DATA_DIR}/{name}"
+        assert loaded(path) == loaded_by_oracle(path)
+        assert loaded(path, "pairs") == loaded_by_oracle(path, "pairs")
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_block10k_files(self, tmp_path, seed):
+        # the benchmark's 10k-node file
+        graph = block_bipartite(2000, 8000, 8, mean_degree=20, seed=seed)
+        path = tmp_path / "block10k.tsv"
+        write_canonical(dataset_from_graph(graph), path)
+        assert loaded(path) == loaded_by_oracle(path)
+
+
+class TestCleanPairsPath:
+    """Canonical files skip the line-by-line reader."""
+
+    @pytest.fixture
+    def no_line_reader(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("read line by line")
+        monkeypatch.setattr(data_io, "_read_lines", refuse)
+
+    @pytest.mark.parametrize("name", ["bench_500.tsv", "toy_50.tsv"])
+    def test_bundled_files(self, no_line_reader, name):
+        load_edge_list(f"{DATA_DIR}/{name}")
+        load_edge_list(f"{DATA_DIR}/{name}", fmt="pairs")
+
+    def test_written_canonical_file(self, no_line_reader, tmp_path):
+        graph = block_bipartite(40, 60, 3, mean_degree=4, seed=1)
+        path = tmp_path / "canon.tsv"
+        write_canonical(dataset_from_graph(graph, prefix=("ü", "日")), path)
+        assert load_edge_list(path).edges.shape[0] == graph.num_edges
+
+    @pytest.mark.parametrize("text", [
+        "u\ti\nv\tj", "u\ti\n\nv\tj\n", "u,i\n", "u i\n", "u\ti\tk\n",
+        "u\ti\n# c\nv\tj\n", "u\ta#b\n", "u\t i\n", "u\xa0x\ti\n",
+        "# a\x1cb\tc\nu\ti\n"])
+    def test_other_files_are_read_line_by_line(self, no_line_reader, tmp_path,
+                                               text):
+        with pytest.raises(AssertionError, match="read line by line"):
+            load_edge_list(write(tmp_path, text))
+
+    def test_whitespace_sets_agree(self):
+        # what lets one `split` stand for the per-line strip and split:
+        # `re`'s \s, `str.isspace`, `str.split` and `str.strip` name the
+        # same characters, and `splitlines` breaks only at some of them
+        chars = "".join(map(chr, range(0x110000)))
+        space = "".join(c for c in chars if c.isspace())
+        assert "".join(re.findall(r"\s", chars)) == space
+        assert "".join(chars.split()) == "".join(
+            c for c in chars if not c.isspace())
+        assert all((c.strip() == "") == c.isspace() for c in chars)
+        breaks = {line[-1] for line in
+                  "x".join(chars).splitlines(keepends=True)[:-1]}
+        assert breaks and breaks <= set(space)
 
 
 class TestSplitDataset:
@@ -275,7 +478,7 @@ class TestSaveLoadSplits:
     def test_unknown_id_rejected(self, tmp_path):
         graph = random_bipartite(4, 4, 8, seed=1)
         save_splits(dataset_from_graph(graph), split_dataset(graph), tmp_path)
-        with open(tmp_path / "train.tsv", "a") as fh:
+        with open(tmp_path / "train.tsv", "a", encoding="utf-8") as fh:
             fh.write("ghost\ti0\n")
         with pytest.raises(ValueError, match="not in dataset.tsv"):
             load_splits(tmp_path)
@@ -329,7 +532,7 @@ class TestMetricsCsv:
                             users_skipped=1)
         path = tmp_path / "metrics.csv"
         write_metrics_csv([("toy", "mf", 0, result)], path)
-        lines = path.read_text().splitlines()
+        lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "dataset,model,seed,k,precision,recall,ndcg"
         fields = lines[1].split(",")
         assert fields[:4] == ["toy", "mf", "0", "20"]

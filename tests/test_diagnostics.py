@@ -82,7 +82,7 @@ def fields(rec):
 
 def read_back(path):
     """The emitted rows as (step, mean_k_plus, frob_norm, substeps)."""
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
     assert tuple(rows[0]) == CSV_FIELDS
     return [(int(row[0]), float(row[1]), float(row[2]),
@@ -103,12 +103,13 @@ class TestCsvRoundTrip:
     def test_header_written(self, tmp_path):
         path = tmp_path / "trajectory.csv"
         emit_trajectories([], path)
-        assert path.read_text().splitlines()[0] == ",".join(CSV_FIELDS)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == ",".join(CSV_FIELDS)
 
     def test_untraced_cells_empty(self, tmp_path):
         path = tmp_path / "trajectory.csv"
         emit_trajectories([record(1, 0.5, 1.0)], path)
-        assert path.read_text().splitlines()[1].endswith(",,,")
+        assert path.read_text(encoding="utf-8").splitlines()[1].endswith(",,,")
 
     def test_consumes_training_history(self, bipartite_instance, tmp_path):
         from linkprop.training import TrainConfig, train

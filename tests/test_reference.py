@@ -235,7 +235,7 @@ def imported_modules(path):
     """Every module a source file imports, with `from m import x` also
     giving `m.x` (x may be a submodule)."""
     names = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
