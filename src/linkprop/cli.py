@@ -3,7 +3,9 @@
 Subcommands map to pipeline stages (ingest, split, train, evaluate), plus
 the dual-path verification harness and the full experiment orchestrator
 (report).  The package's `__init__` applies LINKPROP_THREADS before any
-module of it imports numpy.
+module of it imports numpy.  `split`, `train` and `evaluate` pass on only
+the flags given (argparse.SUPPRESS): an omitted one takes the library
+default, TrainConfig's for a training setting.
 """
 
 from __future__ import annotations
@@ -12,6 +14,22 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import fields, replace
+
+import numpy as np
+
+from linkprop.data_io import (graph_density_pct, graph_from_split,
+                              load_edge_list, load_splits, save_splits,
+                              split_dataset, write_canonical,
+                              write_metrics_csv)
+from linkprop.diagnostics import emit_trajectories
+from linkprop.experiment import RunConfig, run_experiment
+from linkprop.graphs import check_integer
+from linkprop.losses import MODELS, ModelParams, scoring_propagation
+from linkprop.negatives import STRATEGIES, sample_negatives
+from linkprop.ranking import evaluate
+from linkprop.synthetic import equivalence_instance
+from linkprop.training import PATHS, TrainConfig, train
 
 EPILOG = """environment:
   LINKPROP_THREADS   pin BLAS/OpenMP thread count (set before numpy loads;
@@ -19,15 +37,19 @@ EPILOG = """environment:
   LINKPROP_OUTDIR    default output directory for train/report artifacts
 """
 
+TRAIN_FIELDS = tuple(f.name for f in fields(TrainConfig))
+
+
+def _given(args, names) -> dict:
+    """The settings among `names` that a flag gave."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
 
 def _default_outdir(flag_value):
-    if flag_value:
-        return flag_value
-    return os.environ.get("LINKPROP_OUTDIR", "runs/out")
+    return flag_value or os.environ.get("LINKPROP_OUTDIR", RunConfig.outdir)
 
 
 def cmd_ingest(args) -> int:
-    from linkprop.data_io import load_edge_list, write_canonical, graph_density_pct
     dataset = load_edge_list(args.input, args.format)
     graph = dataset.to_graph()
     write_canonical(dataset, args.output)
@@ -39,9 +61,9 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_split(args) -> int:
-    from linkprop.data_io import load_edge_list, save_splits, split_dataset
     dataset = load_edge_list(args.input, args.format)
-    splits = split_dataset(dataset.to_graph(), tuple(args.ratios), args.seed)
+    splits = split_dataset(dataset.to_graph(),
+                           **_given(args, ("ratios", "seed")))
     save_splits(dataset, splits, args.outdir)
     print(f"{args.outdir}: train {splits.train.shape[0]}, "
           f"val {splits.val.shape[0]}, test {splits.test.shape[0]} "
@@ -50,27 +72,16 @@ def cmd_split(args) -> int:
 
 
 def cmd_train(args) -> int:
-    import numpy as np
-    from linkprop.data_io import graph_from_split, load_splits
-    from linkprop.diagnostics import emit_trajectories
-    from linkprop.negatives import sample_negatives
-    from linkprop.training import TrainConfig, train
     _, splits = load_splits(args.splits)
     graph = graph_from_split(splits)
-    config = TrainConfig(model=args.model, alpha=args.alpha, dim=args.dim,
-                         beta=args.beta, lam=args.lam, window=args.window,
-                         layers=args.layers, max_epochs=args.epochs,
-                         patience=args.patience, path=args.path,
-                         init_scale=args.init_scale, seed=args.seed,
-                         eval_every=args.eval_every, eval_k=args.k,
-                         trace_substeps=args.trace)
-    negatives = sample_negatives(graph, per_positive=args.per_positive,
-                                 strategy=args.neg_strategy,
-                                 exponent=args.neg_exponent, seed=args.seed)
+    config = TrainConfig(**_given(args, TRAIN_FIELDS))
+    negatives = sample_negatives(graph, seed=config.seed,
+                                 **_given(args, ("per_positive", "strategy",
+                                                 "exponent")))
     result = train(graph, negatives, config, splits=splits)
     outdir = _default_outdir(args.outdir)
     os.makedirs(outdir, exist_ok=True)
-    stem = f"{args.model}_seed{args.seed}"
+    stem = f"{config.model}_seed{config.seed}"
     emb_path = os.path.join(outdir, f"embeddings_{stem}.npy")
     np.save(emb_path, result.embeddings)
     traj_path = os.path.join(outdir, f"trajectory_{stem}.csv")
@@ -83,33 +94,24 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    import numpy as np
-    from linkprop.data_io import graph_from_split, load_splits, write_metrics_csv
-    from linkprop.losses import ModelParams, scoring_propagation
-    from linkprop.ranking import evaluate
     _, splits = load_splits(args.splits)
     graph = graph_from_split(splits)
     X = np.load(args.embeddings)
-    params = ModelParams(model=args.model, window=args.window,
-                         layers=args.layers)
+    params = ModelParams(model=args.model,
+                         **_given(args, ("window", "layers")))
     result = evaluate(scoring_propagation(graph, params).apply(X), splits,
-                      graph, k=args.k)
-    print(f"precision@{args.k} {result.precision:.5f}  "
-          f"recall@{args.k} {result.recall:.5f}  ndcg@{args.k} "
-          f"{result.ndcg:.5f}  ({result.users_evaluated} users, "
-          f"{result.users_skipped} skipped)")
+                      graph, **_given(args, ("k",)))
+    print(f"precision@{result.k} {result.precision:.5f}  recall@{result.k} "
+          f"{result.recall:.5f}  ndcg@{result.k} {result.ndcg:.5f}  "
+          f"({result.users_evaluated} users, {result.users_skipped} skipped)")
     if args.csv:
-        write_metrics_csv([(args.splits, args.model, args.seed, result)],
-                          args.csv)
+        seed = getattr(args, "seed", TrainConfig.seed)
+        write_metrics_csv([(args.splits, args.model, seed, result)], args.csv)
     return 0
 
 
 def cmd_verify_equivalence(args) -> int:
-    from linkprop.synthetic import equivalence_instance
-    from linkprop.training import TrainConfig, train
-
-    if args.graphs < 1:
-        raise ValueError(f"--graphs must be >= 1, got {args.graphs}")
+    check_integer("--graphs", args.graphs, 1)
     if not (math.isfinite(args.tolerance) and args.tolerance > 0):
         raise ValueError(f"--tolerance must be positive and finite, "
                          f"got {args.tolerance}")
@@ -125,9 +127,9 @@ def cmd_verify_equivalence(args) -> int:
         worst_step = worst_cum = 0.0
         for seed in range(args.graphs):
             graph, negatives = equivalence_instance(seed)
-            config = TrainConfig(model, alpha=args.alpha, beta=args.beta,
-                                 dim=args.dim, max_epochs=args.steps,
-                                 path="both", seed=seed, **kw)
+            config = TrainConfig(model, beta=args.beta, dim=args.dim,
+                                 max_epochs=args.steps, path="both",
+                                 seed=seed, **_given(args, ("alpha",)), **kw)
             history = train(graph, negatives, config).history
             worst_step = max(worst_step, history.max_divergence())
             worst_cum = max(worst_cum, history.records[-1].divergence)
@@ -140,10 +142,8 @@ def cmd_verify_equivalence(args) -> int:
 
 
 def cmd_report(args) -> int:
-    from linkprop.experiment import RunConfig, run_experiment
     config = RunConfig.from_ini(args.config)
     if args.outdir or "LINKPROP_OUTDIR" in os.environ:
-        from dataclasses import replace
         config = replace(config, outdir=_default_outdir(args.outdir))
     report = run_experiment(config)
     print(report.table(), end="")
@@ -167,51 +167,52 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("split", help="per-user train/val/test split")
+    p = sub.add_parser("split", help="per-user train/val/test split",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--input", required=True)
     p.add_argument("--format", default="auto",
                    choices=["auto", "pairs", "adjlist"])
     p.add_argument("--outdir", required=True)
-    p.add_argument("--ratios", nargs=3, type=float, default=[0.8, 0.1, 0.1])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--ratios", nargs=3, type=float)
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_split)
 
-    p = sub.add_parser("train", help="train one model on a split directory")
+    # each flag's dest is the setting it gives
+    p = sub.add_parser("train", help="train one model on a split directory",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--splits", required=True)
-    p.add_argument("--model", required=True,
-                   choices=["mf", "line", "deepwalk", "lightgcn"])
-    p.add_argument("--alpha", type=float, default=0.01)
-    p.add_argument("--beta", type=float, default=0.0)
-    p.add_argument("--lam", type=float, default=1.0)
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--window", type=int, default=5)
-    p.add_argument("--layers", type=int, default=3)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--patience", type=int, default=10)
-    p.add_argument("--path", default="gradient",
-                   choices=["gradient", "kernel", "both"])
-    p.add_argument("--init-scale", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eval-every", type=int, default=1)
-    p.add_argument("--k", type=int, default=20)
-    p.add_argument("--trace", action="store_true",
+    p.add_argument("--model", required=True, choices=MODELS)
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--beta", type=float)
+    p.add_argument("--lam", type=float)
+    p.add_argument("--dim", type=int)
+    p.add_argument("--window", type=int)
+    p.add_argument("--layers", type=int)
+    p.add_argument("--epochs", dest="max_epochs", metavar="EPOCHS", type=int)
+    p.add_argument("--patience", type=int)
+    p.add_argument("--path", choices=PATHS)
+    p.add_argument("--init-scale", type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--eval-every", type=int)
+    p.add_argument("--k", dest="eval_k", metavar="K", type=int)
+    p.add_argument("--trace", dest="trace_substeps", action="store_true",
                    help="record substep norms each epoch")
-    p.add_argument("--neg-strategy", default="uniform",
-                   choices=["uniform", "degree_power"])
-    p.add_argument("--neg-exponent", type=float, default=0.75)
-    p.add_argument("--per-positive", type=int, default=1)
+    p.add_argument("--neg-strategy", dest="strategy", choices=STRATEGIES)
+    p.add_argument("--neg-exponent", dest="exponent", metavar="NEG_EXPONENT",
+                   type=float)
+    p.add_argument("--per-positive", type=int)
     p.add_argument("--outdir", default="")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="rank and score saved embeddings")
+    p = sub.add_parser("evaluate", help="rank and score saved embeddings",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--splits", required=True)
     p.add_argument("--embeddings", required=True)
-    p.add_argument("--model", required=True,
-                   choices=["mf", "line", "deepwalk", "lightgcn"])
-    p.add_argument("--window", type=int, default=5)
-    p.add_argument("--layers", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--k", type=int, default=20)
+    p.add_argument("--model", required=True, choices=MODELS)
+    p.add_argument("--window", type=int)
+    p.add_argument("--layers", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--k", type=int)
     p.add_argument("--csv", default="")
     p.set_defaults(func=cmd_evaluate)
 
@@ -221,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graphs", type=int, default=20)
     p.add_argument("--steps", type=int, default=50)
     p.add_argument("--dim", type=int, default=8)
-    p.add_argument("--alpha", type=float, default=0.01)
+    p.add_argument("--alpha", type=float, default=argparse.SUPPRESS)
     p.add_argument("--beta", type=float, default=0.01)
     p.add_argument("--tolerance", type=float, default=1e-8)
     p.set_defaults(func=cmd_verify_equivalence)

@@ -25,7 +25,7 @@ import json
 import math
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -130,9 +130,10 @@ def _read_clean_pairs(raw: str):
     return header, body, users, items
 
 
-def _read_lines(raw: str, fmt: str, path):
+def _read_lines(raw: str, fmt: str, path, empty_ok: bool = False):
     """The (header, body, user column, item column) of any file, one line at
-    a time; errors name the file line."""
+    a time; errors name the file line.  No data lines is an error unless
+    `empty_ok`."""
     header = None
     data = []
     for lineno, line in enumerate(raw.splitlines(), start=1):
@@ -142,7 +143,7 @@ def _read_lines(raw: str, fmt: str, path):
                 header = stripped
         elif stripped:
             data.append((lineno, stripped))
-    if not data:
+    if not data and not empty_ok:
         raise ValueError(f"{path}: no data lines")
     if fmt == "auto":
         first = data[0][1]
@@ -153,12 +154,14 @@ def _read_lines(raw: str, fmt: str, path):
     users, items = parse(data)
     body = None
     if header is not None:
-        body = "\n".join(line for _, line in data) + "\n"
+        body = "".join(line + "\n" for _, line in data)
     return header, body, users, items
 
 
-def _check_declared_counts(header_line: str, num_pairs: int, body: str):
+def _check_declared_counts(header_line: str | None, num_pairs: int, body):
     """Validate counts/checksum a canonical header declares about its body."""
+    if header_line is None:
+        return
     declared = dict(tok.split("=", 1) for tok in header_line[1:].split()
                     if "=" in tok)
     if "edges" in declared and int(declared["edges"]) != num_pairs:
@@ -169,6 +172,26 @@ def _check_declared_counts(header_line: str, num_pairs: int, body: str):
         if digest != declared["checksum"]:
             raise ValueError("checksum mismatch: file body does not match "
                              "its canonical header")
+
+
+def _read_file(path, fmt: str, empty_ok: bool = False):
+    """The (canonical header or None, body, user column, item column) of a
+    UTF-8 file; `_check_declared_counts` verifies the header."""
+    if fmt not in ("auto", "pairs", "adjlist"):
+        raise ValueError(f"unknown format {fmt!r}")
+    with open(path, encoding="utf-8") as fh:
+        raw = fh.read()
+    read = _read_clean_pairs(raw) if fmt != "adjlist" else None
+    return read if read is not None else _read_lines(raw, fmt, path, empty_ok)
+
+
+def _edge_rows(user_col, item_col, user_id: dict, item_id: dict):
+    """The sorted, unique id pairs of two label columns; a KeyError names a
+    label missing from the tables."""
+    count = len(user_col)
+    return unique_rows(np.column_stack((
+        np.fromiter(map(user_id.__getitem__, user_col), np.int64, count),
+        np.fromiter(map(item_id.__getitem__, item_col), np.int64, count))))
 
 
 def load_edge_list(path, fmt: str = "auto") -> Dataset:
@@ -183,26 +206,14 @@ def load_edge_list(path, fmt: str = "auto") -> Dataset:
     `split`; any other file is read line by line, and its errors name the
     file line.
     """
-    if fmt not in ("auto", "pairs", "adjlist"):
-        raise ValueError(f"unknown format {fmt!r}")
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.read()
-    read = _read_clean_pairs(raw) if fmt != "adjlist" else None
-    if read is None:
-        read = _read_lines(raw, fmt, path)
-    header, body, user_col, item_col = read
-    if header is not None:
-        _check_declared_counts(header, len(user_col), body)
-
+    header, body, user_col, item_col = _read_file(path, fmt)
+    _check_declared_counts(header, len(user_col), body)
     users = sorted(set(user_col))
     items = sorted(set(item_col))
     part = Partition(len(users), len(items))
     user_id = dict(zip(users, range(part.num_users)))
     item_id = dict(zip(items, range(part.num_users, part.num_nodes)))
-    count = len(user_col)
-    edges = unique_rows(np.column_stack((
-        np.fromiter(map(user_id.__getitem__, user_col), np.int64, count),
-        np.fromiter(map(item_id.__getitem__, item_col), np.int64, count))))
+    edges = _edge_rows(user_col, item_col, user_id, item_id)
     return Dataset(partition=part, edges=edges, user_labels=tuple(users),
                    item_labels=tuple(items))
 
@@ -316,16 +327,13 @@ SPLIT_PARTS = ("train", "val", "test")
 
 
 def save_splits(dataset: Dataset, splits: SplitSet, outdir) -> None:
-    """Write dataset.tsv, one pair file per part, and split.json."""
+    """Write dataset.tsv, one canonical pair file per part, and split.json."""
     os.makedirs(outdir, exist_ok=True)
     write_canonical(dataset, os.path.join(outdir, "dataset.tsv"))
     for part in SPLIT_PARTS:
-        edges = getattr(splits, part)
-        rows = sorted(dataset.label_pair(e) for e in edges)
-        with open(os.path.join(outdir, f"{part}.tsv"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(f"# part={part} edges={len(rows)}\n")
-            fh.writelines(f"{u}\t{i}\n" for u, i in rows)
+        # the full label tables: the header counts the dataset's nodes
+        write_canonical(replace(dataset, edges=getattr(splits, part)),
+                        os.path.join(outdir, f"{part}.tsv"))
     meta = {"ratios": list(splits.ratios), "seed": splits.seed,
             "flagged_users": [dataset.user_labels[u] for u in splits.flagged]}
     with open(os.path.join(outdir, "split.json"), "w",
@@ -335,30 +343,22 @@ def save_splits(dataset: Dataset, splits: SplitSet, outdir) -> None:
 
 
 def load_splits(outdir) -> tuple[Dataset, SplitSet]:
-    """Inverse of save_splits; ids are re-derived from dataset.tsv."""
+    """Inverse of save_splits; ids are re-derived from dataset.tsv.  A part
+    may be empty; its header's edge count and checksum are verified, unless
+    it is the older `# part=... edges=...` header, which has no checksum."""
     dataset = load_edge_list(os.path.join(outdir, "dataset.tsv"), fmt="pairs")
     user_id = {u: k for k, u in enumerate(dataset.user_labels)}
     item_id = {i: dataset.partition.num_users + k
                for k, i in enumerate(dataset.item_labels)}
     parts = {}
     for part in SPLIT_PARTS:
-        loaded = []
-        with open(os.path.join(outdir, f"{part}.tsv"),
-                  encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if line == "" or line.startswith("#"):
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 2:
-                    raise ValueError(f"{part}.tsv line {lineno}: bad pair")
-                try:
-                    loaded.append((user_id[fields[0]], item_id[fields[1]]))
-                except KeyError as err:
-                    raise ValueError(f"{part}.tsv line {lineno}: id {err} "
-                                     "not in dataset.tsv") from None
-        parts[part] = (unique_rows(np.array(loaded, dtype=np.int64))
-                       if loaded else np.empty((0, 2), dtype=np.int64))
+        header, body, users, items = _read_file(
+            os.path.join(outdir, f"{part}.tsv"), "pairs", empty_ok=True)
+        try:
+            parts[part] = _edge_rows(users, items, user_id, item_id)
+        except KeyError as err:
+            raise ValueError(f"{part}.tsv: id {err} not in dataset.tsv") from None
+        _check_declared_counts(header, len(users), body)
     with open(os.path.join(outdir, "split.json"), encoding="utf-8") as fh:
         meta = json.load(fh)
     flagged = tuple(user_id[u] for u in meta["flagged_users"])

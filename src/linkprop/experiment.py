@@ -12,7 +12,7 @@ from __future__ import annotations
 import configparser
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy
@@ -22,23 +22,30 @@ from linkprop.data_io import (check_ratios, graph_density_pct,
                               graph_from_split, load_edge_list, split_dataset,
                               write_metrics_csv)
 from linkprop.diagnostics import emit_trajectories
+from linkprop.graphs import check_integer
 from linkprop.negatives import check_sampling, sample_negatives
 from linkprop.ranking import mean_result
-from linkprop.training import (TrainConfig, grid_search, repeat_train)
+from linkprop.training import TrainConfig, grid_search, repeat_train
 
-CONFIG_DEFAULTS = {
-    "data": {"path": "", "format": "auto", "name": ""},
-    "split": {"ratios": "0.8 0.1 0.1", "seed": "0"},
-    "sampling": {"strategy": "uniform", "exponent": "0.75",
-                 "per_positive": "1"},
-    "model": {"models": "mf", "window": "5", "layers": "3"},
-    "train": {"alpha": "0.01", "beta": "0.0", "lambda": "1.0", "dim": "64",
-              "max_epochs": "200", "patience": "10", "path": "gradient",
-              "init_scale": "0.01", "eval_every": "1",
-              "trace_substeps": "false", "grid": "false"},
-    "eval": {"k": "20", "seeds": "0"},
-    "output": {"outdir": "runs/out"},
-}
+# (INI section, key, RunConfig field), in the order a config file lists them
+INI_KEYS = (
+    ("data", "path", "dataset_path"), ("data", "format", "dataset_format"),
+    ("data", "name", "name"),
+    ("split", "ratios", "ratios"), ("split", "seed", "split_seed"),
+    ("sampling", "strategy", "neg_strategy"),
+    ("sampling", "exponent", "neg_exponent"),
+    ("sampling", "per_positive", "per_positive"),
+    ("model", "models", "models"), ("model", "window", "window"),
+    ("model", "layers", "layers"),
+    ("train", "alpha", "alpha"), ("train", "beta", "beta"),
+    ("train", "lambda", "lam"), ("train", "dim", "dim"),
+    ("train", "max_epochs", "max_epochs"), ("train", "patience", "patience"),
+    ("train", "path", "path"), ("train", "init_scale", "init_scale"),
+    ("train", "eval_every", "eval_every"),
+    ("train", "trace_substeps", "trace_substeps"), ("train", "grid", "grid"),
+    ("eval", "k", "k"), ("eval", "seeds", "seeds"),
+    ("output", "outdir", "outdir"),
+)
 
 
 class ExperimentError(RuntimeError):
@@ -51,32 +58,36 @@ class ExperimentError(RuntimeError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Flat bundle of every knob an experiment run reads."""
+    """Flat bundle of every knob an experiment run reads.
+
+    A field named like a TrainConfig field is that setting, with its
+    default; `k` is TrainConfig's `eval_k`.
+    """
 
     dataset_path: str
     dataset_format: str = "auto"
     name: str = ""
-    ratios: tuple = (0.8, 0.1, 0.1)
+    ratios: tuple[float, ...] = (0.8, 0.1, 0.1)
     split_seed: int = 0
     neg_strategy: str = "uniform"
     neg_exponent: float = 0.75
     per_positive: int = 1
-    models: tuple = ("mf",)
-    window: int = 5
-    layers: int = 3
-    alpha: float = 0.01
-    beta: float = 0.0
-    lam: float = 1.0
-    dim: int = 64
-    max_epochs: int = 200
-    patience: int = 10
-    path: str = "gradient"
-    init_scale: float = 0.01
-    eval_every: int = 1
-    trace_substeps: bool = False
+    models: tuple[str, ...] = ("mf",)
+    window: int = TrainConfig.window
+    layers: int = TrainConfig.layers
+    alpha: float = TrainConfig.alpha
+    beta: float = TrainConfig.beta
+    lam: float = TrainConfig.lam
+    dim: int = TrainConfig.dim
+    max_epochs: int = TrainConfig.max_epochs
+    patience: int = TrainConfig.patience
+    path: str = TrainConfig.path
+    init_scale: float = TrainConfig.init_scale
+    eval_every: int = TrainConfig.eval_every
+    trace_substeps: bool = TrainConfig.trace_substeps
     grid: bool = False
-    k: int = 20
-    seeds: tuple = (0,)
+    k: int = TrainConfig.eval_k
+    seeds: tuple[int, ...] = (TrainConfig.seed,)
     outdir: str = "runs/out"
 
     def __post_init__(self):
@@ -85,6 +96,9 @@ class RunConfig:
         if not self.seeds:
             raise ValueError("seeds must list at least one seed")
         check_ratios(self.ratios)
+        check_integer("split_seed", self.split_seed, 0)
+        for seed in self.seeds:
+            check_integer("seeds", seed, 0)
         check_sampling(self.neg_strategy, self.per_positive, self.neg_exponent)
         for model in self.models:
             self.train_config(model)  # TrainConfig names any bad field
@@ -97,39 +111,24 @@ class RunConfig:
         return stem.rsplit(".", 1)[0] if "." in stem else stem
 
     def train_config(self, model: str) -> TrainConfig:
-        return TrainConfig(model=model, alpha=self.alpha, dim=self.dim,
-                           beta=self.beta, lam=self.lam, window=self.window,
-                           layers=self.layers, max_epochs=self.max_epochs,
-                           patience=self.patience, path=self.path,
-                           init_scale=self.init_scale, eval_every=self.eval_every,
-                           eval_k=self.k, trace_substeps=self.trace_substeps)
+        return TrainConfig(model=model, eval_k=self.k, **{
+            f.name: getattr(self, f.name) for f in fields(self)
+            if f.name in _TRAIN_FIELDS})
 
     def to_mapping(self) -> dict:
-        return {
-            "data": {"path": self.dataset_path, "format": self.dataset_format,
-                     "name": self.dataset_name},
-            "split": {"ratios": list(self.ratios), "seed": self.split_seed},
-            "sampling": {"strategy": self.neg_strategy,
-                         "exponent": self.neg_exponent,
-                         "per_positive": self.per_positive},
-            "model": {"models": list(self.models), "window": self.window,
-                      "layers": self.layers},
-            "train": {"alpha": self.alpha, "beta": self.beta,
-                      "lambda": self.lam, "dim": self.dim,
-                      "max_epochs": self.max_epochs, "patience": self.patience,
-                      "path": self.path, "init_scale": self.init_scale,
-                      "eval_every": self.eval_every,
-                      "trace_substeps": self.trace_substeps, "grid": self.grid},
-            "eval": {"k": self.k, "seeds": list(self.seeds)},
-            "output": {"outdir": self.outdir},
-        }
+        mapping: dict = {}
+        for section, key, name in INI_KEYS:
+            value = getattr(self, name)
+            mapping.setdefault(section, {})[key] = (
+                list(value) if isinstance(value, tuple) else value)
+        mapping["data"]["name"] = self.dataset_name
+        return mapping
 
     @classmethod
     def from_ini(cls, path) -> "RunConfig":
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(converters=_LIST_CONVERTERS)
         parser.read_dict(CONFIG_DEFAULTS)
-        read = parser.read(path, encoding="utf-8")
-        if not read:
+        if not parser.read(path, encoding="utf-8"):
             raise FileNotFoundError(f"config file {path} not found")
         for section in parser.sections():
             if section not in CONFIG_DEFAULTS:
@@ -137,36 +136,36 @@ class RunConfig:
             unknown = set(parser[section]) - set(CONFIG_DEFAULTS[section])
             if unknown:
                 raise ValueError(f"unknown keys in [{section}]: {sorted(unknown)}")
-        get = parser.get
-        return cls(
-            dataset_path=get("data", "path"),
-            dataset_format=get("data", "format"),
-            name=get("data", "name"),
-            ratios=tuple(float(r) for r in get("split", "ratios").split()),
-            split_seed=parser.getint("split", "seed"),
-            neg_strategy=get("sampling", "strategy"),
-            neg_exponent=parser.getfloat("sampling", "exponent"),
-            per_positive=parser.getint("sampling", "per_positive"),
-            models=tuple(m.strip() for m in get("model", "models").replace(
-                ",", " ").split()),
-            window=parser.getint("model", "window"),
-            layers=parser.getint("model", "layers"),
-            alpha=parser.getfloat("train", "alpha"),
-            beta=parser.getfloat("train", "beta"),
-            lam=parser.getfloat("train", "lambda"),
-            dim=parser.getint("train", "dim"),
-            max_epochs=parser.getint("train", "max_epochs"),
-            patience=parser.getint("train", "patience"),
-            path=get("train", "path"),
-            init_scale=parser.getfloat("train", "init_scale"),
-            eval_every=parser.getint("train", "eval_every"),
-            trace_substeps=parser.getboolean("train", "trace_substeps"),
-            grid=parser.getboolean("train", "grid"),
-            k=parser.getint("eval", "k"),
-            seeds=tuple(int(s) for s in get("eval", "seeds").replace(
-                ",", " ").split()),
-            outdir=get("output", "outdir"),
-        )
+        getter = {f.name: "get" + _GETTERS[f.type] for f in fields(cls)}
+        return cls(**{name: getattr(parser, getter[name])(section, key)
+                      for section, key, name in INI_KEYS})
+
+
+_TRAIN_FIELDS = {f.name for f in fields(TrainConfig)}
+
+# the parser's getter by RunConfig field annotation; models and seeds may
+# be separated by commas, ratios only by whitespace
+_GETTERS = {"str": "", "int": "int", "float": "float", "bool": "boolean",
+            "tuple[float, ...]": "floats", "tuple[str, ...]": "words",
+            "tuple[int, ...]": "ints"}
+_LIST_CONVERTERS = {
+    "floats": lambda text: tuple(float(r) for r in text.split()),
+    "words": lambda text: tuple(text.replace(",", " ").split()),
+    "ints": lambda text: tuple(int(s) for s in text.replace(",", " ").split())}
+
+
+def _ini_text(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, list):
+        return " ".join(map(str, value))
+    return str(value)
+
+
+# every INI key's default as text; the data path has none
+CONFIG_DEFAULTS = {
+    section: {key: _ini_text(value) for key, value in keys.items()}
+    for section, keys in RunConfig(dataset_path="").to_mapping().items()}
 
 
 @dataclass

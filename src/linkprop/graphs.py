@@ -14,6 +14,7 @@ adjacency built here.  Conventions:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,6 +23,16 @@ import scipy.sparse as sp
 SCHEMES = ("none", "row", "symmetric")
 
 MAX_PROXIMITY_ORDER = 16
+
+
+def check_integer(name: str, value, low: int, high: int | None = None):
+    """Raise ValueError naming `name` unless `value` is an integer, not a
+    bool, of at least `low` (and at most `high`)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
 
 
 @dataclass(frozen=True)

@@ -105,7 +105,6 @@ class KernelOperator:
 
     config: KernelConfig
     graph: Graph
-    negatives: NegativeSet
     prop: ProximityOperator = field(repr=False)
     pattern: SupportPattern = field(repr=False)
     rows: np.ndarray = field(repr=False)  # the pattern's, one per union slot
@@ -115,8 +114,8 @@ class KernelOperator:
               negatives: NegativeSet) -> "KernelOperator":
         masks = mask_set(graph, negatives, config)
         pattern = masks.pattern
-        return cls(config=config, graph=graph, negatives=negatives,
-                   prop=masks.prop, pattern=pattern, rows=pattern.rows)
+        return cls(config=config, graph=graph, prop=masks.prop,
+                   pattern=pattern, rows=pattern.rows)
 
     def step_traced(self, X: np.ndarray):
         """One kernel step from X: (X', substep trace), X' unchecked."""

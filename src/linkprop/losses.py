@@ -29,7 +29,6 @@ never formed densely.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -38,8 +37,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from linkprop.graphs import (MAX_PROXIMITY_ORDER, Graph, ProximityOperator,
-                             SupportPattern, normalize, normalize_matrix,
-                             proximity, symmetrize)
+                             SupportPattern, check_integer, normalize,
+                             normalize_matrix, proximity, symmetrize)
 from linkprop.negatives import NegativeSet
 
 
@@ -89,13 +88,7 @@ class ModelParams:
         if self.model not in MODELS:
             raise ValueError(f"unknown model {self.model!r}; pick from {MODELS}")
         for name, low in (("window", 1), ("layers", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value,
-                                                         numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if not low <= value <= MAX_PROXIMITY_ORDER:
-                raise ValueError(f"{name} must be in {low}.."
-                                 f"{MAX_PROXIMITY_ORDER}, got {value}")
+            check_integer(name, getattr(self, name), low, MAX_PROXIMITY_ORDER)
         for name in ("lam", "beta"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):

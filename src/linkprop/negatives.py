@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from linkprop.graphs import Graph, _pairs_to_csr
+from linkprop.graphs import Graph, _pairs_to_csr, check_integer
 
 STRATEGIES = ("uniform", "degree_power")
 
@@ -66,8 +66,7 @@ def check_sampling(strategy: str, per_positive: int, exponent: float) -> None:
     """Raise ValueError, naming the field, on a bad sampling setting."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; pick from {STRATEGIES}")
-    if per_positive < 1:
-        raise ValueError(f"per_positive must be >= 1, got {per_positive}")
+    check_integer("per_positive", per_positive, 1)
     if not math.isfinite(exponent):
         raise ValueError(f"exponent must be finite, got {exponent}")
 

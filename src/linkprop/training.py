@@ -12,14 +12,13 @@ one.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
 from linkprop.diagnostics import frobenius, mean_positive_kernel
-from linkprop.graphs import Graph
+from linkprop.graphs import Graph, check_integer
 from linkprop.kernel import (KernelOperator, kernel_update, link_kernels,
                              model_config, positive_kernel, score_matrices)
 from linkprop.losses import (DivergenceError, MaskSet, ModelParams,
@@ -41,7 +40,8 @@ LAYER_GRID = (1, 3, 5)
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Everything one training run depends on, seeds included.
+    """Everything one training run depends on, seeds included, and the one
+    place each training default is written (the model's own in ModelParams).
 
     `trace_substeps` records the kernel substep norms each epoch.  On the
     gradient path that runs one `kernel_update` per epoch just for them:
@@ -50,12 +50,12 @@ class TrainConfig:
     """
 
     model: str
-    alpha: float
+    alpha: float = 0.01
     dim: int = 64
-    beta: float = 0.0
-    lam: float = 1.0
-    window: int = 5
-    layers: int = 3
+    beta: float = ModelParams.beta
+    lam: float = ModelParams.lam
+    window: int = ModelParams.window
+    layers: int = ModelParams.layers
     max_epochs: int = 200
     patience: int = 10
     path: str = "gradient"
@@ -68,12 +68,8 @@ class TrainConfig:
     def __post_init__(self):
         self.params  # ModelParams checks model, window, layers, lam and beta
         for name in INTEGER_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value,
-                                                         numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1, got {value}")
+            check_integer(name, getattr(self, name), 1)
+        check_integer("seed", self.seed, 0)
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(
                 f"alpha must be positive and finite, got {self.alpha}")

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import subprocess
@@ -5,14 +6,22 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import linkprop
-from linkprop import THREAD_VARS, _apply_thread_env
+from linkprop import THREAD_VARS, _apply_thread_env, cli
 from linkprop.cli import main
-from linkprop.data_io import dataset_from_graph, load_edge_list
+from linkprop.data_io import dataset_from_graph, load_edge_list, split_dataset
 from linkprop.experiment import (CONFIG_DEFAULTS, ExperimentError, RunConfig,
                                  run_experiment)
+from linkprop.losses import MODELS
+from linkprop.negatives import STRATEGIES
 from linkprop.synthetic import block_bipartite
+from linkprop.training import PATHS, TrainConfig
+
+from conftest import DATA_DIR
+
+CONFIGS = DATA_DIR.rsplit("/", 1)[0] + "/configs"
 
 
 @pytest.fixture
@@ -314,7 +323,13 @@ class TestRunConfig:
         ({"neg_exponent": float("nan")}, "exponent"),
         ({"ratios": (0.5, 0.2, 0.1)}, "ratios"),
         ({"ratios": (float("nan"), 0.5, 0.5)}, "ratios"),
-        ({"ratios": (0.9, 0.1)}, "ratios")])
+        ({"ratios": (0.9, 0.1)}, "ratios"),
+        ({"split_seed": -1}, "split_seed must be >= 0"),
+        ({"split_seed": 0.5}, "split_seed must be an integer"),
+        ({"seeds": (-1,)}, "seeds must be >= 0"),
+        ({"seeds": (0, 1.5)}, "seeds must be an integer"),
+        ({"per_positive": 1.5}, "per_positive must be an integer"),
+        ({"per_positive": True}, "per_positive must be an integer")])
     def test_rejected_at_construction(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
             RunConfig(dataset_path="x", **kwargs)
@@ -409,3 +424,188 @@ class TestReportCommand:
         payload = json.loads(
             (override / "report.json").read_text(encoding="utf-8"))
         assert payload["config"]["output"]["outdir"] == str(override)
+
+
+def ini_text(mapping) -> str:
+    """An INI file of a `RunConfig.to_mapping()`."""
+    lines = []
+    for section, keys in mapping.items():
+        lines.append(f"[{section}]")
+        for key, value in keys.items():
+            if isinstance(value, list):
+                value = " ".join(map(str, value))
+            elif isinstance(value, bool):
+                value = str(value).lower()
+            lines.append(f"{key} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+# the TrainConfig field each [model], [train] and [eval] key sets; models,
+# grid and seeds are the run's own
+TRAIN_KEYS = {("model", "window"): "window", ("model", "layers"): "layers",
+              ("train", "alpha"): "alpha", ("train", "beta"): "beta",
+              ("train", "lambda"): "lam", ("train", "dim"): "dim",
+              ("train", "max_epochs"): "max_epochs",
+              ("train", "patience"): "patience", ("train", "path"): "path",
+              ("train", "init_scale"): "init_scale",
+              ("train", "eval_every"): "eval_every",
+              ("train", "trace_substeps"): "trace_substeps",
+              ("eval", "k"): "eval_k"}
+
+# INI text that lives only in the config's own sections: no float drawn
+# here is non-finite and no text holds `%`, which configparser interpolates
+words = st.text("abcxyz0189_./-", min_size=1, max_size=12)
+ratios = st.floats(0, 1).flatmap(lambda a: st.floats(0, 1 - a).map(
+    lambda b: (a, b, 1 - a - b)))
+run_configs = st.builds(
+    RunConfig, dataset_path=words, dataset_format=st.sampled_from(
+        ["auto", "pairs", "adjlist"]),
+    name=words, ratios=ratios, split_seed=st.integers(0, 2**63 - 1),
+    neg_strategy=st.sampled_from(STRATEGIES),
+    neg_exponent=st.floats(-4, 4), per_positive=st.integers(1, 4),
+    models=st.lists(st.sampled_from(MODELS), min_size=1).map(tuple),
+    window=st.integers(1, 16), layers=st.integers(0, 16),
+    alpha=st.floats(1e-300, 1e3), beta=st.floats(0, 1e3),
+    lam=st.floats(0, 1e3), dim=st.integers(1, 512),
+    max_epochs=st.integers(1, 10**6), patience=st.integers(1, 100),
+    path=st.sampled_from(PATHS), init_scale=st.floats(1e-300, 10),
+    eval_every=st.integers(1, 50), trace_substeps=st.booleans(),
+    grid=st.booleans(), k=st.integers(1, 1000),
+    seeds=st.lists(st.integers(0, 2**32), min_size=1).map(tuple),
+    outdir=words)
+
+
+class TestSingleSource:
+    """Each training default is TrainConfig's (the model's own ModelParams'),
+    wherever a run reads it: the INI defaults and the command line."""
+
+    def test_config_defaults_unchanged(self):
+        assert CONFIG_DEFAULTS == {
+            "data": {"path": "", "format": "auto", "name": ""},
+            "split": {"ratios": "0.8 0.1 0.1", "seed": "0"},
+            "sampling": {"strategy": "uniform", "exponent": "0.75",
+                         "per_positive": "1"},
+            "model": {"models": "mf", "window": "5", "layers": "3"},
+            "train": {"alpha": "0.01", "beta": "0.0", "lambda": "1.0",
+                      "dim": "64", "max_epochs": "200", "patience": "10",
+                      "path": "gradient", "init_scale": "0.01",
+                      "eval_every": "1", "trace_substeps": "false",
+                      "grid": "false"},
+            "eval": {"k": "20", "seeds": "0"},
+            "output": {"outdir": "runs/out"},
+        }
+
+    def test_ini_defaults_are_train_config_defaults(self, tmp_path):
+        defaults = TrainConfig(model="mf")
+        for (section, key), name in TRAIN_KEYS.items():
+            value = getattr(defaults, name)
+            text = str(value).lower() if isinstance(value, bool) else str(value)
+            assert CONFIG_DEFAULTS[section][key] == text, key
+        assert CONFIG_DEFAULTS["eval"]["seeds"] == str(defaults.seed)
+        assert {key for section in ("model", "train", "eval")
+                for key in CONFIG_DEFAULTS[section]} == {
+            key for _, key in TRAIN_KEYS} | {"models", "grid", "seeds"}
+        path = tmp_path / "min.ini"
+        path.write_text("[data]\npath = x.tsv\n", encoding="utf-8")
+        config = RunConfig.from_ini(path)
+        for model in MODELS:
+            assert config.train_config(model) == TrainConfig(model=model)
+        assert config.seeds == (defaults.seed,)
+
+    @pytest.mark.parametrize("name", ["bench.ini", "toy.ini"])
+    def test_mapping_reloads_equal(self, tmp_path, name):
+        config = RunConfig.from_ini(f"{CONFIGS}/{name}")
+        path = tmp_path / "back.ini"
+        path.write_text(ini_text(config.to_mapping()), encoding="utf-8")
+        assert RunConfig.from_ini(path) == config
+
+    @settings(max_examples=60, deadline=None)
+    @given(config=run_configs)
+    def test_drawn_mapping_reloads_equal(self, tmp_path_factory, config):
+        path = tmp_path_factory.mktemp("ini") / "back.ini"
+        path.write_text(ini_text(config.to_mapping()), encoding="utf-8")
+        back = RunConfig.from_ini(path)
+        assert back == config
+        assert back.to_mapping() == config.to_mapping()
+
+    @pytest.fixture
+    def splitdir(self, raw_dataset, tmp_path):
+        raw, _ = raw_dataset
+        splitdir = tmp_path / "sp"
+        assert main(["split", "--input", str(raw), "--outdir", str(splitdir),
+                     "--ratios", "0.6", "0.2", "0.2"]) == 0
+        return splitdir
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The arguments cli.sample_negatives and cli.train are called
+        with; neither runs, and the training call ends the command with
+        exit code 2."""
+        seen = {}
+
+        def sample_spy(graph, **kwargs):
+            seen["sampling"] = kwargs
+
+        def train_spy(graph, negatives, config, splits=None):
+            seen["config"] = config
+            raise ValueError("stopped before training")
+
+        monkeypatch.setattr(cli, "sample_negatives", sample_spy)
+        monkeypatch.setattr(cli, "train", train_spy)
+        return seen
+
+    def test_omitted_train_flags_are_library_defaults(self, splitdir, calls):
+        assert main(["train", "--splits", str(splitdir), "--model",
+                     "lightgcn"]) == 2
+        assert calls["config"] == TrainConfig(model="lightgcn")
+        assert calls["sampling"] == {"seed": TrainConfig(model="mf").seed}
+
+    def test_every_train_flag_reaches_its_setting(self, splitdir, calls):
+        assert main(["train", "--splits", str(splitdir), "--model", "deepwalk",
+                     "--alpha", "0.2", "--beta", "0.1", "--lam", "0.5",
+                     "--dim", "7", "--window", "3", "--layers", "2",
+                     "--epochs", "9", "--patience", "4", "--path", "both",
+                     "--init-scale", "0.2", "--seed", "5", "--eval-every", "2",
+                     "--k", "6", "--trace", "--neg-strategy", "degree_power",
+                     "--neg-exponent", "0.5", "--per-positive", "2"]) == 2
+        assert calls["config"] == TrainConfig(
+            model="deepwalk", alpha=0.2, beta=0.1, lam=0.5, dim=7, window=3,
+            layers=2, max_epochs=9, patience=4, path="both", init_scale=0.2,
+            seed=5, eval_every=2, eval_k=6, trace_substeps=True)
+        assert calls["sampling"] == {"seed": 5, "strategy": "degree_power",
+                                     "exponent": 0.5, "per_positive": 2}
+
+    def test_omitted_verify_alpha_is_the_library_default(self, calls):
+        assert main(["verify-equivalence", "--model", "mf", "--graphs",
+                     "1"]) == 2
+        assert calls["config"].alpha == TrainConfig(model="mf").alpha
+
+    def test_omitted_evaluate_flags_are_library_defaults(
+            self, raw_dataset, splitdir, tmp_path, monkeypatch):
+        _, ds = raw_dataset
+        emb = tmp_path / "emb.npy"
+        np.save(emb, np.random.default_rng(0).normal(
+            size=(ds.partition.num_nodes, 3)))
+        seen = []
+        propagation = cli.scoring_propagation
+        monkeypatch.setattr(cli, "scoring_propagation", lambda graph, params:
+                            seen.append(params) or propagation(graph, params))
+        csv_path = tmp_path / "m.csv"
+        assert main(["evaluate", "--splits", str(splitdir), "--embeddings",
+                     str(emb), "--model", "lightgcn", "--csv",
+                     str(csv_path)]) == 0
+        defaults = TrainConfig(model="lightgcn")
+        assert seen == [defaults.params]
+        row = csv_path.read_text(encoding="utf-8").splitlines()[1].split(",")
+        assert row[2:4] == [str(defaults.seed), str(defaults.eval_k)]
+
+    def test_omitted_split_flags_are_library_defaults(self, raw_dataset,
+                                                      tmp_path):
+        raw, _ = raw_dataset
+        assert main(["split", "--input", str(raw), "--outdir",
+                     str(tmp_path / "sp")]) == 0
+        meta = json.loads((tmp_path / "sp" / "split.json").read_text(
+            encoding="utf-8"))
+        signature = inspect.signature(split_dataset).parameters
+        assert meta["ratios"] == list(signature["ratios"].default)
+        assert meta["seed"] == signature["seed"].default

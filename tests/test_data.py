@@ -483,6 +483,72 @@ class TestSaveLoadSplits:
         with pytest.raises(ValueError, match="not in dataset.tsv"):
             load_splits(tmp_path)
 
+    @pytest.fixture
+    def saved(self, tmp_path):
+        # 51 train, 4 validation and 4 test edges
+        graph = block_bipartite(12, 10, 2, mean_degree=10, seed=0)
+        splits = split_dataset(graph, seed=3)
+        save_splits(dataset_from_graph(graph), splits, tmp_path)
+        return splits
+
+    def test_parts_are_canonical_files(self, tmp_path, saved):
+        for part in ("train", "val", "test"):
+            header = (tmp_path / f"{part}.tsv").read_text(
+                encoding="utf-8").split("\n", 1)[0]
+            assert f"edges={getattr(saved, part).shape[0]} " in header
+            assert "checksum=" in header
+
+    def test_truncated_part_rejected(self, tmp_path, saved):
+        # a part file used to load whatever lines were left in it
+        path = tmp_path / "train.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines[:-5]), encoding="utf-8")
+        n = saved.train.shape[0]
+        with pytest.raises(ValueError,
+                           match=f"header declares {n} edges, file has {n - 5}"):
+            load_splits(tmp_path)
+
+    def test_edited_part_rejected(self, tmp_path, saved):
+        # same count, every label known: only the checksum sees the edit
+        path = tmp_path / "test.tsv"
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        user, item = rows[0].split("\t")
+        other = next(i for i in (f"i{k}" for k in range(10)) if i != item)
+        rows[0] = f"{user}\t{other}"
+        path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="checksum mismatch"):
+            load_splits(tmp_path)
+
+    def test_empty_parts_round_trip(self, tmp_path):
+        graph = block_bipartite(6, 5, 2, mean_degree=3, seed=1)
+        splits = split_dataset(graph, ratios=(1.0, 0.0, 0.0))
+        save_splits(dataset_from_graph(graph), splits, tmp_path)
+        assert (tmp_path / "val.tsv").read_text(
+            encoding="utf-8").count("\n") == 1
+        _, back = load_splits(tmp_path)
+        assert np.array_equal(back.train, splits.train)
+        for part in (back.val, back.test):
+            assert part.shape == (0, 2) and part.dtype == np.int64
+
+    def test_truncated_to_empty_part_rejected(self, tmp_path, saved):
+        path = tmp_path / "val.tsv"
+        header = path.read_text(encoding="utf-8").split("\n", 1)[0]
+        path.write_text(header + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="header declares"):
+            load_splits(tmp_path)
+
+    def test_parts_without_checksum_still_load(self, tmp_path, saved):
+        # the part format written before parts carried a checksum header
+        ds = load_edge_list(tmp_path / "dataset.tsv")
+        for part in ("train", "val", "test"):
+            rows = sorted(ds.label_pair(e) for e in getattr(saved, part))
+            (tmp_path / f"{part}.tsv").write_text(
+                f"# part={part} edges={len(rows)}\n"
+                + "".join(f"{u}\t{i}\n" for u, i in rows), encoding="utf-8")
+        _, back = load_splits(tmp_path)
+        for part in ("train", "val", "test"):
+            assert np.array_equal(getattr(back, part), getattr(saved, part))
+
     def test_train_graph_masks_candidates(self, tmp_path):
         graph = random_bipartite(4, 4, 10, seed=2)
         splits = split_dataset(graph, seed=1)

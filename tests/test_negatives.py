@@ -94,6 +94,13 @@ class TestSampleNegatives:
         with pytest.raises(ValueError, match="per_positive"):
             sample_negatives(graph, per_positive=0)
 
+    @pytest.mark.parametrize("value", [1.5, 1.0, True, np.float64(2.0)])
+    def test_per_positive_must_be_an_integer(self, small_instance, value):
+        # True used to count as 1 and 1.5 to fail inside numpy
+        graph, _ = small_instance
+        with pytest.raises(ValueError, match="per_positive must be an integer"):
+            sample_negatives(graph, per_positive=value)
+
     @pytest.mark.parametrize("exponent", [float("nan"), float("inf"),
                                           float("-inf")])
     def test_non_finite_exponent_rejected(self, bipartite_instance, exponent):

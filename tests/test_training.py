@@ -8,7 +8,8 @@ import pytest
 from linkprop.graphs import (MAX_PROXIMITY_ORDER, Partition, ProximityOperator,
                              SupportPattern, build_graph)
 from linkprop.kernel import link_kernels
-from linkprop.losses import DivergenceError, build_masks, gd_step, loss_gradient
+from linkprop.losses import (DivergenceError, ModelParams, build_masks, gd_step,
+                             loss_gradient)
 from linkprop.negatives import sample_negatives
 from linkprop.ranking import SplitSet
 from linkprop.synthetic import block_bipartite
@@ -54,24 +55,33 @@ class TestTrainConfig:
         ("eval_k", 0), ("lam", float("nan")), ("lam", float("inf")),
         ("lam", -1.0), ("beta", float("nan")), ("beta", float("inf")),
         ("beta", -1.0), ("init_scale", float("nan")),
-        ("init_scale", float("inf")), ("init_scale", float("-inf"))])
+        ("init_scale", float("inf")), ("init_scale", float("-inf")),
+        ("seed", -1)])
     def test_rejection_names_the_field(self, field, value):
         kwargs = {"model": "lightgcn", "alpha": 0.05, field: value}
         with pytest.raises(ValueError, match=field):
             TrainConfig(**kwargs)
 
     @pytest.mark.parametrize("value", [2.5, 3.0, True, np.float64(2.0)])
-    @pytest.mark.parametrize("field", INTEGER_FIELDS + ("window", "layers"))
+    @pytest.mark.parametrize("field",
+                             INTEGER_FIELDS + ("window", "layers", "seed"))
     def test_integer_fields_reject_floats_and_bools(self, field, value):
         # eval_k=2.5 used to fail only inside the first validation ranking
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             TrainConfig(model="lightgcn", alpha=0.05, **{field: value})
 
-    @pytest.mark.parametrize("field", INTEGER_FIELDS + ("window", "layers"))
+    @pytest.mark.parametrize("field",
+                             INTEGER_FIELDS + ("window", "layers", "seed"))
     def test_integer_fields_accept_numpy_integers(self, field):
         config = TrainConfig(model="lightgcn", alpha=0.05,
                              **{field: np.int64(2)})
         assert getattr(config, field) == 2
+
+    def test_model_defaults_are_model_params(self):
+        config, params = TrainConfig(model="lightgcn"), ModelParams("lightgcn")
+        assert config.params == params
+        for name in ("window", "layers", "lam", "beta"):
+            assert getattr(config, name) == getattr(params, name)
 
     def test_overflowing_alpha_times_beta_names_both(self):
         # each is finite, but the kernel's c1 = 1 - alpha * beta is not
