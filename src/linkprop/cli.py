@@ -14,7 +14,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,15 +29,13 @@ from linkprop.losses import MODELS, ModelParams, scoring_propagation
 from linkprop.negatives import STRATEGIES, sample_negatives
 from linkprop.ranking import evaluate
 from linkprop.synthetic import equivalence_instance
-from linkprop.training import PATHS, TrainConfig, train
+from linkprop.training import PATHS, TRAIN_FIELDS, TrainConfig, train
 
 EPILOG = """environment:
   LINKPROP_THREADS   pin BLAS/OpenMP thread count (set before numpy loads;
                      required for bit-reproducible reports across runs)
   LINKPROP_OUTDIR    default output directory for train/report artifacts
 """
-
-TRAIN_FIELDS = tuple(f.name for f in fields(TrainConfig))
 
 
 def _given(args, names) -> dict:

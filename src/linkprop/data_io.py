@@ -64,19 +64,19 @@ def _is_header_row(user: str, item: str) -> bool:
     return user.lower() in HEADER_TOKENS or item.lower() in HEADER_TOKENS
 
 
-def _parse_pair_lines(lines) -> tuple[list[str], list[str]]:
+def _pair_fields(line: str) -> list[str]:
+    """A pair line split at a tab, else a comma, else whitespace."""
+    return line.split("\t" if "\t" in line else "," if "," in line else None)
+
+
+def _parse_pair_lines(lines, header_row: bool) -> tuple[list[str], list[str]]:
     """User and item label columns from (file line number, line) pairs of
-    two-column lines; delimiter per line, the first line may be a header."""
+    two-column lines; if `header_row`, the first may be a header row."""
     users, items = [], []
     for k, (lineno, line) in enumerate(lines):
-        if "\t" in line:
-            fields = line.split("\t")
-        elif "," in line:
-            fields = line.split(",")
-        else:
-            fields = line.split()
-        fields = [f for f in map(str.strip, fields) if f]
-        if k == 0 and len(fields) == 2 and _is_header_row(*fields):
+        fields = [f for f in map(str.strip, _pair_fields(line)) if f]
+        if (header_row and k == 0 and len(fields) == 2
+                and _is_header_row(*fields)):
             continue
         if len(fields) != 2:
             raise ValueError(f"line {lineno}: expected 2 fields, got "
@@ -105,10 +105,10 @@ def _parse_adjlist_lines(lines) -> tuple[list[str], list[str]]:
 _CLEAN_PAIRS = re.compile(r"(?:[^\s#]+\t[^\s#]+\n)+")
 
 
-def _read_clean_pairs(raw: str):
-    """(checksum header or None, body, user column, item column) of a file
-    of leading `#` lines over tab-separated pairs with no other whitespace
-    or `#`; None for any other file."""
+def _read_clean_pairs(raw: str, header_key: str):
+    """(header or None, body, user column, item column) of a file of
+    leading `#` lines over tab-separated pairs with no other whitespace or
+    `#`; None for any other file."""
     header = None
     start = 0
     while raw.startswith("#", start):
@@ -117,7 +117,7 @@ def _read_clean_pairs(raw: str):
         # a break other than the final "\n" would start a data line
         if not stop or len(line.splitlines()) != 1:
             return None
-        if header is None and "checksum=" in line:
+        if header is None and header_key in line:
             header = line.strip()
         start = stop
     body = raw[start:]
@@ -125,12 +125,12 @@ def _read_clean_pairs(raw: str):
         return None
     tokens = body.split()
     users, items = tokens[0::2], tokens[1::2]
-    if _is_header_row(users[0], items[0]):
+    if header is None and _is_header_row(users[0], items[0]):
         del users[0], items[0]
     return header, body, users, items
 
 
-def _read_lines(raw: str, fmt: str, path, empty_ok: bool = False):
+def _read_lines(raw: str, fmt: str, path, header_key: str, empty_ok: bool):
     """The (header, body, user column, item column) of any file, one line at
     a time; errors name the file line.  No data lines is an error unless
     `empty_ok`."""
@@ -139,22 +139,19 @@ def _read_lines(raw: str, fmt: str, path, empty_ok: bool = False):
     for lineno, line in enumerate(raw.splitlines(), start=1):
         stripped = line.strip()
         if stripped.startswith("#"):
-            if "checksum=" in stripped and header is None:
+            if header_key in stripped and header is None:
                 header = stripped
         elif stripped:
             data.append((lineno, stripped))
     if not data and not empty_ok:
         raise ValueError(f"{path}: no data lines")
     if fmt == "auto":
-        first = data[0][1]
-        fields = first.split("\t") if "\t" in first else (
-            first.split(",") if "," in first else first.split())
-        fmt = "pairs" if len(fields) == 2 else "adjlist"
-    parse = _parse_pair_lines if fmt == "pairs" else _parse_adjlist_lines
-    users, items = parse(data)
-    body = None
-    if header is not None:
-        body = "".join(line + "\n" for _, line in data)
+        fmt = "pairs" if len(_pair_fields(data[0][1])) == 2 else "adjlist"
+    if fmt == "pairs":
+        users, items = _parse_pair_lines(data, header_row=header is None)
+    else:
+        users, items = _parse_adjlist_lines(data)
+    body = None if header is None else "".join(line + "\n" for _, line in data)
     return header, body, users, items
 
 
@@ -174,15 +171,18 @@ def _check_declared_counts(header_line: str | None, num_pairs: int, body):
                              "its canonical header")
 
 
-def _read_file(path, fmt: str, empty_ok: bool = False):
-    """The (canonical header or None, body, user column, item column) of a
-    UTF-8 file; `_check_declared_counts` verifies the header."""
+def _read_file(path, fmt: str, header_key: str = "checksum=",
+               empty_ok: bool = False):
+    """The (header or None, body, user column, item column) of a UTF-8
+    file.  The header, its first `#` line holding `header_key`, comes only
+    from `write_canonical` or `save_splits`, which write no header row, so
+    only a file without one may open with a header row, which is dropped."""
     if fmt not in ("auto", "pairs", "adjlist"):
         raise ValueError(f"unknown format {fmt!r}")
     with open(path, encoding="utf-8") as fh:
         raw = fh.read()
-    read = _read_clean_pairs(raw) if fmt != "adjlist" else None
-    return read if read is not None else _read_lines(raw, fmt, path, empty_ok)
+    read = _read_clean_pairs(raw, header_key) if fmt != "adjlist" else None
+    return read or _read_lines(raw, fmt, path, header_key, empty_ok)
 
 
 def _edge_rows(user_col, item_col, user_id: dict, item_id: dict):
@@ -198,13 +198,13 @@ def load_edge_list(path, fmt: str = "auto") -> Dataset:
     """Parse and remap a UTF-8 interaction file.
 
     fmt "pairs" expects two delimited columns (tab, comma, or whitespace;
-    one optional header row), "adjlist" expects `user item item ...` lines,
-    "auto" decides from the first data line.  Lines starting with `#` are
-    comments; a canonical-form header among them has its counts and
-    checksum verified.  A pair file that is clean tab-separated pairs under
-    its leading comments, as every canonical file is, is tokenized in one
-    `split`; any other file is read line by line, and its errors name the
-    file line.
+    one optional header row unless the file has a canonical header),
+    "adjlist" expects `user item item ...` lines, "auto" decides from the
+    first data line.  Lines starting with `#` are comments; a canonical-form
+    header among them has its counts and checksum verified.  A pair file
+    that is clean tab-separated pairs under its leading comments, as every
+    canonical file is, is tokenized in one `split`; any other file is read
+    line by line, and its errors name the file line.
     """
     header, body, user_col, item_col = _read_file(path, fmt)
     _check_declared_counts(header, len(user_col), body)
@@ -218,14 +218,10 @@ def load_edge_list(path, fmt: str = "auto") -> Dataset:
                    item_labels=tuple(items))
 
 
-def _canonical_body(dataset: Dataset) -> str:
-    rows = sorted(dataset.label_pair(e) for e in dataset.edges)
-    return "".join(f"{u}\t{i}\n" for u, i in rows)
-
-
 def write_canonical(dataset: Dataset, path) -> None:
     """Sorted tab-separated pairs with a counts-and-checksum header."""
-    body = _canonical_body(dataset)
+    rows = sorted(dataset.label_pair(e) for e in dataset.edges)
+    body = "".join(f"{u}\t{i}\n" for u, i in rows)
     digest = hashlib.sha256(body.encode()).hexdigest()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# users={dataset.partition.num_users} "
@@ -344,8 +340,8 @@ def save_splits(dataset: Dataset, splits: SplitSet, outdir) -> None:
 
 def load_splits(outdir) -> tuple[Dataset, SplitSet]:
     """Inverse of save_splits; ids are re-derived from dataset.tsv.  A part
-    may be empty; its header's edge count and checksum are verified, unless
-    it is the older `# part=... edges=...` header, which has no checksum."""
+    may be empty but must have a header, whose edge count and checksum are
+    verified; the older `# part=... edges=...` header has no checksum."""
     dataset = load_edge_list(os.path.join(outdir, "dataset.tsv"), fmt="pairs")
     user_id = {u: k for k, u in enumerate(dataset.user_labels)}
     item_id = {i: dataset.partition.num_users + k
@@ -353,7 +349,10 @@ def load_splits(outdir) -> tuple[Dataset, SplitSet]:
     parts = {}
     for part in SPLIT_PARTS:
         header, body, users, items = _read_file(
-            os.path.join(outdir, f"{part}.tsv"), "pairs", empty_ok=True)
+            os.path.join(outdir, f"{part}.tsv"), "pairs", header_key="edges=",
+            empty_ok=True)
+        if header is None:
+            raise ValueError(f"{part}.tsv: no header declaring its edges")
         try:
             parts[part] = _edge_rows(users, items, user_id, item_id)
         except KeyError as err:

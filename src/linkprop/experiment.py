@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import json
 import os
+import typing
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -25,7 +26,8 @@ from linkprop.diagnostics import emit_trajectories
 from linkprop.graphs import check_integer
 from linkprop.negatives import check_sampling, sample_negatives
 from linkprop.ranking import mean_result
-from linkprop.training import TrainConfig, grid_search, repeat_train
+from linkprop.training import (TRAIN_FIELDS, TrainConfig, grid_search,
+                               repeat_train)
 
 # (INI section, key, RunConfig field), in the order a config file lists them
 INI_KEYS = (
@@ -113,7 +115,7 @@ class RunConfig:
     def train_config(self, model: str) -> TrainConfig:
         return TrainConfig(model=model, eval_k=self.k, **{
             f.name: getattr(self, f.name) for f in fields(self)
-            if f.name in _TRAIN_FIELDS})
+            if f.name in TRAIN_FIELDS})
 
     def to_mapping(self) -> dict:
         mapping: dict = {}
@@ -136,18 +138,16 @@ class RunConfig:
             unknown = set(parser[section]) - set(CONFIG_DEFAULTS[section])
             if unknown:
                 raise ValueError(f"unknown keys in [{section}]: {sorted(unknown)}")
-        getter = {f.name: "get" + _GETTERS[f.type] for f in fields(cls)}
-        return cls(**{name: getattr(parser, getter[name])(section, key)
+        types = typing.get_type_hints(cls)
+        return cls(**{name: getattr(parser, _GETTERS[types[name]])(section, key)
                       for section, key, name in INI_KEYS})
 
 
-_TRAIN_FIELDS = {f.name for f in fields(TrainConfig)}
-
-# the parser's getter by RunConfig field annotation; models and seeds may
-# be separated by commas, ratios only by whitespace
-_GETTERS = {"str": "", "int": "int", "float": "float", "bool": "boolean",
-            "tuple[float, ...]": "floats", "tuple[str, ...]": "words",
-            "tuple[int, ...]": "ints"}
+# the parser's getter by RunConfig field type; models and seeds may be
+# separated by commas, ratios only by whitespace
+_GETTERS = {str: "get", int: "getint", float: "getfloat", bool: "getboolean",
+            tuple[float, ...]: "getfloats", tuple[str, ...]: "getwords",
+            tuple[int, ...]: "getints"}
 _LIST_CONVERTERS = {
     "floats": lambda text: tuple(float(r) for r in text.split()),
     "words": lambda text: tuple(text.replace(",", " ").split()),

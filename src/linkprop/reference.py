@@ -311,11 +311,11 @@ def load_edge_list_scalar(path, fmt: str = "auto"):
     Lines are `splitlines` of the UTF-8 text, stripped; `#` lines are
     comments, the first one with `checksum=` a canonical header whose edge
     count and checksum are checked; blank lines are skipped.  Pair lines
-    split at a tab, else a comma, else whitespace, and a first data line
-    naming a header token is skipped; adjacency lines split at whitespace.
-    Errors name the file line.  Returns (user labels, item labels, edges):
-    labels sorted, users 0..U-1 and items U..U+I-1, edges the distinct
-    (user, item) rows in sorted order.
+    split at a tab, else a comma, else whitespace; without a canonical
+    header, a first data line naming a header token is skipped.  Adjacency
+    lines split at whitespace.  Errors name the file line.  Returns (user
+    labels, item labels, edges): labels sorted, users 0..U-1 and items
+    U..U+I-1, edges the distinct (user, item) rows in sorted order.
     """
     if fmt not in ("auto", "pairs", "adjlist"):
         raise ValueError(f"unknown format {fmt!r}")
@@ -356,7 +356,7 @@ def load_edge_list_scalar(path, fmt: str = "auto"):
                 item_col.append(item)
             continue
         fields = [f.strip() for f in pair_fields(line) if f.strip()]
-        if k == 0 and len(fields) == 2 and (
+        if header is None and k == 0 and len(fields) == 2 and (
                 fields[0].lower() in header_tokens
                 or fields[1].lower() in header_tokens):
             continue

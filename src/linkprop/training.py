@@ -12,7 +12,7 @@ one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -86,6 +86,9 @@ class TrainConfig:
     def params(self) -> ModelParams:
         return ModelParams(model=self.model, window=self.window,
                            layers=self.layers, lam=self.lam, beta=self.beta)
+
+
+TRAIN_FIELDS = tuple(f.name for f in fields(TrainConfig))
 
 
 @dataclass(frozen=True)

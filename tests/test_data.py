@@ -14,7 +14,7 @@ from linkprop.data_io import (DENSITY_PCT_TOL, Dataset, ExpectedStats,
                               save_splits, split_dataset, verify_stats,
                               write_canonical, write_metrics_csv)
 from linkprop.graphs import Partition, build_graph
-from linkprop.ranking import EvalResult
+from linkprop.ranking import EvalResult, SplitSet
 from linkprop.synthetic import block_bipartite, random_bipartite
 
 from conftest import DATA_DIR
@@ -145,6 +145,22 @@ class TestCanonicalForm:
         write_canonical(ds, first)
         write_canonical(load_edge_list(first), second)
         assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("tail", ["", "\n"])
+    def test_header_token_labels_round_trip(self, tmp_path, tail):
+        # a canonical file has no header row: its first pair is data even
+        # when a label is a header token; tail "\n" reads line by line
+        ds = Dataset(partition=Partition(2, 2),
+                     edges=np.array([[0, 2], [1, 3]], dtype=np.int64),
+                     user_labels=("item", "zed"), item_labels=("Source", "x"))
+        path = tmp_path / "canon.tsv"
+        write_canonical(ds, path)
+        path.write_text(path.read_text(encoding="utf-8") + tail,
+                        encoding="utf-8")
+        back = load_edge_list(path)
+        assert back.user_labels == ds.user_labels
+        assert back.item_labels == ds.item_labels
+        assert np.array_equal(back.edges, ds.edges)
 
     def test_edgeless_nodes_do_not_survive_a_round_trip(self, tmp_path):
         # the file holds pairs only, so a node without an edge leaves no
@@ -548,6 +564,58 @@ class TestSaveLoadSplits:
         _, back = load_splits(tmp_path)
         for part in ("train", "val", "test"):
             assert np.array_equal(getattr(back, part), getattr(saved, part))
+
+    @pytest.mark.parametrize("part", ["train", "test"])
+    def test_lost_header_rejected(self, tmp_path, saved, part):
+        # a part emptied to zero bytes, or one that lost its header line
+        path = tmp_path / f"{part}.tsv"
+        body = path.read_text(encoding="utf-8").split("\n", 1)[1]
+        for text in ("", body):
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(ValueError,
+                               match=f"^{part}.tsv: no header declaring"):
+                load_splits(tmp_path)
+
+    @pytest.fixture
+    def token_labels(self):
+        # every part and dataset.tsv open with a pair naming a header token
+        ds = Dataset(partition=Partition(2, 2),
+                     edges=np.array([[0, 2], [0, 3], [1, 2], [1, 3]],
+                                    dtype=np.int64),
+                     user_labels=("a", "b"), item_labels=("source", "x"))
+        splits = SplitSet(partition=ds.partition,
+                          train=np.array([[0, 3], [1, 3]], dtype=np.int64),
+                          val=np.array([[0, 2]], dtype=np.int64),
+                          test=np.array([[1, 2]], dtype=np.int64),
+                          ratios=(0.5, 0.25, 0.25), seed=0, flagged=(0,))
+        return ds, splits
+
+    @pytest.mark.parametrize("old_format", [False, True])
+    def test_header_token_labels_round_trip(self, tmp_path, token_labels,
+                                            old_format):
+        ds, splits = token_labels
+        save_splits(ds, splits, tmp_path)
+        if old_format:
+            for part in ("train", "val", "test"):
+                rows = sorted(ds.label_pair(e) for e in getattr(splits, part))
+                (tmp_path / f"{part}.tsv").write_text(
+                    f"# part={part} edges={len(rows)}\n"
+                    + "".join(f"{u}\t{i}\n" for u, i in rows),
+                    encoding="utf-8")
+        assert (tmp_path / "test.tsv").read_text(
+            encoding="utf-8").splitlines()[1] == "b\tsource"
+        back_ds, back = load_splits(tmp_path)
+        assert back_ds.item_labels == ds.item_labels
+        for part in ("train", "val", "test"):
+            assert np.array_equal(getattr(back, part), getattr(splits, part))
+
+    def test_old_format_edge_count_checked(self, tmp_path, token_labels):
+        ds, splits = token_labels
+        save_splits(ds, splits, tmp_path)
+        (tmp_path / "train.tsv").write_text("# part=train edges=2\na\tx\n",
+                                            encoding="utf-8")
+        with pytest.raises(ValueError, match="header declares 2 edges, file has 1"):
+            load_splits(tmp_path)
 
     def test_train_graph_masks_candidates(self, tmp_path):
         graph = random_bipartite(4, 4, 10, seed=2)
