@@ -123,7 +123,6 @@ class RunConfig:
             value = getattr(self, name)
             mapping.setdefault(section, {})[key] = (
                 list(value) if isinstance(value, tuple) else value)
-        mapping["data"]["name"] = self.dataset_name
         return mapping
 
     @classmethod

@@ -265,10 +265,23 @@ def proximity(base: sp.csr_array, low: int,
     return ProximityOperator(matrix=base, low=low, high=high)
 
 
-# support entries scored per block: the two (block, d) gather buffers are
-# 256 KiB each at d = 32; blocks of 4096 and more, or no blocks, scored
-# 2-5x slower per call inside training on bench_500 (2-core Xeon)
+# owned slots per chunk of the gather, which copies both rows of each slot
+# into two reused (chunk, d) buffers, 256 KiB each at d = 32.  On the
+# bench_500 deepwalk pattern (108,036 owned slots, d = 32, 2-core Xeon,
+# best of 30 calls) a gather-only call takes 4.7 ms at 1024 and 4.5 ms at
+# 4096, but 9.6 ms at 128 (more Python steps) and 12.7 ms unchunked (two
+# 28 MB buffers leave the cache)
 _CHUNK = 1024
+
+# owned rows per scoring block, and the share of its rectangle that a
+# block's owned slots must fill for one einsum Gram to score it.  On a
+# full 128 x 500 block (same machine, numpy 2.4) the gather costs about 55
+# ns per slot at d = 32 and the Gram 18 ns per rectangle entry, a
+# crossover at 0.32 (0.37 at d = 4, 0.28 at d = 64, 0.20 at d = 128).  The
+# bench_500 deepwalk pattern's blocks fill 0.40-0.75 and take the Gram; its
+# mf, line and lightgcn blocks fill at most 0.075 and keep the gather
+_GRAM_ROWS = 128
+_GRAM_DENSITY = 0.3
 
 
 class MaskEntries:
@@ -311,8 +324,8 @@ class SupportPattern:
 
     The linear keys u*n + v of both supports, sorted and deduplicated, give
     the union once, as a CSR pattern (`indptr`, `cols`) in canonical order.
-    Per step only values change: `scores` gathers Gram scores block by
-    block, `matrix` puts one value per slot into the fixed pattern.
+    Per step only values change: `scores` computes the scores y_u . y_v,
+    `matrix` puts one value per slot into the fixed pattern.
 
     A slot (u, v) whose mirror (v, u) is also in the union shares its score
     with it, so only the owned slots, those with u <= v or without a mirror,
@@ -321,6 +334,17 @@ class SupportPattern:
     pattern owns about half its slots, any other pattern more.  Scores
     stay per owned slot: `pos` and `neg` carry the index maps from them to
     their entries.
+
+    `blocks` is how `scores` covers the owned slots, fixed at construction.
+    The owned rows are cut into blocks of `_GRAM_ROWS` rows.  A block whose
+    owned slots fill at least `_GRAM_DENSITY` of its rectangle, the rows
+    lo:hi and columns c0:c1 they lie in, is scored by one Gram of those
+    rows and columns; every other block gathers its slots' rows.  Each
+    entry is `(start, stop, gram)` over the owned slots start:stop: `gram`
+    is None for a run of gathered blocks, and `(lo, hi, c0, c1, flat)` for
+    a Gram block, `flat` giving each slot's position in the row-major
+    (hi - lo, c1 - c0) Gram.  A pattern without a dense block is one
+    gathered run.
     """
 
     def __init__(self, pos: sp.csr_array, neg: sp.csr_array):
@@ -352,26 +376,83 @@ class SupportPattern:
         num_owned = self.owned_rows.shape[0]
         self.pos = MaskEntries(pos, slot[:split], self.cols, self.owner, num_owned)
         self.neg = MaskEntries(neg, slot[split:], self.cols, self.owner, num_owned)
+        self.blocks, self._longest_run, self._largest_gram = self._score_blocks()
+
+    def _score_blocks(self) -> tuple[list, int, int]:
+        """`blocks`, with the longest gathered run and the largest Gram
+        that size `scores`' buffers."""
+        rows, cols = self.owned_rows, self.owned_cols
+        size = rows.shape[0]
+        if size == 0:
+            return [], 0, 0
+        starts = np.unique(np.searchsorted(
+            rows, np.arange(0, self.num_nodes, _GRAM_ROWS)))
+        starts = starts[starts < size]
+        stops = np.append(starts[1:], size)
+        lo, hi = rows[starts].astype(np.intp), rows[stops - 1].astype(np.intp) + 1
+        c0 = np.minimum.reduceat(cols, starts).astype(np.intp)
+        c1 = np.maximum.reduceat(cols, starts).astype(np.intp) + 1
+        dense = stops - starts >= _GRAM_DENSITY * (hi - lo) * (c1 - c0)
+        blocks, longest_run, largest_gram = [], 0, 0
+        for i, (start, stop) in enumerate(zip(starts.tolist(), stops.tolist())):
+            if dense[i]:
+                width = c1[i] - c0[i]
+                flat = ((rows[start:stop].astype(np.intp) - lo[i]) * width
+                        + (cols[start:stop] - c0[i]))
+                blocks.append((start, stop, (int(lo[i]), int(hi[i]), int(c0[i]),
+                                             int(c1[i]), flat)))
+                largest_gram = max(largest_gram, int((hi[i] - lo[i]) * width))
+                continue
+            if blocks and blocks[-1][2] is None:
+                start = blocks.pop()[0]
+            blocks.append((start, stop, None))
+            longest_run = max(longest_run, stop - start)
+        return blocks, longest_run, largest_gram
 
     def scores(self, Y: np.ndarray) -> np.ndarray:
-        """Gram scores y_u . y_v of the owned slots, bitwise those of a full
-        gather for finite Y (y_u . y_v sums the same products in the same
-        order as y_v . y_u).  They are gathered block by block into two
-        reused buffers instead of two (nnz, d) arrays."""
+        """Gram scores y_u . y_v of the owned slots, in owned order.
+
+        A gathered run copies both rows of `_CHUNK` slots at a time into
+        two reused buffers and sums each slot's d products with one
+        einsum.  A Gram block forms `einsum('ik,jk->ij', Y[lo:hi],
+        Y[c0:c1])` into one reused buffer and picks its slots with one
+        `take`.  Both einsums run numpy's own sum-of-products loop over
+        each pair's d contiguous products (the Gram reads a C-ordered copy
+        of a Y that is not), so a score has the same bits on either path,
+        and, for finite Y, the same bits as the full gather of the union:
+        y_u . y_v sums the same products in the same order as y_v . y_u.
+        A BLAS Gram would be faster and round otherwise.
+        """
+        Y = np.asarray(Y)
+        if Y.ndim != 2:
+            raise ValueError(f"Y must be a 2-d array, got shape {Y.shape}")
+        if not np.issubdtype(Y.dtype, np.floating):
+            raise ValueError(f"Y must have a real floating-point dtype, got "
+                             f"{Y.dtype}")
         if Y.shape[0] != self.num_nodes:
             raise ValueError(f"Y has {Y.shape[0]} rows, the pattern "
                              f"{self.num_nodes} nodes")
         rows, cols = self.owned_rows, self.owned_cols
         owned = np.empty(rows.shape[0], dtype=Y.dtype)
-        buffers = np.empty((2, min(_CHUNK, rows.shape[0]), Y.shape[1]),
+        buffers = np.empty((2, min(_CHUNK, self._longest_run), Y.shape[1]),
                            dtype=Y.dtype)
-        for start in range(0, rows.shape[0], _CHUNK):
-            block = slice(start, min(start + _CHUNK, rows.shape[0]))
-            a, b = buffers[:, :block.stop - start]
-            # indices are in range; mode="clip" skips take's buffered copy
-            np.take(Y, rows[block], axis=0, out=a, mode="clip")
-            np.take(Y, cols[block], axis=0, out=b, mode="clip")
-            np.einsum("ij,ij->i", a, b, out=owned[block])
+        if self._largest_gram:
+            Yc = np.ascontiguousarray(Y)
+            gram_buffer = np.empty(self._largest_gram, dtype=Y.dtype)
+        for first, last, gram in self.blocks:
+            if gram is not None:
+                lo, hi, c0, c1, flat = gram
+                out = gram_buffer[:(hi - lo) * (c1 - c0)].reshape(hi - lo, c1 - c0)
+                np.einsum("ik,jk->ij", Yc[lo:hi], Yc[c0:c1], out=out)
+                out.take(flat, out=owned[first:last], mode="clip")
+                continue
+            for start in range(first, last, _CHUNK):
+                block = slice(start, min(start + _CHUNK, last))
+                a, b = buffers[:, :block.stop - start]
+                # indices are in range; mode="clip" skips take's buffered copy
+                np.take(Y, rows[block], axis=0, out=a, mode="clip")
+                np.take(Y, cols[block], axis=0, out=b, mode="clip")
+                np.einsum("ij,ij->i", a, b, out=owned[block])
         return owned
 
     def matrix(self, data: np.ndarray) -> sp.csr_array:

@@ -117,6 +117,20 @@ def brute_force_loss(X: np.ndarray, W_pos: np.ndarray, W_neg: np.ndarray,
     return total
 
 
+def gathered_scores(Y: np.ndarray, rows, cols) -> np.ndarray:
+    """y_u . y_v for each pair (u, v) of `rows` and `cols`, as the support
+    scores were computed before dense blocks were scored by a Gram: both
+    rows of 1024 pairs at a time gathered into two C-ordered arrays and
+    each pair's d products summed by one einsum.  Bit for bit this is what
+    the library's scores must give."""
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    out = np.empty(rows.shape[0], dtype=Y.dtype)
+    for start in range(0, rows.shape[0], 1024):
+        block = slice(start, start + 1024)
+        np.einsum("ij,ij->i", Y[rows[block]], Y[cols[block]], out=out[block])
+    return out
+
+
 def finite_difference_gradient(loss_fn, X: np.ndarray, h: float = 1e-6) -> np.ndarray:
     """Central-difference gradient of a scalar loss, one probe per entry."""
     grad = np.zeros_like(X)

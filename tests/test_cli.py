@@ -460,7 +460,7 @@ ratios = st.floats(0, 1).flatmap(lambda a: st.floats(0, 1 - a).map(
 run_configs = st.builds(
     RunConfig, dataset_path=words, dataset_format=st.sampled_from(
         ["auto", "pairs", "adjlist"]),
-    name=words, ratios=ratios, split_seed=st.integers(0, 2**63 - 1),
+    name=st.just("") | words, ratios=ratios, split_seed=st.integers(0, 2**63 - 1),
     neg_strategy=st.sampled_from(STRATEGIES),
     neg_exponent=st.floats(-4, 4), per_positive=st.integers(1, 4),
     models=st.lists(st.sampled_from(MODELS), min_size=1).map(tuple),

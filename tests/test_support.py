@@ -146,13 +146,25 @@ def instances(draw):
     return build_graph(edges, num_nodes=n), negatives_from_pairs(negs, n)
 
 
+def scoring(chunk, density):
+    """Scores gathered `chunk` slots at a time and Gram blocks of `chunk`
+    rows, every block taking the Gram at density 0 and none at inf."""
+    return mock.patch.multiple(graphs, _CHUNK=chunk, _GRAM_ROWS=chunk,
+                               _GRAM_DENSITY=density)
+
+
+DENSITIES = [0.0, graphs._GRAM_DENSITY, np.inf]
+
+
 @given(instance=instances(), model=st.sampled_from(MODELS),
        chunk=st.sampled_from([1, 2, 3, 7, 8192]),
+       density=st.sampled_from(DENSITIES),
        seed=st.integers(0, 2**16), dim=st.integers(1, 6))
-def test_pattern_matches_old_constructions(instance, model, chunk, seed, dim):
+def test_pattern_matches_old_constructions(instance, model, chunk, density,
+                                           seed, dim):
     graph, negatives = instance
     Y = np.random.default_rng(seed).normal(scale=2.0, size=(graph.num_nodes, dim))
-    with mock.patch.object(graphs, "_CHUNK", chunk):
+    with scoring(chunk, density):
         check_against_oracles(graph, negatives, *model, Y)
 
 
@@ -164,8 +176,9 @@ def test_non_canonical_deepwalk_mask(chunk):
     masks = build_masks(graph, negatives, ModelParams("deepwalk", window=4))
     assert not masks.pos.has_canonical_format
     Y = np.random.default_rng(1).normal(size=(graph.num_nodes, 4))
-    with mock.patch.object(graphs, "_CHUNK", chunk):
-        check_against_oracles(graph, negatives, "deepwalk", {"window": 4}, Y)
+    for density in DENSITIES:
+        with scoring(chunk, density):
+            check_against_oracles(graph, negatives, "deepwalk", {"window": 4}, Y)
 
 
 def test_isolated_nodes_and_no_negatives():
@@ -212,11 +225,12 @@ def check_half_gather(pos, neg, Y):
 
 
 @given(pair=weight_pairs(), chunk=st.sampled_from([1, 2, 3, 7, 8192]),
+       density=st.sampled_from(DENSITIES),
        seed=st.integers(0, 2**16), dim=st.integers(1, 6))
-def test_half_gather_matches_full_gather(pair, chunk, seed, dim):
+def test_half_gather_matches_full_gather(pair, chunk, density, seed, dim):
     pos, neg = pair
     Y = np.random.default_rng(seed).normal(scale=2.0, size=(pos.shape[0], dim))
-    with mock.patch.object(graphs, "_CHUNK", chunk):
+    with scoring(chunk, density):
         check_half_gather(pos, neg, Y)
 
 
