@@ -8,15 +8,25 @@ results do not depend on sort internals.
 
 `evaluate` counts each held-out item's rank instead of sorting: the scores
 above it plus the equal ones at lower item ids.  `score_user`, `top_k` and
-`metrics_at_k` are the one-user definitions it reproduces bit for bit.  A
-block's scores come from one matrix product, in float32 for float64
-embeddings, which rounds differently from the per-user float64 product
-`score_user` takes; a count from the block is kept only where a per-item
-rounding-error margin proves it, and users with any other held-out item
-are scored again with the per-user product.  The score that proves an
-item a miss is the cut-th best of the row's column-group maxima: a lower
-bound on the row's own cut-th best score, read in one pass over the row
-instead of a partition of all of it.
+`metrics_at_k` are the one-user definitions it reproduces bit for bit.  Its
+work is split in two: a `Ranker` holds what depends only on the split,
+the training graph and the cutoff (the users with held-out edges, their
+held-out items, discounts, ideal DCGs and training-item indices), and a
+call ranks one embedding matrix.  `evaluate` builds one and calls it once;
+training builds one per run and calls it every epoch.  A block's scores
+come from one matrix product, in float32 for float64 embeddings, which
+rounds differently from the per-user float64 product `score_user` takes; a
+count from the block is kept only where a per-item rounding-error margin
+proves it, and users with any other held-out item are scored again with
+the per-user product.  The score that proves an item a miss is the cut-th
+best of the row's column-group maxima: a lower bound on the row's own
+cut-th best score, read in one pass over the row instead of a partition
+of all of it.  Where each group is one column (rows narrower than
+2 * 8 * cut), the sorted maxima are the row itself, and an item clear of
+the row's (cut+1)-th best score by more than its margin is ranked among
+the row's `cut` best scores alone: every score outside them is below it
+by more than any pair's margin, so the count over `cut` columns gives
+the rank the count over the row gives, and proves it.
 """
 
 from __future__ import annotations
@@ -121,123 +131,187 @@ class EvalResult:
     users_skipped: int
 
 
-# non-finite embeddings give nan and inf scores, which are never ranked, so
-# numpy need not warn about them in the block GEMM or the fallback GEMVs
-@np.errstate(invalid="ignore", over="ignore")
 def evaluate(X: np.ndarray, splits: SplitSet, train_graph: Graph,
              k: int = 20, split: str = "test") -> EvalResult:
     """Rank candidates for every user with held-out edges, average metrics.
 
     `split` picks the held-out edge set ("test" or "val"); candidates are
     always the items unseen in training.  Every result bit equals what
-    `top_k` and `metrics_at_k` give user by user: the metrics need only
-    each held-out item's rank, which `_ranks` counts.  Users are scored in
-    blocks, one GEMM per block, in float32 for float64 embeddings that
+    `top_k` and `metrics_at_k` give user by user (`reference.evaluate_scalar`
+    spells the same definition out item by item): the metrics need only
+    each held-out item's rank, which `_ranks` counts from a block product
+    where a rounding margin proves the count, and the per-user GEMV
+    recounts the rest.  This builds a `Ranker` for the split and calls it
+    once, so there is one code path; a caller that ranks one split again
+    and again (training's per-epoch validation) builds the `Ranker` once.
+    The plan's state is what this computed per call before, from the same
+    inputs by the same operations, so it changes no bit.  On rows narrower
+    than `2 * _GROUPS * cut` an item that beats the row's (cut+1)-th best
+    score by more than its margin m > 0, with no other of the `cut` best
+    within m, is ranked over those `cut` scores alone: the scores outside
+    them lie below it by more than any pair's margin and count neither as
+    above nor as within, so the rank is that of the count over the whole
+    row, and proven (see `_ranks`).  X must have a real floating-point
+    dtype.
+    """
+    return Ranker(splits, train_graph, k, split)(X)
+
+
+class Ranker:
+    """The ranking of one held-out split, built once and called on any
+    embeddings of the training graph's nodes.
+
+    Construction checks the split, the cutoff and that `train_graph` has
+    the split's partition, then keeps what depends on them alone: the
+    users with held-out edges, each user's held-out (row, column) pairs,
+    test count and ideal-DCG denominator, the discount table, and the
+    flat indices of each user's training items in a block of score rows.
+    Calling it on X returns the `EvalResult` that `evaluate` gives.
+
+    Users are scored in blocks, one GEMM per block of at most
+    `_BLOCK_BYTES` of scores, in float32 for float64 embeddings that
     `_score_error` finds safe to cast.  The block compares two items'
     scores with a margin, the sum of their rounding-error bounds, and the
     per-user GEMV of `score_user` ranks every held-out item that the block
-    ranks sure the same way.  A held-out item is proven a miss against
-    the cut-th best of its row's column-group maxima, which one pass over
-    the block finds, and any other is ranked by a count over its row.  A
-    user row of zeros scores exactly on both paths and is ranked from the
-    block at margin 0.  Users with any other item (near-ties, non-finite
-    user embeddings, floating dtypes other than float32 and float64) are
-    scored again with that GEMV, into a buffer of X's dtype, and ranked at
-    margin 0.  Hits add their discounts in rank order and the per-user
-    metrics are summed sequentially in user order.  X must have a real
-    floating-point dtype.
+    ranks sure the same way (see `_ranks`).  A user row of zeros scores
+    exactly on both paths and is ranked from the block at margin 0.  Users
+    with any other item (near-ties, non-finite user embeddings, floating
+    dtypes other than float32 and float64) are scored again with that
+    GEMV, into a buffer of X's dtype, and ranked at margin 0.  Hits add
+    their discounts in rank order and the per-user metrics are summed
+    sequentially in user order.
     """
-    if split not in ("test", "val"):
-        raise ValueError("split must be 'test' or 'val'")
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    X = _float_embeddings(X)
-    if X.ndim != 2 or X.shape[0] != train_graph.num_nodes:
-        raise ValueError(
-            f"X must be a 2-d array with one row per node of train_graph "
-            f"({train_graph.num_nodes}), got shape {X.shape}")
-    if train_graph.partition is None:
-        raise ValueError("scoring needs a bipartite partition")
-    held_out = splits.test if split == "test" else splits.val
-    if held_out.shape[0] == 0:
-        raise ValueError(f"no users have {split} edges")
-    num_users = splits.partition.num_users
-    first_item = train_graph.partition.num_users
-    items = X[first_item:]
-    num_items = items.shape[0]
 
-    # held-out edges as sorted keys user * num_items + item, without repeats
-    held_out = held_out.astype(np.int64)
-    held_users = held_out[:, 0]
-    held_keys = np.unique(held_users * num_items + (held_out[:, 1] - num_users))
-    test_counts = np.bincount(held_users, minlength=num_users)
-    users = np.flatnonzero(test_counts)
-    # each key's user as an index into `users`, and its item
-    key_rows = np.searchsorted(users, held_keys // num_items)
-    key_cols = held_keys % num_items
+    def __init__(self, splits: SplitSet, train_graph: Graph, k: int,
+                 split: str):
+        if split not in ("test", "val"):
+            raise ValueError("split must be 'test' or 'val'")
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+            raise ValueError(f"k must be an integer, got {k!r}")
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        part = train_graph.partition
+        if part is None:
+            raise ValueError("scoring needs a bipartite partition")
+        if part != splits.partition:
+            # items are offset by one partition and held-out items mapped
+            # by the other: a mismatch would rank the wrong columns
+            raise ValueError(f"train_graph has {part}, but the split has "
+                             f"{splits.partition}")
+        held_out = splits.test if split == "test" else splits.val
+        if held_out.shape[0] == 0:
+            raise ValueError(f"no users have {split} edges")
+        self.k = k
+        self.num_nodes = train_graph.num_nodes
+        self.first_item = num_users = part.num_users
+        num_items = self.num_nodes - num_users
 
-    cut = min(k, num_items)
-    # the discounts cover every rank below the cut and every ideal list
-    ideal_len = min(k, max(num_items, int(test_counts.max())))
-    discount = np.array([1.0 / float(np.log2(r + 2.0))
-                         for r in range(ideal_len)])
-    ideal = np.cumsum(discount)
+        # held-out edges as sorted keys user * num_items + item, no repeats
+        held_out = held_out.astype(np.int64)
+        held_users = held_out[:, 0]
+        held_keys = np.unique(held_users * num_items
+                              + (held_out[:, 1] - num_users))
+        test_counts = np.bincount(held_users, minlength=num_users)
+        users = np.flatnonzero(test_counts)
+        self.users = users
+        self.skipped = num_users - users.shape[0]
+        # each key's user as an index into `users`, and its item; the keys
+        # of users[lo:hi] are key_rows[key_start[lo]:key_start[hi]]
+        self.key_rows = np.searchsorted(users, held_keys // num_items)
+        self.key_cols = held_keys % num_items
+        self.key_start = np.searchsorted(self.key_rows,
+                                         np.arange(users.shape[0] + 1))
 
-    Y = X[users]
-    dtype, scale, norms, offset = _score_error(Y, items)
-    block_items = items.astype(dtype, copy=False)
-    Y = Y.astype(dtype, copy=False)
-    block = max(1, _BLOCK_BYTES // (dtype.itemsize * num_items))
-    G = _group_count(num_items, cut)
-    buf = np.empty((min(block, users.shape[0]), num_items), dtype=dtype)
-    heads = np.empty((buf.shape[0], G), dtype=dtype)
-    adj = train_graph.adjacency
-    per_user = np.empty((users.shape[0], 3))
-    for lo in range(0, users.shape[0], block):
-        ub = users[lo:lo + block]
-        nb = ub.shape[0]
-        S = buf[:nb]
-        np.matmul(Y[lo:lo + nb], block_items.T, out=S)
-        _mask_training(S, ub, adj, first_item)
-        a, b = np.searchsorted(key_rows, [lo, lo + nb])
-        rows, cols = key_rows[a:b] - lo, key_cols[a:b]
-        bound = (scale[lo:lo + nb], norms, offset[lo:lo + nb])
-        rank, sure = _ranks(S, rows, cols, bound, cut, heads[:nb])
-        # users with an unsure item: one GEMV each, the scores score_user
-        # gives, and every held-out item of theirs ranked exactly (in
-        # buffers made only then: held for every call, the page faults
-        # they cost slowed small calls)
-        redo = np.unique(rows[~sure])
-        if redo.shape[0]:
-            E = np.empty((redo.shape[0], num_items), dtype=X.dtype)
-            for i, j in enumerate(redo):
-                np.matmul(items, X[ub[j]], out=E[i])
-            _mask_training(E, ub[redo], adj, first_item)
-            again = np.isin(rows, redo)
-            zero = np.zeros(redo.shape[0])
-            rank[again], _ = _ranks(E, np.searchsorted(redo, rows[again]),
-                                    cols[again], (zero, norms, zero), cut,
-                                    np.empty((redo.shape[0], G), E.dtype))
-        hit = rank < cut
-        # sequential sums in rank order, as the scalar definition adds them
-        gains = np.zeros((nb, cut))
-        gains[rows[hit], rank[hit]] = discount[rank[hit]]
-        dcg = np.cumsum(gains, axis=1)[:, -1]
-        hits = np.bincount(rows[hit], minlength=nb)
-        n_test = test_counts[ub]
-        out = per_user[lo:lo + nb]
-        out[:, 0] = hits / k
-        out[:, 1] = hits / n_test
-        out[:, 2] = dcg / ideal[np.minimum(k, n_test) - 1]
-    # a running sum in user order, as a per-user loop would add them
-    sums = np.cumsum(per_user, axis=0)[-1]
-    evaluated = users.shape[0]
-    prec, rec, ndcg = sums / evaluated
-    return EvalResult(k=k, precision=float(prec), recall=float(rec),
-                      ndcg=float(ndcg), users_evaluated=evaluated,
-                      users_skipped=num_users - evaluated)
+        self.cut = min(k, num_items)
+        # the discounts cover every rank below the cut and every ideal list
+        ideal_len = min(k, max(num_items, int(test_counts.max())))
+        self.discount = np.array([1.0 / float(np.log2(r + 2.0))
+                                  for r in range(ideal_len)])
+        self.test_counts = test_counts[users]
+        self.ideal = np.cumsum(self.discount)[
+            np.minimum(k, self.test_counts) - 1]
+
+        # each user's training items, as flat indices into rows of scores
+        # that start at that user: users[lo:hi] mask mask_flat[a:b] -
+        # lo * num_items with a, b = mask_start[lo], mask_start[hi]
+        adj = train_graph.adjacency
+        starts = adj.indptr[users]
+        counts = adj.indptr[users + 1] - starts
+        # each edge's index in adj.indices: its row's start, plus its position
+        offsets = np.repeat(starts - np.cumsum(counts) + counts, counts)
+        cols = adj.indices[offsets + np.arange(offsets.shape[0])] - num_users
+        self.mask_flat = (np.repeat(np.arange(users.shape[0]), counts)
+                          * num_items + cols)
+        self.mask_start = np.concatenate(([0], np.cumsum(counts)))
+
+    # non-finite embeddings give nan and inf scores, which are never
+    # ranked, so numpy need not warn about them in the block GEMM or the
+    # fallback GEMVs
+    @np.errstate(invalid="ignore", over="ignore")
+    def __call__(self, X: np.ndarray) -> EvalResult:
+        X = _float_embeddings(X)
+        if X.ndim != 2 or X.shape[0] != self.num_nodes:
+            raise ValueError(
+                f"X must be a 2-d array with one row per node of train_graph "
+                f"({self.num_nodes}), got shape {X.shape}")
+        users, cut, k = self.users, self.cut, self.k
+        items = X[self.first_item:]
+        num_items = items.shape[0]
+        Y = X[users]
+        dtype, scale, norms, offset = _score_error(Y, items)
+        block_items = items.astype(dtype, copy=False)
+        Y = Y.astype(dtype, copy=False)
+        block = max(1, _BLOCK_BYTES // (dtype.itemsize * num_items))
+        G = _group_count(num_items, cut)
+        buf = np.empty((min(block, users.shape[0]), num_items), dtype=dtype)
+        heads = np.empty((buf.shape[0], G), dtype=dtype)
+        per_user = np.empty((users.shape[0], 3))
+        for lo in range(0, users.shape[0], block):
+            hi = min(lo + block, users.shape[0])
+            nb = hi - lo
+            S = buf[:nb]
+            np.matmul(Y[lo:hi], block_items.T, out=S)
+            masked = self.mask_flat[self.mask_start[lo]:self.mask_start[hi]]
+            S.put(masked - lo * num_items if lo else masked, -np.inf)
+            a, b = self.key_start[lo], self.key_start[hi]
+            rows, cols = self.key_rows[a:b] - lo, self.key_cols[a:b]
+            bound = (scale[lo:hi], norms, offset[lo:hi])
+            rank, sure = _ranks(S, rows, cols, bound, cut, heads[:nb])
+            # users with an unsure item: one GEMV each, the scores score_user
+            # gives, and every held-out item of theirs ranked exactly (in
+            # buffers made only then: held for every call, the page faults
+            # they cost slowed small calls)
+            redo = np.unique(rows[~sure])
+            if redo.shape[0]:
+                E = np.empty((redo.shape[0], num_items), dtype=X.dtype)
+                for i, j in enumerate(redo):
+                    u = lo + j
+                    np.matmul(items, X[users[u]], out=E[i])
+                    E[i].put(self.mask_flat[self.mask_start[u]:
+                                            self.mask_start[u + 1]]
+                             - u * num_items, -np.inf)
+                again = np.isin(rows, redo)
+                zero = np.zeros(redo.shape[0])
+                rank[again], _ = _ranks(E, np.searchsorted(redo, rows[again]),
+                                        cols[again], (zero, norms, zero), cut,
+                                        np.empty((redo.shape[0], G), E.dtype))
+            hit = rank < cut
+            # sequential sums in rank order, as the scalar definition adds them
+            gains = np.zeros((nb, cut))
+            gains[rows[hit], rank[hit]] = self.discount[rank[hit]]
+            dcg = np.cumsum(gains, axis=1)[:, -1]
+            hits = np.bincount(rows[hit], minlength=nb)
+            out = per_user[lo:hi]
+            out[:, 0] = hits / k
+            out[:, 1] = hits / self.test_counts[lo:hi]
+            out[:, 2] = dcg / self.ideal[lo:hi]
+        # a running sum in user order, as a per-user loop would add them
+        sums = np.cumsum(per_user, axis=0)[-1]
+        evaluated = users.shape[0]
+        prec, rec, ndcg = sums / evaluated
+        return EvalResult(k=k, precision=float(prec), recall=float(rec),
+                          ndcg=float(ndcg), users_evaluated=evaluated,
+                          users_skipped=self.skipped)
 
 
 def _float_embeddings(X) -> np.ndarray:
@@ -348,16 +422,6 @@ def _norms(A: np.ndarray) -> np.ndarray:
     return norms
 
 
-def _mask_training(S: np.ndarray, users: np.ndarray, adj, num_users: int):
-    """Set each row's training items to -inf (row j belongs to users[j])."""
-    starts = adj.indptr[users]
-    counts = adj.indptr[users + 1] - starts
-    # each edge's index in adj.indices: its row's start, plus its position
-    offsets = np.repeat(starts - np.cumsum(counts) + counts, counts)
-    cols = adj.indices[offsets + np.arange(offsets.shape[0])] - num_users
-    S[np.repeat(np.arange(users.shape[0]), counts), cols] = -np.inf
-
-
 def _group_count(width: int, cut: int) -> int:
     """How many column groups `_ranks` takes the maxima of: _GROUPS * cut
     where each group gets two or more columns, else one group per column.
@@ -392,19 +456,31 @@ def _ranks(S: np.ndarray, rows: np.ndarray, cols: np.ndarray, bound,
     of the same products may move each score: item j's score in row r by
     `w = scale[r] * norms[j] + offset[r]`.  Two items of a row may swap
     only when their scores lie within the sum of their two bounds, the
-    pair's margin; `norms` is finite.
+    pair's margin; `norms` is finite.  An item's margin m to any other
+    item of its row takes the row's largest bound.
 
     The row's columns fall into G groups (8 * cut where that leaves two or
     more columns per group, else one per column), column j into group
     j % G, and `kth` is the cut-th best of the G group maxima.
     These are distinct scores of the row, so at least `cut` scores lie at
-    or above `kth`, and an item that `kth` beats by more than its own
-    bound plus the row's largest misses under any rounding.  Otherwise the
-    scores above it by more than the pair's margin are counted; below
-    `cut`, the count is the rank, sure only when no other score of the row
-    lies within the margin.  At bound 0 every rank is exact; a non-finite
-    bound makes nothing sure.  `scratch` is workspace with S's rows and at
-    least G columns.
+    or above `kth`, and an item that `kth` beats by more than m misses
+    under any rounding.  Two of the row's `cut` best maxima within a
+    positive m of the item make it unsure (one of them is another item's
+    score).  Otherwise, with one group per column and `cut` below the
+    width, the groups are the row itself, and its (cut+1)-th best score
+    bounds every score outside its `cut` best.  An item with m > 0 that
+    beats that score by more than m is among the `cut` best, and every
+    score outside them lies below it by more than any pair margin; no
+    other of the `cut` best lies within m of it.  Its rank is then the
+    count of the `cut` best that beat it by more than m, and it is sure.
+    The count over the whole row gives the same rank and flag: each pair
+    margin it compares with is at most m (up to the rounding of their
+    sums, which can only move a gap within an ulp of m from "above" to
+    "within" and make that count unsure, never change a proven rank).
+    (At m = 0 equal scores rank by column, which the maxima do not keep.)
+    Any other item's rank is `_count_ranks` over its whole row.  At bound
+    0 every rank is exact; a non-finite bound makes nothing sure.
+    `scratch` is workspace with S's rows and at least G columns.
     """
     width = S.shape[1]
     G = _group_count(width, cut)
@@ -414,13 +490,20 @@ def _ranks(S: np.ndarray, rows: np.ndarray, cols: np.ndarray, bound,
     if not np.isfinite(heads.max()):
         S[~np.isfinite(S)] = -np.inf
         _group_maxima(S, heads)
-    heads.partition(G - cut, axis=1)
+    # heads[:, G - cut:] are the cut best maxima, heads[:, G - cut] the
+    # least of them, and where the groups are the row, heads[:, G - cut - 1]
+    # the row's (cut+1)-th best score.  (On 200-column rows numpy's sort
+    # took less time than a partition at one index, and a fifth of a
+    # partition at two.)
+    below = G == width > cut
+    if G == width:
+        heads.sort(axis=1)
+    else:
+        heads.partition(G - cut, axis=1)
     kth = heads[:, G - cut]
     t = S[rows, cols].astype(np.float64)
     scale, norms, offset = bound
-    exact = (scale == 0) & (offset == 0)
     rank = np.full(rows.shape[0], cut)
-    columns = np.arange(width)
     # differences, not sums, are compared with margins: rounding is
     # monotone and m is a float, so a rounded difference exceeds m only if
     # the exact one does.  -inf - -inf is nan (such items are misses
@@ -432,32 +515,52 @@ def _ranks(S: np.ndarray, rows: np.ndarray, cols: np.ndarray, bound,
         m = own + (scale * norms.max(initial=0.0) + offset)[rows]
         sure = np.isfinite(m)
         near = np.flatnonzero(sure & (t > -np.inf) & ~(kth[rows] - t > m))
+        tn, mn = t[near], m[near]
         # two of the row's `cut` best maxima within a positive margin: they
         # are distinct scores, one is another item's, so the item is
         # unsure without a count (this spares rows of ties the full count)
         top = heads[rows[near], G - cut:]
-        crowded = (m[near] > 0) & (np.count_nonzero(
-            np.abs(top - t[near, None]) <= m[near, None], axis=1) > 1)
+        crowded = (mn > 0) & (np.count_nonzero(
+            np.abs(top - tn[:, None]) <= mn[:, None], axis=1) > 1)
         sure[near[crowded]] = False
-        near = near[~crowded]
-        # the other items' rows minus their scores, a quarter of S's row
-        # count at a time so that the differences stay in cache
-        step = max(1, S.shape[0] // 4)
-        for lo in range(0, near.shape[0], step):
-            i = near[lo:lo + step]
-            r = rows[i]
-            D = np.subtract(S[r], t[i, None], dtype=np.float64)
-            # each pair's margin: the item's own bound plus the other's
-            M = np.multiply.outer(scale[r], norms)
-            M += (own[i] + offset[r])[:, None]
-            above = np.count_nonzero(D > M, axis=1)
-            within = np.abs(D, out=D) <= M
-            ties = np.count_nonzero(
-                within & (columns < cols[i, None]), axis=1)
-            rank[i] = np.where(above < cut, above + ties, cut)
-            sure[i] = ((above >= cut) | exact[r]
-                       | (np.count_nonzero(within, axis=1) == 1))
+        counted = ~crowded
+        if below:
+            # clear of the (cut+1)-th best score: ranked by the top cut
+            clear = counted & (mn > 0) & (
+                tn - heads[rows[near], G - cut - 1] > mn)
+            rank[near[clear]] = np.count_nonzero(
+                top[clear] - tn[clear, None] > mn[clear, None], axis=1)
+            counted &= ~clear
+        _count_ranks(S, rows, cols, t, own, bound, cut, near[counted], rank,
+                     sure)
     return rank, sure
+
+
+def _count_ranks(S, rows, cols, t, own, bound, cut, near, rank, sure):
+    """Set rank[i] and sure[i] of each item i in `near` by a count over
+    its whole row, as `_ranks` defines them: the scores above t[i] by
+    more than the pair's margin, plus those within it in lower columns,
+    sure only where no other score lies within the margin (or the count
+    reaches `cut`, or the row's bound is 0).  `own` is each item's own
+    bound.  A quarter of S's row count is counted at a time, so that the
+    differences stay in cache."""
+    scale, norms, offset = bound
+    exact = (scale == 0) & (offset == 0)
+    columns = np.arange(S.shape[1])
+    step = max(1, S.shape[0] // 4)
+    for lo in range(0, near.shape[0], step):
+        i = near[lo:lo + step]
+        r = rows[i]
+        D = np.subtract(S[r], t[i, None], dtype=np.float64)
+        # each pair's margin: the item's own bound plus the other's
+        M = np.multiply.outer(scale[r], norms)
+        M += (own[i] + offset[r])[:, None]
+        above = np.count_nonzero(D > M, axis=1)
+        within = np.abs(D, out=D) <= M
+        ties = np.count_nonzero(within & (columns < cols[i, None]), axis=1)
+        rank[i] = np.where(above < cut, above + ties, cut)
+        sure[i] = ((above >= cut) | exact[r]
+                   | (np.count_nonzero(within, axis=1) == 1))
 
 
 def mean_result(results) -> EvalResult:

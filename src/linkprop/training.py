@@ -26,7 +26,7 @@ from linkprop.losses import (DivergenceError, MaskSet, ModelParams,
                              scoring_propagation, support_gradient,
                              support_loss)
 from linkprop.negatives import NegativeSet, sample_negatives
-from linkprop.ranking import EvalResult, SplitSet, evaluate
+from linkprop.ranking import EvalResult, Ranker, SplitSet, evaluate
 
 PATHS = ("gradient", "kernel", "both")
 
@@ -166,6 +166,8 @@ def train(graph: Graph, negatives: NegativeSet, config: TrainConfig,
     # on "both" the kernel trajectory runs beside the authoritative gradient one
     Xk = X.copy() if config.path == "both" else None
     early = splits is not None and splits.val.shape[0] > 0
+    # the validation ranking's split-only state, built once per run
+    rank_val = Ranker(splits, graph, config.eval_k, "val") if early else None
     history = TrainHistory()
     best_X = X.copy()
     best_metric = -np.inf
@@ -211,8 +213,7 @@ def train(graph: Graph, negatives: NegativeSet, config: TrainConfig,
 
             val_recall = None
             if early and epoch % config.eval_every == 0:
-                result = evaluate(Y, splits, graph, k=config.eval_k, split="val")
-                val_recall = result.recall
+                val_recall = rank_val(Y).recall
                 if val_recall > best_metric:
                     best_metric = val_recall
                     best_X = X.copy()

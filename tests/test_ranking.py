@@ -1,4 +1,6 @@
 import dataclasses
+import inspect
+import re
 import warnings
 from unittest import mock
 
@@ -6,11 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import DATA_DIR
 from linkprop import ranking
+from linkprop.data_io import graph_from_split, load_edge_list, split_dataset
 from linkprop.graphs import Partition, build_graph
-from linkprop.ranking import (EvalResult, SplitSet, evaluate, mean_result,
-                              metrics_at_k, score_user, top_k)
+from linkprop.negatives import sample_negatives
+from linkprop.ranking import (EvalResult, Ranker, SplitSet, evaluate,
+                              mean_result, metrics_at_k, score_user, top_k)
 from linkprop.reference import evaluate_scalar, metrics_scalar
+from linkprop.synthetic import block_bipartite
+from linkprop.training import TrainConfig, train
 
 
 def make_splits(part, train, val=(), test=()):
@@ -685,6 +692,214 @@ class TestFallback:
         result, fell_back = fallback_users(X * scale, splits, graph, k=20)
         assert result == evaluate_scalar(X * scale, splits, graph, k=20)
         assert fell_back == 0
+
+
+def counted_items(fn):
+    """fn()'s result, and how many held-out items `_ranks` left to the
+    count over the whole row (`_count_ranks`)."""
+    real = ranking._count_ranks
+    counted = []
+
+    def spy(S, rows, cols, t, own, bound, cut, near, rank, sure):
+        counted.append(near.shape[0])
+        return real(S, rows, cols, t, own, bound, cut, near, rank, sure)
+
+    with mock.patch.object(ranking, "_count_ranks", spy):
+        return fn(), sum(counted)
+
+
+def assert_matches_oracle(X, splits, graph, k, split="test"):
+    """evaluate, a Ranker built for the same split and the scalar oracle
+    agree bit for bit."""
+    got = evaluate(X, splits, graph, k=k, split=split)
+    assert Ranker(splits, graph, k, split)(X) == got
+    with np.errstate(invalid="ignore", over="ignore"):
+        expected = evaluate_scalar(X, splits, graph, k=k, split=split)
+    assert dataclasses.astuple(got) == expected
+
+
+class TestTopCutRank:
+    """Near items ranked over the row's `cut` best scores, where each row
+    is its own column groups and the row has a (cut+1)-th best score."""
+
+    def test_gap_to_the_next_score_must_exceed_the_margin(self):
+        # the (cut+1)-th best score, 2.0, lies exactly one margin below the
+        # item: another rounding may tie them, so the item is unsure
+        row = [[3.0, 2.0, 1.0, 0.0]]
+        _, sure = ranks(row, [(0, 0)], [1.0], 1)
+        assert list(sure) == [False]
+        # one ulp less margin: the item is first under any rounding, and
+        # the top cut alone settles it
+        (rank, sure), counted = counted_items(
+            lambda: ranks(row, [(0, 0)], [np.nextafter(1.0, 0.0)], 1))
+        assert list(sure) == [True] and rank[0] == 0
+        assert counted == 0
+
+    def test_cut_th_best_item_is_settled_by_the_top_cut(self):
+        # the item is the cut-th best; the (cut+1)-th best score, not the
+        # cut-th, is the one every score outside the top cut lies below
+        row = [[5.0, 4.0, 3.0, 1.0, 0.0]]
+        (rank, sure), counted = counted_items(
+            lambda: ranks(row, [(0, 2), (0, 1)], [0.5], 3))
+        assert list(sure) == [True, True] and list(rank) == [2, 1]
+        assert counted == 0
+
+    def test_item_level_with_the_next_score_is_counted(self):
+        # the item ties the (cut+1)-th best score: not clear of it, so the
+        # whole row is counted, and the lower column ranks first
+        row = [[5.0, 3.0, 0.0, 3.0]]
+        for margin, sure_flag in ((0.0, True), (0.5, False)):
+            (rank, sure), counted = counted_items(
+                lambda: ranks(row, [(0, 3), (0, 1)], [margin], 2))
+            assert list(sure) == [sure_flag] * 2 and counted == 2
+            if sure_flag:
+                assert rank[0] >= 2 and rank[1] == 1
+
+    def test_equal_scores_at_margin_zero_rank_by_column(self):
+        # margin 0 (a user row of zeros): the top cut holds both 2.0s but
+        # not their columns, so the tie is counted over the row
+        (rank, sure), counted = counted_items(
+            lambda: ranks([[2.0, 2.0, 1.0, 0.0]], [(0, 1), (0, 0)], [0.0], 2))
+        assert sure.all() and list(rank) == [1, 0]
+        assert counted == 2
+
+    def test_no_next_score_when_the_cut_spans_the_row(self):
+        # k >= width: every score is in the top cut, each item is counted
+        row = [[3.0, 1.0, 2.0]]
+        (rank, sure), counted = counted_items(
+            lambda: ranks(row, [(0, 0), (0, 1), (0, 2)], [0.1], 3))
+        assert sure.all() and list(rank) == [0, 2, 1]
+        assert counted == 3
+
+    @pytest.mark.parametrize("width, top_cut", [
+        (2 * ranking._GROUPS * 2 - 1, True), (2 * ranking._GROUPS * 2, False)])
+    def test_both_sides_of_the_group_count(self, width, top_cut):
+        # at cut 2, 31 columns are 31 groups (the top cut ranks), and 32
+        # columns fold into 16 groups of two (every near item is counted)
+        assert (ranking._group_count(width, 2) == width) == top_cut
+        rng = np.random.default_rng(width)
+        part = Partition(12, width)
+        cells = [(u, 12 + i) for u in range(12) for i in range(width)]
+        labels = rng.choice(3, size=len(cells), p=[0.6, 0.2, 0.2])
+        train = [c for c, l in zip(cells, labels) if l == 1]
+        splits = make_splits(part, train,
+                             test=[c for c, l in zip(cells, labels) if l == 2])
+        graph = build_graph(train, partition=part)
+        X = rng.normal(size=(part.num_nodes, 40))
+        _, counted = counted_items(lambda: evaluate(X, splits, graph, k=2))
+        assert (counted == 0) == top_cut
+        for Z in (X, np.round(X), X.astype(np.float32)):
+            for k in (1, 2, 3, width - 1, width, width + 3):
+                assert_matches_oracle(Z, splits, graph, k)
+
+    @pytest.mark.parametrize("dim", [1, 40])
+    def test_items_at_and_one_ulp_from_the_next_score(self, dim):
+        # each user's cut-th and (cut+1)-th best items (cut 3) score 6.0
+        # and 6.0, 6.0 and one float64 ulp above or below, which one
+        # float32 score cannot tell apart; either of the two is held out
+        base = np.array([9.0, 8.0, 6.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0, 0.5])
+        twins = [6.0, np.nextafter(6.0, np.inf), np.nextafter(6.0, 0.0)]
+        part = Partition(2 * len(twins), base.shape[0])
+        items = np.tile(base, (part.num_users, 1))
+        held = []
+        for u in range(part.num_users):
+            items[u, 3] = twins[u // 2]
+            held.append((u, part.num_users + 2 + u % 2))
+        # one user-specific item axis per user: user u scores items[u]
+        X = np.zeros((part.num_nodes, part.num_users))
+        X[:part.num_users] = np.eye(part.num_users)
+        X[part.num_users:] = items.T
+        if dim > 1:
+            Q, _ = np.linalg.qr(np.random.default_rng(0).normal(
+                size=(dim, dim)))
+            X = np.pad(X, ((0, 0), (0, dim - X.shape[1]))) @ Q
+        splits = make_splits(part, [], test=held)
+        graph = build_graph([], partition=part)
+        for k in (2, 3, 4, 10):
+            assert_matches_oracle(X, splits, graph, k)
+
+    def test_zero_user_rows_rank_ties_by_column(self):
+        # zero users score exact zeros at margin 0; with 9 of 12 items in
+        # training fewer than cut + 1 candidates are left, so the (cut+1)-th
+        # score is -inf and only the column order ranks the held-out items
+        rng = np.random.default_rng(4)
+        part = Partition(6, 12)
+        train, test = [], []
+        for u in range(6):
+            order = 6 + rng.permutation(12)
+            train += [(u, int(i)) for i in order[:9 - u]]
+            test += [(u, int(i)) for i in order[9 - u:11 - u]]
+        splits = make_splits(part, train, test=test)
+        graph = build_graph(train, partition=part)
+        X = rng.normal(size=(18, 4))
+        X[:4] = 0.0
+        for k in (1, 2, 5, 12):
+            assert_matches_oracle(X, splits, graph, k)
+
+    def test_bench_500_validation_ranks_from_the_top_cut(self):
+        # 200 items at cut 20: trained mf embeddings leave no held-out
+        # item of the validation split to the whole-row count
+        graph = load_edge_list(DATA_DIR + "/bench_500.tsv")
+        splits = split_dataset(graph.to_graph(), (0.8, 0.1, 0.1), 0)
+        train_graph = graph_from_split(splits)
+        config = TrainConfig("mf", alpha=0.05, dim=32, max_epochs=20)
+        X = train(train_graph, sample_negatives(train_graph, seed=0),
+                  config).embeddings
+        plan = Ranker(splits, train_graph, 20, "val")
+        result, counted = counted_items(lambda: plan(X))
+        assert counted == 0 and result.recall > 0
+        assert dataclasses.astuple(result) == evaluate_scalar(
+            X, splits, train_graph, k=20, split="val")
+
+
+class TestRanker:
+    def test_k_and_split_have_no_default(self):
+        params = inspect.signature(Ranker).parameters
+        assert all(params[name].default is inspect.Parameter.empty
+                   for name in ("k", "split"))
+
+    @pytest.mark.parametrize("split_part, graph_part", [
+        (Partition(30, 40), Partition(35, 35)),
+        (Partition(35, 35), Partition(30, 40))])
+    def test_rejects_a_train_graph_of_another_partition(self, split_part,
+                                                        graph_part):
+        # the same 70 nodes: items would be offset by one partition and
+        # held-out items mapped by the other
+        splits = make_splits(split_part, [(0, 40)], val=[(1, 50)],
+                             test=[(2, 60)])
+        graph = build_graph([(0, 40)], partition=graph_part)
+        message = re.escape(f"train_graph has {graph_part}, but the split "
+                            f"has {split_part}")
+        with pytest.raises(ValueError, match=message):
+            evaluate(np.ones((70, 2)), splits, graph)
+        with pytest.raises(ValueError, match=message):
+            Ranker(splits, graph, 20, "val")
+
+    def test_one_plan_over_a_sequence_of_embeddings(self):
+        # a training trajectory, then Gaussian, rounded and nan-injected
+        # embeddings, each ranked by one plan per (k, split)
+        graph = block_bipartite(40, 60, 4, mean_degree=8, seed=1)
+        splits = split_dataset(graph, (0.6, 0.2, 0.2), 1)
+        train_graph = graph_from_split(splits)
+        negatives = sample_negatives(train_graph, seed=1)
+        sequence = [train(train_graph, negatives, TrainConfig(
+            "mf", alpha=0.5, dim=8, max_epochs=epochs)).embeddings
+            for epochs in (1, 3, 6)]
+        rng = np.random.default_rng(2)
+        gaussian = rng.normal(size=(100, 8))
+        injected = gaussian.copy()
+        injected[[3, 50, 77], [0, 4, 7]] = [np.nan, np.inf, -np.inf]
+        sequence += [gaussian, np.round(gaussian), injected, sequence[0]]
+        for split in ("val", "test"):
+            for k in (1, 5, 20):
+                plan = Ranker(splits, train_graph, k, split)
+                for X in sequence:
+                    got = plan(X)
+                    assert got == evaluate(X, splits, train_graph, k=k,
+                                           split=split)
+                    with np.errstate(invalid="ignore"):
+                        assert dataclasses.astuple(got) == evaluate_scalar(
+                            X, splits, train_graph, k=k, split=split)
 
 
 class TestMeanResult:

@@ -5,13 +5,15 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from linkprop.data_io import graph_from_split, split_dataset
 from linkprop.graphs import (MAX_PROXIMITY_ORDER, Partition, ProximityOperator,
                              SupportPattern, build_graph)
 from linkprop.kernel import link_kernels
 from linkprop.losses import (DivergenceError, ModelParams, build_masks, gd_step,
                              loss_gradient)
 from linkprop.negatives import sample_negatives
-from linkprop.ranking import SplitSet
+from linkprop.ranking import EvalResult, Ranker, SplitSet
+from linkprop.reference import evaluate_scalar
 from linkprop.synthetic import block_bipartite
 from linkprop.training import (ALPHA_GRID, INTEGER_FIELDS, AllPointsDiverged,
                                GridPoint, TrainConfig, TrainHistory, TrainResult,
@@ -312,6 +314,55 @@ class TestEarlyStopping:
         assert result.history.stopped_epoch == 6
         assert result.history.reason == "max_epochs"
         assert result.history.best_epoch is None
+
+
+class TestValidationRanking:
+    def test_one_plan_per_run_and_none_without_splits(self, split_instance):
+        graph, neg, splits = split_instance
+        built = []
+
+        class Counted(Ranker):
+            def __init__(self, *args):
+                built.append(args[2:])
+                super().__init__(*args)
+
+        cfg = TrainConfig("mf", alpha=0.05, dim=4, max_epochs=6, patience=10,
+                          eval_k=2)
+        with mock.patch("linkprop.training.Ranker", Counted):
+            train(graph, neg, cfg, splits=splits)
+            assert built == [(2, "val")]
+            train(graph, neg, cfg)
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("model", ["mf", "lightgcn"])
+    def test_early_stopping_as_the_scalar_oracle_ranks(self, model):
+        # the same run with each epoch's validation ranking done by
+        # reference.evaluate_scalar at the configured k, whatever plan
+        # train() asked for: a plan for the test split or for another k
+        # moves the recalls, the best epoch or the stop
+        graph = block_bipartite(30, 40, 3, mean_degree=10, seed=2)
+        splits = split_dataset(graph, (0.6, 0.2, 0.2), seed=0)
+        train_graph = graph_from_split(splits)
+        neg = sample_negatives(train_graph, seed=0)
+        cfg = TrainConfig(model, alpha=0.05, dim=8, max_epochs=60, patience=4,
+                          eval_k=3)
+
+        class Oracle:
+            def __init__(self, *args):
+                pass
+
+            def __call__(self, Y):
+                return EvalResult(*evaluate_scalar(Y, splits, train_graph,
+                                                   k=cfg.eval_k, split="val"))
+
+        with mock.patch("linkprop.training.Ranker", Oracle):
+            expected = train(train_graph, neg, cfg, splits=splits).history
+        got = train(train_graph, neg, cfg, splits=splits).history
+        assert expected.reason == "early_stop"
+        assert [r.val_recall for r in got.records] == \
+            [r.val_recall for r in expected.records]
+        assert (got.best_epoch, got.stopped_epoch) == \
+            (expected.best_epoch, expected.stopped_epoch)
 
 
 class TestGridSearch:
