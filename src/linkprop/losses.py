@@ -145,15 +145,18 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     sees -|z|.  np.minimum(z, -z), not -np.abs(z), keeps a NaN's sign.
 
     An element z >= 0 gets 1 / (1 + e), any other e / (1 + e), e =
-    exp(-|z|): the quotient e / (1 + e) is written into e's buffer and
-    1 / (1 + e) over it where z >= 0, so `z` is never written.
+    exp(-|z|), with both quotients in one unmasked divide: since
+    0 <= e <= 1, the numerator max(e, z >= 0) is 1 where z >= 0 and e
+    elsewhere (a nan stays nan).  It is written into e's buffer, so `z`
+    is never written; `reference.sigmoid_masked` is the masked-divide
+    form it equals bit for bit.
     """
     z = np.asarray(z)
     # asarray: for a 0-d z, exp returns a scalar, which cannot be written
     e = np.asarray(np.exp(np.minimum(z, -z)))
     d = 1.0 + e
-    np.divide(e, d, out=e)
-    return np.divide(1.0, d, out=e, where=z >= 0)
+    np.maximum(e, z >= 0, out=e)
+    return np.divide(e, d, out=e)
 
 
 def support_loss(X: np.ndarray, s: np.ndarray, pattern: SupportPattern,

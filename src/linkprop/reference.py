@@ -81,6 +81,17 @@ def sigmoid_scalar(x: float) -> float:
     return e / (1.0 + e)
 
 
+def sigmoid_masked(z) -> np.ndarray:
+    """The logistic function by a masked divide, the oracle of
+    `losses.sigmoid`'s select-free form: e / (1 + e) everywhere, e =
+    exp(-|z|), then 1 / (1 + e) over it where z >= 0."""
+    z = np.asarray(z)
+    e = np.asarray(np.exp(np.minimum(z, -z)))
+    d = 1.0 + e
+    np.divide(e, d, out=e)
+    return np.divide(1.0, d, out=e, where=z >= 0)
+
+
 def log_sigmoid_scalar(x: float) -> float:
     # log sigma(x) = -log(1 + exp(-x)), stable on both tails
     if x >= 0:

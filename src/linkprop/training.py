@@ -26,7 +26,7 @@ from linkprop.losses import (DivergenceError, MaskSet, ModelParams,
                              scoring_propagation, support_gradient,
                              support_loss)
 from linkprop.negatives import NegativeSet, sample_negatives
-from linkprop.ranking import EvalResult, Ranker, SplitSet, evaluate
+from linkprop.ranking import EvalResult, Ranker, SplitSet
 
 PATHS = ("gradient", "kernel", "both")
 
@@ -148,7 +148,8 @@ def train(graph: Graph, negatives: NegativeSet, config: TrainConfig,
     Early stopping needs `splits` with validation edges: training stops once
     validation Recall@eval_k has not improved for `patience` consecutive
     evaluations, and the best-validation snapshot is returned.  Without
-    splits the loop always runs max_epochs and returns the final state.
+    splits, or when no epoch was a validation epoch (`eval_every` above
+    `max_epochs`), the loop runs max_epochs and returns the final state.
 
     Raises DivergenceError (tagged with the epoch) at the first non-finite
     embedding of either path or non-finite loss.
@@ -169,7 +170,7 @@ def train(graph: Graph, negatives: NegativeSet, config: TrainConfig,
     # the validation ranking's split-only state, built once per run
     rank_val = Ranker(splits, graph, config.eval_k, "val") if early else None
     history = TrainHistory()
-    best_X = X.copy()
+    best_X = None
     best_metric = -np.inf
     failed_evals = 0
 
@@ -240,7 +241,7 @@ def train(graph: Graph, negatives: NegativeSet, config: TrainConfig,
             history.stopped_epoch = config.max_epochs
             history.reason = "max_epochs"
 
-    final = best_X if early else X
+    final = X if best_X is None else best_X
     return TrainResult(embeddings=final, history=history, config=config)
 
 
@@ -278,6 +279,8 @@ def grid_search(graph: Graph, negatives: NegativeSet, splits: SplitSet,
     # the layer grid covers the models whose table row reads `layers`
     rows = model_table(layers=0)[base.model], model_table(layers=1)[base.model]
     layer_values = tuple(layer_grid) if rows[0] != rows[1] else (base.layers,)
+    # ranks the points that never validated (eval_every > max_epochs)
+    rank_val = Ranker(splits, graph, base.eval_k, "val")
     points = []
     best_cfg = None
     best_metric = -np.inf
@@ -295,8 +298,7 @@ def grid_search(graph: Graph, negatives: NegativeSet, splits: SplitSet,
             if metric is None:
                 scored = scoring_propagation(graph, cfg.params).apply(
                     result.embeddings)
-                metric = evaluate(scored, splits, graph, k=cfg.eval_k,
-                                  split="val").recall
+                metric = rank_val(scored).recall
             points.append(GridPoint(alpha=alpha, layers=layers,
                                     metric=float(metric), diverged=False,
                                     stopped_epoch=result.history.stopped_epoch))
@@ -319,7 +321,9 @@ class RepeatOutcome:
 def repeat_train(graph: Graph, splits: SplitSet, config: TrainConfig, seeds,
                  neg_strategy: str = "uniform", neg_exponent: float = 0.75,
                  per_positive: int = 1) -> list[RepeatOutcome]:
-    """Train once per seed (fresh init and fresh negatives) and score on test."""
+    """Train once per seed (fresh init and fresh negatives) and score on test,
+    every seed through one test-split `Ranker`."""
+    rank_test = Ranker(splits, graph, config.eval_k, "test")
     outcomes = []
     for seed in seeds:
         negatives = sample_negatives(graph, per_positive=per_positive,
@@ -328,6 +332,6 @@ def repeat_train(graph: Graph, splits: SplitSet, config: TrainConfig, seeds,
         cfg = replace(config, seed=seed)
         result = train(graph, negatives, cfg, splits=splits)
         scored = scoring_propagation(graph, cfg.params).apply(result.embeddings)
-        metrics = evaluate(scored, splits, graph, k=cfg.eval_k, split="test")
+        metrics = rank_test(scored)
         outcomes.append(RepeatOutcome(seed=seed, result=result, metrics=metrics))
     return outcomes

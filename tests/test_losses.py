@@ -313,6 +313,30 @@ class TestSigmoid:
         z = np.concatenate([np.array(values, dtype=float), drawn, special])
         assert np.array_equal(sigmoid(z).view(np.int64), masked(z).view(np.int64))
 
+    @settings(max_examples=300)
+    @given(st.data(), st.sampled_from([np.float64, np.float32]),
+           st.booleans())
+    def test_bitwise_equal_to_the_masked_divide(self, data, dtype, zero_d):
+        # the unmasked numerator max(e, z >= 0) against the masked divide,
+        # on +-0, +-inf, nan of both signs, subnormals and the edges of
+        # exp's range in either dtype, and on 0-d input
+        info = np.finfo(dtype)
+        width = info.bits
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan,
+                   float(info.smallest_subnormal), -float(info.tiny) / 3,
+                   88.7, -88.7, 103.9, -103.9, 745.2, -745.2, 36.8, -16.6]
+        value = st.one_of(st.floats(width=width),
+                          st.floats(-50, 50, width=width),
+                          st.sampled_from(special))
+        if zero_d:
+            z = np.array(data.draw(value), dtype=dtype)
+        else:
+            z = np.array(data.draw(st.lists(value, max_size=70)) + special,
+                         dtype=dtype)
+        got = sigmoid(z)
+        assert got.dtype == dtype and got.shape == z.shape
+        assert same_bits(got, reference.sigmoid_masked(z))
+
     @given(st.floats(-700, 700))
     def test_property_complement(self, z):
         a = sigmoid(np.array([z]))[0]

@@ -852,6 +852,325 @@ class TestTopCutRank:
             X, splits, train_graph, k=20, split="val")
 
 
+def probe_ranker(num_users, num_items, train, test, k):
+    """A Ranker of the test split over a Partition(num_users, num_items),
+    its train graph and split."""
+    part = Partition(num_users, num_items)
+    train = [(u, num_users + i) for u, i in train]
+    splits = make_splits(part, train,
+                         test=[(u, num_users + i) for u, i in test])
+    graph = build_graph(train, partition=part)
+    return Ranker(splits, graph, k, "test"), splits, graph
+
+
+def unproven(plan, X, bound=None):
+    """`plan`'s probe on X: the positions of the users it leaves to the
+    full product, under X's own rounding bound or `bound`."""
+    X = np.asarray(X, dtype=float)
+    items = X[plan.first_item:]
+    Y = X[plan.users]
+    dtype, scale, norms, offset = ranking._score_error(Y, items)
+    if bound is None:
+        bound = scale, norms, offset
+    with np.errstate(invalid="ignore", over="ignore"):
+        return list(plan._unproven(Y.astype(dtype), items.astype(dtype),
+                                   bound))
+
+
+def one_axis(item_scores):
+    """Embeddings whose score of user u and item i is item_scores[u][i]:
+    user u is the u-th unit vector, item i holds its scores."""
+    scores = np.asarray(item_scores, dtype=float)
+    num_users = scores.shape[0]
+    return np.concatenate([np.eye(num_users), scores.T])
+
+
+@st.composite
+def wide_ranking_case(draw):
+    """A split over 128 to 600 items at a cutoff of 1 to 3, where the
+    probe engages unless 4 * _PROBE * k exceeds the items (about four
+    cases in five), and embeddings to rank it with.
+
+    Items are trained with a skewed popularity, so the probe holds most
+    training edges; held-out items come from the popular items and from
+    all items, inside and outside the probe.  Embeddings are Gaussian,
+    rounded (ties) or all zero, some users aligned with one of their
+    held-out items (hits near the cut), some held-out items copies or
+    one-ulp twins of probe items, some user rows zero, optional nan/+-inf
+    entries and whole item rows, scaled to 1e150 or 1e-160, and float32
+    or float64.
+    """
+    num_users = draw(st.integers(1, 8))
+    num_items = draw(st.integers(128, 600))
+    k = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    popularity = rng.permutation(1.0 / (1.0 + np.arange(num_items)))
+    popularity /= popularity.sum()
+    popular = np.argsort(-popularity, kind="stable")[:ranking._PROBE * k]
+    train, held = set(), set()
+    for u in range(num_users):
+        count = int(rng.integers(0, 40))
+        train |= {(u, int(i)) for i in rng.choice(num_items, count,
+                                                  replace=False, p=popularity)}
+        for pool in (popular, np.arange(num_items)):
+            held |= {(u, int(i)) for i in rng.choice(
+                pool, int(rng.integers(0, 3)), replace=False)}
+    held -= train
+    if not held:
+        held.add((0, int(rng.integers(0, num_items))))
+    split = draw(st.sampled_from(["val", "test"]))
+    part = Partition(num_users, num_items)
+    nodes = lambda pairs: sorted((u, num_users + i) for u, i in pairs)
+    splits = make_splits(part, nodes(train),
+                         **{split: nodes(held)})
+    graph = build_graph(nodes(train), partition=part)
+
+    dim = draw(st.sampled_from([2, 4, 17, 32]))
+    X = rng.normal(size=(part.num_nodes, dim))
+    kind = draw(st.sampled_from(["gaussian", "rounded", "zeros"]))
+    if kind == "rounded":
+        X = np.round(X)
+    elif kind == "zeros":
+        X[:] = 0.0
+    held = sorted(held)
+    for u, i in draw(st.lists(st.sampled_from(held), max_size=3)):
+        X[u] = 3.0 * X[num_users + i]
+    twin = st.sampled_from(["copy", "ulp"])
+    for (u, i), j, how in draw(st.lists(st.tuples(
+            st.sampled_from(held), st.sampled_from(list(popular)), twin),
+            max_size=3)):
+        X[num_users + i] = (X[num_users + j] if how == "copy" else
+                            np.nextafter(X[num_users + j], np.inf))
+    for row in draw(st.sets(st.integers(0, num_users - 1), max_size=2)):
+        X[row] = 0.0
+    for row, col, value in draw(st.lists(st.tuples(
+            st.integers(0, part.num_nodes - 1), st.integers(0, dim - 1),
+            st.sampled_from([np.nan, np.inf, -np.inf])), max_size=2)):
+        X[row, col] = value
+    for item, value in draw(st.lists(st.tuples(
+            st.sampled_from(list(popular)),
+            st.sampled_from([np.nan, np.inf, -np.inf])), max_size=2)):
+        X[num_users + item] = value
+    if draw(st.booleans()):
+        X = X.astype(np.float32)
+    else:
+        X *= draw(st.sampled_from([1.0, 1e150, 1e-160]))
+    per_block = draw(st.sampled_from([1, 3, None]))
+    return X, splits, graph, k, split, per_block
+
+
+
+class TestProbe:
+    """Held-out items proven misses against the cut-th best score of the
+    most-trained items, before the full block product."""
+
+    def test_probe_is_the_most_trained_items_in_column_order(self):
+        # items 7, 3 and 5 have two training edges each (ties to the lower
+        # id), then one each in ascending id: the first 20 make the probe
+        train = ([(0, 7), (1, 7), (0, 3), (1, 3), (2, 5), (3, 5)]
+                 + [(u, i) for u, i in zip(range(4), range(10, 90))]
+                 + [(4, i) for i in range(90, 120)])
+        plan, _, _ = probe_ranker(5, 120, train, [(0, 0)], 1)
+        expected = sorted([3, 5, 7] + list(range(10, 14)) + list(range(
+            90, 103)))
+        assert list(plan.probe) == expected
+
+    @pytest.mark.parametrize("k, engaged", [(1, True), (2, True),
+                                            (3, False), (20, False)])
+    def test_probe_engages_where_it_is_a_quarter_of_the_items(self, k,
+                                                              engaged):
+        # 200 items: a probe of 20 * cut items engages up to cut 2, so
+        # bench_500 (200 items at cut 20) keeps the full product alone
+        plan, _, _ = probe_ranker(2, 200, [(0, 1)], [(1, 2)], k)
+        assert (plan.probe is not None) == engaged
+        assert (4 * ranking._PROBE * k <= 200) == engaged
+
+    def test_gap_must_exceed_the_margin_strictly(self):
+        # user 0's best probe score is 4.0, its held-out item scores 3.0:
+        # a margin of exactly 1.0 may swap them, one ulp less may not
+        scores = np.full((1, 100), -1.0)
+        scores[0, 0], scores[0, 50] = 4.0, 3.0
+        plan, _, _ = probe_ranker(1, 100, [(0, 99)], [(0, 50)], 1)
+        assert 0 in plan.probe and 50 not in plan.probe
+        X = one_axis(scores)
+        zero = np.zeros(100)
+        for margin, left in ((1.0, [0]), (np.nextafter(1.0, 0.0), [])):
+            bound = (np.zeros(1), zero, np.array([margin / 2]))
+            assert unproven(plan, X, bound) == left
+        assert unproven(plan, X) == []  # X's own bound is far below 1.0
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_margin_proves_nothing(self, bad):
+        scores = np.full((2, 100), -1.0)
+        scores[:, 0] = 4.0
+        plan, _, _ = probe_ranker(2, 100, [(0, 99)], [(0, 50), (1, 50)], 1)
+        X = one_axis(scores)
+        offset = np.array([bad, 0.0])
+        bound = (np.zeros(2), np.zeros(100), offset)
+        assert unproven(plan, X, bound) == [0]
+
+    def test_training_items_in_the_probe_do_not_count(self):
+        # user 0 scores its training items highest; among the rest its
+        # held-out item is first, a hit
+        scores = np.full((1, 100), -1.0)
+        scores[0, :20] = 5.0
+        scores[0, 60] = 2.0
+        train = [(0, i) for i in range(20)]
+        plan, splits, graph = probe_ranker(1, 100, train, [(0, 60)], 1)
+        assert set(range(20)) <= set(plan.probe)
+        X = one_axis(scores)
+        assert unproven(plan, X) == [0]
+        assert_matches_oracle(X, splits, graph, 1)
+        assert evaluate(X, splits, graph, k=1).recall == 1.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_probe_scores_do_not_count(self, bad):
+        # at cut 2 one probe item scores nan or +-inf for every user: the
+        # held-out item, second best of the finite scores, is a hit
+        scores = np.full((2, 200), -1.0)
+        scores[0, 0], scores[0, 150] = 5.0, 2.0
+        train = [(1, i) for i in range(40)]
+        plan, splits, graph = probe_ranker(2, 200, train, [(0, 150)], 2)
+        assert {0, 1} <= set(plan.probe)
+        X = one_axis(scores)
+        X[2 + 1] = (bad, 0.0)  # item 1, in the probe: user 0 scores it bad
+        assert unproven(plan, X) == [0]
+        assert_matches_oracle(X, splits, graph, 2)
+        assert evaluate(X, splits, graph, k=2).recall == 1.0
+
+    def test_held_out_item_in_the_probe_is_never_proven_by_itself(self):
+        # the held-out item is the probe's cut-th best score
+        scores = np.full((1, 100), -1.0)
+        scores[0, 3] = 2.0
+        plan, splits, graph = probe_ranker(1, 100, [], [(0, 3)], 1)
+        assert 3 in plan.probe
+        X = one_axis(scores)
+        assert unproven(plan, X) == [0]
+        assert_matches_oracle(X, splits, graph, 1)
+
+    def test_float32_rounding_that_swaps_two_scores_is_not_a_proof(self):
+        # user (1, 1): probe item 0 scores 6 + 0.51 u and the held-out item
+        # 6 + 0.59 u (u the float32 ulp at 6), so the held-out item ranks
+        # first; cast to float32 they score 6 + u and 6: only the margin
+        # keeps the probe from proving the held-out item a miss
+        u = 2.0 ** -21
+        X = np.full((1 + 100, 2), -1.0)
+        X[0] = (1.0, 1.0)
+        X[1 + 0] = (6 + 0.51 * u, 0.0)
+        X[1 + 60] = (6 + 0.49 * u, 0.1 * u)
+        plan, splits, graph = probe_ranker(1, 100, [], [(0, 60)], 1)
+        items = X[1:]
+        assert ranking._score_error(X[:1], items)[0] == np.float32
+        f32 = items.astype(np.float32) @ X[0].astype(np.float32)
+        assert f32[0] > f32[60] and items[60] @ X[0] > items[0] @ X[0]
+        assert unproven(plan, X) == [0]
+        assert_matches_oracle(X, splits, graph, 1)
+        assert evaluate(X, splits, graph, k=1).recall == 1.0
+
+    def test_zero_user_rows_rank_by_column(self):
+        # every score of a zero row is exactly 0, ranked by column: item 0
+        # is first, item 99 a miss, and the probe proves neither
+        plan, splits, graph = probe_ranker(2, 100, [(1, i) for i in range(
+            30)], [(0, 0), (0, 99)], 1)
+        X = np.random.default_rng(0).normal(size=(102, 4))
+        X[0] = 0.0
+        assert unproven(plan, X) == [0]
+        assert_matches_oracle(X, splits, graph, 1)
+        assert evaluate(X, splits, graph, k=1).recall == 0.5
+
+    @settings(max_examples=150)
+    @given(wide_ranking_case())
+    def test_bit_identical_to_scalar_oracle(self, case):
+        X, splits, graph, k, split, per_block = case
+        assert Ranker(splits, graph, k, split).probe is not None or \
+            4 * ranking._PROBE * k > splits.partition.num_items
+        budget = (ranking._BLOCK_BYTES if per_block is None
+                  else per_block * 4 * splits.partition.num_items)
+        with warnings.catch_warnings(), \
+                mock.patch.object(ranking, "_BLOCK_BYTES", budget):
+            warnings.simplefilter("error", RuntimeWarning)
+            got = evaluate(X, splits, graph, k=k, split=split)
+        with np.errstate(invalid="ignore", over="ignore"):
+            expected = evaluate_scalar(X, splits, graph, k=k, split=split)
+        assert dataclasses.astuple(got) == expected
+
+    def test_one_plan_over_a_sequence_of_wide_embeddings(self):
+        graph = block_bipartite(40, 300, 4, mean_degree=8, seed=3)
+        splits = split_dataset(graph, (0.6, 0.2, 0.2), 3)
+        train_graph = graph_from_split(splits)
+        negatives = sample_negatives(train_graph, seed=3)
+        sequence = [train(train_graph, negatives, TrainConfig(
+            "mf", alpha=0.5, dim=8, max_epochs=epochs)).embeddings
+            for epochs in (1, 4, 10)]
+        rng = np.random.default_rng(3)
+        gaussian = rng.normal(size=(train_graph.num_nodes, 8))
+        injected = gaussian.copy()
+        injected[[3, 60, 200], [0, 4, 7]] = [np.nan, np.inf, -np.inf]
+        sequence += [gaussian, np.round(gaussian), injected,
+                     gaussian.astype(np.float32), sequence[0]]
+        for split in ("val", "test"):
+            for k in (1, 2, 3):
+                plan = Ranker(splits, train_graph, k, split)
+                assert plan.probe is not None
+                for X in sequence:
+                    got = plan(X)
+                    assert got == evaluate(X, splits, train_graph, k=k,
+                                           split=split)
+                    with np.errstate(invalid="ignore"):
+                        assert dataclasses.astuple(got) == evaluate_scalar(
+                            X, splits, train_graph, k=k, split=split)
+
+    def test_proven_full_path_and_fallback_users_on_a_block_graph(self):
+        # trained lightgcn on a planted-block graph at cut 5 (a probe of
+        # 100 of about 1000 items): most users are proven, the rest take
+        # the block product, and a user with a nan embedding entry (no
+        # finite margin) and one whose held-out item has a twin score
+        # take the per-user GEMV
+        graph = block_bipartite(200, 1000, 8, mean_degree=20, seed=0)
+        splits = split_dataset(graph, (0.8, 0.1, 0.1), 0)
+        train_graph = graph_from_split(splits)
+        config = TrainConfig("lightgcn", alpha=0.05, dim=32, max_epochs=5)
+        X = train(train_graph, sample_negatives(train_graph, seed=0),
+                  config).embeddings
+        plan = Ranker(splits, train_graph, 5, "test")
+        assert plan.probe is not None
+        first_item = splits.partition.num_users
+        user, item = splits.test[0]
+        X[user, 3] = np.nan
+        user, item = splits.test[-1]
+        trained = set(train_graph.neighbors(user))
+        twin = next(first_item + j for j in plan.probe
+                    if first_item + j not in trained | {item})
+        X[item] = X[twin]
+        X[user] = 2.0 * X[item]
+        left, blocks, fallback = [], [], []
+        real_unproven, real_ranks = Ranker._unproven, ranking._ranks
+
+        def spy_unproven(self, *args):
+            keep = real_unproven(self, *args)
+            left.append(keep.shape[0])
+            return keep
+
+        def spy_ranks(S, rows, cols, bound, cut, scratch):
+            rank, sure = real_ranks(S, rows, cols, bound, cut, scratch)
+            scale, _, offset = bound
+            if scale.any() or np.any(offset):
+                blocks.append(np.unique(rows).shape[0])
+            else:
+                fallback.append(S.shape[0])
+            return rank, sure
+
+        with mock.patch.object(Ranker, "_unproven", spy_unproven), \
+                mock.patch.object(ranking, "_ranks", spy_ranks):
+            got = plan(X)
+        assert dataclasses.astuple(got) == evaluate_scalar(
+            X, splits, train_graph, k=5)
+        evaluated = plan.users.shape[0]
+        assert 0 < left[0] < evaluated // 2  # most users proven
+        assert sum(blocks) + sum(fallback) >= left[0] > 0
+        assert sum(fallback) >= 2
+
+
 class TestRanker:
     def test_k_and_split_have_no_default(self):
         params = inspect.signature(Ranker).parameters

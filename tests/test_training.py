@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -316,6 +317,24 @@ class TestEarlyStopping:
         assert result.history.best_epoch is None
 
 
+    def test_no_validation_epoch_returns_the_final_state(self,
+                                                         split_instance):
+        # eval_every above max_epochs: no epoch validates, so the run
+        # returns its final embeddings, as a run without splits does, not
+        # the initial ones
+        graph, neg, splits = split_instance
+        cfg = TrainConfig("mf", alpha=0.05, dim=4, max_epochs=5, eval_every=10,
+                          eval_k=2)
+        result = train(graph, neg, cfg, splits=splits)
+        assert result.history.best_epoch is None
+        assert (result.history.stopped_epoch, result.history.reason) == \
+            (5, "max_epochs")
+        assert np.array_equal(result.embeddings,
+                              train(graph, neg, cfg).embeddings)
+        assert not np.array_equal(result.embeddings, init_embeddings(
+            graph.num_nodes, cfg.dim, cfg.init_scale, cfg.seed))
+
+
 class TestValidationRanking:
     def test_one_plan_per_run_and_none_without_splits(self, split_instance):
         graph, neg, splits = split_instance
@@ -436,7 +455,51 @@ class TestGridSearch:
         assert all(p.layers == 3 for p in result.points)
 
 
+    def test_unvalidated_points_rank_final_embeddings_through_one_plan(
+            self, split_instance):
+        # eval_every above max_epochs: every point falls back to ranking
+        # its final embeddings, all through one validation plan
+        graph, neg, splits = split_instance
+        base = TrainConfig("mf", alpha=0.1, dim=4, max_epochs=4,
+                           eval_every=5, eval_k=2)
+        built = []
+
+        class Counted(Ranker):
+            def __init__(self, *args):
+                built.append(args[2:])
+                super().__init__(*args)
+
+        with mock.patch("linkprop.training.Ranker", Counted):
+            result = grid_search(graph, neg, splits, base,
+                                 alphas=(1e-2, 1e-1), layer_grid=(1,))
+        # one plan per run, and one for the grid's fallback
+        assert built == [(2, "val")] * (1 + len(result.points))
+        for point in result.points:
+            final = train(graph, neg, replace(base, alpha=point.alpha))
+            assert point.metric == evaluate_scalar(
+                final.embeddings, splits, graph, k=2, split="val")[2]
+
+
 class TestRepeatTrain:
+    def test_one_test_plan_for_every_seed(self, split_instance):
+        graph, _, splits = split_instance
+        cfg = TrainConfig("mf", alpha=0.05, dim=4, max_epochs=5, patience=5,
+                          eval_k=2)
+        built = []
+
+        class Counted(Ranker):
+            def __init__(self, *args):
+                built.append(args[2:])
+                super().__init__(*args)
+
+        with mock.patch("linkprop.training.Ranker", Counted):
+            outcomes = repeat_train(graph, splits, cfg, seeds=(0, 1, 2))
+        # one validation plan per run, one test plan for the experiment
+        assert sorted(built) == [(2, "test")] + [(2, "val")] * 3
+        for outcome in outcomes:
+            assert dataclasses.astuple(outcome.metrics) == evaluate_scalar(
+                outcome.result.embeddings, splits, graph, k=2, split="test")
+
     def test_fresh_seed_per_repeat(self, split_instance):
         graph, _, splits = split_instance
         cfg = TrainConfig("mf", alpha=0.05, dim=4, max_epochs=5, patience=5,
