@@ -3,9 +3,9 @@
 Subcommands map to pipeline stages (ingest, split, train, evaluate), plus
 the dual-path verification harness and the full experiment orchestrator
 (report).  The package's `__init__` applies LINKPROP_THREADS before any
-module of it imports numpy.  `split`, `train` and `evaluate` pass on only
-the flags given (argparse.SUPPRESS): an omitted one takes the library
-default, TrainConfig's for a training setting.
+module of it imports numpy.  `ingest`, `split`, `train` and `evaluate` pass
+on only the flags given (argparse.SUPPRESS): an omitted one takes the
+library default, TrainConfig's for a training setting.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from linkprop.data_io import (graph_density_pct, graph_from_split,
+from linkprop.data_io import (FORMATS, graph_density_pct, graph_from_split,
                               load_edge_list, load_splits, save_splits,
                               split_dataset, write_canonical,
                               write_metrics_csv)
@@ -48,7 +48,7 @@ def _default_outdir(flag_value):
 
 
 def cmd_ingest(args) -> int:
-    dataset = load_edge_list(args.input, args.format)
+    dataset = load_edge_list(args.input, **_given(args, ("fmt",)))
     graph = dataset.to_graph()
     write_canonical(dataset, args.output)
     density, _ = graph_density_pct(graph)
@@ -59,7 +59,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_split(args) -> int:
-    dataset = load_edge_list(args.input, args.format)
+    dataset = load_edge_list(args.input, **_given(args, ("fmt",)))
     splits = split_dataset(dataset.to_graph(),
                            **_given(args, ("ratios", "seed")))
     save_splits(dataset, splits, args.outdir)
@@ -98,7 +98,7 @@ def cmd_evaluate(args) -> int:
     params = ModelParams(model=args.model,
                          **_given(args, ("window", "layers")))
     result = evaluate(scoring_propagation(graph, params).apply(X), splits,
-                      graph, **_given(args, ("k",)))
+                      graph, getattr(args, "k", TrainConfig.eval_k))
     print(f"precision@{result.k} {result.precision:.5f}  recall@{result.k} "
           f"{result.recall:.5f}  ndcg@{result.k} {result.ndcg:.5f}  "
           f"({result.users_evaluated} users, {result.users_skipped} skipped)")
@@ -114,7 +114,7 @@ def cmd_verify_equivalence(args) -> int:
         raise ValueError(f"--tolerance must be positive and finite, "
                          f"got {args.tolerance}")
     variants = [("mf", {}), ("line", {}), ("deepwalk", {"window": 2}),
-                ("lightgcn", {"layers": 3})]
+                ("lightgcn", {})]
     if args.model != "all":
         variants = [(m, kw) for m, kw in variants if m == args.model]
         if not variants:
@@ -158,18 +158,17 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="parse an edge list, write canonical form")
+    p = sub.add_parser("ingest", help="parse an edge list, write canonical form",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--input", required=True)
-    p.add_argument("--format", default="auto",
-                   choices=["auto", "pairs", "adjlist"])
+    p.add_argument("--format", dest="fmt", choices=FORMATS)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("split", help="per-user train/val/test split",
                        argument_default=argparse.SUPPRESS)
     p.add_argument("--input", required=True)
-    p.add_argument("--format", default="auto",
-                   choices=["auto", "pairs", "adjlist"])
+    p.add_argument("--format", dest="fmt", choices=FORMATS)
     p.add_argument("--outdir", required=True)
     p.add_argument("--ratios", nargs=3, type=float)
     p.add_argument("--seed", type=int)

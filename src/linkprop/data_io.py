@@ -29,8 +29,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from linkprop.graphs import Graph, Partition, build_graph, unique_rows
+from linkprop.graphs import (Graph, Partition, build_graph, check_integer,
+                             unique_rows)
 from linkprop.ranking import SplitSet
+
+FORMATS = ("auto", "pairs", "adjlist")  # load_edge_list's `fmt` values
 
 HEADER_TOKENS = {"user", "item", "user_id", "item_id", "userid", "itemid",
                  "source", "target", "uid", "iid"}
@@ -177,7 +180,7 @@ def _read_file(path, fmt: str, header_key: str = "checksum=",
     file.  The header, its first `#` line holding `header_key`, comes only
     from `write_canonical` or `save_splits`, which write no header row, so
     only a file without one may open with a header row, which is dropped."""
-    if fmt not in ("auto", "pairs", "adjlist"):
+    if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
     with open(path, encoding="utf-8") as fh:
         raw = fh.read()
@@ -277,6 +280,7 @@ def split_dataset(graph: Graph, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> SplitS
     if graph.partition is None:
         raise ValueError("splitting needs a bipartite partition")
     ratios = check_ratios(ratios)
+    check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     num_users = graph.partition.num_users
     indptr = graph.adjacency.indptr[:num_users + 1]
@@ -310,7 +314,7 @@ def split_dataset(graph: Graph, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> SplitS
     pairs = np.column_stack((users, graph.adjacency.indices[:indptr[-1]]))
     test, val, train = (unique_rows(pairs[part == k]) for k in range(3))
     return SplitSet(partition=graph.partition, train=train, val=val, test=test,
-                    ratios=ratios, seed=seed,
+                    ratios=ratios, seed=int(seed),
                     flagged=tuple(np.flatnonzero(n_test == 0).tolist()))
 
 

@@ -10,6 +10,7 @@ only.
 from __future__ import annotations
 
 import configparser
+import inspect
 import json
 import os
 import typing
@@ -50,6 +51,11 @@ INI_KEYS = (
 )
 
 
+def _default(function, name: str):
+    """The default of `function`'s parameter `name`, which owns it."""
+    return inspect.signature(function).parameters[name].default
+
+
 class ExperimentError(RuntimeError):
     """A pipeline stage failed; `stage` names which one."""
 
@@ -63,17 +69,18 @@ class RunConfig:
     """Flat bundle of every knob an experiment run reads.
 
     A field named like a TrainConfig field is that setting, with its
-    default; `k` is TrainConfig's `eval_k`.
+    default; `k` is TrainConfig's `eval_k`.  The data, split and sampling
+    defaults are load_edge_list's, split_dataset's and sample_negatives'.
     """
 
     dataset_path: str
-    dataset_format: str = "auto"
+    dataset_format: str = _default(load_edge_list, "fmt")
     name: str = ""
-    ratios: tuple[float, ...] = (0.8, 0.1, 0.1)
-    split_seed: int = 0
-    neg_strategy: str = "uniform"
-    neg_exponent: float = 0.75
-    per_positive: int = 1
+    ratios: tuple[float, ...] = _default(split_dataset, "ratios")
+    split_seed: int = _default(split_dataset, "seed")
+    neg_strategy: str = _default(sample_negatives, "strategy")
+    neg_exponent: float = _default(sample_negatives, "exponent")
+    per_positive: int = _default(sample_negatives, "per_positive")
     models: tuple[str, ...] = ("mf",)
     window: int = TrainConfig.window
     layers: int = TrainConfig.layers
@@ -101,7 +108,7 @@ class RunConfig:
         check_integer("split_seed", self.split_seed, 0)
         for seed in self.seeds:
             check_integer("seeds", seed, 0)
-        check_sampling(self.neg_strategy, self.per_positive, self.neg_exponent)
+        check_sampling(**self.sampling)
         for model in self.models:
             self.train_config(model)  # TrainConfig names any bad field
 
@@ -111,6 +118,12 @@ class RunConfig:
             return self.name
         stem = os.path.basename(self.dataset_path)
         return stem.rsplit(".", 1)[0] if "." in stem else stem
+
+    @property
+    def sampling(self) -> dict:
+        """The sampling settings under sample_negatives' names."""
+        return {"per_positive": self.per_positive,
+                "strategy": self.neg_strategy, "exponent": self.neg_exponent}
 
     def train_config(self, model: str) -> TrainConfig:
         return TrainConfig(model=model, eval_k=self.k, **{
@@ -248,9 +261,7 @@ def run_experiment(config: RunConfig) -> Report:
         try:
             if config.grid:
                 grid_negatives = sample_negatives(
-                    train_graph, per_positive=config.per_positive,
-                    strategy=config.neg_strategy, exponent=config.neg_exponent,
-                    seed=config.split_seed)
+                    train_graph, seed=config.split_seed, **config.sampling)
                 grid = grid_search(train_graph, grid_negatives, splits, base)
                 base = grid.best
                 info["grid"] = {
@@ -261,9 +272,7 @@ def run_experiment(config: RunConfig) -> Report:
                                 "val_recall": p.metric, "diverged": p.diverged}
                                for p in grid.points]}
             outcomes = repeat_train(train_graph, splits, base, config.seeds,
-                                    neg_strategy=config.neg_strategy,
-                                    neg_exponent=config.neg_exponent,
-                                    per_positive=config.per_positive)
+                                    **config.sampling)
         except Exception as err:
             raise ExperimentError(f"train[{model}]", err) from err
 

@@ -31,7 +31,7 @@ import scipy.sparse as sp
 
 from linkprop.graphs import (MAX_PROXIMITY_ORDER, SCHEMES, Graph,
                              ProximityOperator, SupportPattern)
-from linkprop.losses import (MODELS, check_finite, mask_set, model_table,
+from linkprop.losses import (MODELS, ModelParams, check_finite, mask_set,
                              sigmoid)
 from linkprop.negatives import NegativeSet
 
@@ -59,7 +59,7 @@ class KernelConfig:
     b2: int
     pos_norm: str
     neg_norm: str
-    lam: float = 1.0
+    lam: float
 
     def __post_init__(self):
         if self.model not in MODELS:
@@ -82,16 +82,14 @@ class KernelConfig:
             raise ValueError("lambda must be nonnegative")
 
 
-def model_config(model: str, alpha: float, beta: float = 0.0,
-                 lam: float = 1.0, window: int = 5, layers: int = 3) -> KernelConfig:
-    """Kernel constants of a built-in model: c1 = 1 - alpha*beta and
-    c2 = alpha for all of them, the rest its row of losses.model_table."""
-    if alpha < 0:
-        raise ValueError("step size must be nonnegative")
-    if model not in MODELS:
-        raise ValueError(f"unknown model {model!r}")
-    return KernelConfig(model, 1.0 - alpha * beta, alpha,
-                        *model_table(window, layers)[model], lam)
+def model_config(params: ModelParams, alpha: float) -> KernelConfig:
+    """Kernel constants of a built-in model at step size alpha: c1 = 1 -
+    alpha*beta and c2 = alpha for all of them, the rest its row of
+    losses.model_table and its lambda, all read from `params`."""
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"alpha must be finite and nonnegative, got {alpha}")
+    return KernelConfig(params.model, 1.0 - alpha * params.beta, alpha,
+                        *params.constants, params.lam)
 
 
 @dataclass(frozen=True, eq=False)

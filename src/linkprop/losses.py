@@ -47,9 +47,9 @@ MaskConstants = namedtuple("MaskConstants",
                            "c3 a1 b1 a2 b2 pos_norm neg_norm")
 
 
-def model_table(window: int = 5, layers: int = 3) -> dict[str, MaskConstants]:
+def model_table(window: int, layers: int) -> dict[str, MaskConstants]:
     """Each model's MaskConstants: the one place where a model name selects
-    masks and P."""
+    masks and P (ModelParams owns the window and layers defaults)."""
     return {
         "mf": MaskConstants(0.0, 0, 0, 0, 0, "none", "none"),
         "line": MaskConstants(1.0, 0, 0, 1, 1, "row", "none"),
@@ -58,7 +58,7 @@ def model_table(window: int = 5, layers: int = 3) -> dict[str, MaskConstants]:
     }
 
 
-MODELS = tuple(model_table())
+MODELS = tuple(model_table(window=1, layers=0))  # the keys ignore the orders
 
 
 class DivergenceError(RuntimeError):
@@ -177,7 +177,7 @@ def support_loss(X: np.ndarray, s: np.ndarray, pattern: SupportPattern,
 
 
 def bce_loss(X: np.ndarray, pos: sp.csr_array, neg: sp.csr_array,
-             lam: float = 1.0, beta: float = 0.0) -> float:
+             lam: float, beta: float) -> float:
     """Weighted pairwise logistic loss of the Gram scores of X.
 
     Only the nonzero entries of the weight matrices are touched.
@@ -240,6 +240,7 @@ def gd_step(X: np.ndarray, gradient: np.ndarray, alpha: float,
 
     Raises DivergenceError if the update produces non-finite entries.
     """
-    if alpha < 0:
-        raise ValueError("step size must be nonnegative")
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"step size alpha must be finite and nonnegative, "
+                         f"got {alpha}")
     return check_finite(X - alpha * gradient, "gradient step", step)

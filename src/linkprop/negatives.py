@@ -54,7 +54,7 @@ class NegativeSet:
         return self.pairs.shape[0]
 
 
-def degree_power_weights(degrees: np.ndarray, exponent: float = 0.75) -> np.ndarray:
+def degree_power_weights(degrees: np.ndarray, exponent: float) -> np.ndarray:
     """Unnormalized sampling weights deg**exponent, zero degrees stay zero."""
     weights = np.zeros(degrees.shape[0])
     nz = degrees > 0
@@ -88,6 +88,7 @@ def sample_negatives(graph: Graph, per_positive: int = 1,
     size.  Pairs are tracked as keys lo * n + hi, which sort like the pairs.
     """
     check_sampling(strategy, per_positive, exponent)
+    check_integer("seed", seed, 0)
     if max_tries < 1:
         raise ValueError(f"max_tries must be >= 1, got {max_tries}")
     rng = np.random.default_rng(seed)

@@ -41,13 +41,12 @@ only the other users take the block product.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from linkprop.graphs import Graph, Partition
+from linkprop.graphs import Graph, Partition, check_integer
 
 # bytes of scores `evaluate` holds at once; sets how many users share a block
 _BLOCK_BYTES = 4 << 20
@@ -152,29 +151,18 @@ class EvalResult:
 
 
 def evaluate(X: np.ndarray, splits: SplitSet, train_graph: Graph,
-             k: int = 20, split: str = "test") -> EvalResult:
-    """Rank candidates for every user with held-out edges, average metrics.
+             k: int, split: str = "test") -> EvalResult:
+    """Rank candidates for every user with held-out edges, average metrics
+    at cutoff k (required: a run's cutoff is TrainConfig's `eval_k`).
 
     `split` picks the held-out edge set ("test" or "val"); candidates are
-    always the items unseen in training.  Every result bit equals what
-    `top_k` and `metrics_at_k` give user by user (`reference.evaluate_scalar`
-    spells the same definition out item by item): the metrics need only
-    each held-out item's rank, which `_ranks` counts from a block product
-    where a rounding margin proves the count, and the per-user GEMV
-    recounts the rest.  This builds a `Ranker` for the split and calls it
-    once, so there is one code path; a caller that ranks one split again
-    and again (training's per-epoch validation) builds the `Ranker` once.
-    The plan's state is what this computed per call before, from the same
-    inputs by the same operations, so it changes no bit.  On rows narrower
-    than `2 * _GROUPS * cut` an item that beats the row's (cut+1)-th best
-    score by more than its margin m > 0, with no other of the `cut` best
-    within m, is ranked over those `cut` scores alone: the scores outside
-    them lie below it by more than any pair's margin and count neither as
-    above nor as within, so the rank is that of the count over the whole
-    row, and proven (see `_ranks`).  Where `Ranker` engages its probe, a
-    user whose held-out items the probe proves misses is not ranked at
-    all: no hit gives its zero metrics, as the count would.  X must have a
-    real floating-point dtype.
+    always the items unseen in training.  This is one call of a fresh
+    `Ranker(splits, train_graph, k, split)`, whose docstring gives the
+    method; a caller that ranks one split again and again builds the
+    `Ranker` once.  Every result bit equals what `top_k` and
+    `metrics_at_k` give user by user (`reference.evaluate_scalar` spells
+    the same definition out item by item).  X must have a real
+    floating-point dtype.
     """
     return Ranker(splits, train_graph, k, split)(X)
 
@@ -229,10 +217,7 @@ class Ranker:
                  split: str):
         if split not in ("test", "val"):
             raise ValueError("split must be 'test' or 'val'")
-        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-            raise ValueError(f"k must be an integer, got {k!r}")
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        check_integer("k", k, 1)
         part = train_graph.partition
         if part is None:
             raise ValueError("scoring needs a bipartite partition")
@@ -716,6 +701,8 @@ def _count_ranks(S, rows, cols, t, own, bound, cut, near, rank, sure):
 def mean_result(results) -> EvalResult:
     """Average EvalResults across repetition seeds (same k required)."""
     results = list(results)
+    if not results:
+        raise ValueError("no results to average")
     ks = {r.k for r in results}
     if len(ks) != 1:
         raise ValueError("cannot average results at different cutoffs")

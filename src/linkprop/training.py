@@ -127,8 +127,8 @@ class TrainResult:
     config: TrainConfig
 
 
-def init_embeddings(num_nodes: int, dim: int, scale: float = 0.01,
-                    seed: int = 0) -> np.ndarray:
+def init_embeddings(num_nodes: int, dim: int, scale: float,
+                    seed: int) -> np.ndarray:
     """Gaussian init, sd = scale.  Exactly zero would be a stationary point."""
     if not (math.isfinite(scale) and scale > 0):
         raise ValueError(f"init_scale must be positive and finite, got {scale}")
@@ -157,10 +157,8 @@ def train(graph: Graph, negatives: NegativeSet, config: TrainConfig,
     if graph.num_edges == 0:
         raise ValueError("graph has no edges: there is nothing to train on")
     params = config.params
-    kcfg = model_config(config.model, alpha=config.alpha, beta=config.beta,
-                        lam=config.lam, window=config.window,
-                        layers=config.layers)
-    op = KernelOperator.build(kcfg, graph, negatives)
+    op = KernelOperator.build(model_config(params, config.alpha), graph,
+                              negatives)
 
     X = init_embeddings(graph.num_nodes, config.dim, config.init_scale,
                         config.seed)
@@ -277,7 +275,8 @@ def grid_search(graph: Graph, negatives: NegativeSet, splits: SplitSet,
     if splits.val.shape[0] == 0:
         raise ValueError("grid search needs validation edges")
     # the layer grid covers the models whose table row reads `layers`
-    rows = model_table(layers=0)[base.model], model_table(layers=1)[base.model]
+    rows = (model_table(base.window, 0)[base.model],
+            model_table(base.window, 1)[base.model])
     layer_values = tuple(layer_grid) if rows[0] != rows[1] else (base.layers,)
     # ranks the points that never validated (eval_every > max_epochs)
     rank_val = Ranker(splits, graph, base.eval_k, "val")
@@ -319,16 +318,14 @@ class RepeatOutcome:
 
 
 def repeat_train(graph: Graph, splits: SplitSet, config: TrainConfig, seeds,
-                 neg_strategy: str = "uniform", neg_exponent: float = 0.75,
-                 per_positive: int = 1) -> list[RepeatOutcome]:
+                 **sampling) -> list[RepeatOutcome]:
     """Train once per seed (fresh init and fresh negatives) and score on test,
-    every seed through one test-split `Ranker`."""
+    every seed through one test-split `Ranker`.  `sampling` goes to
+    `sample_negatives` under its own names, which owns their defaults."""
     rank_test = Ranker(splits, graph, config.eval_k, "test")
     outcomes = []
     for seed in seeds:
-        negatives = sample_negatives(graph, per_positive=per_positive,
-                                     strategy=neg_strategy,
-                                     exponent=neg_exponent, seed=seed)
+        negatives = sample_negatives(graph, seed=seed, **sampling)
         cfg = replace(config, seed=seed)
         result = train(graph, negatives, cfg, splits=splits)
         scored = scoring_propagation(graph, cfg.params).apply(result.embeddings)

@@ -75,10 +75,10 @@ def test_criterion_1_kernel_gd_trajectories_coincide(check):
         for model, extra in EQUIV_VARIANTS:
             params = ModelParams(model=model, lam=1.0, beta=beta, **extra)
             masks = oracle_masks(graph, negatives, params)
-            config = model_config(model, alpha=alpha, beta=beta, lam=1.0,
-                                  **extra)
-            op = KernelOperator.build(config, graph, negatives)
-            Xg = init_embeddings(graph.num_nodes, dim, seed=seed)
+            op = KernelOperator.build(model_config(params, alpha), graph,
+                                      negatives)
+            Xg = init_embeddings(graph.num_nodes, dim, TrainConfig.init_scale,
+                                 seed)
             Xk = Xg.copy()
             for step in range(1, 51):
                 grad = loss_gradient(Xg, graph, negatives, params, masks)
@@ -142,7 +142,7 @@ def test_criterion_4_score_and_kernel_structure(check):
     worst_complement = 0.0
     for seed in range(50):
         graph, negatives = random_graph_instance(seed=seed + 200)
-        config = model_config(models[seed % 4], alpha=0.01)
+        config = model_config(ModelParams(models[seed % 4]), alpha=0.01)
         op = KernelOperator.build(config, graph, negatives)
         rng = np.random.default_rng(seed)
         Y = op.prop.apply(rng.normal(size=(graph.num_nodes, 4)))
@@ -152,7 +152,7 @@ def test_criterion_4_score_and_kernel_structure(check):
     signs_passed = 0
     for seed in range(50):
         graph, negatives = random_graph_instance(seed=seed + 300)
-        config = model_config("mf", alpha=0.05, beta=0.01)
+        config = model_config(ModelParams("mf", beta=0.01), alpha=0.05)
         op = KernelOperator.build(config, graph, negatives)
         rng = np.random.default_rng(seed)
         scores = score_matrices(rng.normal(size=(graph.num_nodes, 4)), op)
@@ -165,7 +165,7 @@ def test_criterion_4_score_and_kernel_structure(check):
     graph = build_graph(clique(range(4)) + clique(range(4, 8)), num_nodes=8)
     negatives = negatives_from_pairs([(0, 4), (1, 5), (2, 6), (3, 7)], 8)
     X = np.array([[30.0]] * 4 + [[-30.0]] * 4)
-    config = model_config("mf", alpha=0.1, beta=0.0)
+    config = model_config(ModelParams("mf"), alpha=0.1)
     op = KernelOperator.build(config, graph, negatives)
     fixed = np.array_equal(kernel_step(X, op), X)
 
@@ -188,7 +188,8 @@ def test_criterion_5_positive_kernel_decay_and_contractions(check):
     mf_mean = mf.history.records[19].mean_k_plus
     lgc_mean = lgc.history.records[19].mean_k_plus
 
-    prev = frobenius(init_embeddings(graph.num_nodes, 32, seed=0))
+    prev = frobenius(init_embeddings(graph.num_nodes, 32,
+                                     TrainConfig.init_scale, 0))
     contracted = 0
     for record in lgc.history.records:
         trace = SubstepTrace(input_norm=prev, norms=record.substeps)

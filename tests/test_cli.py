@@ -11,13 +11,17 @@ from hypothesis import given, settings, strategies as st
 import linkprop
 from linkprop import THREAD_VARS, _apply_thread_env, cli
 from linkprop.cli import main
-from linkprop.data_io import dataset_from_graph, load_edge_list, split_dataset
+from linkprop.data_io import (FORMATS, dataset_from_graph, load_edge_list,
+                              split_dataset)
 from linkprop.experiment import (CONFIG_DEFAULTS, ExperimentError, RunConfig,
                                  run_experiment)
-from linkprop.losses import MODELS
-from linkprop.negatives import STRATEGIES
+from linkprop.kernel import KernelConfig, model_config
+from linkprop.losses import MODELS, ModelParams, bce_loss, model_table
+from linkprop.negatives import STRATEGIES, degree_power_weights, sample_negatives
+from linkprop.ranking import evaluate
 from linkprop.synthetic import block_bipartite
-from linkprop.training import PATHS, TrainConfig
+from linkprop.training import (PATHS, TrainConfig, init_embeddings,
+                               repeat_train)
 
 from conftest import DATA_DIR
 
@@ -195,6 +199,35 @@ class TestExitCodes:
         code = main(["split", "--input", str(raw), "--outdir",
                      str(tmp_path / "s"), "--ratios", "0.5", "0.4", "0.3"])
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["split", "train"])
+    def test_negative_seed_names_the_seed(self, raw_dataset, tmp_path, capsys,
+                                          command):
+        raw, _ = raw_dataset
+        assert main(["split", "--input", str(raw), "--outdir",
+                     str(tmp_path / "s")]) == 0
+        capsys.readouterr()
+        args = (["--input", str(raw), "--outdir", str(tmp_path / "s2")]
+                if command == "split" else
+                ["--splits", str(tmp_path / "s"), "--model", "mf",
+                 "--outdir", str(tmp_path / "t")])
+        assert main([command, *args, "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == \
+            "error: seed must be >= 0, got -1\n"
+
+    @pytest.mark.parametrize("command", ["split", "train"])
+    @pytest.mark.parametrize("seed", ["True", "1.5"])
+    def test_non_integer_seed_is_a_usage_error(self, raw_dataset, tmp_path,
+                                               capsys, command, seed):
+        raw, _ = raw_dataset
+        args = (["--input", str(raw), "--outdir", str(tmp_path / "s")]
+                if command == "split" else
+                ["--splits", str(tmp_path / "s"), "--model", "mf"])
+        with pytest.raises(SystemExit) as exc:
+            main([command, *args, "--seed", seed])
+        assert exc.value.code == 2
+        assert f"argument --seed: invalid int value: '{seed}'" in \
+            capsys.readouterr().err
 
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as exc:
@@ -458,8 +491,7 @@ words = st.text("abcxyz0189_./-", min_size=1, max_size=12)
 ratios = st.floats(0, 1).flatmap(lambda a: st.floats(0, 1 - a).map(
     lambda b: (a, b, 1 - a - b)))
 run_configs = st.builds(
-    RunConfig, dataset_path=words, dataset_format=st.sampled_from(
-        ["auto", "pairs", "adjlist"]),
+    RunConfig, dataset_path=words, dataset_format=st.sampled_from(FORMATS),
     name=st.just("") | words, ratios=ratios, split_seed=st.integers(0, 2**63 - 1),
     neg_strategy=st.sampled_from(STRATEGIES),
     neg_exponent=st.floats(-4, 4), per_positive=st.integers(1, 4),
@@ -475,9 +507,88 @@ run_configs = st.builds(
     outdir=words)
 
 
+def defaults(function) -> dict:
+    """Each parameter of `function` that has a default, with it."""
+    return {name: p.default for name, p in
+            inspect.signature(function).parameters.items()
+            if p.default is not inspect.Parameter.empty}
+
+
 class TestSingleSource:
     """Each training default is TrainConfig's (the model's own ModelParams'),
-    wherever a run reads it: the INI defaults and the command line."""
+    each data, split and sampling default that of the function it goes to,
+    wherever a run reads it: the engine's signatures, the INI defaults and
+    the command line."""
+
+    @pytest.mark.parametrize("function,required", [
+        (model_config, ("params", "alpha")), (KernelConfig, ("lam",)),
+        (model_table, ("window", "layers")), (bce_loss, ("lam", "beta")),
+        (init_embeddings, ("scale", "seed")), (evaluate, ("k",)),
+        (degree_power_weights, ("exponent",))])
+    def test_engine_signatures_restate_no_owned_default(self, function,
+                                                        required):
+        parameters = inspect.signature(function).parameters
+        assert set(required) <= set(parameters)
+        assert not set(required) & set(defaults(function))
+
+    def test_model_config_takes_the_params_and_the_step_size(self):
+        assert list(inspect.signature(model_config).parameters) == [
+            "params", "alpha"]
+
+    def test_repeat_train_forwards_sampling_under_its_owners_names(
+            self, monkeypatch):
+        parameters = inspect.signature(repeat_train).parameters
+        assert list(parameters) == ["graph", "splits", "config", "seeds",
+                                    "sampling"]
+        assert parameters["sampling"].kind is inspect.Parameter.VAR_KEYWORD
+        seen = []
+
+        def sample_spy(graph, **kwargs):
+            seen.append(kwargs)
+            raise ValueError("stopped before training")
+
+        monkeypatch.setattr(linkprop.training, "sample_negatives", sample_spy)
+        graph = block_bipartite(12, 10, 2, mean_degree=6, seed=0)
+        splits = split_dataset(graph, (0.6, 0.2, 0.2))
+        for sampling in ({}, {"strategy": "degree_power", "exponent": 0.5,
+                              "per_positive": 2}):
+            with pytest.raises(ValueError, match="stopped before training"):
+                repeat_train(graph, splits, TrainConfig("mf"), (3,),
+                             **sampling)
+            assert seen.pop() == {"seed": 3, **sampling}
+
+    def test_data_split_and_sampling_defaults_are_their_owners(self):
+        sampling = defaults(sample_negatives)
+        assert CONFIG_DEFAULTS["data"]["format"] == \
+            defaults(load_edge_list)["fmt"]
+        assert CONFIG_DEFAULTS["split"] == {
+            "ratios": " ".join(map(str, defaults(split_dataset)["ratios"])),
+            "seed": str(defaults(split_dataset)["seed"])}
+        assert CONFIG_DEFAULTS["sampling"] == {
+            key: str(sampling[key])
+            for key in ("strategy", "exponent", "per_positive")}
+        config = RunConfig(dataset_path="")
+        assert config.sampling == {key: sampling[key] for key in
+                                   ("strategy", "exponent", "per_positive")}
+        assert (config.dataset_format, config.ratios, config.split_seed) == (
+            defaults(load_edge_list)["fmt"], defaults(split_dataset)["ratios"],
+            defaults(split_dataset)["seed"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(model=st.sampled_from(MODELS), window=st.integers(1, 16),
+           layers=st.integers(0, 16), lam=st.floats(0, 1e3),
+           beta=st.floats(0, 1e3), alpha=st.floats(0, 1e3))
+    def test_model_config_carries_every_params_field(self, model, window,
+                                                     layers, lam, beta, alpha):
+        params = ModelParams(model, window=window, layers=layers, lam=lam,
+                             beta=beta)
+        config = model_config(params, alpha)
+        assert config.model == model
+        assert config.lam == lam
+        assert (config.c3, config.a1, config.b1, config.a2, config.b2,
+                config.pos_norm, config.neg_norm) == params.constants
+        assert config.c1 == 1 - alpha * beta
+        assert config.c2 == alpha
 
     def test_config_defaults_unchanged(self):
         assert CONFIG_DEFAULTS == {
@@ -598,6 +709,21 @@ class TestSingleSource:
         assert seen == [defaults.params]
         row = csv_path.read_text(encoding="utf-8").splitlines()[1].split(",")
         assert row[2:4] == [str(defaults.seed), str(defaults.eval_k)]
+
+    @pytest.mark.parametrize("command", ["ingest", "split"])
+    def test_omitted_format_flag_is_the_library_default(
+            self, raw_dataset, tmp_path, monkeypatch, command):
+        raw, _ = raw_dataset
+        seen = []
+        load = cli.load_edge_list
+        monkeypatch.setattr(cli, "load_edge_list", lambda path, **kwargs:
+                            seen.append(kwargs) or load(path, **kwargs))
+        out = ["--output", str(tmp_path / "c.tsv")] if command == "ingest" \
+            else ["--outdir", str(tmp_path / "sp")]
+        for flag, expected in (([], {}), (["--format", "pairs"],
+                                          {"fmt": "pairs"})):
+            assert main([command, "--input", str(raw), *out, *flag]) == 0
+            assert seen.pop() == expected
 
     def test_omitted_split_flags_are_library_defaults(self, raw_dataset,
                                                       tmp_path):

@@ -392,6 +392,15 @@ class TestSplitDataset:
         with pytest.raises(ValueError, match="partition"):
             split_dataset(graph)
 
+    @pytest.mark.parametrize("seed,message", [
+        (-1, "seed must be >= 0, got -1"),
+        (True, "seed must be an integer, got True"),
+        (1.5, "seed must be an integer, got 1.5")])
+    def test_bad_seed_names_the_seed(self, seed, message):
+        graph = random_bipartite(4, 4, 8, seed=0)
+        with pytest.raises(ValueError, match=message):
+            split_dataset(graph, seed=seed)
+
     def test_all_train(self):
         graph = random_bipartite(6, 5, 15, seed=1)
         splits = split_dataset(graph, ratios=(1.0, 0.0, 0.0))
@@ -490,6 +499,12 @@ class TestSaveLoadSplits:
         assert back_splits.ratios == splits.ratios
         assert back_splits.seed == splits.seed
         assert back_splits.flagged == splits.flagged
+
+    def test_numpy_integer_seed_round_trips(self, tmp_path):
+        graph = block_bipartite(10, 8, 2, mean_degree=4, seed=0)
+        splits = split_dataset(graph, seed=np.int64(3))
+        save_splits(dataset_from_graph(graph), splits, tmp_path)
+        assert load_splits(tmp_path)[1].seed == 3
 
     def test_unknown_id_rejected(self, tmp_path):
         graph = random_bipartite(4, 4, 8, seed=1)

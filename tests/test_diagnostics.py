@@ -9,12 +9,14 @@ from linkprop.diagnostics import (CSV_FIELDS, emit_trajectories, frobenius,
                                   mean_positive_kernel, substep_contractions)
 from linkprop.kernel import (KernelOperator, SubstepTrace, link_kernels,
                              model_config, score_matrices)
+from linkprop.losses import ModelParams
 
 
 class TestMeanPositiveKernel:
     def test_zero_embedding_means_half(self, small_instance):
         graph, neg = small_instance
-        op = KernelOperator.build(model_config("mf", alpha=0.1), graph, neg)
+        op = KernelOperator.build(model_config(ModelParams("mf"), alpha=0.1),
+                                  graph, neg)
         scores = score_matrices(np.zeros((graph.num_nodes, 3)), op)
         kernels = link_kernels(scores, op)
         assert mean_positive_kernel(kernels.k_plus) == pytest.approx(0.5)
@@ -30,7 +32,8 @@ class TestMeanPositiveKernel:
         # stay in the support and drag the mean to exactly zero rather than
         # leaving it undefined
         graph, neg = small_instance
-        op = KernelOperator.build(model_config("mf", alpha=0.1), graph, neg)
+        op = KernelOperator.build(model_config(ModelParams("mf"), alpha=0.1),
+                                  graph, neg)
         flat = np.full((graph.num_nodes, 1), 30.0)
         kernels = link_kernels(score_matrices(flat, op), op)
         assert kernels.k_plus.data.shape[0] == 2 * graph.num_edges
@@ -62,7 +65,7 @@ class TestSubstepContractions:
 
     def test_symmetric_scheme_contracts_in_practice(self, small_instance):
         graph, neg = small_instance
-        cfg = model_config("lightgcn", alpha=0.05, layers=3)
+        cfg = model_config(ModelParams("lightgcn", layers=3), alpha=0.05)
         op = KernelOperator.build(cfg, graph, neg)
         rng = np.random.default_rng(1)
         for _ in range(5):

@@ -22,43 +22,44 @@ MODEL_GRID = [
 ]
 
 
-def operator_for(model, graph, negatives, alpha=0.05, beta=0.0, **kwargs):
-    config = model_config(model, alpha=alpha, beta=beta, **kwargs)
+def operator_for(model, graph, negatives, alpha=0.05, **kwargs):
+    config = model_config(ModelParams(model, **kwargs), alpha)
     return config, KernelOperator.build(config, graph, negatives)
 
 
 class TestModelConfig:
     def test_mf_constants(self):
-        cfg = model_config("mf", alpha=0.1, beta=0.01)
+        cfg = model_config(ModelParams("mf", beta=0.01), alpha=0.1)
         assert cfg.c1 == pytest.approx(0.999, abs=1e-15)
         assert cfg.c2 == 0.1
         assert (cfg.c3, cfg.a1, cfg.b1, cfg.a2, cfg.b2) == (0.0, 0, 0, 0, 0)
         assert (cfg.pos_norm, cfg.neg_norm) == ("none", "none")
 
     def test_line_constants(self):
-        cfg = model_config("line", alpha=0.05)
+        cfg = model_config(ModelParams("line"), alpha=0.05)
         assert (cfg.c3, cfg.a2, cfg.b2) == (1.0, 1, 1)
         assert (cfg.pos_norm, cfg.neg_norm) == ("row", "none")
         assert (cfg.a1, cfg.b1) == (0, 0)
 
     def test_deepwalk_window_sets_orders(self):
-        cfg = model_config("deepwalk", alpha=0.05, window=4)
+        cfg = model_config(ModelParams("deepwalk", window=4), alpha=0.05)
         assert (cfg.c3, cfg.a2, cfg.b2) == (1.0, 1, 4)
         assert (cfg.pos_norm, cfg.neg_norm) == ("row", "row")
 
     def test_lightgcn_layers_set_outer_orders(self):
-        cfg = model_config("lightgcn", alpha=0.05, layers=2)
+        cfg = model_config(ModelParams("lightgcn", layers=2), alpha=0.05)
         assert (cfg.c3, cfg.a1, cfg.b1) == (0.0, 0, 2)
         assert (cfg.pos_norm, cfg.neg_norm) == ("symmetric", "none")
         assert (cfg.a2, cfg.b2) == (0, 0)
 
     def test_negative_alpha_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            model_config("mf", alpha=-0.1)
+        with pytest.raises(ValueError, match="alpha must be finite and "
+                                             "nonnegative, got -0.1"):
+            model_config(ModelParams("mf"), alpha=-0.1)
 
     def test_unknown_model(self):
         with pytest.raises(ValueError, match="unknown model"):
-            model_config("gat", alpha=0.1)
+            model_config(ModelParams("gat"), alpha=0.1)
 
 
 class TestOneBuild:
@@ -107,10 +108,10 @@ class TestKernelConfig:
         assert KernelConfig(**{**self.BASE, field: MAX_PROXIMITY_ORDER})
 
     def test_model_config_rejects_at_construction(self):
-        with pytest.raises(ValueError, match="c1 must be finite"):
-            model_config("deepwalk", alpha=float("nan"))
-        with pytest.raises(ValueError, match="b1 must be <= "):
-            model_config("lightgcn", alpha=0.1, layers=MAX_PROXIMITY_ORDER + 1)
+        for alpha in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"alpha must be finite and "
+                                                 f"nonnegative, got {alpha}"):
+                model_config(ModelParams("deepwalk"), alpha)
 
     @pytest.mark.parametrize("bad", [
         {"c3": 0.5}, {"a1": 2, "b1": 1}, {"a2": -1}, {"pos_norm": "max"},
@@ -204,7 +205,8 @@ class TestKernelStep:
     def test_zero_c2_scales_by_c1(self, small_instance):
         graph, neg = small_instance
         config = KernelConfig("mf", c1=0.7, c2=0.0, c3=0.0, a1=0, b1=0,
-                              a2=0, b2=0, pos_norm="none", neg_norm="none")
+                              a2=0, b2=0, pos_norm="none", neg_norm="none",
+                              lam=1.0)
         rng = np.random.default_rng(4)
         X = rng.normal(size=(graph.num_nodes, 3))
         op = KernelOperator.build(config, graph, neg)

@@ -164,14 +164,15 @@ class TestBceLoss:
         graph, neg = small_instance
         X = np.zeros((graph.num_nodes + 1, 2))
         with pytest.raises(ValueError, match="match X rows"):
-            bce_loss(X, graph.adjacency, neg.adjacency)
+            bce_loss(X, graph.adjacency, neg.adjacency, lam=1.0, beta=0.0)
 
     def test_beta_term_only(self, small_instance):
         graph, neg = small_instance
         masks = build_masks(graph, neg, ModelParams("mf"))
         X = np.full((graph.num_nodes, 2), 2.0)
-        base = bce_loss(X, masks.pos, masks.neg, beta=0.0)
-        assert bce_loss(X, masks.pos, masks.neg, beta=1.0) == pytest.approx(
+        base = bce_loss(X, masks.pos, masks.neg, lam=1.0, beta=0.0)
+        assert bce_loss(X, masks.pos, masks.neg, lam=1.0,
+                        beta=1.0) == pytest.approx(
             base + 0.5 * np.sum(X * X))
 
 
@@ -239,6 +240,15 @@ class TestGdStep:
         X = np.zeros((2, 2))
         with pytest.raises(ValueError, match="nonnegative"):
             gd_step(X, X, alpha=-0.1)
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_alpha_names_the_step_size(self, alpha):
+        X = np.zeros((2, 2))
+        with pytest.raises(ValueError, match=f"step size alpha must be "
+                                             f"finite and nonnegative, got "
+                                             f"{alpha}"):
+            gd_step(X, X, alpha=alpha)
 
     def test_divergence_carries_step(self):
         X = np.zeros((2, 2))

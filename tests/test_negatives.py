@@ -101,6 +101,15 @@ class TestSampleNegatives:
         with pytest.raises(ValueError, match="per_positive must be an integer"):
             sample_negatives(graph, per_positive=value)
 
+    @pytest.mark.parametrize("seed,message", [
+        (-1, "seed must be >= 0, got -1"),
+        (True, "seed must be an integer, got True"),
+        (1.5, "seed must be an integer, got 1.5")])
+    def test_bad_seed_names_the_seed(self, small_instance, seed, message):
+        graph, _ = small_instance
+        with pytest.raises(ValueError, match=message):
+            sample_negatives(graph, seed=seed)
+
     @pytest.mark.parametrize("exponent", [float("nan"), float("inf"),
                                           float("-inf")])
     def test_non_finite_exponent_rejected(self, bipartite_instance, exponent):
@@ -213,5 +222,5 @@ class TestDegreePowerWeights:
         # drop the only edge's weight contribution by pointing at a graph
         # whose item side is all zero-degree: impossible here, so check the
         # guard directly instead
-        w = degree_power_weights(np.zeros(3, dtype=int))
+        w = degree_power_weights(np.zeros(3, dtype=int), 0.75)
         assert w.sum() == 0.0

@@ -160,21 +160,21 @@ class TestEvaluate:
         splits = make_splits(part, [(0, 2)], test=[(1, 3)])
         graph = build_graph([(0, 2)], partition=part)
         with pytest.raises(ValueError, match="split"):
-            evaluate(np.ones((4, 2)), splits, graph, split="train")
+            evaluate(np.ones((4, 2)), splits, graph, k=20, split="train")
 
     def test_no_evaluable_users(self):
         part = Partition(2, 2)
         splits = make_splits(part, [(0, 2), (1, 3)])
         graph = build_graph([(0, 2), (1, 3)], partition=part)
         with pytest.raises(ValueError, match="no users"):
-            evaluate(np.ones((4, 2)), splits, graph)
+            evaluate(np.ones((4, 2)), splits, graph, k=20)
 
     def test_needs_partition(self):
         part = Partition(2, 2)
         splits = make_splits(part, [(0, 2)], test=[(1, 3)])
         graph = build_graph([(0, 2)], num_nodes=4)
         with pytest.raises(ValueError, match="partition"):
-            evaluate(np.ones((4, 2)), splits, graph)
+            evaluate(np.ones((4, 2)), splits, graph, k=20)
 
 
 class TestEvaluateInputs:
@@ -189,17 +189,17 @@ class TestEvaluateInputs:
         # extra rows would otherwise be ranked as items
         splits, graph = case
         with pytest.raises(ValueError, match="X must .* one row per node"):
-            evaluate(np.ones((7, 2)), splits, graph)
+            evaluate(np.ones((7, 2)), splits, graph, k=20)
 
     def test_rejects_missing_rows(self, case):
         splits, graph = case
         with pytest.raises(ValueError, match="X must .* one row per node"):
-            evaluate(np.ones((4, 2)), splits, graph)
+            evaluate(np.ones((4, 2)), splits, graph, k=20)
 
     def test_rejects_one_dimensional_x(self, case):
         splits, graph = case
         with pytest.raises(ValueError, match="X must be a 2-d array"):
-            evaluate(np.ones(5), splits, graph)
+            evaluate(np.ones(5), splits, graph, k=20)
 
     @pytest.mark.parametrize("k", [0, -3])
     def test_rejects_cutoff_below_one(self, case, k):
@@ -229,7 +229,7 @@ class TestEvaluateInputs:
         message = (f"X must have a real floating-point dtype, got "
                    f"{np.dtype(dtype)}")
         with pytest.raises(ValueError, match=message):
-            evaluate(X, splits, graph)
+            evaluate(X, splits, graph, k=20)
         with pytest.raises(ValueError, match=message):
             score_user(X, 0, graph)
 
@@ -1190,7 +1190,7 @@ class TestRanker:
         message = re.escape(f"train_graph has {graph_part}, but the split "
                             f"has {split_part}")
         with pytest.raises(ValueError, match=message):
-            evaluate(np.ones((70, 2)), splits, graph)
+            evaluate(np.ones((70, 2)), splits, graph, k=20)
         with pytest.raises(ValueError, match=message):
             Ranker(splits, graph, 20, "val")
 
@@ -1240,3 +1240,7 @@ class TestMeanResult:
                        users_evaluated=1, users_skipped=0)
         with pytest.raises(ValueError, match="cutoffs"):
             mean_result([a, b])
+
+    def test_rejects_no_results(self):
+        with pytest.raises(ValueError, match="no results to average"):
+            mean_result([])

@@ -86,9 +86,8 @@ def check_against_oracles(graph, negatives, model, kwargs, Y):
     lam, beta = 1.3, 0.02
     params = ModelParams(model=model, lam=lam, beta=beta, **kwargs)
     masks = build_masks(graph, negatives, params)
-    op = KernelOperator.build(model_config(model, alpha=0.05, beta=beta,
-                                           lam=lam, **kwargs),
-                              graph, negatives)
+    op = KernelOperator.build(model_config(params, alpha=0.05), graph,
+                              negatives)
     # train() reads the operator's pattern and P where the loss API reads
     # the masks': both come from losses.mask_set, so they agree bit for bit
     # (test_kernel pins that), and the pattern is checked once, against the
@@ -127,7 +126,7 @@ def check_against_oracles(graph, negatives, model, kwargs, Y):
     Yp = masks.prop.apply(X)
     expected = old_bce(Yp, masks.pos, masks.neg, lam) + 0.5 * beta * float(np.sum(X * X))
     assert model_loss(X, graph, negatives, params, masks) == expected
-    assert bce_loss(Yp, masks.pos, masks.neg, lam=lam) == old_bce(
+    assert bce_loss(Yp, masks.pos, masks.neg, lam=lam, beta=0.0) == old_bce(
         Yp, masks.pos, masks.neg, lam)
     M = old_residual(Yp, masks.pos, masks.neg, lam)
     assert np.array_equal(masks.pattern.indptr, M.indptr)

@@ -107,9 +107,9 @@ class TestTrainConfig:
 
 class TestInitEmbeddings:
     def test_deterministic_per_seed(self):
-        a = init_embeddings(20, 8, seed=3)
-        assert np.array_equal(a, init_embeddings(20, 8, seed=3))
-        assert not np.array_equal(a, init_embeddings(20, 8, seed=4))
+        a = init_embeddings(20, 8, 0.01, seed=3)
+        assert np.array_equal(a, init_embeddings(20, 8, 0.01, seed=3))
+        assert not np.array_equal(a, init_embeddings(20, 8, 0.01, seed=4))
 
     def test_moments(self):
         X = init_embeddings(2000, 50, scale=0.02, seed=0)
@@ -118,13 +118,13 @@ class TestInitEmbeddings:
 
     def test_bad_scale(self):
         with pytest.raises(ValueError, match="scale"):
-            init_embeddings(5, 2, scale=0.0)
+            init_embeddings(5, 2, scale=0.0, seed=0)
 
     @pytest.mark.parametrize("scale", [float("nan"), float("inf"),
                                        float("-inf")])
     def test_non_finite_scale(self, scale):
         with pytest.raises(ValueError, match="init_scale"):
-            init_embeddings(5, 2, scale=scale)
+            init_embeddings(5, 2, scale=scale, seed=0)
 
 
 class TestTrainPaths:
