@@ -364,11 +364,22 @@ def load_splits(outdir) -> tuple[Dataset, SplitSet]:
         _check_declared_counts(header, len(users), body)
     with open(os.path.join(outdir, "split.json"), encoding="utf-8") as fh:
         meta = json.load(fh)
+    # checked as split_dataset checks its arguments: a JSON bool or float
+    # is no seed, and a list of numbers that fails check_ratios no ratios
+    ratios, seed = meta["ratios"], meta["seed"]
+    try:
+        if not (isinstance(ratios, list) and all(
+                isinstance(r, (int, float)) and not isinstance(r, bool)
+                for r in ratios)):
+            raise ValueError(f"ratios must be a list of numbers, got {ratios!r}")
+        ratios = check_ratios(ratios)
+        check_integer("seed", seed, 0)
+    except ValueError as err:
+        raise ValueError(f"split.json: {err}") from None
     flagged = tuple(user_id[u] for u in meta["flagged_users"])
     splits = SplitSet(partition=dataset.partition, train=parts["train"],
-                      val=parts["val"], test=parts["test"],
-                      ratios=tuple(meta["ratios"]), seed=int(meta["seed"]),
-                      flagged=flagged)
+                      val=parts["val"], test=parts["test"], ratios=ratios,
+                      seed=seed, flagged=flagged)
     return dataset, splits
 
 

@@ -51,12 +51,28 @@ class Partition:
         return self.num_users + self.num_items
 
 
+def read_only(matrix: sp.csr_array) -> sp.csr_array:
+    """`matrix` itself, its data, indices and indptr marked read-only, so a
+    write into them, or a scipy call that would sort them in place, raises
+    ValueError instead of changing a matrix that others share."""
+    for array in (matrix.data, matrix.indices, matrix.indptr):
+        array.flags.writeable = False
+    return matrix
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable undirected graph with precomputed adjacency and degrees.
 
     Construct through :func:`build_graph`; the constructor itself performs no
-    validation.
+    validation.  `build_graph` marks `edges`, `degrees` and the adjacency's
+    arrays read-only, so the graph cannot change under the memo.
+
+    The memo holds the operators that depend on the graph alone, each built
+    on first request by :meth:`memoized` and shared, read-only, by every
+    later caller: `normalize`'s matrices and the positive masks of
+    `losses.mask_set`.  It lives and dies with the graph object;
+    `dataclasses.replace` starts the new graph with an empty one.
     """
 
     num_nodes: int
@@ -64,10 +80,20 @@ class Graph:
     partition: Partition | None
     adjacency: sp.csr_array = field(repr=False)
     degrees: np.ndarray = field(repr=False)
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     @property
     def num_edges(self) -> int:
         return self.edges.shape[0]
+
+    def memoized(self, key: tuple, build) -> sp.csr_array:
+        """The graph's matrix under `key`: `build()`, made read-only, on the
+        first request, and that same object on every later one."""
+        matrix = self._memo.get(key)
+        if matrix is None:
+            matrix = self._memo[key] = read_only(build())
+        return matrix
 
     def neighbors(self, node: int) -> np.ndarray:
         a = self.adjacency
@@ -163,8 +189,9 @@ def build_graph(edge_list, num_nodes: int | None = None,
                     f"bipartite violation: pair {tuple(bad.tolist())} does not "
                     f"join a user [0, {partition.num_users}) to an item")
 
-    adjacency = _pairs_to_csr(pairs, num_nodes)
+    adjacency = read_only(_pairs_to_csr(pairs, num_nodes))
     degrees = np.asarray(adjacency.sum(axis=1)).ravel().astype(np.int64)
+    pairs.flags.writeable = degrees.flags.writeable = False
     return Graph(num_nodes=num_nodes, edges=pairs, partition=partition,
                  adjacency=adjacency, degrees=degrees)
 
@@ -199,8 +226,15 @@ def symmetrize(mat: sp.csr_array) -> sp.csr_array:
 
 
 def normalize(graph: Graph, scheme: str) -> sp.csr_array:
-    """Normalized adjacency of a graph under the given scheme."""
-    return normalize_matrix(graph.adjacency, scheme)
+    """Normalized adjacency of a graph under the given scheme, built once
+    per graph and scheme and kept in the graph's memo: every call returns
+    the same read-only matrix, the read-only adjacency itself under
+    "none".  The matrix is kept as built; under "row" its rows are not
+    sorted, so copy it before a scipy call that sorts in place."""
+    if scheme == "none":
+        return graph.adjacency
+    return graph.memoized(("normalize", scheme),
+                          lambda: normalize_matrix(graph.adjacency, scheme))
 
 
 @dataclass(frozen=True, eq=False)

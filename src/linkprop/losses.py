@@ -117,12 +117,20 @@ class MaskSet:
 
 def mask_set(graph: Graph, negatives: NegativeSet, k: MaskConstants) -> MaskSet:
     """Masks and P from a row of model_table or a KernelConfig, for
-    build_masks and KernelOperator.build alike: the adjacency is normalized
-    once, and deepwalk's walk mask is materialized here."""
+    build_masks and KernelOperator.build alike.
+
+    What depends on the graph alone is built once per graph, in its memo:
+    the pos_norm adjacency and, where c3 = 1, the symmetrized positive
+    mask, keyed by (pos_norm, a2, b2) (line's, and deepwalk's walk mask
+    per window).  Every mask set on one graph shares those read-only
+    matrices.  The negative mask is built per call from the negatives.
+    """
     base = normalize(graph, k.pos_norm)
     pos, neg = graph.adjacency, negatives.adjacency
     if k.c3 != 0.0:
-        pos = symmetrize(proximity(base, k.a2, k.b2).materialize())
+        pos = graph.memoized(
+            ("positive", k.pos_norm, k.a2, k.b2),
+            lambda: symmetrize(proximity(base, k.a2, k.b2).materialize()))
         neg = symmetrize(normalize_matrix(neg, k.neg_norm))
     return MaskSet(pos=pos, neg=neg, prop=proximity(base, k.a1, k.b1))
 

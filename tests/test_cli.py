@@ -623,7 +623,7 @@ class TestSingleSource:
             assert config.train_config(model) == TrainConfig(model=model)
         assert config.seeds == (defaults.seed,)
 
-    @pytest.mark.parametrize("name", ["bench.ini", "toy.ini"])
+    @pytest.mark.parametrize("name", ["bench.ini", "toy.ini", "walk.ini"])
     def test_mapping_reloads_equal(self, tmp_path, name):
         config = RunConfig.from_ini(f"{CONFIGS}/{name}")
         path = tmp_path / "back.ini"

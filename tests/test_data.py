@@ -1,4 +1,5 @@
 import hashlib
+import json
 import pathlib
 import re
 import tempfile
@@ -505,6 +506,54 @@ class TestSaveLoadSplits:
         splits = split_dataset(graph, seed=np.int64(3))
         save_splits(dataset_from_graph(graph), splits, tmp_path)
         assert load_splits(tmp_path)[1].seed == 3
+
+    @staticmethod
+    def edit_meta(path, **fields):
+        meta = json.loads((path / "split.json").read_text(encoding="utf-8"))
+        meta.update(fields)
+        (path / "split.json").write_text(json.dumps(meta), encoding="utf-8")
+
+    @pytest.mark.parametrize("seed, message", [
+        (True, "seed must be an integer, got True"),
+        (2.7, "seed must be an integer, got 2.7"),
+        (3.0, "seed must be an integer, got 3.0"),
+        ("3", "seed must be an integer, got '3'"),
+        (None, "seed must be an integer, got None"),
+        (-4, "seed must be >= 0, got -4"),
+    ])
+    def test_bad_seed_rejected(self, tmp_path, seed, message):
+        # int() used to load True as 1, 2.7 as 2 and -4 as -4
+        graph = block_bipartite(10, 8, 2, mean_degree=4, seed=0)
+        save_splits(dataset_from_graph(graph), split_dataset(graph), tmp_path)
+        self.edit_meta(tmp_path, seed=seed)
+        with pytest.raises(ValueError,
+                           match=f"^split.json: {re.escape(message)}$"):
+            load_splits(tmp_path)
+
+    @pytest.mark.parametrize("ratios, message", [
+        ([0.5, 0.5, 0.5], "ratios must sum to 1, got 1.5"),
+        ([0.5, 0.5], "ratios must be three finite nonnegative values"),
+        ([1.2, -0.1, -0.1], "ratios must be three finite nonnegative values"),
+        ([True, False, False], "ratios must be a list of numbers"),
+        (["0.8", "0.1", "0.1"], "ratios must be a list of numbers"),
+        (1.0, "ratios must be a list of numbers"),
+    ])
+    def test_bad_ratios_rejected(self, tmp_path, ratios, message):
+        graph = block_bipartite(10, 8, 2, mean_degree=4, seed=0)
+        save_splits(dataset_from_graph(graph), split_dataset(graph), tmp_path)
+        self.edit_meta(tmp_path, ratios=ratios)
+        with pytest.raises(ValueError,
+                           match=f"^split.json: {re.escape(message)}"):
+            load_splits(tmp_path)
+
+    def test_integer_ratios_load_as_floats(self, tmp_path):
+        graph = block_bipartite(6, 5, 2, mean_degree=3, seed=1)
+        save_splits(dataset_from_graph(graph),
+                    split_dataset(graph, ratios=(1.0, 0.0, 0.0)), tmp_path)
+        self.edit_meta(tmp_path, ratios=[1, 0, 0])
+        ratios = load_splits(tmp_path)[1].ratios
+        assert ratios == (1.0, 0.0, 0.0)
+        assert all(type(r) is float for r in ratios)
 
     def test_unknown_id_rejected(self, tmp_path):
         graph = random_bipartite(4, 4, 8, seed=1)

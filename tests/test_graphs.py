@@ -1,13 +1,17 @@
+import dataclasses
+import gc
 import re
+import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
 from linkprop import reference
-from linkprop.graphs import (MAX_PROXIMITY_ORDER, Partition, build_graph,
-                             canonical_pairs, normalize, proximity,
-                             unique_rows)
+from linkprop.graphs import (MAX_PROXIMITY_ORDER, SCHEMES, Partition,
+                             build_graph, canonical_pairs, normalize,
+                             proximity, unique_rows)
 
 from conftest import graph_strategy
 
@@ -70,6 +74,29 @@ class TestBuildGraph:
         expected = f"{message}: pair {bad}"
         with pytest.raises(ValueError, match=re.escape(expected)):
             build_graph(edge_list, num_nodes=4)
+
+    @pytest.mark.parametrize("edges", [[(0, 1), (1, 2), (2, 3)], []])
+    def test_arrays_are_read_only(self, edges):
+        # the graph's memo can only go stale if the graph changes
+        g = build_graph(edges, num_nodes=4)
+        a = g.adjacency
+        for array in (g.edges, g.degrees, a.data, a.indices, a.indptr):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            g.edges.sort(axis=0)
+        if edges:
+            with pytest.raises(ValueError, match="read-only"):
+                a.data *= 2.0
+        assert g.adjacency.toarray().sum() == 2 * len(edges)
+
+    def test_input_edge_array_stays_writeable(self):
+        edges = np.array([[0, 1], [1, 2]], dtype=np.int64)
+        g = build_graph(edges, num_nodes=3)
+        assert not np.shares_memory(g.edges, edges)
+        edges[0, 0] = 2
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
 
     @pytest.mark.parametrize("as_array", [False, True])
     def test_bipartite_message_names_the_first_bad_pair(self, as_array):
@@ -138,10 +165,12 @@ class TestNormalize:
                              [0, 0, r2, 0]])
         assert np.allclose(M, expected)
 
-    def test_none_scheme_is_copy(self, path_graph):
+    def test_none_scheme_is_read_only_adjacency(self, path_graph):
+        # no copy is needed: nothing can write into the adjacency
         M = normalize(path_graph, "none")
-        assert np.array_equal(M.toarray(), path_graph.adjacency.toarray())
-        assert not np.shares_memory(M.data, path_graph.adjacency.data)
+        assert M is path_graph.adjacency
+        with pytest.raises(ValueError, match="read-only"):
+            M.data[0] = 2.0
 
     def test_zero_degree_rows_stay_zero(self):
         g = build_graph([(0, 1)], num_nodes=3)
@@ -154,6 +183,58 @@ class TestNormalize:
     def test_unknown_scheme(self, path_graph):
         with pytest.raises(ValueError, match="unknown normalization"):
             normalize(path_graph, "l2")
+
+    @given(graph_strategy())
+    def test_one_read_only_matrix_per_graph_and_scheme(self, g):
+        fresh = build_graph(g.edges, num_nodes=g.num_nodes)
+        for scheme in SCHEMES:
+            M = normalize(g, scheme)
+            assert normalize(g, scheme) is M
+            for array in (M.data, M.indices, M.indptr):
+                assert not array.flags.writeable
+            # the memo holds the matrix as built, bit for bit and in order
+            F = normalize(fresh, scheme)
+            for mine, theirs in ((M.data, F.data), (M.indices, F.indices),
+                                 (M.indptr, F.indptr)):
+                assert mine.dtype == theirs.dtype
+                assert mine.tobytes() == theirs.tobytes()
+
+    def test_memo_freed_with_graph(self):
+        g = build_graph([(0, 1), (1, 2), (2, 3)], num_nodes=4)
+        matrices = [weakref.ref(normalize(g, scheme)) for scheme in SCHEMES]
+        graph = weakref.ref(g)
+        del g
+        gc.collect()
+        assert graph() is None
+        assert all(m() is None for m in matrices)
+
+    def test_replace_starts_with_an_empty_memo(self, path_graph):
+        row = normalize(path_graph, "row")
+        other = dataclasses.replace(path_graph)
+        assert other.adjacency is path_graph.adjacency
+        assert normalize(other, "row") is not row
+        assert normalize(path_graph, "row") is row
+
+    def test_unsorted_matrix_is_never_sorted_in_place(self, path_graph):
+        # scipy's sparse product emits each row of D^-1 A in reverse order;
+        # sorting it would change the walk masks' bits, so the memo keeps a
+        # matrix as built, and a scipy call that sorts in place raises
+        # rather than reorder a matrix that every caller shares
+        built = []
+
+        def build():
+            built.append(1)
+            return sp.csr_array((np.ones(3), np.array([3, 2, 1]),
+                                 np.array([0, 3, 3, 3, 3])), shape=(4, 4))
+
+        M = path_graph.memoized(("unsorted",), build)
+        assert path_graph.memoized(("unsorted",), build) is M
+        assert len(built) == 1
+        for sort in (M.sort_indices, M.sum_duplicates):
+            with pytest.raises(ValueError, match="read-only"):
+                sort()
+        assert M.indices.tolist() == [3, 2, 1]
+        assert M.copy().max() == 1.0
 
     @given(graph_strategy())
     def test_matches_dense_oracle(self, g):

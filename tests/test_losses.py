@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -6,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linkprop import losses, reference
-from linkprop.graphs import MAX_PROXIMITY_ORDER, build_graph
-from linkprop.losses import (DivergenceError, ModelParams, build_masks,
-                             bce_loss, gd_step, loss_gradient, model_loss,
-                             sigmoid)
+from linkprop.graphs import MAX_PROXIMITY_ORDER, build_graph, normalize
+from linkprop.losses import (MODELS, DivergenceError, ModelParams, build_masks,
+                             bce_loss, gd_step, loss_gradient, mask_set,
+                             model_loss, sigmoid)
 from linkprop.synthetic import equivalence_instance
 
 from conftest import graph_with_negatives, negatives_from_pairs, random_graph_instance
@@ -84,6 +86,77 @@ class TestMaskOracle:
         with mock.patch.object(losses, "model_table", mutated):
             with pytest.raises((AssertionError, ValueError)):
                 check_masks_against_oracle(graph, negatives, params)
+
+
+def same_matrix(a, b):
+    """Equal bit for bit, in the same stored order and index dtypes."""
+    return all(same_bits(x, y) for x, y in ((a.data, b.data),
+                                            (a.indices, b.indices),
+                                            (a.indptr, b.indptr)))
+
+
+class TestGraphMemo:
+    """The pos_norm adjacency and the c3 = 1 positive mask are built once
+    per graph and shared; the negative mask is built per call."""
+
+    @settings(max_examples=30)
+    @given(instance=graph_with_negatives(), model=st.sampled_from(MODELS),
+           window=st.integers(1, 5), layers=st.integers(0, 4))
+    def test_shared_and_equal_to_a_fresh_build(self, instance, model, window,
+                                               layers):
+        graph, negatives = instance
+        k = ModelParams(model, window=window, layers=layers).constants
+        first = mask_set(graph, negatives, k)
+        second = mask_set(graph, negatives, k)
+        base = normalize(graph, k.pos_norm)
+        assert normalize(graph, k.pos_norm) is base
+        assert first.prop.matrix is base and second.prop.matrix is base
+        assert second.pos is first.pos
+        if k.c3 != 0.0:
+            assert second.neg is not first.neg
+        fresh_graph = build_graph(graph.edges, num_nodes=graph.num_nodes)
+        fresh = mask_set(fresh_graph, negatives, k)
+        for mine, theirs in ((first.pos, fresh.pos), (first.neg, fresh.neg),
+                             (base, normalize(fresh_graph, k.pos_norm))):
+            assert same_matrix(mine, theirs)
+
+    @settings(max_examples=20)
+    @given(instance=graph_with_negatives(), window=st.integers(1, 5))
+    def test_memo_is_read_only_without_duplicates(self, instance, window):
+        graph, negatives = instance
+        for model in MODELS:
+            mask_set(graph, negatives,
+                     ModelParams(model, window=window).constants)
+        # two normalized adjacencies, and line's and the window's walk
+        # mask; nothing that depends on the negatives
+        assert set(graph._memo) == {
+            ("normalize", "row"), ("normalize", "symmetric"),
+            ("positive", "row", 1, 1), ("positive", "row", 1, window)}
+        for matrix in (graph.adjacency, *graph._memo.values()):
+            for array in (matrix.data, matrix.indices, matrix.indptr):
+                assert not array.flags.writeable
+            canonical = matrix.copy()
+            canonical.sum_duplicates()
+            assert canonical.nnz == matrix.nnz
+            stored = matrix.indices.copy()
+            if np.array_equal(canonical.indices, stored):
+                matrix.sum_duplicates()  # canonical: scipy writes nothing
+            else:
+                with pytest.raises(ValueError, match="read-only"):
+                    matrix.sum_duplicates()
+            assert np.array_equal(matrix.indices, stored)
+
+    def test_memo_freed_with_graph(self):
+        graph, negatives = equivalence_instance(0)
+        masks = mask_set(graph, negatives,
+                         ModelParams("deepwalk", window=3).constants)
+        kept = [weakref.ref(m) for m in graph._memo.values()]
+        assert len(kept) == 2 and masks.pos is kept[1]()
+        owner = weakref.ref(graph)
+        del graph, masks
+        gc.collect()
+        assert owner() is None
+        assert all(m() is None for m in kept)
 
 
 class TestModelLoss:

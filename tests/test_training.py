@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from linkprop.data_io import graph_from_split, split_dataset
+from linkprop.experiment import RunConfig, run_experiment
 from linkprop.graphs import (MAX_PROXIMITY_ORDER, Partition, ProximityOperator,
                              SupportPattern, build_graph)
-from linkprop.kernel import link_kernels
+from linkprop.kernel import KernelOperator, link_kernels, model_config
 from linkprop.losses import (DivergenceError, ModelParams, build_masks, gd_step,
                              loss_gradient)
 from linkprop.negatives import sample_negatives
@@ -21,7 +22,7 @@ from linkprop.training import (ALPHA_GRID, INTEGER_FIELDS, AllPointsDiverged,
                                grid_search, init_embeddings, repeat_train,
                                scoring_embeddings, train)
 
-from conftest import negatives_from_pairs
+from conftest import DATA_DIR, negatives_from_pairs
 
 TINY = 1e-15  # small enough that rankings cannot move between epochs
 
@@ -527,3 +528,63 @@ class TestScoringEmbeddings:
         X = rng.normal(size=(graph.num_nodes, 3))
         expected = masks.prop.apply(X)
         assert np.array_equal(scoring_embeddings(X, masks), expected)
+
+
+class TestSharedOperators:
+    """Every consumer on one graph shares its memoized masks and
+    adjacencies, and gets the bits a fresh graph gives."""
+
+    @pytest.fixture
+    def instance(self):
+        graph = block_bipartite(12, 10, 2, mean_degree=6, seed=0)
+        splits = split_dataset(graph, seed=0)
+        train_graph = graph_from_split(splits)
+        return train_graph, sample_negatives(train_graph, seed=0), splits
+
+    @staticmethod
+    def spy():
+        # counts every materialize call, and still runs it
+        return mock.patch.object(ProximityOperator, "materialize",
+                                 autospec=True,
+                                 side_effect=ProximityOperator.materialize)
+
+    @pytest.mark.parametrize("path", ["gradient", "kernel", "both"])
+    @pytest.mark.parametrize("model,extra", [
+        ("deepwalk", {"window": 3}), ("line", {}), ("lightgcn", {"layers": 2})])
+    def test_second_run_on_one_graph_equals_a_run_on_a_copy(
+            self, instance, model, extra, path):
+        graph, negatives, splits = instance
+        cfg = TrainConfig(model, alpha=0.05, dim=6, max_epochs=8, path=path,
+                          eval_k=2, **extra)
+        runs = [train(graph, negatives, cfg, splits=splits) for _ in range(2)]
+        copies = [train(build_graph(graph.edges, partition=graph.partition),
+                        negatives, cfg, splits=splits) for _ in range(2)]
+        for mine, theirs in zip(runs, copies):
+            assert mine.embeddings.tobytes() == theirs.embeddings.tobytes()
+            assert mine.history == theirs.history
+
+    def test_one_walk_mask_per_graph_and_window(self, instance):
+        graph, negatives, splits = instance
+        with self.spy() as materialize:
+            for window in (2, 3):
+                cfg = TrainConfig("deepwalk", window=window, alpha=0.05, dim=4,
+                                  max_epochs=3, eval_k=2)
+                KernelOperator.build(model_config(cfg.params, cfg.alpha),
+                                     graph, negatives)
+                build_masks(graph, negatives, cfg.params)
+                train(graph, negatives, cfg)
+                train(graph, negatives, cfg, splits=splits)
+                repeat_train(graph, splits, cfg, seeds=(0, 1, 2))
+        assert [call.args[0].high for call in materialize.call_args_list] == [2, 3]
+
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_report_builds_each_positive_mask_once(self, tmp_path, grid):
+        # deepwalk's window-5 walk mask and line's mask, whatever the seeds
+        # and grid points
+        config = RunConfig(dataset_path=f"{DATA_DIR}/toy_50.tsv",
+                           models=("deepwalk", "line"), seeds=(0, 1),
+                           max_epochs=3, grid=grid, outdir=str(tmp_path))
+        with self.spy() as materialize:
+            run_experiment(config)
+        assert sorted(call.args[0].high
+                      for call in materialize.call_args_list) == [1, 5]
