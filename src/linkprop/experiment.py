@@ -104,7 +104,8 @@ class RunConfig:
             raise ValueError("models must name at least one model")
         if not self.seeds:
             raise ValueError("seeds must list at least one seed")
-        check_ratios(self.ratios)
+        # the checked floats, so the config and what it writes hold numbers
+        object.__setattr__(self, "ratios", check_ratios(self.ratios))
         check_integer("split_seed", self.split_seed, 0)
         for seed in self.seeds:
             check_integer("seeds", seed, 0)

@@ -68,11 +68,14 @@ class Graph:
     validation.  `build_graph` marks `edges`, `degrees` and the adjacency's
     arrays read-only, so the graph cannot change under the memo.
 
-    The memo holds the operators that depend on the graph alone, each built
-    on first request by :meth:`memoized` and shared, read-only, by every
-    later caller: `normalize`'s matrices and the positive masks of
-    `losses.mask_set`.  It lives and dies with the graph object;
-    `dataclasses.replace` starts the new graph with an empty one.
+    The memo holds what depends on the graph alone, each value built on
+    first request by :meth:`memoized` and shared, read-only, by every later
+    caller: `normalize`'s matrices, the positive masks of
+    `losses.mask_set`, and one negative set per sampling setting and seed
+    (`negatives.sample_negatives`), O(|E| * per_positive) pairs each.  It
+    lives and dies with the graph object, so each value is held for the
+    graph's lifetime; `dataclasses.replace` starts the new graph with an
+    empty one.
     """
 
     num_nodes: int
@@ -87,13 +90,16 @@ class Graph:
     def num_edges(self) -> int:
         return self.edges.shape[0]
 
-    def memoized(self, key: tuple, build) -> sp.csr_array:
-        """The graph's matrix under `key`: `build()`, made read-only, on the
-        first request, and that same object on every later one."""
-        matrix = self._memo.get(key)
-        if matrix is None:
-            matrix = self._memo[key] = read_only(build())
-        return matrix
+    def memoized(self, key: tuple, build):
+        """The graph's value under `key`: `build()` on the first request, and
+        that same object on every later one.  Every caller shares it, so
+        `build` returns a value nothing can write into: a matrix through
+        `read_only`, a negative set with read-only arrays.  A `build` that
+        raises stores nothing."""
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = build()
+        return value
 
     def neighbors(self, node: int) -> np.ndarray:
         a = self.adjacency
@@ -233,8 +239,9 @@ def normalize(graph: Graph, scheme: str) -> sp.csr_array:
     sorted, so copy it before a scipy call that sorts in place."""
     if scheme == "none":
         return graph.adjacency
-    return graph.memoized(("normalize", scheme),
-                          lambda: normalize_matrix(graph.adjacency, scheme))
+    return graph.memoized(
+        ("normalize", scheme),
+        lambda: read_only(normalize_matrix(graph.adjacency, scheme)))
 
 
 @dataclass(frozen=True, eq=False)

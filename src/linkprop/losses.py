@@ -38,7 +38,8 @@ import scipy.sparse as sp
 
 from linkprop.graphs import (MAX_PROXIMITY_ORDER, Graph, ProximityOperator,
                              SupportPattern, check_integer, normalize,
-                             normalize_matrix, proximity, symmetrize)
+                             normalize_matrix, proximity, read_only,
+                             symmetrize)
 from linkprop.negatives import NegativeSet
 
 
@@ -130,7 +131,8 @@ def mask_set(graph: Graph, negatives: NegativeSet, k: MaskConstants) -> MaskSet:
     if k.c3 != 0.0:
         pos = graph.memoized(
             ("positive", k.pos_norm, k.a2, k.b2),
-            lambda: symmetrize(proximity(base, k.a2, k.b2).materialize()))
+            lambda: read_only(
+                symmetrize(proximity(base, k.a2, k.b2).materialize())))
         neg = symmetrize(normalize_matrix(neg, k.neg_norm))
     return MaskSet(pos=pos, neg=neg, prop=proximity(base, k.a1, k.b1))
 

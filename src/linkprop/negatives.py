@@ -6,17 +6,23 @@ endpoint, i.e. the user in the bipartite case) and we draw a partner that
 anchor is *not* connected to.  The resulting set is disjoint from the
 positive edges, free of duplicates, and symmetric by construction since we
 store canonical pairs.
+
+A set depends on the graph and the sampling arguments alone, so it is drawn
+once per graph and setting and kept, read-only, in the graph's memo: every
+model that trains on one graph with one seed, such as each model of a
+`run_experiment` seed, shares that set.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
-from linkprop.graphs import Graph, _pairs_to_csr, check_integer
+from linkprop.graphs import Graph, _pairs_to_csr, check_integer, read_only
 
 STRATEGIES = ("uniform", "degree_power")
 
@@ -83,14 +89,29 @@ def sample_negatives(graph: Graph, per_positive: int = 1,
     sampled negative.  After `max_tries` failed draws for a single slot the
     whole call aborts with :class:`QuotaUnreachable`.
 
-    Draws are made `_BATCH` at a time; a batch of draws equals as many single
-    draws from the same generator, so the result does not depend on the batch
-    size.  Pairs are tracked as keys lo * n + hi, which sort like the pairs.
+    The arguments are checked first.  The set is then kept in the graph's
+    memo under all of them, and every later call with the same arguments
+    returns that same object, its `pairs` and adjacency read-only.  A
+    `QuotaUnreachable` is never kept, so it is raised again on every call.
     """
     check_sampling(strategy, per_positive, exponent)
     check_integer("seed", seed, 0)
-    if max_tries < 1:
-        raise ValueError(f"max_tries must be >= 1, got {max_tries}")
+    check_integer("max_tries", max_tries, 1)
+    return graph.memoized(
+        ("negatives", per_positive, strategy, exponent, seed, max_tries),
+        lambda: _sample(graph, per_positive, strategy, exponent, seed,
+                        max_tries))
+
+
+def _sample(graph: Graph, per_positive: int, strategy: str, exponent: float,
+            seed: int, max_tries: int) -> NegativeSet:
+    """The draw behind `sample_negatives`, on checked arguments.
+
+    Draws are made `_BATCH` at a time; a batch of draws equals as many single
+    draws from the same generator, so the result does not depend on the batch
+    size.  Pairs are tracked as keys lo * n + hi, which sort like the pairs;
+    one set holds the edges' keys and every accepted one.
+    """
     rng = np.random.default_rng(seed)
     n = graph.num_nodes
     # partners are offset + the index of a draw among the candidates
@@ -118,35 +139,37 @@ def sample_negatives(graph: Graph, per_positive: int = 1,
         return (picks + offset).tolist()
 
     edges = graph.edges
-    forbidden = set((edges[:, 0] * n + edges[:, 1]).tolist())
-    taken: set[int] = set()
-    partners: list[int] = []
-    used = 0
+    seen = set((edges[:, 0] * n + edges[:, 1]).tolist())
+    keys: list[int] = []
+    # every partner the generator gives, in draw order, a batch per call
+    stream = itertools.chain.from_iterable(iter(draw, None))
     for anchor in edges[:, 0].tolist():
-        for _ in range(per_positive):
-            for _ in range(max_tries):
-                if used == len(partners):
-                    partners, used = draw(), 0
-                partner = partners[used]
-                used += 1
-                if partner == anchor:
-                    continue
-                key = (anchor * n + partner if anchor < partner
+        base = anchor * n
+        slots, tries = per_positive, 0
+        for partner in stream:
+            if partner != anchor:
+                key = (base + partner if anchor < partner
                        else partner * n + anchor)
-                if key in forbidden or key in taken:
+                if key not in seen:
+                    seen.add(key)
+                    keys.append(key)
+                    slots -= 1
+                    if not slots:
+                        break
+                    tries = 0
                     continue
-                taken.add(key)
-                break
-            else:
+            tries += 1
+            if tries == max_tries:
                 raise QuotaUnreachable(edges.shape[0] * per_positive,
-                                       len(taken), _key_pairs(taken, n))
+                                       len(keys), _key_pairs(keys, n))
 
-    pairs = _key_pairs(taken, n)
+    pairs = _key_pairs(keys, n)
+    pairs.flags.writeable = False
     return NegativeSet(num_nodes=n, pairs=pairs, strategy=strategy, seed=seed,
-                       adjacency=_pairs_to_csr(pairs, n))
+                       adjacency=read_only(_pairs_to_csr(pairs, n)))
 
 
-def _key_pairs(keys: set[int], n: int) -> np.ndarray:
+def _key_pairs(keys: list[int], n: int) -> np.ndarray:
     """(m, 2) pairs from keys lo * n + hi, in sorted order."""
-    ordered = np.sort(np.fromiter(keys, dtype=np.int64, count=len(keys)))
+    ordered = np.sort(np.array(keys, dtype=np.int64))
     return np.stack(np.divmod(ordered, n), axis=1)

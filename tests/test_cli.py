@@ -367,6 +367,13 @@ class TestRunConfig:
         with pytest.raises(ValueError, match=field):
             RunConfig(dataset_path="x", **kwargs)
 
+    @pytest.mark.parametrize("given", [("0.8", "0.1", "0.1"),
+                                       (True, False, False), [0.8, 0.1, 0.1]])
+    def test_ratios_stored_as_checked_floats(self, given):
+        ratios = RunConfig(dataset_path="x", ratios=given).ratios
+        assert ratios == tuple(float(r) for r in given)
+        assert all(type(r) is float for r in ratios)
+
     def test_bad_train_key_fails_before_ingest(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text(f"[data]\npath = {tmp_path / 'absent.tsv'}\n"

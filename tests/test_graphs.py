@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from linkprop import reference
 from linkprop.graphs import (MAX_PROXIMITY_ORDER, SCHEMES, Partition,
                              build_graph, canonical_pairs, normalize,
-                             proximity, unique_rows)
+                             proximity, read_only, unique_rows)
 
 from conftest import graph_strategy
 
@@ -218,14 +218,15 @@ class TestNormalize:
     def test_unsorted_matrix_is_never_sorted_in_place(self, path_graph):
         # scipy's sparse product emits each row of D^-1 A in reverse order;
         # sorting it would change the walk masks' bits, so the memo keeps a
-        # matrix as built, and a scipy call that sorts in place raises
-        # rather than reorder a matrix that every caller shares
+        # matrix as built, read-only, and a scipy call that sorts in place
+        # raises rather than reorder a matrix that every caller shares
         built = []
 
         def build():
             built.append(1)
-            return sp.csr_array((np.ones(3), np.array([3, 2, 1]),
-                                 np.array([0, 3, 3, 3, 3])), shape=(4, 4))
+            return read_only(sp.csr_array(
+                (np.ones(3), np.array([3, 2, 1]), np.array([0, 3, 3, 3, 3])),
+                shape=(4, 4)))
 
         M = path_graph.memoized(("unsorted",), build)
         assert path_graph.memoized(("unsorted",), build) is M

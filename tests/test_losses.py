@@ -127,12 +127,16 @@ class TestGraphMemo:
         for model in MODELS:
             mask_set(graph, negatives,
                      ModelParams(model, window=window).constants)
-        # two normalized adjacencies, and line's and the window's walk
-        # mask; nothing that depends on the negatives
-        assert set(graph._memo) == {
+        # the negatives the instance drew, two normalized adjacencies, and
+        # line's and the window's walk mask; nothing built from the negatives
+        matrices = {key: value for key, value in graph._memo.items()
+                    if key[0] != "negatives"}
+        assert all(value is negatives for key, value in graph._memo.items()
+                   if key[0] == "negatives")
+        assert set(matrices) == {
             ("normalize", "row"), ("normalize", "symmetric"),
             ("positive", "row", 1, 1), ("positive", "row", 1, window)}
-        for matrix in (graph.adjacency, *graph._memo.values()):
+        for matrix in (graph.adjacency, *matrices.values()):
             for array in (matrix.data, matrix.indices, matrix.indptr):
                 assert not array.flags.writeable
             canonical = matrix.copy()
@@ -151,9 +155,10 @@ class TestGraphMemo:
         masks = mask_set(graph, negatives,
                          ModelParams("deepwalk", window=3).constants)
         kept = [weakref.ref(m) for m in graph._memo.values()]
-        assert len(kept) == 2 and masks.pos is kept[1]()
+        assert len(kept) == 3
+        assert kept[0]() is negatives and kept[2]() is masks.pos
         owner = weakref.ref(graph)
-        del graph, masks
+        del graph, negatives, masks
         gc.collect()
         assert owner() is None
         assert all(m() is None for m in kept)

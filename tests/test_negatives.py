@@ -1,3 +1,4 @@
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -32,10 +33,13 @@ class TestSampleNegatives:
         assert len(edge_set(neg.pairs)) == neg.num_pairs
 
     def test_deterministic_per_seed(self, small_instance):
+        # two graphs built apart, so each set is drawn, not read from a memo
         graph, _ = small_instance
+        twin = build_graph(graph.edges, num_nodes=graph.num_nodes)
         a = sample_negatives(graph, seed=5)
-        b = sample_negatives(graph, seed=5)
-        c = sample_negatives(graph, seed=6)
+        b = sample_negatives(twin, seed=5)
+        c = sample_negatives(twin, seed=6)
+        assert b is not a
         assert np.array_equal(a.pairs, b.pairs)
         assert not np.array_equal(a.pairs, c.pairs)
 
@@ -83,6 +87,13 @@ class TestSampleNegatives:
                 pytest.raises(ValueError, match="max_tries"):
             sample_negatives(graph, max_tries=max_tries)
         rng.assert_not_called()
+
+    @pytest.mark.parametrize("max_tries", [2.5, True])
+    def test_max_tries_must_be_an_integer(self, small_instance, max_tries):
+        # the loop counts tries up to max_tries, and it is part of the memo key
+        graph, _ = small_instance
+        with pytest.raises(ValueError, match="max_tries must be an integer"):
+            sample_negatives(graph, max_tries=max_tries)
 
     def test_unknown_strategy(self, small_instance):
         graph, _ = small_instance
@@ -151,7 +162,9 @@ class TestSampleNegatives:
 
 
 class TestBatchedDraws:
-    """The batched walk against the per-draw loop it replaced."""
+    """The batched walk against the per-draw loop it replaced.  Each test
+    samples on a graph it built itself: a set memoized on a shared graph
+    would have been drawn at another batch size."""
 
     @settings(max_examples=150)
     @given(graph=st.one_of(graph_strategy(bipartite=True), graph_strategy()),
@@ -204,6 +217,61 @@ class TestBatchedDraws:
         assert exc.value.requested == requested == 8
         assert exc.value.achieved == expected.shape[0] == 2
         assert np.array_equal(exc.value.pairs, expected)
+
+
+class TestMemo:
+    """One set per graph and setting, kept in the graph's memo."""
+
+    SETTING = {"per_positive": 1, "strategy": "uniform", "exponent": 0.75,
+               "seed": 0, "max_tries": 200}
+
+    @pytest.fixture
+    def graph(self):
+        return load_edge_list(f"{DATA_DIR}/bench_500.tsv").to_graph()
+
+    def test_same_graph_and_setting_return_one_object(self, graph):
+        first = sample_negatives(graph, **self.SETTING)
+        assert sample_negatives(graph, **self.SETTING) is first
+        # the defaults name the same setting
+        assert sample_negatives(graph) is first
+
+    @pytest.mark.parametrize("name,value", [
+        ("per_positive", 2), ("strategy", "degree_power"), ("exponent", 1.0),
+        ("seed", 1), ("max_tries", 199)])
+    def test_any_other_argument_draws_a_new_set(self, graph, name, value):
+        first = sample_negatives(graph, **self.SETTING)
+        with mock.patch.object(negatives, "_sample",
+                               wraps=negatives._sample) as draw:
+            other = sample_negatives(graph, **{**self.SETTING, name: value})
+        assert other is not first
+        assert draw.call_count == 1
+        assert sample_negatives(graph, **{**self.SETTING, name: value}) is other
+
+    def test_pairs_and_adjacency_are_read_only(self, graph):
+        neg = sample_negatives(graph)
+        for array in (neg.pairs, neg.adjacency.data, neg.adjacency.indices,
+                      neg.adjacency.indptr):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_unreachable_quota_is_raised_again(self):
+        graph = build_graph([(0, 2), (1, 2), (1, 3)], partition=Partition(2, 2))
+        with mock.patch.object(negatives, "_sample",
+                               wraps=negatives._sample) as draw:
+            for _ in range(2):
+                with pytest.raises(QuotaUnreachable) as exc:
+                    sample_negatives(graph, max_tries=20)
+                assert edge_set(exc.value.pairs) == {(0, 3)}
+        assert draw.call_count == 2
+        assert graph._memo == {}
+
+    def test_replace_starts_with_an_empty_memo(self, graph):
+        first = sample_negatives(graph)
+        other = dataclasses.replace(graph)
+        again = sample_negatives(other)
+        assert again is not first
+        assert np.array_equal(again.pairs, first.pairs)
+        assert sample_negatives(graph) is first
 
 
 class TestDegreePowerWeights:

@@ -13,7 +13,7 @@ from linkprop.graphs import (MAX_PROXIMITY_ORDER, Partition, ProximityOperator,
 from linkprop.kernel import KernelOperator, link_kernels, model_config
 from linkprop.losses import (DivergenceError, ModelParams, build_masks, gd_step,
                              loss_gradient)
-from linkprop.negatives import sample_negatives
+from linkprop.negatives import _sample, sample_negatives
 from linkprop.ranking import EvalResult, Ranker, SplitSet
 from linkprop.reference import evaluate_scalar
 from linkprop.synthetic import block_bipartite
@@ -23,6 +23,8 @@ from linkprop.training import (ALPHA_GRID, INTEGER_FIELDS, AllPointsDiverged,
                                scoring_embeddings, train)
 
 from conftest import DATA_DIR, negatives_from_pairs
+
+CONFIGS = DATA_DIR.rsplit("/", 1)[0] + "/configs"
 
 TINY = 1e-15  # small enough that rankings cannot move between epochs
 
@@ -588,3 +590,13 @@ class TestSharedOperators:
             run_experiment(config)
         assert sorted(call.args[0].high
                       for call in materialize.call_args_list) == [1, 5]
+
+    def test_report_samples_each_seed_once(self, tmp_path):
+        # bench.ini: two models over five seeds share five negative sets
+        config = replace(RunConfig.from_ini(f"{CONFIGS}/bench.ini"),
+                         dataset_path=f"{DATA_DIR}/bench_500.tsv",
+                         outdir=str(tmp_path))
+        with mock.patch("linkprop.negatives._sample", wraps=_sample) as draw:
+            run_experiment(config)
+        assert sorted(call.args[4] for call in draw.call_args_list) == [
+            0, 1, 2, 3, 4]
