@@ -365,18 +365,33 @@ def load_splits(outdir) -> tuple[Dataset, SplitSet]:
     with open(os.path.join(outdir, "split.json"), encoding="utf-8") as fh:
         meta = json.load(fh)
     # checked as split_dataset checks its arguments: a JSON bool or float
-    # is no seed, and a list of numbers that fails check_ratios no ratios
-    ratios, seed = meta["ratios"], meta["seed"]
+    # is no seed, and a list of numbers that fails check_ratios no ratios;
+    # flagged_users must list user labels of dataset.tsv
     try:
+        if not isinstance(meta, dict):
+            raise ValueError(f"not a JSON object, got {meta!r}")
+        missing = [key for key in ("ratios", "seed", "flagged_users")
+                   if key not in meta]
+        if missing:
+            raise ValueError(f"missing key {missing[0]!r}")
+        ratios, seed, labels = meta["ratios"], meta["seed"], meta["flagged_users"]
         if not (isinstance(ratios, list) and all(
                 isinstance(r, (int, float)) and not isinstance(r, bool)
                 for r in ratios)):
             raise ValueError(f"ratios must be a list of numbers, got {ratios!r}")
         ratios = check_ratios(ratios)
         check_integer("seed", seed, 0)
+        if not (isinstance(labels, list)
+                and all(isinstance(u, str) for u in labels)):
+            raise ValueError(f"flagged_users must be a list of strings, got "
+                             f"{labels!r}")
+        unknown = [u for u in labels if u not in user_id]
+        if unknown:
+            raise ValueError(f"flagged_users: user {unknown[0]!r} not in "
+                             f"dataset.tsv")
     except ValueError as err:
         raise ValueError(f"split.json: {err}") from None
-    flagged = tuple(user_id[u] for u in meta["flagged_users"])
+    flagged = tuple(user_id[u] for u in labels)
     splits = SplitSet(partition=dataset.partition, train=parts["train"],
                       val=parts["val"], test=parts["test"], ratios=ratios,
                       seed=seed, flagged=flagged)

@@ -109,6 +109,13 @@ class RunConfig:
         check_integer("split_seed", self.split_seed, 0)
         for seed in self.seeds:
             check_integer("seeds", seed, 0)
+        # a repeat would train the same run twice, write its files twice
+        # and count it twice in the report's mean
+        for name in ("models", "seeds"):
+            values = getattr(self, name)
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ValueError(f"{name} lists {repeated[0]!r} more than once")
         check_sampling(**self.sampling)
         for model in self.models:
             self.train_config(model)  # TrainConfig names any bad field

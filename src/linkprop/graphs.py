@@ -260,11 +260,19 @@ class ProximityOperator:
     def is_identity(self) -> bool:
         return self.low == 0 and self.high == 0
 
-    def apply(self, X: np.ndarray) -> np.ndarray:
+    def apply(self, X: np.ndarray, *, overwrite_input: bool = False) -> np.ndarray:
         """Average of M^r X for r in [low, high]; costs `high` sparse products.
 
-        The identity operator returns `X` itself, so the result may alias
-        `X`: callers must not write into it.
+        X is never written unless `overwrite_input` is set.  The identity
+        operator returns `X` itself, so the result may alias `X`: callers
+        must not write into it.
+
+        `overwrite_input=True` is for a caller that gives X up, a writable
+        floating-point array nothing reads afterwards: the powers are summed
+        into X's own buffer (once the first product has read it, zeroed
+        first when `low` >= 1) and the result is X.  The sums and the
+        division are the same, in the same order, so the bits are those of
+        `apply(X)`, with one n x d buffer fewer live.
         """
         if X.shape[0] != self.matrix.shape[0]:
             raise ValueError(
@@ -273,13 +281,19 @@ class ProximityOperator:
         if self.is_identity():
             return X
         mat = self.matrix
-        acc = X.copy() if self.low == 0 else np.zeros_like(X)
+        if overwrite_input:
+            acc = X
+        else:
+            acc = X.copy() if self.low == 0 else np.zeros_like(X)
         term = X
         for power in range(1, self.high + 1):
             term = mat @ term
+            if power == 1 and self.low > 0 and overwrite_input:
+                acc.fill(0)
             if power >= self.low:
                 acc += term
-        return acc / (self.high - self.low + 1)
+        acc /= self.high - self.low + 1
+        return acc
 
     def materialize(self) -> sp.csr_array:
         """The operator as an explicit sparse matrix."""
@@ -327,24 +341,26 @@ _GRAM_DENSITY = 0.3
 
 class MaskEntries:
     """One weight matrix located in a SupportPattern: `weights` and `slots`
-    (union slot per entry) in the matrix's stored order, in which sums over
-    it run; `matrix` and `sorted_slots` in the canonical order of tocsr().
+    (union slot per entry, in the pattern's index dtype) in the matrix's
+    stored order, in which sums over it run; `matrix` in the canonical
+    order of tocsr(), the order of `np.sort(slots)`.
 
     The owned scores the entries read are `reads`, ascending and distinct;
     `stored` gives each entry, in stored order, its score's position in
     `reads`, and `sorted_owner` gives each entry, in canonical order, its
     score's position among all owned scores.  So `reads[stored]` is
-    `owner[slots]` and `sorted_owner` is `owner[sorted_slots]`, and a
+    `owner[slots]` and `sorted_owner` is `owner[np.sort(slots)]`, and a
     per-slot map runs once per score it reads before one `take` spreads it.
     """
 
     def __init__(self, mat: sp.csr_array, slots: np.ndarray, cols: np.ndarray,
                  owner: np.ndarray, num_owned: int):
         order = np.argsort(slots)
-        self.weights, self.slots, self.sorted_slots = mat.data, slots, slots[order]
-        if np.any(self.sorted_slots[1:] == self.sorted_slots[:-1]):
+        sorted_slots = slots[order]
+        if np.any(sorted_slots[1:] == sorted_slots[:-1]):
             raise ValueError("weight matrix stores an entry twice")
-        self.matrix = sp.csr_array((mat.data[order], cols[self.sorted_slots],
+        self.weights, self.slots = mat.data, slots.astype(cols.dtype)
+        self.matrix = sp.csr_array((mat.data[order], cols[sorted_slots],
                                     mat.indptr.astype(cols.dtype)), shape=mat.shape)
         read = owner[slots]
         hit = np.zeros(num_owned, dtype=bool)

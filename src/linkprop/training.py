@@ -7,6 +7,13 @@ forward propagation), each with its own per-step algebra.  The paths can be
 run singly or side by side; in "both" mode the per-epoch max-abs divergence
 between them is recorded and the gradient trajectory is the authoritative
 one.
+
+Every step returns a fresh X (`gd_step`, `kernel_update`), and nothing
+writes into X, its forward pass Y = P X or a returned embedding.  So no
+embedding-sized array outlives its use and none is copied: the gradient
+goes straight into `gd_step`, the old forward pass and the diagnostic's
+K+ are dropped once read, and the best-validation snapshot is that
+epoch's X itself, held by reference.
 """
 
 from __future__ import annotations
@@ -141,6 +148,16 @@ def scoring_embeddings(X: np.ndarray, masks: MaskSet) -> np.ndarray:
     return masks.prop.apply(X)
 
 
+def _kernel_step_at(X: np.ndarray, Y: np.ndarray, s: np.ndarray,
+                    op: KernelOperator):
+    """(mean K+, substep trace, X') of one kernel step from the forward
+    pass at X: Y = P X and its owned scores s.  K+ and K- die with the
+    call."""
+    kernels = link_kernels(score_matrices(Y, op, s), op)
+    return (mean_positive_kernel(kernels.k_plus),
+            *kernel_update(X, Y, kernels, op)[::-1])
+
+
 def train(graph: Graph, negatives: NegativeSet, config: TrainConfig,
           splits: SplitSet | None = None) -> TrainResult:
     """Run one model to convergence or divergence.
@@ -184,25 +201,22 @@ def train(graph: Graph, negatives: NegativeSet, config: TrainConfig,
             # the diagnostic and the kernel-path step read the forward scores;
             # K- serves only a kernel_update at X, so the other steps and
             # the diagnostic build K+ alone
-            if config.path == "kernel" or (config.path == "gradient"
-                                           and config.trace_substeps):
-                kernels = link_kernels(score_matrices(Y, op, s), op)
-                k_plus = kernels.k_plus
-            else:
-                k_plus = positive_kernel(score_matrices(Y, op, s), op)
-            mean_kp = mean_positive_kernel(k_plus)
-
             if config.path == "kernel":
-                X, trace = kernel_update(X, Y, kernels, op)
+                mean_kp, trace, X = _kernel_step_at(X, Y, s, op)
                 check_finite(X, "kernel step", epoch)
             else:
+                if Xk is None and config.trace_substeps:
+                    mean_kp, trace = _kernel_step_at(X, Y, s, op)[:2]
+                else:
+                    mean_kp = mean_positive_kernel(
+                        positive_kernel(score_matrices(Y, op, s), op))
                 if Xk is not None:
                     Xk, trace = op.step_traced(Xk)
                     check_finite(Xk, "kernel step", epoch)
-                elif config.trace_substeps:
-                    trace = kernel_update(X, Y, kernels, op)[1]
-                grad = support_gradient(X, Y, s, op.pattern, op.prop, params)
-                X = gd_step(X, grad, config.alpha, step=epoch)
+                X = gd_step(X, support_gradient(X, Y, s, op.pattern, op.prop,
+                                                params),
+                            config.alpha, step=epoch)
+            del Y, s  # the step was the old forward pass's last reader
             Y = op.prop.apply(X)
             s = op.pattern.scores(Y)
             loss = support_loss(X, s, op.pattern, params.lam, params.beta)
@@ -215,7 +229,7 @@ def train(graph: Graph, negatives: NegativeSet, config: TrainConfig,
                 val_recall = rank_val(Y).recall
                 if val_recall > best_metric:
                     best_metric = val_recall
-                    best_X = X.copy()
+                    best_X = X
                     history.best_epoch = epoch
                     history.best_metric = val_recall
                     failed_evals = 0

@@ -108,6 +108,26 @@ class TestPipelineChain:
                      "--outdir", str(tmp_path / "run")]) == 2
         assert "exponent must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_bad_flagged_users_is_an_error_not_a_traceback(
+            self, raw_dataset, tmp_path, capsys, command):
+        raw, ds = raw_dataset
+        splitdir = tmp_path / "splits"
+        assert main(["split", "--input", str(raw), "--outdir", str(splitdir),
+                     "--ratios", "0.6", "0.2", "0.2"]) == 0
+        meta = json.loads((splitdir / "split.json").read_text(encoding="utf-8"))
+        meta["flagged_users"] = ["nobody"]
+        (splitdir / "split.json").write_text(json.dumps(meta), encoding="utf-8")
+        emb = tmp_path / "emb.npy"
+        np.save(emb, np.zeros((ds.partition.num_nodes, 2)))
+        extra = (["--outdir", str(tmp_path / "run")] if command == "train"
+                 else ["--embeddings", str(emb)])
+        capsys.readouterr()
+        assert main([command, "--splits", str(splitdir), "--model", "mf",
+                     *extra]) == 2
+        assert "split.json: flagged_users: user 'nobody' not in dataset.tsv" \
+            in capsys.readouterr().err
+
     @pytest.mark.parametrize("scale", ["nan", "inf", "0"])
     def test_train_bad_init_scale_is_an_error(self, raw_dataset, tmp_path,
                                               capsys, scale):
@@ -362,7 +382,12 @@ class TestRunConfig:
         ({"seeds": (-1,)}, "seeds must be >= 0"),
         ({"seeds": (0, 1.5)}, "seeds must be an integer"),
         ({"per_positive": 1.5}, "per_positive must be an integer"),
-        ({"per_positive": True}, "per_positive must be an integer")])
+        ({"per_positive": True}, "per_positive must be an integer"),
+        ({"seeds": (0, 0, 1)}, "seeds lists 0 more than once"),
+        ({"seeds": (3, 1, 3)}, "seeds lists 3 more than once"),
+        ({"models": ("mf", "mf")}, "models lists 'mf' more than once"),
+        ({"models": ("mf", "lightgcn", "mf")},
+         "models lists 'mf' more than once")])
     def test_rejected_at_construction(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
             RunConfig(dataset_path="x", **kwargs)
@@ -380,6 +405,17 @@ class TestRunConfig:
                         "[train]\nalpha = nan\n", encoding="utf-8")
         assert main(["report", "--config", str(path)]) == 2
         assert "alpha must be positive and finite" in capsys.readouterr().err
+
+    def test_repeated_model_and_seed_fail_before_ingest(self, tmp_path,
+                                                         capsys):
+        # they used to run: six metrics.csv rows, one trajectory file
+        # written twice, and seed 0 counted twice in the report's mean
+        path = tmp_path / "repeat.ini"
+        path.write_text(f"[data]\npath = {tmp_path / 'absent.tsv'}\n"
+                        "[model]\nmodels = mf mf\n[eval]\nseeds = 0 0 1\n",
+                        encoding="utf-8")
+        assert main(["report", "--config", str(path)]) == 2
+        assert "models lists 'mf' more than once" in capsys.readouterr().err
 
     def test_bad_ratios_fail_before_ingest(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
@@ -502,7 +538,8 @@ run_configs = st.builds(
     name=st.just("") | words, ratios=ratios, split_seed=st.integers(0, 2**63 - 1),
     neg_strategy=st.sampled_from(STRATEGIES),
     neg_exponent=st.floats(-4, 4), per_positive=st.integers(1, 4),
-    models=st.lists(st.sampled_from(MODELS), min_size=1).map(tuple),
+    models=st.lists(st.sampled_from(MODELS), min_size=1,
+                    unique=True).map(tuple),
     window=st.integers(1, 16), layers=st.integers(0, 16),
     alpha=st.floats(1e-300, 1e3), beta=st.floats(0, 1e3),
     lam=st.floats(0, 1e3), dim=st.integers(1, 512),
@@ -510,7 +547,7 @@ run_configs = st.builds(
     path=st.sampled_from(PATHS), init_scale=st.floats(1e-300, 10),
     eval_every=st.integers(1, 50), trace_substeps=st.booleans(),
     grid=st.booleans(), k=st.integers(1, 1000),
-    seeds=st.lists(st.integers(0, 2**32), min_size=1).map(tuple),
+    seeds=st.lists(st.integers(0, 2**32), min_size=1, unique=True).map(tuple),
     outdir=words)
 
 

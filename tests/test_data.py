@@ -546,6 +546,49 @@ class TestSaveLoadSplits:
                            match=f"^split.json: {re.escape(message)}"):
             load_splits(tmp_path)
 
+    @pytest.mark.parametrize("labels, message", [
+        (["nobody"], "flagged_users: user 'nobody' not in dataset.tsv"),
+        ("u000", "flagged_users must be a list of strings, got 'u000'"),
+        ([0], "flagged_users must be a list of strings, got [0]"),
+        (None, "flagged_users must be a list of strings, got None"),
+    ])
+    def test_bad_flagged_users_rejected(self, tmp_path, labels, message):
+        # each used to raise a bare KeyError: 'nobody', or 'u' for the
+        # string "u000", which was iterated per character
+        graph = block_bipartite(10, 8, 2, mean_degree=4, seed=0)
+        save_splits(dataset_from_graph(graph), split_dataset(graph), tmp_path)
+        self.edit_meta(tmp_path, flagged_users=labels)
+        with pytest.raises(ValueError,
+                           match=f"^split.json: {re.escape(message)}$"):
+            load_splits(tmp_path)
+
+    def test_item_label_is_no_flagged_user(self, tmp_path):
+        graph = block_bipartite(10, 8, 2, mean_degree=4, seed=0)
+        ds = dataset_from_graph(graph)
+        save_splits(ds, split_dataset(graph), tmp_path)
+        self.edit_meta(tmp_path, flagged_users=[ds.item_labels[0]])
+        with pytest.raises(ValueError, match="^split.json: flagged_users: "):
+            load_splits(tmp_path)
+
+    def test_non_object_rejected(self, tmp_path):
+        graph = block_bipartite(10, 8, 2, mean_degree=4, seed=0)
+        save_splits(dataset_from_graph(graph), split_dataset(graph), tmp_path)
+        (tmp_path / "split.json").write_text("[]", encoding="utf-8")
+        with pytest.raises(ValueError,
+                           match=r"^split.json: not a JSON object, got \[\]$"):
+            load_splits(tmp_path)
+
+    @pytest.mark.parametrize("key", ["ratios", "seed", "flagged_users"])
+    def test_missing_key_rejected(self, tmp_path, key):
+        graph = block_bipartite(10, 8, 2, mean_degree=4, seed=0)
+        save_splits(dataset_from_graph(graph), split_dataset(graph), tmp_path)
+        meta = json.loads((tmp_path / "split.json").read_text(encoding="utf-8"))
+        del meta[key]
+        (tmp_path / "split.json").write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(ValueError,
+                           match=f"^split.json: missing key '{key}'$"):
+            load_splits(tmp_path)
+
     def test_integer_ratios_load_as_floats(self, tmp_path):
         graph = block_bipartite(6, 5, 2, mean_degree=3, seed=1)
         save_splits(dataset_from_graph(graph),

@@ -306,6 +306,26 @@ class TestProximity:
         X = rng.normal(size=(g.num_nodes, 4))
         assert np.linalg.norm(op.apply(X)) <= np.linalg.norm(X) * (1 + 1e-12)
 
+    @given(graph_strategy(), st.sampled_from(SCHEMES), st.integers(0, 3),
+           st.integers(0, 2), st.sampled_from([np.float32, np.float64]),
+           st.integers(0, 2**16))
+    def test_overwrite_input_keeps_the_bits_of_apply(self, g, scheme, low,
+                                                     extra, dtype, seed):
+        # orders 0..high and low >= 1, the identity (0, 0) among them: P
+        # summed into a surrendered buffer is that buffer, holding apply's
+        # bits, and a plain apply leaves its input bit for bit as it was
+        op = proximity(normalize(g, scheme), low, low + extra)
+        X = np.random.default_rng(seed).normal(
+            size=(g.num_nodes, 3)).astype(dtype)
+        before = X.tobytes()
+        expected = op.apply(X)
+        assert X.tobytes() == before
+        surrendered = X.copy()
+        got = op.apply(surrendered, overwrite_input=True)
+        assert got is surrendered
+        assert got.dtype == expected.dtype and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
     @given(graph_strategy())
     def test_apply_is_linear(self, g):
         op = proximity(normalize(g, "symmetric"), 1, 2)

@@ -79,7 +79,7 @@ class TestOneBuild:
                      "owner"):
             assert same(getattr(mine, name), getattr(theirs, name))
         for a, b in ((mine.pos, theirs.pos), (mine.neg, theirs.neg)):
-            for name in ("weights", "slots", "sorted_slots"):
+            for name in ("weights", "slots"):
                 assert same(getattr(a, name), getattr(b, name))
             for part in ("data", "indices", "indptr"):
                 assert same(getattr(a.matrix, part), getattr(b.matrix, part))

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -6,6 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from linkprop import training
 from linkprop.data_io import graph_from_split, split_dataset
 from linkprop.experiment import RunConfig, run_experiment
 from linkprop.graphs import (MAX_PROXIMITY_ORDER, Partition, ProximityOperator,
@@ -219,7 +221,8 @@ class TestTrainPaths:
         calls = []
         apply = ProximityOperator.apply
         monkeypatch.setattr(ProximityOperator, "apply",
-                            lambda op, X: calls.append(1) or apply(op, X))
+                            lambda op, X, **kw: calls.append(1)
+                            or apply(op, X, **kw))
         cfg = TrainConfig(model, alpha=0.05, dim=4, max_epochs=6, **extra)
         train(graph, neg, cfg, splits=splits)
         assert len(calls) == 2 * 6 + 1
@@ -336,6 +339,103 @@ class TestEarlyStopping:
                               train(graph, neg, cfg).embeddings)
         assert not np.array_equal(result.embeddings, init_embeddings(
             graph.num_nodes, cfg.dim, cfg.init_scale, cfg.seed))
+
+
+class TestEmbeddingBuffers:
+    """train() keeps one buffer per live embedding-sized array: every step
+    returns a fresh X, nothing writes into X, Y or a returned embedding,
+    and the best-validation snapshot is held by reference."""
+
+    @pytest.fixture(scope="class")
+    def early_instance(self):
+        graph = block_bipartite(30, 40, 3, mean_degree=10, seed=2)
+        splits = split_dataset(graph, (0.6, 0.2, 0.2), seed=0)
+        train_graph = graph_from_split(splits)
+        return train_graph, sample_negatives(train_graph, seed=0), splits
+
+    @pytest.mark.parametrize("path", ["gradient", "kernel", "both"])
+    @pytest.mark.parametrize("model", ["mf", "lightgcn"])
+    def test_best_epoch_embeddings_returned_bit_for_bit(self, early_instance,
+                                                        path, model):
+        # the early-stopped run returns what a run of best_epoch epochs
+        # without validation ends on, although later epochs ran
+        graph, neg, splits = early_instance
+        cfg = TrainConfig(model, alpha=0.05, dim=8, max_epochs=60, patience=4,
+                          eval_k=3, path=path)
+        result = train(graph, neg, cfg, splits=splits)
+        best = result.history.best_epoch
+        assert best is not None and best < result.history.stopped_epoch
+        short = train(graph, neg, replace(cfg, max_epochs=best))
+        assert result.embeddings.tobytes() == short.embeddings.tobytes()
+
+    @pytest.mark.parametrize("path, trace", [
+        ("gradient", False), ("gradient", True), ("kernel", False),
+        ("both", True)])
+    @pytest.mark.parametrize("model", ["mf", "deepwalk", "lightgcn"])
+    def test_nothing_writes_into_an_embedding(self, early_instance,
+                                              monkeypatch, path, trace, model):
+        # every X and every plain P X made read-only as it is made: a
+        # write into one raises, and the run keeps its bits
+        graph, neg, splits = early_instance
+        cfg = TrainConfig(model, alpha=0.05, dim=8, window=2, max_epochs=8,
+                          patience=2, eval_k=3, path=path,
+                          trace_substeps=trace)
+        expected = train(graph, neg, cfg, splits=splits)
+
+        def frozen(out):
+            array = out[0] if isinstance(out, tuple) else out
+            array.flags.writeable = False
+            return out
+
+        def freezing(fn):
+            return lambda *args, **kwargs: frozen(fn(*args, **kwargs))
+
+        for name in ("init_embeddings", "gd_step", "kernel_update"):
+            monkeypatch.setattr(f"linkprop.training.{name}",
+                                freezing(getattr(training, name)))
+        monkeypatch.setattr(KernelOperator, "step_traced",
+                            freezing(KernelOperator.step_traced))
+        apply = ProximityOperator.apply
+        monkeypatch.setattr(
+            ProximityOperator, "apply",
+            lambda op, X, **kw: (apply(op, X, **kw) if kw
+                                 else frozen(apply(op, X))))
+        got = train(graph, neg, cfg, splits=splits)
+        assert not got.embeddings.flags.writeable
+        assert got.embeddings.tobytes() == expected.embeddings.tobytes()
+        assert got.history == expected.history
+
+    def test_traced_peak_in_embedding_units(self):
+        # 5000 nodes x 32 float64: each n x d array is 1.28 MB, next to
+        # which the operator's and the ranker's own bytes are subtracted.
+        # Live at the peak, inside the gradient's P M Y: X, Y, the best
+        # snapshot, M Y accumulating P, and the two terms of one sparse
+        # product, plus the owned scores; about 6.2 units.  Copies of the
+        # residual, a bound gradient and a copied snapshot read 9.8
+        graph = block_bipartite(1000, 4000, 8, mean_degree=20, seed=0)
+        splits = split_dataset(graph, (0.8, 0.1, 0.1), seed=0)
+        train_graph = graph_from_split(splits)
+        neg = sample_negatives(train_graph, seed=0)
+        cfg = TrainConfig("lightgcn", alpha=0.05, dim=32, layers=3,
+                          max_epochs=3, patience=10)
+        train(train_graph, neg, cfg, splits=splits)  # fills the graph's memo
+        tracemalloc.start()
+        try:
+            op = KernelOperator.build(model_config(cfg.params, cfg.alpha),
+                                      train_graph, neg)
+            rank_val = Ranker(splits, train_graph, cfg.eval_k, "val")
+            own = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        del op, rank_val
+        tracemalloc.start()
+        try:
+            result = train(train_graph, neg, cfg, splits=splits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.history.best_epoch is not None
+        assert (peak - own) / result.embeddings.nbytes < 8.0
 
 
 class TestValidationRanking:
