@@ -33,8 +33,7 @@ from linkprop.kernel import (KernelConfig, KernelOperator, LinkKernels,
 from linkprop.training import (TrainConfig, TrainHistory, TrainResult,
                                grid_search, init_embeddings, repeat_train,
                                scoring_embeddings, train)
-from linkprop.ranking import (EvalResult, Ranker, SplitSet, evaluate,
-                              metrics_at_k, score_user, top_k)
+from linkprop.ranking import EvalResult, Ranker, SplitSet, evaluate, top_k
 from linkprop.data_io import (Dataset, ExpectedStats, load_edge_list,
                               split_dataset, verify_stats, write_canonical)
 
@@ -51,8 +50,7 @@ __all__ = [
     "materialize_kernel", "model_config", "score_matrices", "sign_structure",
     "TrainConfig", "TrainHistory", "TrainResult", "grid_search",
     "init_embeddings", "repeat_train", "scoring_embeddings", "train",
-    "EvalResult", "Ranker", "SplitSet", "evaluate", "metrics_at_k",
-    "score_user", "top_k",
+    "EvalResult", "Ranker", "SplitSet", "evaluate", "top_k",
     "Dataset", "ExpectedStats", "load_edge_list", "split_dataset",
     "verify_stats", "write_canonical",
 ]

@@ -24,7 +24,7 @@ from linkprop.data_io import (check_ratios, graph_density_pct,
                               graph_from_split, load_edge_list, split_dataset,
                               write_metrics_csv)
 from linkprop.diagnostics import emit_trajectories
-from linkprop.graphs import check_integer
+from linkprop.graphs import check_distinct, check_integer
 from linkprop.negatives import check_sampling, sample_negatives
 from linkprop.ranking import mean_result
 from linkprop.training import (TRAIN_FIELDS, TrainConfig, grid_search,
@@ -100,22 +100,15 @@ class RunConfig:
     outdir: str = "runs/out"
 
     def __post_init__(self):
-        if not self.models:
-            raise ValueError("models must name at least one model")
-        if not self.seeds:
-            raise ValueError("seeds must list at least one seed")
+        # a repeat would train the same run twice, write its files twice
+        # and count it twice in the report's mean
+        check_distinct("models", self.models)
+        check_distinct("seeds", self.seeds)
         # the checked floats, so the config and what it writes hold numbers
         object.__setattr__(self, "ratios", check_ratios(self.ratios))
         check_integer("split_seed", self.split_seed, 0)
         for seed in self.seeds:
             check_integer("seeds", seed, 0)
-        # a repeat would train the same run twice, write its files twice
-        # and count it twice in the report's mean
-        for name in ("models", "seeds"):
-            values = getattr(self, name)
-            repeated = [v for i, v in enumerate(values) if v in values[:i]]
-            if repeated:
-                raise ValueError(f"{name} lists {repeated[0]!r} more than once")
         check_sampling(**self.sampling)
         for model in self.models:
             self.train_config(model)  # TrainConfig names any bad field

@@ -35,6 +35,16 @@ def check_integer(name: str, value, low: int, high: int | None = None):
         raise ValueError(f"{name} must be {bound}, got {value}")
 
 
+def check_distinct(name: str, values) -> None:
+    """Raise ValueError naming `name` unless the sequence `values` lists at
+    least one value and none twice."""
+    if not values:
+        raise ValueError(f"{name} must list at least one value")
+    repeated = [v for i, v in enumerate(values) if v in values[:i]]
+    if repeated:
+        raise ValueError(f"{name} lists {repeated[0]!r} more than once")
+
+
 @dataclass(frozen=True)
 class Partition:
     """Bipartite user/item split: users occupy ids [0, num_users), items the rest."""
@@ -202,11 +212,14 @@ def build_graph(edge_list, num_nodes: int | None = None,
                  adjacency=adjacency, degrees=degrees)
 
 
-def _inv_power(degrees: np.ndarray, power: float) -> np.ndarray:
-    inv = np.zeros(degrees.shape[0])
+def degree_power_weights(degrees: np.ndarray, exponent: float) -> np.ndarray:
+    """deg**exponent per node, zero degrees staying zero: negative
+    sampling's unnormalized weights, and normalize_matrix's D^-1 and
+    D^-1/2."""
+    weights = np.zeros(degrees.shape[0])
     nz = degrees > 0
-    inv[nz] = degrees[nz] ** (-power)
-    return inv
+    weights[nz] = degrees[nz].astype(float) ** exponent
+    return weights
 
 
 def normalize_matrix(matrix: sp.csr_array, scheme: str) -> sp.csr_array:
@@ -219,9 +232,9 @@ def normalize_matrix(matrix: sp.csr_array, scheme: str) -> sp.csr_array:
         return matrix.copy()
     degrees = np.asarray(matrix.sum(axis=1)).ravel()
     if scheme == "row":
-        scaled = sp.diags_array(_inv_power(degrees, 1.0)) @ matrix
+        scaled = sp.diags_array(degree_power_weights(degrees, -1.0)) @ matrix
     else:
-        half = sp.diags_array(_inv_power(degrees, 0.5))
+        half = sp.diags_array(degree_power_weights(degrees, -0.5))
         scaled = half @ matrix @ half
     return scaled.tocsr()
 

@@ -198,11 +198,8 @@ def bce_loss(X: np.ndarray, pos: sp.csr_array, neg: sp.csr_array,
     return support_loss(X, pattern.scores(X), pattern, lam, beta)
 
 
-def model_loss(X: np.ndarray, graph: Graph, negatives: NegativeSet,
-               params: ModelParams, masks: MaskSet | None = None) -> float:
-    """Loss of one model; pass precomputed masks to skip rebuilding them."""
-    if masks is None:
-        masks = build_masks(graph, negatives, params)
+def model_loss(X: np.ndarray, masks: MaskSet, params: ModelParams) -> float:
+    """Loss of one model at X, on the masks and P `build_masks` gives it."""
     Y = masks.prop.apply(X)
     return support_loss(X, masks.pattern.scores(Y), masks.pattern, params.lam,
                         params.beta)
@@ -235,15 +232,13 @@ def support_gradient(X: np.ndarray, Y: np.ndarray, s: np.ndarray,
     return np.subtract(params.beta * X, G, out=G)
 
 
-def loss_gradient(X: np.ndarray, graph: Graph, negatives: NegativeSet,
-                  params: ModelParams, masks: MaskSet | None = None) -> np.ndarray:
+def loss_gradient(X: np.ndarray, masks: MaskSet,
+                  params: ModelParams) -> np.ndarray:
     """Exact analytic gradient of model_loss with respect to X.
 
     grad = beta*X - P M P X with M the residual-weighted difference of the
     two weight matrices, evaluated at the propagated representation.
     """
-    if masks is None:
-        masks = build_masks(graph, negatives, params)
     Y = masks.prop.apply(X)
     return support_gradient(X, Y, masks.pattern.scores(Y), masks.pattern,
                             masks.prop, params)

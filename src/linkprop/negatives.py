@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from linkprop.graphs import Graph, _pairs_to_csr, check_integer, read_only
+from linkprop.graphs import (Graph, _pairs_to_csr, check_integer,
+                             degree_power_weights, read_only)
 
 STRATEGIES = ("uniform", "degree_power")
 
@@ -58,14 +59,6 @@ class NegativeSet:
     @property
     def num_pairs(self) -> int:
         return self.pairs.shape[0]
-
-
-def degree_power_weights(degrees: np.ndarray, exponent: float) -> np.ndarray:
-    """Unnormalized sampling weights deg**exponent, zero degrees stay zero."""
-    weights = np.zeros(degrees.shape[0])
-    nz = degrees > 0
-    weights[nz] = degrees[nz].astype(float) ** exponent
-    return weights
 
 
 def check_sampling(strategy: str, per_positive: int, exponent: float) -> None:

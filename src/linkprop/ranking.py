@@ -7,15 +7,15 @@ users that have at least one test item.  Ties rank lower item ids first so
 results do not depend on sort internals.
 
 `evaluate` counts each held-out item's rank instead of sorting: the scores
-above it plus the equal ones at lower item ids.  `score_user`, `top_k` and
-`metrics_at_k` are the one-user definitions it reproduces bit for bit.  Its
+above it plus the equal ones at lower item ids.  Every result bit equals
+`reference.evaluate_scalar`, which sorts each user's candidates.  Its
 work is split in two: a `Ranker` holds what depends only on the split,
 the training graph and the cutoff (the users with held-out edges, their
 held-out items, discounts, ideal DCGs and training-item indices), and a
 call ranks one embedding matrix.  `evaluate` builds one and calls it once;
 training builds one per run and calls it every epoch.  A block's scores
 come from one matrix product, in float32 for float64 embeddings, which
-rounds differently from the per-user float64 product `score_user` takes; a
+rounds differently from the per-user float64 product `items @ X[user]`; a
 count from the block is kept only where a per-item rounding-error margin
 proves it, and users with any other held-out item are scored again with
 the per-user product.  The score that proves an item a miss is the cut-th
@@ -86,22 +86,8 @@ class SplitSet:
         return self.train.shape[0] + self.val.shape[0] + self.test.shape[0]
 
 
-def score_user(X: np.ndarray, user: int, graph: Graph) -> np.ndarray:
-    """Scores of every item for one user, train-interacted items at -inf.
-
-    `graph` must be the training graph; its partition defines the item
-    block.  Pass propagated embeddings when the model scores with them.
-    """
-    if graph.partition is None:
-        raise ValueError("scoring needs a bipartite partition")
-    X = _float_embeddings(X)
-    part = graph.partition
-    scores = X[part.num_users:] @ X[user]
-    interacted = graph.neighbors(user) - part.num_users
-    scores[interacted] = -np.inf
-    return scores
-
-
+# no library code ranks with it; it stays because the benchmark's tracer
+# (perfbench/tracing.py, COUNTED) patches it by name
 def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k best finite scores, ties broken by ascending index.
 
@@ -112,30 +98,6 @@ def top_k(scores: np.ndarray, k: int) -> np.ndarray:
     order = np.argsort(-scores, kind="stable")
     order = order[np.isfinite(scores[order])]
     return order[:k]
-
-
-def metrics_at_k(ranked: np.ndarray, test_items: np.ndarray,
-                 k: int) -> tuple[float, float, float]:
-    """(precision, recall, ndcg) of one ranked list against binary relevance.
-
-    precision divides by the requested cutoff even when the list is short;
-    the ideal DCG truncates at min(k, number of test items).
-    """
-    if len(test_items) == 0:
-        raise ValueError("metrics undefined for an empty test set")
-    hits = np.isin(ranked[:k], test_items)
-    num_hits = int(hits.sum())
-    precision = num_hits / k
-    recall = num_hits / len(test_items)
-    # sequential accumulation in rank order, matching the scalar definition
-    # bit for bit (numpy's blocked summation would not)
-    dcg = 0.0
-    for rank in np.flatnonzero(hits):
-        dcg += 1.0 / float(np.log2(rank + 2.0))
-    idcg = 0.0
-    for rank in range(min(k, len(test_items))):
-        idcg += 1.0 / float(np.log2(rank + 2.0))
-    return precision, recall, dcg / idcg
 
 
 @dataclass(frozen=True)
@@ -152,18 +114,10 @@ class EvalResult:
 
 def evaluate(X: np.ndarray, splits: SplitSet, train_graph: Graph,
              k: int, split: str = "test") -> EvalResult:
-    """Rank candidates for every user with held-out edges, average metrics
-    at cutoff k (required: a run's cutoff is TrainConfig's `eval_k`).
-
-    `split` picks the held-out edge set ("test" or "val"); candidates are
-    always the items unseen in training.  This is one call of a fresh
-    `Ranker(splits, train_graph, k, split)`, whose docstring gives the
-    method; a caller that ranks one split again and again builds the
-    `Ranker` once.  Every result bit equals what `top_k` and
-    `metrics_at_k` give user by user (`reference.evaluate_scalar` spells
-    the same definition out item by item).  X must have a real
-    floating-point dtype.
-    """
+    """Mean metrics at cutoff k over the users with `split` ("test" or
+    "val") edges: one call of a fresh `Ranker(splits, train_graph, k,
+    split)`, which documents the method.  A caller that ranks one split
+    again and again builds the `Ranker` once."""
     return Ranker(splits, train_graph, k, split)(X)
 
 
@@ -179,7 +133,9 @@ class Ranker:
     Where `4 * _PROBE * cut <= num_items` it also keeps the probe: the
     `_PROBE * cut` items with the most training edges (ties to the lower
     item id), in column order, and each user's training items among them.
-    Calling it on X returns the `EvalResult` that `evaluate` gives.
+    Calling it on X, which must have a real floating-point dtype (training
+    items are set to -inf), returns the `EvalResult` whose every bit
+    `reference.evaluate_scalar` gives.
 
     The probe stage runs first.  Each row's probe scores, one GEMM in the
     block dtype per block of at most `_BLOCK_BYTES`, have the user's
@@ -203,7 +159,7 @@ class Ranker:
     `_BLOCK_BYTES` of scores, in float32 for float64 embeddings that
     `_score_error` finds safe to cast.  The block compares two items'
     scores with a margin, the sum of their rounding-error bounds, and the
-    per-user GEMV of `score_user` ranks every held-out item that the block
+    per-user GEMV `items @ X[user]` ranks every held-out item that the block
     ranks sure the same way (see `_ranks`).  A user row of zeros scores
     exactly on both paths and is ranked from the block at margin 0.  Users
     with any other item (near-ties, non-finite user embeddings, floating
@@ -289,7 +245,10 @@ class Ranker:
     # probe or the fallback GEMVs
     @np.errstate(invalid="ignore", over="ignore")
     def __call__(self, X: np.ndarray) -> EvalResult:
-        X = _float_embeddings(X)
+        X = np.asarray(X)
+        if not np.issubdtype(X.dtype, np.floating):
+            raise ValueError(f"X must have a real floating-point dtype, got "
+                             f"{X.dtype}")
         if X.ndim != 2 or X.shape[0] != self.num_nodes:
             raise ValueError(
                 f"X must be a 2-d array with one row per node of train_graph "
@@ -324,10 +283,10 @@ class Ranker:
             rows, cols = ranked.key_rows[a:b] - lo, ranked.key_cols[a:b]
             bound = (scale[lo:hi], norms, offset[lo:hi])
             rank, sure = _ranks(S, rows, cols, bound, cut, heads[:nb])
-            # users with an unsure item: one GEMV each, the scores score_user
-            # gives, and every held-out item of theirs ranked exactly (in
-            # buffers made only then: held for every call, the page faults
-            # they cost slowed small calls)
+            # users with an unsure item: one GEMV each, the per-user scores
+            # of reference.evaluate_scalar, and every held-out item of
+            # theirs ranked exactly (in buffers made only then: held for
+            # every call, the page faults they cost slowed small calls)
             redo = np.unique(rows[~sure])
             if redo.shape[0]:
                 E = np.empty((redo.shape[0], num_items), dtype=X.dtype)
@@ -444,21 +403,11 @@ def _starts(counts: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(counts)))
 
 
-def _float_embeddings(X) -> np.ndarray:
-    """X as an array; raises ValueError unless its dtype is real floating
-    point, on which training items can be set to -inf."""
-    X = np.asarray(X)
-    if not np.issubdtype(X.dtype, np.floating):
-        raise ValueError(f"X must have a real floating-point dtype, got "
-                         f"{X.dtype}")
-    return X
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def _score_error(Y: np.ndarray, items: np.ndarray):
     """The block product's dtype, and per user row y and item row x_j a
     bound on how far the block score of (y, x_j) may lie from `x_j @ y`
-    as `score_user` computes it.
+    as the per-user GEMV of `reference.evaluate_scalar` computes it.
 
     Returns `(dtype, scale, norms, offset)`; the bound is
     `scale[r] * norms[j] + offset[r]`, already doubled as below.

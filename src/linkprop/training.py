@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from linkprop.diagnostics import frobenius, mean_positive_kernel
-from linkprop.graphs import Graph, check_integer
+from linkprop.graphs import Graph, check_distinct, check_integer
 from linkprop.kernel import (KernelOperator, kernel_update, link_kernels,
                              model_config, positive_kernel, score_matrices)
 from linkprop.losses import (DivergenceError, MaskSet, ModelParams,
@@ -284,14 +284,19 @@ def grid_search(graph: Graph, negatives: NegativeSet, splits: SplitSet,
 
     Divergent points are quarantined, not fatal.  Ties go to the smaller
     alpha, then the smaller layer count: the grids are scanned in ascending
-    order and only strict improvements replace the incumbent.
+    order and only strict improvements replace the incumbent.  An empty
+    `alphas` or `layer_grid`, or one that lists a value twice, is a
+    ValueError naming it.
     """
+    alphas, layer_grid = tuple(alphas), tuple(layer_grid)
+    check_distinct("alphas", alphas)
+    check_distinct("layer_grid", layer_grid)
     if splits.val.shape[0] == 0:
         raise ValueError("grid search needs validation edges")
     # the layer grid covers the models whose table row reads `layers`
     rows = (model_table(base.window, 0)[base.model],
             model_table(base.window, 1)[base.model])
-    layer_values = tuple(layer_grid) if rows[0] != rows[1] else (base.layers,)
+    layer_values = layer_grid if rows[0] != rows[1] else (base.layers,)
     # ranks the points that never validated (eval_every > max_epochs)
     rank_val = Ranker(splits, graph, base.eval_k, "val")
     points = []

@@ -7,6 +7,7 @@ from linkprop import reference
 from linkprop.graphs import Graph, Partition, build_graph, proximity
 from linkprop.losses import MaskSet
 from linkprop.negatives import NegativeSet, QuotaUnreachable, sample_negatives
+from linkprop.ranking import SplitSet
 
 settings.register_profile(
     "suite", deadline=None, max_examples=40,
@@ -95,6 +96,25 @@ def oracle_masks(graph, negatives, params) -> MaskSet:
     prop = (proximity(sp.csr_array((n, n)), 0, 0) if P is None
             else proximity(sp.csr_array(P), 1, 1))
     return MaskSet(pos=sp.csr_array(W_pos), neg=sp.csr_array(W_neg), prop=prop)
+
+
+def ranked_list_split(ranked, relevant, num_items: int = 20):
+    """(X, splits, train_graph) of one user whose candidates rank exactly
+    as the item list `ranked` (distinct integer scores, descending) and
+    whose test items are `relevant`.  Every item outside `ranked` is a
+    training item, so `evaluate` ranks the list itself."""
+    part = Partition(1, num_items)
+    ranked = [int(i) for i in ranked]
+    X = np.zeros((part.num_nodes, 1))
+    X[0] = 1.0
+    X[[1 + i for i in ranked], 0] = np.arange(len(ranked), 0, -1)
+    pairs = lambda items: np.array([(0, 1 + int(i)) for i in items],
+                                   dtype=np.int64).reshape(-1, 2)
+    train = pairs(i for i in range(num_items) if i not in ranked)
+    splits = SplitSet(partition=part, train=train, val=pairs(()),
+                      test=pairs(sorted(relevant)), ratios=(0.8, 0.1, 0.1),
+                      seed=0)
+    return X, splits, build_graph(train, partition=part)
 
 
 @pytest.fixture

@@ -20,16 +20,16 @@ from linkprop.data_io import (ExpectedStats, dataset_from_graph,
                               verify_stats, write_canonical)
 from linkprop.diagnostics import frobenius, substep_contractions
 from linkprop.experiment import RunConfig, run_experiment
-from linkprop.graphs import build_graph
+from linkprop.graphs import Partition, build_graph
 from linkprop.kernel import (KernelOperator, SubstepTrace, kernel_step,
                              materialize_kernel, model_config, score_matrices,
                              sign_structure)
 from linkprop.losses import (ModelParams, build_masks, gd_step, loss_gradient,
                              model_loss)
 from linkprop.negatives import sample_negatives
-from linkprop.ranking import metrics_at_k
-from linkprop.reference import (finite_difference_gradient,
-                                gradient_relative_error, metrics_scalar)
+from linkprop.ranking import SplitSet, evaluate
+from linkprop.reference import (evaluate_scalar, finite_difference_gradient,
+                                gradient_relative_error)
 from linkprop.synthetic import equivalence_instance, table_shaped_dataset
 from linkprop.training import TrainConfig, init_embeddings, repeat_train, train
 
@@ -81,7 +81,7 @@ def test_criterion_1_kernel_gd_trajectories_coincide(check):
                                  seed)
             Xk = Xg.copy()
             for step in range(1, 51):
-                grad = loss_gradient(Xg, graph, negatives, params, masks)
+                grad = loss_gradient(Xg, masks, params)
                 Xg = gd_step(Xg, grad, alpha, step=step)
                 Xk = kernel_step(Xk, op)
                 worst_step = max(worst_step, float(np.abs(Xg - Xk).max()))
@@ -109,8 +109,8 @@ def test_criterion_2_gradients_match_finite_differences(check):
                    for _ in range(5)]
         for X in points:
             approx = finite_difference_gradient(
-                lambda Y: model_loss(Y, graph, negatives, params, masks), X)
-            exact = loss_gradient(X, graph, negatives, params, masks)
+                lambda Y: model_loss(Y, masks, params), X)
+            exact = loss_gradient(X, masks, params)
             worst = max(worst, gradient_relative_error(exact, approx))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-5 and elapsed < 10.0
@@ -128,10 +128,12 @@ def test_criterion_3_zero_layer_lightgcn_collapses_to_mf(check):
         X = rng.normal(scale=0.3, size=(graph.num_nodes, 4))
         mf = ModelParams("mf", lam=lam, beta=beta)
         lgc = ModelParams("lightgcn", layers=0, lam=lam, beta=beta)
-        same_loss = (model_loss(X, graph, negatives, mf)
-                     == model_loss(X, graph, negatives, lgc))
-        same_grad = np.array_equal(loss_gradient(X, graph, negatives, mf),
-                                   loss_gradient(X, graph, negatives, lgc))
+        mf_masks = build_masks(graph, negatives, mf)
+        lgc_masks = build_masks(graph, negatives, lgc)
+        same_loss = (model_loss(X, mf_masks, mf)
+                     == model_loss(X, lgc_masks, lgc))
+        same_grad = np.array_equal(loss_gradient(X, mf_masks, mf),
+                                   loss_gradient(X, lgc_masks, lgc))
         matched += same_loss and same_grad
     check(3, matched == 100, f"{matched}/100 cases bitwise equal in loss "
                              f"and gradient")
@@ -203,19 +205,41 @@ def test_criterion_5_positive_kernel_decay_and_contractions(check):
 
 
 def test_criterion_6_ranking_metrics_match_scalar_oracle(check):
+    # the library's ranking against the oracle that sorts each user's
+    # candidates: small random splits (users without test edges, trained
+    # test items, users with no candidate left), distinct or tied scores
+    # and cutoffs past the item count
     rng = np.random.default_rng(123)
     exact = 0
     for _ in range(1000):
-        ranked = rng.permutation(60)[: int(rng.integers(1, 61))]
-        relevant = rng.choice(60, size=int(rng.integers(1, 9)), replace=False)
+        part = Partition(int(rng.integers(1, 6)), int(rng.integers(1, 31)))
+        cells = np.array([(u, part.num_users + i)
+                          for u in range(part.num_users)
+                          for i in range(part.num_items)])
+        label = rng.choice(3, size=cells.shape[0], p=[0.4, 0.4, 0.2])
+        label[rng.integers(cells.shape[0])] = 2  # at least one test edge
+        train, test = cells[label == 1], cells[label == 2]
+        splits = SplitSet(partition=part, train=train, val=cells[:0],
+                          test=test, ratios=(0.8, 0.1, 0.1), seed=0)
+        graph = build_graph(train, partition=part)
+        X = rng.normal(size=(part.num_nodes, int(rng.integers(1, 5))))
+        if rng.random() < 0.5:
+            X = np.round(X)
         k = int(rng.integers(1, 26))
-        exact += (metrics_at_k(ranked, relevant, k)
-                  == metrics_scalar(ranked, relevant, k))
-    top = metrics_at_k(np.array([7, 3, 5]), np.array([7]), k=3)
-    second = metrics_at_k(np.array([3, 7, 5]), np.array([7]), k=3)
-    closed = top[2] == 1.0 and second[2] == 1.0 / math.log2(3.0)
+        exact += (dataclasses.astuple(evaluate(X, splits, graph, k))
+                  == evaluate_scalar(X, splits, graph, k))
+    # one user, items scored 3, 2, 1: the held-out item ranked first, then
+    # second
+    part = Partition(1, 3)
+    X = np.array([[1.0], [3.0], [2.0], [1.0]])
+    graph = build_graph(np.empty((0, 2), dtype=np.int64), partition=part)
+    ndcg = [evaluate(X, SplitSet(partition=part, train=graph.edges,
+                                 val=graph.edges, test=np.array([[0, item]]),
+                                 ratios=(0.8, 0.1, 0.1), seed=0),
+                     graph, k=3).ndcg for item in (1, 2)]
+    closed = ndcg == [1.0, 1.0 / math.log2(3.0)]
     ok = exact == 1000 and closed
-    check(6, ok, f"{exact}/1000 randomized rankings exact, closed forms "
+    check(6, ok, f"{exact}/1000 randomized splits exact, closed forms "
                  f"{'exact' if closed else 'off'}")
 
 

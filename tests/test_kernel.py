@@ -247,7 +247,8 @@ class TestKernelStep:
         X = np.array([[30.0]] * 4 + [[-30.0]] * 4)
         config, op = operator_for("mf", graph, neg, alpha=0.1, beta=0.0)
         assert np.array_equal(kernel_step(X, op), X)
-        grad = loss_gradient(X, graph, neg, ModelParams("mf"))
+        params = ModelParams("mf")
+        grad = loss_gradient(X, build_masks(graph, neg, params), params)
         assert np.array_equal(grad, np.zeros_like(X))
 
 

@@ -24,6 +24,16 @@ ORACLE_MODELS = ALL_MODELS + [ModelParams("deepwalk", window=1),
                               ModelParams("lightgcn", layers=0),
                               ModelParams("lightgcn", layers=5)]
 
+def loss_of(X, graph, neg, params):
+    """model_loss at X on the masks `build_masks` gives the instance."""
+    return model_loss(X, build_masks(graph, neg, params), params)
+
+
+def gradient_of(X, graph, neg, params):
+    """loss_gradient at X on the masks `build_masks` gives the instance."""
+    return loss_gradient(X, build_masks(graph, neg, params), params)
+
+
 # wrong rows of losses.model_table that the oracle must catch
 TABLE_MUTANTS = {
     "deepwalk-a2-b2-swapped": ("deepwalk", lambda r: r._replace(a2=r.b2, b2=r.a2)),
@@ -171,12 +181,12 @@ class TestModelLoss:
         X = np.zeros((graph.num_nodes, 4))
         params = ModelParams("mf", lam=1.0)
         expected = (graph.num_edges + neg.num_pairs) * math.log(2.0)
-        assert model_loss(X, graph, neg, params) == pytest.approx(expected, rel=1e-14)
+        assert loss_of(X, graph, neg, params) == pytest.approx(expected, rel=1e-14)
 
     def test_lambda_scales_negative_half(self, small_instance):
         graph, neg = small_instance
         X = np.zeros((graph.num_nodes, 4))
-        loss = model_loss(X, graph, neg, ModelParams("mf", lam=3.0))
+        loss = loss_of(X, graph, neg, ModelParams("mf", lam=3.0))
         expected = (graph.num_edges + 3.0 * neg.num_pairs) * math.log(2.0)
         assert loss == pytest.approx(expected, rel=1e-14)
 
@@ -190,15 +200,15 @@ class TestModelLoss:
         W_pos, W_neg, P = reference.dense_weights(graph, neg, params)
         expected = reference.brute_force_loss(X, W_pos, W_neg, lam=params.lam,
                                               beta=params.beta, P=P)
-        assert model_loss(X, graph, neg, params) == pytest.approx(expected, rel=1e-12)
+        assert loss_of(X, graph, neg, params) == pytest.approx(expected, rel=1e-12)
 
     def test_penalty_on_raw_not_propagated(self, small_instance):
         # lightgcn's quadratic term must see X, not the propagated rows
         graph, neg = small_instance
         rng = np.random.default_rng(1)
         X = rng.normal(size=(graph.num_nodes, 3))
-        with_pen = model_loss(X, graph, neg, ModelParams("lightgcn", layers=2, beta=2.0))
-        without = model_loss(X, graph, neg, ModelParams("lightgcn", layers=2, beta=0.0))
+        with_pen = loss_of(X, graph, neg, ModelParams("lightgcn", layers=2, beta=2.0))
+        without = loss_of(X, graph, neg, ModelParams("lightgcn", layers=2, beta=0.0))
         assert with_pen - without == pytest.approx(float(np.sum(X * X)), rel=1e-12)
 
     def test_lightgcn_zero_layers_is_mf_bitwise(self, small_instance):
@@ -207,9 +217,9 @@ class TestModelLoss:
         X = rng.normal(size=(graph.num_nodes, 4))
         mf = ModelParams("mf", beta=0.1)
         lgc = ModelParams("lightgcn", layers=0, beta=0.1)
-        assert model_loss(X, graph, neg, lgc) == model_loss(X, graph, neg, mf)
-        assert np.array_equal(loss_gradient(X, graph, neg, lgc),
-                              loss_gradient(X, graph, neg, mf))
+        assert loss_of(X, graph, neg, lgc) == loss_of(X, graph, neg, mf)
+        assert np.array_equal(gradient_of(X, graph, neg, lgc),
+                              gradient_of(X, graph, neg, mf))
 
     def test_deepwalk_window_one_mask_equals_line(self, small_instance):
         graph, neg = small_instance
@@ -221,7 +231,7 @@ class TestModelLoss:
         graph = build_graph([(0, 1), (1, 2)], num_nodes=3)
         neg = negatives_from_pairs([(0, 2)], 3)
         X = np.array([[30.0], [30.0], [-30.0]])
-        loss = model_loss(X, graph, neg, ModelParams("mf"))
+        loss = loss_of(X, graph, neg, ModelParams("mf"))
         assert math.isfinite(loss)
         # the (0,2) negative is maximally violated, so it dominates
         assert loss > 800.0
@@ -232,7 +242,7 @@ class TestModelLoss:
         rng = np.random.default_rng(xseed)
         X = rng.normal(size=(graph.num_nodes, 3))
         for params in ALL_MODELS:
-            loss = model_loss(X, graph, neg, params)
+            loss = loss_of(X, graph, neg, params)
             assert math.isfinite(loss)
             assert loss >= 0.0
 
@@ -259,7 +269,7 @@ class TestLossGradient:
     def test_zero_embedding_zero_gradient(self, small_instance, params):
         graph, neg = small_instance
         X = np.zeros((graph.num_nodes, 4))
-        grad = loss_gradient(X, graph, neg, params)
+        grad = gradient_of(X, graph, neg, params)
         assert np.array_equal(grad, np.zeros_like(X))
 
     @pytest.mark.parametrize("model", ["line", "lightgcn"])
@@ -269,9 +279,9 @@ class TestLossGradient:
         masks = build_masks(graph, neg, params)
         rng = np.random.default_rng(3)
         X = rng.normal(scale=0.3, size=(graph.num_nodes, 3))
-        exact = loss_gradient(X, graph, neg, params, masks=masks)
+        exact = loss_gradient(X, masks, params)
         approx = reference.finite_difference_gradient(
-            lambda Z: model_loss(Z, graph, neg, params, masks=masks), X)
+            lambda Z: model_loss(Z, masks, params), X)
         assert reference.gradient_relative_error(exact, approx) < 1e-6
 
     def test_relabeling_invariance(self):
@@ -286,8 +296,8 @@ class TestLossGradient:
         X_perm = np.empty_like(X)
         X_perm[perm] = X
         for params in ALL_MODELS:
-            assert model_loss(X, graph, neg, params) == pytest.approx(
-                model_loss(X_perm, perm_graph, perm_neg, params), rel=1e-12)
+            assert loss_of(X, graph, neg, params) == pytest.approx(
+                loss_of(X_perm, perm_graph, perm_neg, params), rel=1e-12)
 
     def test_descent_reduces_loss(self, small_instance):
         graph, neg = small_instance
@@ -295,11 +305,11 @@ class TestLossGradient:
         masks = build_masks(graph, neg, params)
         rng = np.random.default_rng(5)
         X = rng.normal(scale=0.1, size=(graph.num_nodes, 4))
-        prev = model_loss(X, graph, neg, params, masks=masks)
+        prev = model_loss(X, masks, params)
         for step in range(20):
-            X = gd_step(X, loss_gradient(X, graph, neg, params, masks=masks),
+            X = gd_step(X, loss_gradient(X, masks, params),
                         alpha=1e-3, step=step)
-            cur = model_loss(X, graph, neg, params, masks=masks)
+            cur = model_loss(X, masks, params)
             assert cur < prev + 1e-12
             prev = cur
 

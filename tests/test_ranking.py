@@ -8,14 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, ranked_list_split
 from linkprop import ranking
 from linkprop.data_io import graph_from_split, load_edge_list, split_dataset
 from linkprop.graphs import Partition, build_graph
 from linkprop.negatives import sample_negatives
 from linkprop.ranking import (EvalResult, Ranker, SplitSet, evaluate,
-                              mean_result, metrics_at_k, score_user, top_k)
-from linkprop.reference import evaluate_scalar, metrics_scalar
+                              mean_result, top_k)
+from linkprop.reference import evaluate_scalar
 from linkprop.synthetic import block_bipartite
 from linkprop.training import TrainConfig, train
 
@@ -51,54 +51,67 @@ class TestTopK:
         assert list(top_k(scores, k)) == expected
 
 
+def metrics_of(ranked, relevant, k, num_items=20):
+    """(precision, recall, ndcg) that `evaluate` gives the ranked list."""
+    X, splits, graph = ranked_list_split(ranked, relevant, num_items)
+    result = evaluate(X, splits, graph, k=k)
+    return result.precision, result.recall, result.ndcg
+
+
 class TestMetricsAtK:
+    """Precision, recall and NDCG at k of one user's ranked list, through
+    `evaluate` on a split that ranks the user's candidates in list order
+    (`reference.metrics_scalar` is the oracle, see test_reference.py)."""
+
     def test_single_hit_at_top(self):
-        p, r, n = metrics_at_k(np.arange(20), np.array([0]), k=20)
+        p, r, n = metrics_of(range(20), [0], k=20)
         assert (p, r, n) == (0.05, 1.0, 1.0)
 
     def test_single_hit_at_second_place(self):
-        _, _, n = metrics_at_k(np.arange(20), np.array([1]), k=20)
+        _, _, n = metrics_of(range(20), [1], k=20)
         assert n == pytest.approx(1.0 / np.log2(3.0))
 
     def test_no_hits(self):
-        p, r, n = metrics_at_k(np.array([5, 6, 7]), np.array([0, 1]), k=3)
+        # the test items are training items: masked, never ranked
+        p, r, n = metrics_of([5, 6, 7], [0, 1], k=3)
         assert (p, r, n) == (0.0, 0.0, 0.0)
 
     def test_short_list_still_divides_by_k(self):
-        p, r, _ = metrics_at_k(np.array([0]), np.array([0]), k=10)
+        # one candidate against a cutoff of 10
+        p, r, _ = metrics_of([0], [0], k=10)
         assert p == 0.1
         assert r == 1.0
 
     def test_ideal_truncates_at_test_size(self):
         # two of three test items in the top 2: idcg uses ranks 1..2 only
-        p, r, n = metrics_at_k(np.array([0, 1]), np.array([0, 1, 9]), k=2)
+        p, r, n = metrics_of([0, 1], [0, 1, 9], k=2)
         assert n == 1.0
         assert r == pytest.approx(2.0 / 3.0)
 
     def test_empty_test_set(self):
-        with pytest.raises(ValueError, match="empty test set"):
-            metrics_at_k(np.array([0]), np.array([]), k=1)
+        # a user with no test items is skipped, not scored zero, and a
+        # split with none at all has no metrics
+        part = Partition(2, 3)
+        splits = make_splits(part, [(0, 2)], test=[(1, 3)])
+        graph = build_graph([(0, 2)], partition=part)
+        X = np.array([[1.0], [1.0], [0.0], [2.0], [0.0]])
+        result = evaluate(X, splits, graph, k=1)
+        assert (result.users_evaluated, result.users_skipped) == (1, 1)
+        assert (result.precision, result.recall, result.ndcg) == (1.0,) * 3
+        empty = make_splits(part, [(0, 2)])
+        with pytest.raises(ValueError, match="no users have test edges"):
+            evaluate(X, empty, graph, k=1)
 
     def test_perfect_prefix_is_unit_ndcg(self):
-        ranked = np.array([3, 1, 4, 2])
-        _, _, n = metrics_at_k(ranked, np.array([3, 1]), k=4)
+        _, _, n = metrics_of([3, 1, 4, 2], [3, 1], k=4)
         assert n == 1.0
-
-    @given(st.integers(0, 2**16), st.integers(1, 15))
-    def test_property_matches_scalar_oracle(self, seed, k):
-        rng = np.random.default_rng(seed)
-        ranked = rng.permutation(20)[: rng.integers(1, 21)]
-        relevant = rng.choice(20, size=rng.integers(1, 6), replace=False)
-        got = metrics_at_k(ranked, relevant, k)
-        expected = metrics_scalar(ranked, relevant, k)
-        assert got == expected
 
     @given(st.integers(0, 2**16), st.integers(1, 15))
     def test_property_counting_identity(self, seed, k):
         rng = np.random.default_rng(seed)
         ranked = rng.permutation(20)
         relevant = rng.choice(20, size=rng.integers(1, 6), replace=False)
-        p, r, n = metrics_at_k(ranked, relevant, k)
+        p, r, n = metrics_of(ranked, relevant, k)
         hits = len(set(ranked[:k].tolist()) & set(relevant.tolist()))
         assert p * k == pytest.approx(hits)
         assert r * len(relevant) == pytest.approx(hits)
@@ -106,18 +119,25 @@ class TestMetricsAtK:
 
 
 class TestScoreUser:
+    """How `evaluate` scores a user's candidates: training items masked,
+    items offset by a bipartite partition."""
+
     def test_masks_train_interactions(self):
+        # all scores tie, so only the mask keeps items 0 and 1 (trained)
+        # from ranking ahead of item 2
         part = Partition(2, 3)
-        graph = build_graph([(0, 2), (0, 3), (1, 4)], partition=part)
-        X = np.ones((5, 2))
-        scores = score_user(X, 0, graph)
-        assert scores[0] == -np.inf and scores[1] == -np.inf
-        assert scores[2] == pytest.approx(2.0)
+        train = [(0, 2), (0, 3), (1, 4)]
+        splits = make_splits(part, train, test=[(0, 4)])
+        graph = build_graph(train, partition=part)
+        result = evaluate(np.ones((5, 2)), splits, graph, k=1)
+        assert (result.precision, result.recall, result.ndcg) == (1.0,) * 3
 
     def test_needs_partition(self):
+        # checked when the Ranker is built, before any embedding is seen
+        splits = make_splits(Partition(1, 1), [], test=[(0, 1)])
         graph = build_graph([(0, 1)], num_nodes=2)
         with pytest.raises(ValueError, match="partition"):
-            score_user(np.ones((2, 2)), 0, graph)
+            Ranker(splits, graph, 1, "test")
 
 
 class TestEvaluate:
@@ -230,8 +250,6 @@ class TestEvaluateInputs:
                    f"{np.dtype(dtype)}")
         with pytest.raises(ValueError, match=message):
             evaluate(X, splits, graph, k=20)
-        with pytest.raises(ValueError, match=message):
-            score_user(X, 0, graph)
 
     @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
     def test_ranks_float_embeddings(self, case, dtype):
@@ -240,8 +258,6 @@ class TestEvaluateInputs:
         result = evaluate(X, splits, graph, k=2)
         assert dataclasses.astuple(result) == evaluate_scalar(X, splits,
                                                               graph, k=2)
-        scores = score_user(X, 0, graph)
-        assert scores.dtype == dtype and scores[0] == -np.inf
 
 
 @st.composite

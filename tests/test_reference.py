@@ -12,10 +12,12 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from conftest import ranked_list_split
 from linkprop import reference
 from linkprop.graphs import Partition, build_graph
-from linkprop.ranking import SplitSet
+from linkprop.ranking import SplitSet, evaluate
 
 SRC = pathlib.Path(reference.__file__).parent
 
@@ -149,6 +151,17 @@ class TestMetricsScalar:
     def test_empty_relevant_rejected(self):
         with pytest.raises(ValueError, match="relevant"):
             reference.metrics_scalar([1, 2], [], 5)
+
+    @given(st.integers(0, 2**16), st.integers(1, 15))
+    def test_property_matches_evaluate(self, seed, k):
+        # bit for bit: `evaluate` on a split that ranks one user's
+        # candidates in list order, every other item trained
+        rng = np.random.default_rng(seed)
+        ranked = rng.permutation(20)[: rng.integers(1, 21)]
+        relevant = rng.choice(20, size=rng.integers(1, 6), replace=False)
+        result = evaluate(*ranked_list_split(ranked, relevant), k=k)
+        assert (result.precision, result.recall, result.ndcg) == \
+            reference.metrics_scalar(ranked, relevant, k)
 
 
 class TestEvaluateScalar:

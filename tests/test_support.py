@@ -125,13 +125,13 @@ def check_against_oracles(graph, negatives, model, kwargs, Y):
     X = Y  # treat Y as the embedding; masks.prop propagates it for lightgcn
     Yp = masks.prop.apply(X)
     expected = old_bce(Yp, masks.pos, masks.neg, lam) + 0.5 * beta * float(np.sum(X * X))
-    assert model_loss(X, graph, negatives, params, masks) == expected
+    assert model_loss(X, masks, params) == expected
     assert bce_loss(Yp, masks.pos, masks.neg, lam=lam, beta=0.0) == old_bce(
         Yp, masks.pos, masks.neg, lam)
     M = old_residual(Yp, masks.pos, masks.neg, lam)
     assert np.array_equal(masks.pattern.indptr, M.indptr)
     assert np.array_equal(masks.pattern.cols, M.indices)
-    assert same_bits(loss_gradient(X, graph, negatives, params, masks),
+    assert same_bits(loss_gradient(X, masks, params),
                      beta * X - masks.prop.apply(M @ Yp))
 
 

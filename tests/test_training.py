@@ -301,7 +301,7 @@ class TestEarlyStopping:
         result = train(graph, neg, cfg, splits=splits)
         masks = build_masks(graph, neg, cfg.params)
         X0 = init_embeddings(graph.num_nodes, cfg.dim, cfg.init_scale, cfg.seed)
-        X1 = gd_step(X0, loss_gradient(X0, graph, neg, cfg.params, masks),
+        X1 = gd_step(X0, loss_gradient(X0, masks, cfg.params),
                      cfg.alpha, step=1)
         assert np.array_equal(result.embeddings, X1)
 
@@ -495,6 +495,28 @@ class TestGridSearch:
                          ratios=(1.0, 0.0, 0.0), seed=0)
         with pytest.raises(ValueError, match="validation"):
             grid_search(graph, neg, empty, TrainConfig("mf", alpha=0.1))
+
+    @pytest.mark.parametrize("model,grids,message", [
+        ("mf", {"alphas": ()}, "alphas must list at least one value"),
+        ("mf", {"alphas": (0.01, 0.1, 0.01)},
+         "alphas lists 0.01 more than once"),
+        ("lightgcn", {"layer_grid": ()},
+         "layer_grid must list at least one value"),
+        ("lightgcn", {"layer_grid": [1, 3, 1]},
+         "layer_grid lists 1 more than once")])
+    def test_rejects_an_empty_or_repeated_grid(self, split_instance,
+                                               monkeypatch, model, grids,
+                                               message):
+        # an empty grid would train nothing and then report that all of
+        # its 0 points diverged; a repeat would train one point twice
+        graph, neg, splits = split_instance
+        trained = []
+        monkeypatch.setattr("linkprop.training.train",
+                            lambda *args, **kwargs: trained.append(args))
+        with pytest.raises(ValueError, match=message):
+            grid_search(graph, neg, splits, TrainConfig(model, alpha=0.1),
+                        **grids)
+        assert trained == []
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_selects_and_quarantines(self, split_instance):
