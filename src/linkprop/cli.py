@@ -110,6 +110,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_verify_equivalence(args) -> int:
     check_integer("--graphs", args.graphs, 1)
+    check_integer("--steps", args.steps, 1)
     if not (math.isfinite(args.tolerance) and args.tolerance > 0):
         raise ValueError(f"--tolerance must be positive and finite, "
                          f"got {args.tolerance}")

@@ -13,7 +13,7 @@ import csv
 import numpy as np
 import scipy.sparse as sp
 
-from linkprop.kernel import SubstepTrace
+from linkprop.kernel import SubstepTrace, frobenius
 
 CSV_FIELDS = ("step", "mean_k_plus", "frob_norm", "sub1", "sub2", "sub3", "sub4")
 
@@ -32,10 +32,6 @@ def mean_positive_kernel(k_plus: sp.csr_array) -> float:
     if k_plus.data.shape[0] == 0:
         raise ValueError("positive kernel has empty support")
     return float(k_plus.data.mean())
-
-
-def frobenius(X: np.ndarray) -> float:
-    return float(np.linalg.norm(X))
 
 
 def substep_contractions(trace: SubstepTrace,

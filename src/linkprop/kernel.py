@@ -111,15 +111,8 @@ class KernelOperator:
     def build(cls, config: KernelConfig, graph: Graph,
               negatives: NegativeSet) -> "KernelOperator":
         masks = mask_set(graph, negatives, config)
-        pattern = masks.pattern
         return cls(config=config, graph=graph, prop=masks.prop,
-                   pattern=pattern, rows=pattern.rows)
-
-    def step_traced(self, X: np.ndarray):
-        """One kernel step from X: (X', substep trace), X' unchecked."""
-        Y = self.prop.apply(X)
-        return kernel_update(X, Y, link_kernels(score_matrices(Y, self), self),
-                             self)
+                   pattern=masks.pattern, rows=masks.pattern.rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,25 +182,41 @@ class SubstepTrace:
     norms: tuple[float, float, float, float]
 
 
-def kernel_update(X: np.ndarray, Y: np.ndarray, kernels: LinkKernels,
+def frobenius(X: np.ndarray) -> float:
+    return float(np.linalg.norm(X))
+
+
+def kernel_update(X: np.ndarray, Y: np.ndarray, scores: ScorePair,
                   operator: KernelOperator):
-    """One kernel step from the forward pass at X: Y = P X and the link
-    kernels of its scores.  Returns X' (not checked for finiteness) and the
-    substep trace, whose five norms cost little next to the step."""
+    """One kernel step from the forward pass at X: Y = P X and its
+    `score_matrices`, dropped once read, as are the link kernels.  Returns
+    X' (not checked for finiteness) and the substep trace.  Beside X and Y
+    the step holds one n x d buffer: Z = K+ Y - lam (K- Y), P Z, then
+    c2 P Z + c1 X, the bits of c1 X + c2 P Z (IEEE addition commutes)."""
     config = operator.config
-    Z = kernels.k_plus @ Y - config.lam * (kernels.k_minus @ Y)
-    W = operator.prop.apply(Z)
-    out = config.c1 * X + config.c2 * W
-    frob = lambda M: float(np.linalg.norm(M))
-    return out, SubstepTrace(input_norm=frob(X),
-                             norms=(frob(Y), frob(Z), frob(W), frob(out)))
+    kernels = link_kernels(scores, operator)
+    del scores
+    Z, T = kernels.k_plus @ Y, kernels.k_minus @ Y
+    del kernels
+    T *= config.lam
+    Z -= T
+    del T
+    z_norm = frobenius(Z)
+    W = operator.prop.apply(Z, overwrite_input=True)
+    w_norm = frobenius(W)
+    W *= config.c2
+    W += config.c1 * X
+    return W, SubstepTrace(input_norm=frobenius(X),
+                           norms=(frobenius(Y), z_norm, w_norm, frobenius(W)))
 
 
 def kernel_step(X: np.ndarray, operator: KernelOperator,
                 step: int | None = None) -> np.ndarray:
     """One forward-propagation update of the embeddings; raises
     DivergenceError (tagged with `step`) on a non-finite result."""
-    return check_finite(operator.step_traced(X)[0], "kernel step", step)
+    Y = operator.prop.apply(X)
+    return check_finite(kernel_update(X, Y, score_matrices(Y, operator),
+                                      operator)[0], "kernel step", step)
 
 
 def materialize_kernel(scores: ScorePair, operator: KernelOperator,

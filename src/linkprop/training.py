@@ -8,12 +8,12 @@ run singly or side by side; in "both" mode the per-epoch max-abs divergence
 between them is recorded and the gradient trajectory is the authoritative
 one.
 
-Every step returns a fresh X (`gd_step`, `kernel_update`), and nothing
-writes into X, its forward pass Y = P X or a returned embedding.  So no
-embedding-sized array outlives its use and none is copied: the gradient
-goes straight into `gd_step`, the old forward pass and the diagnostic's
-K+ are dropped once read, and the best-validation snapshot is that
-epoch's X itself, held by reference.
+Every step returns a fresh X (`gd_step`, or `kernel_update` for every
+kernel step), and nothing writes into X, its forward pass Y = P X or a
+returned embedding.  So no embedding-sized array outlives its use and
+none is copied: the gradient goes straight into `gd_step`, the old
+forward pass, the score pairs and the link kernels are dropped once read,
+and the best-validation snapshot is that epoch's X itself, by reference.
 """
 
 from __future__ import annotations
@@ -24,9 +24,9 @@ from functools import cached_property
 
 import numpy as np
 
-from linkprop.diagnostics import frobenius, mean_positive_kernel
+from linkprop.diagnostics import mean_positive_kernel
 from linkprop.graphs import Graph, check_distinct, check_integer
-from linkprop.kernel import (KernelOperator, kernel_update, link_kernels,
+from linkprop.kernel import (KernelOperator, frobenius, kernel_update,
                              model_config, positive_kernel, score_matrices)
 from linkprop.losses import (DivergenceError, MaskSet, ModelParams,
                              check_finite, gd_step, model_table,
@@ -148,14 +148,9 @@ def scoring_embeddings(X: np.ndarray, masks: MaskSet) -> np.ndarray:
     return masks.prop.apply(X)
 
 
-def _kernel_step_at(X: np.ndarray, Y: np.ndarray, s: np.ndarray,
-                    op: KernelOperator):
-    """(mean K+, substep trace, X') of one kernel step from the forward
-    pass at X: Y = P X and its owned scores s.  K+ and K- die with the
-    call."""
-    kernels = link_kernels(score_matrices(Y, op, s), op)
-    return (mean_positive_kernel(kernels.k_plus),
-            *kernel_update(X, Y, kernels, op)[::-1])
+def _max_abs_difference(A: np.ndarray, B: np.ndarray) -> float:
+    D = A - B
+    return float(np.abs(D, out=D).max())
 
 
 def train(graph: Graph, negatives: NegativeSet, config: TrainConfig,
@@ -198,21 +193,20 @@ def train(graph: Graph, negatives: NegativeSet, config: TrainConfig,
         s = op.pattern.scores(Y)
 
         for epoch in range(1, config.max_epochs + 1):
-            # the diagnostic and the kernel-path step read the forward scores;
-            # K- serves only a kernel_update at X, so the other steps and
-            # the diagnostic build K+ alone
-            if config.path == "kernel":
-                mean_kp, trace, X = _kernel_step_at(X, Y, s, op)
+            # every path's diagnostic builds K+ alone from the forward scores
+            mean_kp = mean_positive_kernel(
+                positive_kernel(score_matrices(Y, op, s), op))
+            if Xk is not None:  # the kernel trajectory on its own forward pass
+                Yk = op.prop.apply(Xk)
+                Xk, trace = kernel_update(Xk, Yk, score_matrices(Yk, op), op)
+                del Yk
+                check_finite(Xk, "kernel step", epoch)
+            elif config.path == "kernel":
+                X, trace = kernel_update(X, Y, score_matrices(Y, op, s), op)
                 check_finite(X, "kernel step", epoch)
-            else:
-                if Xk is None and config.trace_substeps:
-                    mean_kp, trace = _kernel_step_at(X, Y, s, op)[:2]
-                else:
-                    mean_kp = mean_positive_kernel(
-                        positive_kernel(score_matrices(Y, op, s), op))
-                if Xk is not None:
-                    Xk, trace = op.step_traced(Xk)
-                    check_finite(Xk, "kernel step", epoch)
+            elif config.trace_substeps:
+                trace = kernel_update(X, Y, score_matrices(Y, op, s), op)[1]
+            if config.path != "kernel":
                 X = gd_step(X, support_gradient(X, Y, s, op.pattern, op.prop,
                                                 params),
                             config.alpha, step=epoch)
@@ -242,7 +236,7 @@ def train(graph: Graph, negatives: NegativeSet, config: TrainConfig,
                 mean_k_plus=mean_kp,
                 frob_norm=frobenius(X),
                 val_recall=val_recall,
-                divergence=None if Xk is None else float(np.abs(X - Xk).max()),
+                divergence=None if Xk is None else _max_abs_difference(X, Xk),
                 substeps=trace.norms if config.trace_substeps else None))
 
             if early and failed_evals >= config.patience:

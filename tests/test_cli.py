@@ -191,12 +191,13 @@ class TestVerifyEquivalence:
         assert "EXCEEDS" in capsys.readouterr().out
 
     @pytest.mark.parametrize("flag, value", [
-        ("--graphs", "0"), ("--graphs", "-3"), ("--tolerance", "nan"),
-        ("--tolerance", "inf"), ("--tolerance", "0"),
-        ("--tolerance", "-1e-8")])
+        ("--graphs", "0"), ("--graphs", "-3"), ("--steps", "0"),
+        ("--steps", "-2"), ("--tolerance", "nan"), ("--tolerance", "inf"),
+        ("--tolerance", "0"), ("--tolerance", "-1e-8")])
     def test_rejects_vacuous_settings(self, capsys, flag, value):
         # --graphs 0 checked nothing and printed OK; --tolerance nan
-        # failed every model whatever the deviation
+        # failed every model whatever the deviation; --steps 0 was
+        # reported as max_epochs, a field the user never typed
         assert main(["verify-equivalence", "--model", "mf",
                      f"{flag}={value}"]) == 2
         captured = capsys.readouterr()

@@ -5,8 +5,9 @@ import linkprop
 from linkprop import reference
 from linkprop.graphs import MAX_PROXIMITY_ORDER, build_graph
 from linkprop.kernel import (KernelConfig, KernelOperator, kernel_step,
-                             link_kernels, materialize_kernel, model_config,
-                             positive_kernel, score_matrices, sign_structure)
+                             kernel_update, link_kernels, materialize_kernel,
+                             model_config, positive_kernel, score_matrices,
+                             sign_structure)
 from linkprop.losses import (DivergenceError, ModelParams, build_masks,
                              loss_gradient, scoring_propagation, sigmoid)
 
@@ -25,6 +26,12 @@ MODEL_GRID = [
 def operator_for(model, graph, negatives, alpha=0.05, **kwargs):
     config = model_config(ModelParams(model, **kwargs), alpha)
     return config, KernelOperator.build(config, graph, negatives)
+
+
+def traced_step(X, op):
+    """(X', substep trace) of one kernel step from X, X' unchecked."""
+    Y = op.prop.apply(X)
+    return kernel_update(X, Y, score_matrices(Y, op), op)
 
 
 class TestModelConfig:
@@ -258,11 +265,32 @@ class TestTrace:
         config, op = operator_for("lightgcn", graph, neg, layers=2)
         rng = np.random.default_rng(6)
         X = rng.normal(size=(graph.num_nodes, 3))
-        out, trace = op.step_traced(X)
+        out, trace = traced_step(X, op)
         assert np.array_equal(out, kernel_step(X, op))
         assert trace.input_norm == pytest.approx(float(np.linalg.norm(X)))
         assert len(trace.norms) == 4
         assert trace.norms[3] == pytest.approx(float(np.linalg.norm(out)))
+
+    @pytest.mark.parametrize("model, kwargs", MODEL_GRID)
+    def test_step_keeps_the_plain_expressions_bits(self, small_instance,
+                                                   model, kwargs):
+        # one buffer for Z, P Z and X': the result and every substep norm
+        # are those of c1 X + c2 P (K+ Y - lam K- Y), and X and Y are
+        # only read
+        graph, neg = small_instance
+        config, op = operator_for(model, graph, neg, beta=0.01, **kwargs)
+        X = np.random.default_rng(9).normal(size=(graph.num_nodes, 4))
+        Y = op.prop.apply(X)
+        kernels = link_kernels(score_matrices(Y, op), op)
+        Z = kernels.k_plus @ Y - config.lam * (kernels.k_minus @ Y)
+        W = op.prop.apply(Z)
+        plain = config.c1 * X + config.c2 * W
+        X.flags.writeable = Y.flags.writeable = False
+        out, trace = kernel_update(X, Y, score_matrices(Y, op), op)
+        assert out.tobytes() == plain.tobytes()
+        assert trace.input_norm == float(np.linalg.norm(X))
+        assert trace.norms == tuple(float(np.linalg.norm(M))
+                                    for M in (Y, Z, W, plain))
 
     def test_outer_propagation_never_expands(self, small_instance):
         # substeps (1) and (3) apply an averaged stochastic-like operator
@@ -270,7 +298,7 @@ class TestTrace:
         config, op = operator_for("lightgcn", graph, neg, layers=3)
         rng = np.random.default_rng(7)
         X = rng.normal(size=(graph.num_nodes, 3))
-        _, trace = op.step_traced(X)
+        _, trace = traced_step(X, op)
         assert trace.norms[0] <= trace.input_norm * (1 + 1e-12)
         assert trace.norms[2] <= trace.norms[1] * (1 + 1e-12)
 

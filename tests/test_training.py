@@ -262,17 +262,17 @@ class TestTrainPaths:
     @pytest.mark.parametrize("path", ["gradient", "kernel", "both"])
     def test_negative_kernel_built_only_for_a_step_at_x(self, split_instance,
                                                         path, trace):
-        # K- feeds only a kernel_update at X: the kernel path's step and the
-        # gradient path's traced substeps; elsewhere the diagnostic builds
-        # K+ alone ("both" traces with its own kernel trajectory)
+        # K- feeds only a kernel_update: the kernel path's step, the
+        # gradient path's traced substeps and the kernel trajectory on
+        # "both"; the diagnostic builds K+ alone
         graph, neg, splits = split_instance
         cfg = TrainConfig("deepwalk", alpha=0.05, dim=4, window=2,
                           max_epochs=5, path=path, trace_substeps=trace)
-        with mock.patch("linkprop.training.link_kernels",
+        with mock.patch("linkprop.kernel.link_kernels",
                         side_effect=link_kernels) as built:
             result = train(graph, neg, cfg, splits=splits)
-        at_x = path == "kernel" or (path == "gradient" and trace)
-        assert built.call_count == (result.history.stopped_epoch if at_x
+        stepped = path != "gradient" or trace
+        assert built.call_count == (result.history.stopped_epoch if stepped
                                     else 0)
 
     def test_edgeless_graph_rejected_at_entry(self):
@@ -393,8 +393,6 @@ class TestEmbeddingBuffers:
         for name in ("init_embeddings", "gd_step", "kernel_update"):
             monkeypatch.setattr(f"linkprop.training.{name}",
                                 freezing(getattr(training, name)))
-        monkeypatch.setattr(KernelOperator, "step_traced",
-                            freezing(KernelOperator.step_traced))
         apply = ProximityOperator.apply
         monkeypatch.setattr(
             ProximityOperator, "apply",
@@ -405,19 +403,15 @@ class TestEmbeddingBuffers:
         assert got.embeddings.tobytes() == expected.embeddings.tobytes()
         assert got.history == expected.history
 
-    def test_traced_peak_in_embedding_units(self):
-        # 5000 nodes x 32 float64: each n x d array is 1.28 MB, next to
-        # which the operator's and the ranker's own bytes are subtracted.
-        # Live at the peak, inside the gradient's P M Y: X, Y, the best
-        # snapshot, M Y accumulating P, and the two terms of one sparse
-        # product, plus the owned scores; about 6.2 units.  Copies of the
-        # residual, a bound gradient and a copied snapshot read 9.8
+    @staticmethod
+    def traced_peak(path, trace):
         graph = block_bipartite(1000, 4000, 8, mean_degree=20, seed=0)
         splits = split_dataset(graph, (0.8, 0.1, 0.1), seed=0)
         train_graph = graph_from_split(splits)
         neg = sample_negatives(train_graph, seed=0)
         cfg = TrainConfig("lightgcn", alpha=0.05, dim=32, layers=3,
-                          max_epochs=3, patience=10)
+                          max_epochs=3, patience=10, path=path,
+                          trace_substeps=trace)
         train(train_graph, neg, cfg, splits=splits)  # fills the graph's memo
         tracemalloc.start()
         try:
@@ -435,7 +429,26 @@ class TestEmbeddingBuffers:
         finally:
             tracemalloc.stop()
         assert result.history.best_epoch is not None
-        assert (peak - own) / result.embeddings.nbytes < 8.0
+        return (peak - own) / result.embeddings.nbytes
+
+    def test_traced_peak_in_embedding_units(self):
+        # 5000 nodes x 32 float64: each n x d array is 1.28 MB, next to
+        # which the operator's and the ranker's own bytes are subtracted.
+        # Live at the peak, inside the gradient's P M Y: X, Y, the best
+        # snapshot, M Y accumulating P, and the two terms of one sparse
+        # product, plus the owned scores; about 6.2 units.  Copies of the
+        # residual, a bound gradient and a copied snapshot read 9.8
+        assert self.traced_peak("gradient", False) < 8.0
+
+    @pytest.mark.parametrize("path, trace, bound", [
+        ("gradient", True, 7.0), ("kernel", False, 7.0), ("both", False, 9.0)])
+    def test_traced_peak_with_a_kernel_step(self, path, trace, bound):
+        # the kernel step holds one n x d buffer beside X and Y, so the
+        # gradient's peak stays the run's: 6.2 units on the kernel path
+        # and with the traced substeps, 8.2 on "both", which adds the
+        # kernel trajectory's X and Y.  With an array per intermediate
+        # they read 7.6, 7.6 and 9.6
+        assert self.traced_peak(path, trace) < bound
 
 
 class TestValidationRanking:
