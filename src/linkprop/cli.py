@@ -200,7 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
                    type=float)
     p.add_argument("--per-positive", type=int)
     p.add_argument("--outdir", default="")
-    p.set_defaults(func=cmd_train)
+    # main names these flags, not their settings, in an error message
+    p.set_defaults(func=cmd_train, flags={
+        a.dest: a.option_strings[-1] for a in p._actions
+        if a.option_strings[-1] != "--" + a.dest})
 
     p = sub.add_parser("evaluate", help="rank and score saved embeddings",
                        argument_default=argparse.SUPPRESS)
@@ -238,7 +241,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, FileNotFoundError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        name, space, rest = str(err).partition(" ")
+        flag = getattr(args, "flags", {}).get(name, name)
+        print(f"error: {flag}{space}{rest}", file=sys.stderr)
         return 2
 
 

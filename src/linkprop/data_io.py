@@ -158,20 +158,28 @@ def _read_lines(raw: str, fmt: str, path, header_key: str, empty_ok: bool):
     return header, body, users, items
 
 
-def _check_declared_counts(header_line: str | None, num_pairs: int, body):
-    """Validate counts/checksum a canonical header declares about its body."""
+def _check_declared_counts(path, header_line: str | None, num_pairs: int,
+                           body):
+    """Validate counts/checksum a canonical header declares about its body;
+    errors name the file."""
     if header_line is None:
         return
     declared = dict(tok.split("=", 1) for tok in header_line[1:].split()
                     if "=" in tok)
-    if "edges" in declared and int(declared["edges"]) != num_pairs:
-        raise ValueError(f"header declares {declared['edges']} edges, "
-                         f"file has {num_pairs}")
+    if "edges" in declared:
+        try:
+            edges = int(declared["edges"])
+        except ValueError:
+            raise ValueError(f"{path}: header's edges={declared['edges']} "
+                             f"is not an integer") from None
+        if edges != num_pairs:
+            raise ValueError(f"{path}: header declares {declared['edges']} "
+                             f"edges, file has {num_pairs}")
     if "checksum" in declared:
         digest = hashlib.sha256(body.encode()).hexdigest()
         if digest != declared["checksum"]:
-            raise ValueError("checksum mismatch: file body does not match "
-                             "its canonical header")
+            raise ValueError(f"{path}: checksum mismatch: file body does not "
+                             "match its canonical header")
 
 
 def _read_file(path, fmt: str, header_key: str = "checksum=",
@@ -210,7 +218,7 @@ def load_edge_list(path, fmt: str = "auto") -> Dataset:
     line by line, and its errors name the file line.
     """
     header, body, user_col, item_col = _read_file(path, fmt)
-    _check_declared_counts(header, len(user_col), body)
+    _check_declared_counts(path, header, len(user_col), body)
     users = sorted(set(user_col))
     items = sorted(set(item_col))
     part = Partition(len(users), len(items))
@@ -352,16 +360,16 @@ def load_splits(outdir) -> tuple[Dataset, SplitSet]:
                for k, i in enumerate(dataset.item_labels)}
     parts = {}
     for part in SPLIT_PARTS:
+        path = os.path.join(outdir, f"{part}.tsv")
         header, body, users, items = _read_file(
-            os.path.join(outdir, f"{part}.tsv"), "pairs", header_key="edges=",
-            empty_ok=True)
+            path, "pairs", header_key="edges=", empty_ok=True)
         if header is None:
             raise ValueError(f"{part}.tsv: no header declaring its edges")
         try:
             parts[part] = _edge_rows(users, items, user_id, item_id)
         except KeyError as err:
             raise ValueError(f"{part}.tsv: id {err} not in dataset.tsv") from None
-        _check_declared_counts(header, len(users), body)
+        _check_declared_counts(path, header, len(users), body)
     with open(os.path.join(outdir, "split.json"), encoding="utf-8") as fh:
         meta = json.load(fh)
     # checked as split_dataset checks its arguments: a JSON bool or float

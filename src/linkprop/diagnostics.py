@@ -10,28 +10,13 @@ from __future__ import annotations
 
 import csv
 
-import numpy as np
-import scipy.sparse as sp
-
-from linkprop.kernel import SubstepTrace, frobenius
+from linkprop.kernel import SubstepTrace, frobenius, mean_positive_kernel
 
 CSV_FIELDS = ("step", "mean_k_plus", "frob_norm", "sub1", "sub2", "sub3", "sub4")
 
 # slack for the substep contraction checks: spectral contraction is exact in
 # real arithmetic, this only absorbs last-bit rounding
 CONTRACTION_RTOL = 1e-12
-
-
-def mean_positive_kernel(k_plus: sp.csr_array) -> float:
-    """Mean of the positive link kernel over its mask support.
-
-    The support average, not the all-cells average: dividing by |V|^2 would
-    let density swamp the fit signal.  Explicitly stored zeros (saturated
-    scores) still count as support entries.
-    """
-    if k_plus.data.shape[0] == 0:
-        raise ValueError("positive kernel has empty support")
-    return float(k_plus.data.mean())
 
 
 def substep_contractions(trace: SubstepTrace,

@@ -170,9 +170,19 @@ def link_kernels(scores: ScorePair, operator: KernelOperator) -> LinkKernels:
                        k_minus=operator.pattern.neg.weighted(scores.s_b))
 
 
+def mean_positive_kernel(k_plus: sp.csr_array) -> float:
+    """Mean of the positive link kernel over its mask support, not over all
+    |V|^2 cells, whose density would swamp the fit signal.  Explicitly
+    stored zeros (saturated scores) still count as support entries."""
+    if k_plus.data.shape[0] == 0:
+        raise ValueError("positive kernel has empty support")
+    return float(k_plus.data.mean())
+
+
 @dataclass(frozen=True)
 class SubstepTrace:
-    """Frobenius norms along the four substeps of one kernel step.
+    """Frobenius norms along the four substeps of one kernel step, and its
+    `mean_positive_kernel` (None on an empty positive support).
 
     Substeps: (1) outer propagation of X, (2) link-kernel application,
     (3) outer propagation again, (4) the c1/c2 recombination.
@@ -180,6 +190,7 @@ class SubstepTrace:
 
     input_norm: float
     norms: tuple[float, float, float, float]
+    mean_k_plus: float | None = None
 
 
 def frobenius(X: np.ndarray) -> float:
@@ -190,12 +201,14 @@ def kernel_update(X: np.ndarray, Y: np.ndarray, scores: ScorePair,
                   operator: KernelOperator):
     """One kernel step from the forward pass at X: Y = P X and its
     `score_matrices`, dropped once read, as are the link kernels.  Returns
-    X' (not checked for finiteness) and the substep trace.  Beside X and Y
-    the step holds one n x d buffer: Z = K+ Y - lam (K- Y), P Z, then
-    c2 P Z + c1 X, the bits of c1 X + c2 P Z (IEEE addition commutes)."""
+    X' (not checked for finiteness) and the trace, K+'s mean included.
+    Beside X and Y the step holds one n x d buffer: Z = K+ Y - lam (K- Y),
+    P Z, then c2 P Z + c1 X, which commutes to the bits of c1 X + c2 P Z."""
     config = operator.config
     kernels = link_kernels(scores, operator)
     del scores
+    mean_kp = (mean_positive_kernel(kernels.k_plus)
+               if kernels.k_plus.data.shape[0] else None)
     Z, T = kernels.k_plus @ Y, kernels.k_minus @ Y
     del kernels
     T *= config.lam
@@ -207,7 +220,8 @@ def kernel_update(X: np.ndarray, Y: np.ndarray, scores: ScorePair,
     W *= config.c2
     W += config.c1 * X
     return W, SubstepTrace(input_norm=frobenius(X),
-                           norms=(frobenius(Y), z_norm, w_norm, frobenius(W)))
+                           norms=(frobenius(Y), z_norm, w_norm, frobenius(W)),
+                           mean_k_plus=mean_kp)
 
 
 def kernel_step(X: np.ndarray, operator: KernelOperator,

@@ -17,26 +17,13 @@ training builds one per run and calls it every epoch.  A block's scores
 come from one matrix product, in float32 for float64 embeddings, which
 rounds differently from the per-user float64 product `items @ X[user]`; a
 count from the block is kept only where a per-item rounding-error margin
-proves it, and users with any other held-out item are scored again with
-the per-user product.  The score that proves an item a miss is the cut-th
-best of the row's column-group maxima: a lower bound on the row's own
-cut-th best score, read in one pass over the row instead of a partition
-of all of it.  Where each group is one column (rows narrower than
-2 * 8 * cut), the sorted maxima are the row itself, and an item clear of
-the row's (cut+1)-th best score by more than its margin is ranked among
-the row's `cut` best scores alone: every score outside them is below it
-by more than any pair's margin, so the count over `cut` columns gives
-the rank the count over the row gives, and proves it.
+proves it (`_ranks`, from the row's column-group maxima), and users with
+any other held-out item are scored again with the per-user product.
 
 Before the block product, where the items are many against the cut, a
-probe rules out most held-out misses (exact pruning by score bounds, as in
-LEMP: Teflioudi, Gemulla and Mykytiuk, SIGMOD 2015).  The cut-th best
-score of any subset of a row's candidates is a lower bound on the row's
-own cut-th best score, so each row is scored against the `_PROBE * cut`
-most-trained items alone, and a held-out item that the cut-th best of
-them beats by more than the item's margin misses under any rounding.  A
-user whose every held-out item is so proven has no hit and adds zeros;
-only the other users take the block product.
+probe against the `_PROBE * cut` most-trained items rules out most
+held-out misses (exact pruning by score bounds, as in LEMP: Teflioudi,
+Gemulla and Mykytiuk, SIGMOD 2015; see `Ranker`).
 """
 
 from __future__ import annotations
@@ -322,14 +309,7 @@ class Ranker:
     def _unproven(self, Y: np.ndarray, block_items: np.ndarray,
                   bound) -> np.ndarray:
         """Positions in `users` of the users with a held-out item that the
-        probe does not prove a miss, ascending.
-
-        Each row's probe scores, in blocks of at most `_BLOCK_BYTES`, have
-        its training items, nan and +-inf set to -inf, and `kth` is the
-        cut-th best of them.  A held-out item scored `t` by a row dot in
-        the same dtype is a proven miss where `kth - t > m`, m its margin
-        to any other item of the row as `_ranks` forms it.
-        """
+        probe, as `Ranker` describes it, does not prove a miss, ascending."""
         cut, rows, cols = self.cut, self.rows.key_rows, self.rows.key_cols
         probe = block_items[self.probe]
         n, width = Y.shape[0], probe.shape[0]

@@ -398,13 +398,13 @@ def load_edge_list_scalar(path, fmt: str = "auto"):
                 key, value = token.split("=", 1)
                 declared[key] = value
         if "edges" in declared and int(declared["edges"]) != len(user_col):
-            raise ValueError(f"header declares {declared['edges']} edges, "
-                             f"file has {len(user_col)}")
+            raise ValueError(f"{path}: header declares {declared['edges']} "
+                             f"edges, file has {len(user_col)}")
         body = "".join(line + "\n" for _, line in data)
         if ("checksum" in declared and hashlib.sha256(body.encode("utf-8"))
                 .hexdigest() != declared["checksum"]):
-            raise ValueError("checksum mismatch: file body does not match "
-                             "its canonical header")
+            raise ValueError(f"{path}: checksum mismatch: file body does "
+                             "not match its canonical header")
 
     users = sorted(set(user_col))
     items = sorted(set(item_col))

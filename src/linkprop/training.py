@@ -14,6 +14,8 @@ returned embedding.  So no embedding-sized array outlives its use and
 none is copied: the gradient goes straight into `gd_step`, the old
 forward pass, the score pairs and the link kernels are dropped once read,
 and the best-validation snapshot is that epoch's X itself, by reference.
+Where a kernel step runs at X, its own K+ gives the epoch's mean-K+
+diagnostic; elsewhere the diagnostic builds K+ alone.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ from functools import cached_property
 
 import numpy as np
 
-from linkprop.diagnostics import mean_positive_kernel
 from linkprop.graphs import Graph, check_distinct, check_integer
 from linkprop.kernel import (KernelOperator, frobenius, kernel_update,
-                             model_config, positive_kernel, score_matrices)
+                             mean_positive_kernel, model_config,
+                             positive_kernel, score_matrices)
 from linkprop.losses import (DivergenceError, MaskSet, ModelParams,
                              check_finite, gd_step, model_table,
                              scoring_propagation, support_gradient,
@@ -51,9 +53,10 @@ class TrainConfig:
     place each training default is written (the model's own in ModelParams).
 
     `trace_substeps` records the kernel substep norms each epoch.  On the
-    gradient path that runs one `kernel_update` per epoch just for them:
-    two sparse products and one more application of P.  The kernel and
-    "both" paths compute the norms with their step.
+    gradient path that runs one `kernel_update` per epoch at X, whose K+
+    then also gives the mean-K+ diagnostic: it adds K-, two sparse products
+    and one more application of P.  The kernel and "both" paths compute
+    the norms with their step.
     """
 
     model: str
@@ -174,8 +177,11 @@ def train(graph: Graph, negatives: NegativeSet, config: TrainConfig,
 
     X = init_embeddings(graph.num_nodes, config.dim, config.init_scale,
                         config.seed)
-    # on "both" the kernel trajectory runs beside the authoritative gradient one
+    # a kernel step at X runs on the kernel path and for the gradient path's
+    # traced substeps; on "both" the kernel trajectory runs beside the
+    # authoritative gradient one, on its own forward pass
     Xk = X.copy() if config.path == "both" else None
+    step_at_x = config.path == "kernel" or (config.trace_substeps and Xk is None)
     early = splits is not None and splits.val.shape[0] > 0
     # the validation ranking's split-only state, built once per run
     rank_val = Ranker(splits, graph, config.eval_k, "val") if early else None
@@ -193,19 +199,20 @@ def train(graph: Graph, negatives: NegativeSet, config: TrainConfig,
         s = op.pattern.scores(Y)
 
         for epoch in range(1, config.max_epochs + 1):
-            # every path's diagnostic builds K+ alone from the forward scores
-            mean_kp = mean_positive_kernel(
-                positive_kernel(score_matrices(Y, op, s), op))
-            if Xk is not None:  # the kernel trajectory on its own forward pass
+            if step_at_x:  # the step's own K+ gives the diagnostic
+                Xs, trace = kernel_update(X, Y, score_matrices(Y, op, s), op)
+                mean_kp = trace.mean_k_plus
+                if config.path == "kernel":
+                    X = check_finite(Xs, "kernel step", epoch)
+                del Xs  # the traced gradient path keeps the trace alone
+            else:
+                mean_kp = mean_positive_kernel(
+                    positive_kernel(score_matrices(Y, op, s), op))
+            if Xk is not None:
                 Yk = op.prop.apply(Xk)
                 Xk, trace = kernel_update(Xk, Yk, score_matrices(Yk, op), op)
                 del Yk
                 check_finite(Xk, "kernel step", epoch)
-            elif config.path == "kernel":
-                X, trace = kernel_update(X, Y, score_matrices(Y, op, s), op)
-                check_finite(X, "kernel step", epoch)
-            elif config.trace_substeps:
-                trace = kernel_update(X, Y, score_matrices(Y, op, s), op)[1]
             if config.path != "kernel":
                 X = gd_step(X, support_gradient(X, Y, s, op.pattern, op.prop,
                                                 params),

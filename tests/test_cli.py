@@ -138,8 +138,29 @@ class TestPipelineChain:
         assert main(["train", "--splits", str(splitdir), "--model", "mf",
                      "--init-scale", scale,
                      "--outdir", str(tmp_path / "run")]) == 2
-        assert "init_scale must be positive and finite" in \
+        assert "--init-scale must be positive and finite" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--k", "0", "--k must be >= 1, got 0"),
+        ("--epochs", "0", "--epochs must be >= 1, got 0"),
+        ("--neg-exponent", "nan", "--neg-exponent must be finite, got nan"),
+        ("--per-positive", "0", "--per-positive must be >= 1, got 0"),
+        ("--init-scale", "0",
+         "--init-scale must be positive and finite, got 0.0"),
+        ("--eval-every", "0", "--eval-every must be >= 1, got 0")])
+    def test_train_error_names_the_flag(self, raw_dataset, tmp_path, capsys,
+                                        flag, value, message):
+        # the library names its setting (eval_k, max_epochs, ...); the
+        # command line names the flag the user typed
+        raw, _ = raw_dataset
+        splitdir = tmp_path / "splits"
+        assert main(["split", "--input", str(raw), "--outdir", str(splitdir),
+                     "--ratios", "0.6", "0.2", "0.2"]) == 0
+        capsys.readouterr()
+        assert main(["train", "--splits", str(splitdir), "--model", "mf",
+                     flag, value, "--outdir", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("model", ["mf", "lightgcn"])
     @pytest.mark.parametrize("flag, value, message", [

@@ -204,6 +204,17 @@ class TestCanonicalForm:
         with pytest.raises(ValueError, match="checksum mismatch"):
             load_edge_list(path)
 
+    def test_checksum_mismatch_names_the_file(self, tmp_path):
+        graph = random_bipartite(4, 4, 8, seed=2)
+        path = tmp_path / "canon.tsv"
+        write_canonical(dataset_from_graph(graph), path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines[:1] + lines[2:] + lines[1:2]),
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: checksum mismatch")):
+            load_edge_list(path)
+
     def test_header_edge_count_checked(self, tmp_path):
         graph = random_bipartite(4, 4, 8, seed=2)
         path = tmp_path / "canon.tsv"
@@ -629,6 +640,24 @@ class TestSaveLoadSplits:
         n = saved.train.shape[0]
         with pytest.raises(ValueError,
                            match=f"header declares {n} edges, file has {n - 5}"):
+            load_splits(tmp_path)
+
+    @pytest.mark.parametrize("part", ["train", "val", "test"])
+    def test_header_errors_name_the_part(self, tmp_path, saved, part):
+        # the edge count and a non-integer `edges=` name the file they
+        # are in, not only the count
+        path = tmp_path / f"{part}.tsv"
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        n = getattr(saved, part).shape[0]
+        path.write_text("\n".join([header, *rows[:-1]]) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: header declares {n} edges, file has {n - 1}")):
+            load_splits(tmp_path)
+        path.write_text("\n".join([header.replace(f"edges={n} ", "edges=zz "),
+                                   *rows]) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: header's edges=zz is not an integer")):
             load_splits(tmp_path)
 
     def test_edited_part_rejected(self, tmp_path, saved):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,8 @@ from linkprop import reference
 from linkprop.graphs import MAX_PROXIMITY_ORDER, build_graph
 from linkprop.kernel import (KernelConfig, KernelOperator, kernel_step,
                              kernel_update, link_kernels, materialize_kernel,
-                             model_config, positive_kernel, score_matrices,
-                             sign_structure)
+                             mean_positive_kernel, model_config,
+                             positive_kernel, score_matrices, sign_structure)
 from linkprop.losses import (DivergenceError, ModelParams, build_masks,
                              loss_gradient, scoring_propagation, sigmoid)
 
@@ -258,6 +260,29 @@ class TestKernelStep:
         grad = loss_gradient(X, build_masks(graph, neg, params), params)
         assert np.array_equal(grad, np.zeros_like(X))
 
+    @pytest.mark.parametrize("model,kwargs", [("mf", {}), ("line", {}),
+                                              ("lightgcn", {"layers": 2})])
+    def test_empty_positive_support_steps_without_a_warning(self, model,
+                                                            kwargs):
+        # an edgeless graph has no K+ entries and so no mean K+: a direct
+        # step still runs, on K- alone, with the plain expression's bits
+        graph = build_graph([], num_nodes=4)
+        neg = negatives_from_pairs([(0, 1)], 4)
+        config, op = operator_for(model, graph, neg, **kwargs)
+        X = np.random.default_rng(8).normal(size=(4, 3))
+        Y = op.prop.apply(X)
+        kernels = link_kernels(score_matrices(Y, op), op)
+        assert kernels.k_plus.nnz == 0 and kernels.k_minus.nnz == 2
+        W = op.prop.apply(kernels.k_plus @ Y
+                          - config.lam * (kernels.k_minus @ Y))
+        plain = config.c1 * X + config.c2 * W
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stepped = kernel_step(X, op)
+            out, trace = kernel_update(X, Y, score_matrices(Y, op), op)
+        assert stepped.tobytes() == out.tobytes() == plain.tobytes()
+        assert trace.mean_k_plus is None
+
 
 class TestTrace:
     def test_trace_shapes_and_output(self, small_instance):
@@ -291,6 +316,8 @@ class TestTrace:
         assert trace.input_norm == float(np.linalg.norm(X))
         assert trace.norms == tuple(float(np.linalg.norm(M))
                                     for M in (Y, Z, W, plain))
+        # the diagnostic's mean K+, read from the step's own K+
+        assert trace.mean_k_plus == mean_positive_kernel(kernels.k_plus)
 
     def test_outer_propagation_never_expands(self, small_instance):
         # substeps (1) and (3) apply an averaged stochastic-like operator

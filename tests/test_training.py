@@ -10,11 +10,11 @@ import pytest
 from linkprop import training
 from linkprop.data_io import graph_from_split, split_dataset
 from linkprop.experiment import RunConfig, run_experiment
-from linkprop.graphs import (MAX_PROXIMITY_ORDER, Partition, ProximityOperator,
-                             SupportPattern, build_graph)
+from linkprop.graphs import (MAX_PROXIMITY_ORDER, MaskEntries, Partition,
+                             ProximityOperator, SupportPattern, build_graph)
 from linkprop.kernel import KernelOperator, link_kernels, model_config
 from linkprop.losses import (DivergenceError, ModelParams, build_masks, gd_step,
-                             loss_gradient)
+                             loss_gradient, sigmoid)
 from linkprop.negatives import _sample, sample_negatives
 from linkprop.ranking import EvalResult, Ranker, SplitSet
 from linkprop.reference import evaluate_scalar
@@ -264,7 +264,7 @@ class TestTrainPaths:
                                                         path, trace):
         # K- feeds only a kernel_update: the kernel path's step, the
         # gradient path's traced substeps and the kernel trajectory on
-        # "both"; the diagnostic builds K+ alone
+        # "both"; the untraced gradient path's diagnostic builds K+ alone
         graph, neg, splits = split_instance
         cfg = TrainConfig("deepwalk", alpha=0.05, dim=4, window=2,
                           max_epochs=5, path=path, trace_substeps=trace)
@@ -274,6 +274,29 @@ class TestTrainPaths:
         stepped = path != "gradient" or trace
         assert built.call_count == (result.history.stopped_epoch if stepped
                                     else 0)
+
+    @pytest.mark.parametrize("path, trace, builds, passes", [
+        ("gradient", False, 1, 1), ("gradient", True, 2, 1),
+        ("kernel", False, 2, 1), ("kernel", True, 2, 1),
+        ("both", False, 3, 2), ("both", True, 3, 2)])
+    def test_one_positive_kernel_per_step_at_x(self, path, trace, builds,
+                                               passes):
+        # per epoch: a kernel step at X (the kernel path's, the gradient
+        # path's traced substeps) gives the mean-K+ diagnostic from its own
+        # K+, so the scores pass through the sigmoid once and K+ is built
+        # once beside K-; the untraced gradient path's diagnostic builds K+
+        # alone, and "both" adds the kernel trajectory's scores, K+ and K-
+        graph = block_bipartite(40, 60, 4, mean_degree=6, seed=0)
+        neg = sample_negatives(graph, seed=0)
+        cfg = TrainConfig("deepwalk", alpha=0.05, dim=4, window=2,
+                          max_epochs=5, path=path, trace_substeps=trace)
+        with mock.patch.object(MaskEntries, "weighted", autospec=True,
+                               side_effect=MaskEntries.weighted) as built, \
+                mock.patch("linkprop.kernel.sigmoid",
+                           side_effect=sigmoid) as scored:
+            train(graph, neg, cfg)
+        assert built.call_count == 5 * builds
+        assert scored.call_count == 5 * passes
 
     def test_edgeless_graph_rejected_at_entry(self):
         graph = build_graph([], num_nodes=4)
