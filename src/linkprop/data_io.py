@@ -72,9 +72,11 @@ def _pair_fields(line: str) -> list[str]:
     return line.split("\t" if "\t" in line else "," if "," in line else None)
 
 
-def _parse_pair_lines(lines, header_row: bool) -> tuple[list[str], list[str]]:
+def _parse_pair_lines(lines, path,
+                      header_row: bool) -> tuple[list[str], list[str]]:
     """User and item label columns from (file line number, line) pairs of
-    two-column lines; if `header_row`, the first may be a header row."""
+    two-column lines of the file `path`; if `header_row`, the first may be
+    a header row."""
     users, items = [], []
     for k, (lineno, line) in enumerate(lines):
         fields = [f for f in map(str.strip, _pair_fields(line)) if f]
@@ -82,20 +84,20 @@ def _parse_pair_lines(lines, header_row: bool) -> tuple[list[str], list[str]]:
                 and _is_header_row(*fields)):
             continue
         if len(fields) != 2:
-            raise ValueError(f"line {lineno}: expected 2 fields, got "
-                             f"{len(fields)}: {line!r}")
+            raise ValueError(f"{path}: line {lineno}: expected 2 fields, "
+                             f"got {len(fields)}: {line!r}")
         users.append(fields[0])
         items.append(fields[1])
     return users, items
 
 
-def _parse_adjlist_lines(lines) -> tuple[list[str], list[str]]:
+def _parse_adjlist_lines(lines, path) -> tuple[list[str], list[str]]:
     users, items = [], []
     for lineno, line in lines:
         fields = line.split()
         if len(fields) < 2:
-            raise ValueError(f"line {lineno}: adjacency line needs a user "
-                             f"and at least one item: {line!r}")
+            raise ValueError(f"{path}: line {lineno}: adjacency line needs "
+                             f"a user and at least one item: {line!r}")
         users.extend([fields[0]] * (len(fields) - 1))
         items.extend(fields[1:])
     return users, items
@@ -135,8 +137,8 @@ def _read_clean_pairs(raw: str, header_key: str):
 
 def _read_lines(raw: str, fmt: str, path, header_key: str, empty_ok: bool):
     """The (header, body, user column, item column) of any file, one line at
-    a time; errors name the file line.  No data lines is an error unless
-    `empty_ok`."""
+    a time; errors name the file and the line.  No data lines is an error
+    unless `empty_ok`."""
     header = None
     data = []
     for lineno, line in enumerate(raw.splitlines(), start=1):
@@ -151,9 +153,9 @@ def _read_lines(raw: str, fmt: str, path, header_key: str, empty_ok: bool):
     if fmt == "auto":
         fmt = "pairs" if len(_pair_fields(data[0][1])) == 2 else "adjlist"
     if fmt == "pairs":
-        users, items = _parse_pair_lines(data, header_row=header is None)
+        users, items = _parse_pair_lines(data, path, header_row=header is None)
     else:
-        users, items = _parse_adjlist_lines(data)
+        users, items = _parse_adjlist_lines(data, path)
     body = None if header is None else "".join(line + "\n" for _, line in data)
     return header, body, users, items
 

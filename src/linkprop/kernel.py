@@ -179,6 +179,19 @@ def mean_positive_kernel(k_plus: sp.csr_array) -> float:
     return float(k_plus.data.mean())
 
 
+def positive_kernel_mean(scores: ScorePair,
+                         operator: KernelOperator) -> float:
+    """`mean_positive_kernel(positive_kernel(scores, operator))` without
+    building K+: the same entries S_A . mask_plus in the same order, so
+    the same bits."""
+    pos = operator.pattern.pos
+    entries = scores.s_a.take(pos.sorted_owner)
+    if entries.shape[0] == 0:
+        raise ValueError("positive kernel has empty support")
+    entries *= pos.matrix.data
+    return float(entries.mean())
+
+
 @dataclass(frozen=True)
 class SubstepTrace:
     """Frobenius norms along the four substeps of one kernel step, and its

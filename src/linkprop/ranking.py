@@ -13,7 +13,7 @@ work is split in two: a `Ranker` holds what depends only on the split,
 the training graph and the cutoff (the users with held-out edges, their
 held-out items, discounts, ideal DCGs and training-item indices), and a
 call ranks one embedding matrix.  `evaluate` builds one and calls it once;
-training builds one per run and calls it every epoch.  A block's scores
+a training run builds one and calls `recall` each epoch.  A block's scores
 come from one matrix product, in float32 for float64 embeddings, which
 rounds differently from the per-user float64 product `items @ X[user]`; a
 count from the block is kept only where a per-item rounding-error margin
@@ -122,7 +122,8 @@ class Ranker:
     item id), in column order, and each user's training items among them.
     Calling it on X, which must have a real floating-point dtype (training
     items are set to -inf), returns the `EvalResult` whose every bit
-    `reference.evaluate_scalar` gives.
+    `reference.evaluate_scalar` gives; `recall(X)` gives its recall from
+    hit status alone (`_ranks`' `hits_only`), every bit.
 
     The probe stage runs first.  Each row's probe scores, one GEMM in the
     block dtype per block of at most `_BLOCK_BYTES`, have the user's
@@ -232,24 +233,52 @@ class Ranker:
     # probe or the fallback GEMVs
     @np.errstate(invalid="ignore", over="ignore")
     def __call__(self, X: np.ndarray) -> EvalResult:
+        k, cut = self.k, self.cut
+        per_user = np.zeros((self.users.shape[0], 3))
+        for pos, rows, rank in self._ranked(X, False):
+            hit = rank < cut
+            # sequential sums in rank order, as the scalar definition adds them
+            gains = np.zeros((len(pos), cut))
+            gains[rows[hit], rank[hit]] = self.discount[rank[hit]]
+            dcg = np.cumsum(gains, axis=1)[:, -1]
+            hits = np.bincount(rows[hit], minlength=len(pos))
+            per_user[pos, 0] = hits / k
+            per_user[pos, 1] = hits / self.test_counts[pos]
+            per_user[pos, 2] = dcg / self.ideal[pos]
+        # a running sum in user order, as a per-user loop would add them
+        evaluated = self.users.shape[0]
+        prec, rec, ndcg = np.cumsum(per_user, axis=0)[-1] / evaluated
+        return EvalResult(k=k, precision=float(prec), recall=float(rec),
+                          ndcg=float(ndcg), users_evaluated=evaluated,
+                          users_skipped=self.skipped)
+
+    @np.errstate(invalid="ignore", over="ignore")
+    def recall(self, X: np.ndarray) -> float:
+        """`self(X).recall`: its per-user summands, in user order."""
+        per_user = np.zeros(self.users.shape[0])
+        for pos, rows, rank in self._ranked(X, True):
+            hits = np.bincount(rows[rank < self.cut], minlength=len(pos))
+            per_user[pos] = hits / self.test_counts[pos]
+        return float(np.cumsum(per_user)[-1] / self.users.shape[0])
+
+    def _ranked(self, X: np.ndarray, hits_only: bool):
+        """Per block of score rows: the rows' positions in `users`, and each
+        held-out key's row and `_ranks` rank, less the probe's proven users."""
         X = np.asarray(X)
-        if not np.issubdtype(X.dtype, np.floating):
+        if X.dtype.kind != "f":
             raise ValueError(f"X must have a real floating-point dtype, got "
                              f"{X.dtype}")
         if X.ndim != 2 or X.shape[0] != self.num_nodes:
             raise ValueError(
                 f"X must be a 2-d array with one row per node of train_graph "
                 f"({self.num_nodes}), got shape {X.shape}")
-        users, cut, k = self.users, self.cut, self.k
+        users, cut = self.users, self.cut
         items = X[self.first_item:]
         num_items = items.shape[0]
         Y = X[users]
         dtype, scale, norms, offset = _score_error(Y, items)
         block_items = items.astype(dtype, copy=False)
         Y = Y.astype(dtype, copy=False)
-        # a user the probe proves every held-out item of a miss keeps its
-        # zero row: no hits give 0 / k, 0 / count and 0 / ideal
-        per_user = np.zeros((users.shape[0], 3))
         ranked = self.rows
         if self.probe is not None:
             keep = self._unproven(Y, block_items, (scale, norms, offset))
@@ -269,13 +298,13 @@ class Ranker:
             a, b = ranked.key_start[lo], ranked.key_start[hi]
             rows, cols = ranked.key_rows[a:b] - lo, ranked.key_cols[a:b]
             bound = (scale[lo:hi], norms, offset[lo:hi])
-            rank, sure = _ranks(S, rows, cols, bound, cut, heads[:nb])
-            # users with an unsure item: one GEMV each, the per-user scores
-            # of reference.evaluate_scalar, and every held-out item of
-            # theirs ranked exactly (in buffers made only then: held for
-            # every call, the page faults they cost slowed small calls)
-            redo = np.unique(rows[~sure])
-            if redo.shape[0]:
+            rank, sure = _ranks(S, rows, cols, bound, cut, heads[:nb],
+                                hits_only)
+            # each user with an unsure item: one GEMV, evaluate_scalar's
+            # scores, ranks its held-out items exactly; E is made only here
+            # (made on every call, its page faults slowed small calls)
+            if not sure.all():
+                redo = np.unique(rows[~sure])
                 E = np.empty((redo.shape[0], num_items), dtype=X.dtype)
                 for i, j in enumerate(redo):
                     u = lo + j
@@ -285,26 +314,11 @@ class Ranker:
                              - u * num_items, -np.inf)
                 again = np.isin(rows, redo)
                 zero = np.zeros(redo.shape[0])
-                rank[again], _ = _ranks(E, np.searchsorted(redo, rows[again]),
-                                        cols[again], (zero, norms, zero), cut,
-                                        np.empty((redo.shape[0], G), E.dtype))
-            hit = rank < cut
-            # sequential sums in rank order, as the scalar definition adds them
-            gains = np.zeros((nb, cut))
-            gains[rows[hit], rank[hit]] = self.discount[rank[hit]]
-            dcg = np.cumsum(gains, axis=1)[:, -1]
-            hits = np.bincount(rows[hit], minlength=nb)
-            pos = ranked.pos[lo:hi]
-            per_user[pos, 0] = hits / k
-            per_user[pos, 1] = hits / self.test_counts[pos]
-            per_user[pos, 2] = dcg / self.ideal[pos]
-        # a running sum in user order, as a per-user loop would add them
-        sums = np.cumsum(per_user, axis=0)[-1]
-        evaluated = users.shape[0]
-        prec, rec, ndcg = sums / evaluated
-        return EvalResult(k=k, precision=float(prec), recall=float(rec),
-                          ndcg=float(ndcg), users_evaluated=evaluated,
-                          users_skipped=self.skipped)
+                rank[again], _ = _ranks(
+                    E, np.searchsorted(redo, rows[again]), cols[again],
+                    (zero, norms, zero), cut,
+                    np.empty((redo.shape[0], G), E.dtype), hits_only)
+            yield ranked.pos[lo:hi], rows, rank
 
     def _unproven(self, Y: np.ndarray, block_items: np.ndarray,
                   bound) -> np.ndarray:
@@ -504,7 +518,8 @@ def _group_maxima(S: np.ndarray, heads: np.ndarray):
 
 
 def _ranks(S: np.ndarray, rows: np.ndarray, cols: np.ndarray, bound,
-           cut: int, scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+           cut: int, scratch: np.ndarray,
+           hits_only: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Rank of each score S[rows, cols] in its row, and whether it is sure.
 
     First every nan and +-inf score of S is set to -inf, in place: such
@@ -537,6 +552,9 @@ def _ranks(S: np.ndarray, rows: np.ndarray, cols: np.ndarray, bound,
     sums, which can only move a gap within an ulp of m from "above" to
     "within" and make that count unsure, never change a proven rank).
     (At m = 0 equal scores rank by column, which the maxima do not keep.)
+    With `hits_only`, an item with a finite m that beats that score by
+    more than m is a sure hit at rank 0, crowded or at m = 0 (fewer than
+    `cut` scores can beat it), and it is not counted.
     Any other item's rank is `_count_ranks` over its whole row.  At bound
     0 every rank is exact; a non-finite bound makes nothing sure.
     `scratch` is workspace with S's rows and at least G columns.
@@ -551,44 +569,46 @@ def _ranks(S: np.ndarray, rows: np.ndarray, cols: np.ndarray, bound,
         _group_maxima(S, heads)
     # heads[:, G - cut:] are the cut best maxima, heads[:, G - cut] the
     # least of them, and where the groups are the row, heads[:, G - cut - 1]
-    # the row's (cut+1)-th best score.  (On 200-column rows numpy's sort
-    # took less time than a partition at one index, and a fifth of a
-    # partition at two.)
+    # the row's (cut+1)-th best score.  (On 200-column rows a sort took
+    # 64 us, a partition at one index 91 us and at two 494 us.)
     below = G == width > cut
     if G == width:
         heads.sort(axis=1)
     else:
         heads.partition(G - cut, axis=1)
     kth = heads[:, G - cut]
-    t = S[rows, cols].astype(np.float64)
+    t = S[rows, cols].astype(np.promote_types(S.dtype, np.float64))
     rank = np.full(rows.shape[0], cut)
-    # differences, not sums, are compared with margins: rounding is
-    # monotone and m is a float, so a rounded difference exceeds m only if
-    # the exact one does.  -inf - -inf is nan (such items are misses
-    # anyway), and scores near overflow come only with bound 0, where an
-    # infinite difference still has the right sign.
+    # differences, in float64 or a wider score dtype, not sums, are
+    # compared with margins: rounding is monotone and m is a float, so a
+    # rounded difference exceeds m only if the exact one does.  -inf - -inf
+    # is nan (such items are misses anyway), and scores near overflow come
+    # only with bound 0, where an infinite difference has the right sign.
     with np.errstate(invalid="ignore", over="ignore"):
         own, m = _margins(bound, rows, cols)
         sure = np.isfinite(m)
         near = np.flatnonzero(sure & (t > -np.inf) & ~(kth[rows] - t > m))
-        tn, mn = t[near], m[near]
-        # two of the row's `cut` best maxima within a positive margin: they
-        # are distinct scores, one is another item's, so the item is
-        # unsure without a count (this spares rows of ties the full count)
-        top = heads[rows[near], G - cut:]
-        crowded = (mn > 0) & (np.count_nonzero(
-            np.abs(top - tn[:, None]) <= mn[:, None], axis=1) > 1)
-        sure[near[crowded]] = False
-        counted = ~crowded
-        if below:
-            # clear of the (cut+1)-th best score: ranked by the top cut
-            clear = counted & (mn > 0) & (
-                tn - heads[rows[near], G - cut - 1] > mn)
+        # clear of the (cut+1)-th best score: among the row's cut best
+        clear = below & (t[near] - heads[rows[near], G - cut - 1].astype(
+            t.dtype) > m[near])
+        if hits_only:
+            rank[near[clear]] = 0
+            near, clear = near[~clear], clear[~clear]
+        if near.shape[0]:
+            tn, mn = t[near], m[near]
+            # two of the row's `cut` best maxima within a positive margin:
+            # they are distinct scores, one is another item's, so the item
+            # is unsure without a count (sparing rows of ties the count)
+            top = heads[rows[near], G - cut:]
+            crowded = (mn > 0) & (np.count_nonzero(
+                np.abs(top - tn[:, None]) <= mn[:, None], axis=1) > 1)
+            sure[near[crowded]] = False
+            # a clear item's rank: the count of the top cut above it
+            clear &= ~crowded & (mn > 0)
             rank[near[clear]] = np.count_nonzero(
                 top[clear] - tn[clear, None] > mn[clear, None], axis=1)
-            counted &= ~clear
-        _count_ranks(S, rows, cols, t, own, bound, cut, near[counted], rank,
-                     sure)
+            _count_ranks(S, rows, cols, t, own, bound, cut,
+                         near[~(crowded | clear)], rank, sure)
     return rank, sure
 
 
@@ -615,7 +635,7 @@ def _count_ranks(S, rows, cols, t, own, bound, cut, near, rank, sure):
     for lo in range(0, near.shape[0], step):
         i = near[lo:lo + step]
         r = rows[i]
-        D = np.subtract(S[r], t[i, None], dtype=np.float64)
+        D = np.subtract(S[r], t[i, None], dtype=t.dtype)
         # each pair's margin: the item's own bound plus the other's
         M = np.multiply.outer(scale[r], norms)
         M += (own[i] + offset[r])[:, None]

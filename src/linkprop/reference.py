@@ -374,8 +374,9 @@ def load_edge_list_scalar(path, fmt: str = "auto"):
         if fmt == "adjlist":
             fields = line.split()
             if len(fields) < 2:
-                raise ValueError(f"line {lineno}: adjacency line needs a "
-                                 f"user and at least one item: {line!r}")
+                raise ValueError(f"{path}: line {lineno}: adjacency line "
+                                 f"needs a user and at least one item: "
+                                 f"{line!r}")
             for item in fields[1:]:
                 user_col.append(fields[0])
                 item_col.append(item)
@@ -386,8 +387,8 @@ def load_edge_list_scalar(path, fmt: str = "auto"):
                 or fields[1].lower() in header_tokens):
             continue
         if len(fields) != 2:
-            raise ValueError(f"line {lineno}: expected 2 fields, got "
-                             f"{len(fields)}: {line!r}")
+            raise ValueError(f"{path}: line {lineno}: expected 2 fields, "
+                             f"got {len(fields)}: {line!r}")
         user_col.append(fields[0])
         item_col.append(fields[1])
 

@@ -15,7 +15,8 @@ none is copied: the gradient goes straight into `gd_step`, the old
 forward pass, the score pairs and the link kernels are dropped once read,
 and the best-validation snapshot is that epoch's X itself, by reference.
 Where a kernel step runs at X, its own K+ gives the epoch's mean-K+
-diagnostic; elsewhere the diagnostic builds K+ alone.
+diagnostic; elsewhere the diagnostic takes K+'s entries from the score
+pair without building K+.  Validation reads only hits (`Ranker.recall`).
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ import numpy as np
 
 from linkprop.graphs import Graph, check_distinct, check_integer
 from linkprop.kernel import (KernelOperator, frobenius, kernel_update,
-                             mean_positive_kernel, model_config,
-                             positive_kernel, score_matrices)
+                             model_config, positive_kernel_mean,
+                             score_matrices)
 from linkprop.losses import (DivergenceError, MaskSet, ModelParams,
                              check_finite, gd_step, model_table,
                              scoring_propagation, support_gradient,
@@ -206,8 +207,7 @@ def train(graph: Graph, negatives: NegativeSet, config: TrainConfig,
                     X = check_finite(Xs, "kernel step", epoch)
                 del Xs  # the traced gradient path keeps the trace alone
             else:
-                mean_kp = mean_positive_kernel(
-                    positive_kernel(score_matrices(Y, op, s), op))
+                mean_kp = positive_kernel_mean(score_matrices(Y, op, s), op)
             if Xk is not None:
                 Yk = op.prop.apply(Xk)
                 Xk, trace = kernel_update(Xk, Yk, score_matrices(Yk, op), op)
@@ -227,7 +227,7 @@ def train(graph: Graph, negatives: NegativeSet, config: TrainConfig,
 
             val_recall = None
             if early and epoch % config.eval_every == 0:
-                val_recall = rank_val(Y).recall
+                val_recall = rank_val.recall(Y)
                 if val_recall > best_metric:
                     best_metric = val_recall
                     best_X = X
@@ -317,7 +317,7 @@ def grid_search(graph: Graph, negatives: NegativeSet, splits: SplitSet,
             if metric is None:
                 scored = scoring_propagation(graph, cfg.params).apply(
                     result.embeddings)
-                metric = rank_val(scored).recall
+                metric = rank_val.recall(scored)
             points.append(GridPoint(alpha=alpha, layers=layers,
                                     metric=float(metric), diverged=False,
                                     stopped_epoch=result.history.stopped_epoch))

@@ -85,17 +85,21 @@ class TestLoadEdgeList:
     def test_malformed_line_names_the_file_line(self, tmp_path):
         # comment and blank lines count: the short pair is file line 4
         path = write(tmp_path, "# a comment\n\nu1\ti1\nu2\n")
-        with pytest.raises(ValueError, match="^line 4: expected 2 fields"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
+                           f"line 4: expected 2 fields"):
             load_edge_list(path)
         path = write(tmp_path, "# a comment\nu1 i1\n\nu2\n")
-        with pytest.raises(ValueError, match="^line 4: adjacency line"):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
+                           f"line 4: adjacency line"):
             load_edge_list(path, fmt="adjlist")
 
     def test_header_row_is_the_first_data_line(self, tmp_path):
         ds = load_edge_list(write(tmp_path, "# c\n\nuser\titem\nu\ti\n"))
         assert ds.user_labels == ("u",)
-        with pytest.raises(ValueError, match="^line 2: expected 2 fields"):
-            load_edge_list(write(tmp_path, "u\ti\nuser\titem\textra\n"))
+        path = write(tmp_path, "u\ti\nuser\titem\textra\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
+                           f"line 2: expected 2 fields"):
+            load_edge_list(path)
 
     def test_empty_file(self, tmp_path):
         with pytest.raises(ValueError, match="no data lines"):
@@ -571,6 +575,21 @@ class TestSaveLoadSplits:
         self.edit_meta(tmp_path, flagged_users=labels)
         with pytest.raises(ValueError,
                            match=f"^split.json: {re.escape(message)}$"):
+            load_splits(tmp_path)
+
+    @pytest.mark.parametrize("part", ["train", "val", "test"])
+    def test_bad_part_line_names_the_part(self, tmp_path, part):
+        # every part has a header, so a three-field line appended to one
+        # is its file line edges + 2
+        graph = block_bipartite(10, 8, 2, mean_degree=4, seed=0)
+        splits = split_dataset(graph)
+        save_splits(dataset_from_graph(graph), splits, tmp_path)
+        path = tmp_path / f"{part}.tsv"
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("u\ti\textra\n")
+        lineno = getattr(splits, part).shape[0] + 2
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "
+                           f"line {lineno}: expected 2 fields, got 3"):
             load_splits(tmp_path)
 
     def test_item_label_is_no_flagged_user(self, tmp_path):

@@ -9,7 +9,8 @@ from linkprop.graphs import MAX_PROXIMITY_ORDER, build_graph
 from linkprop.kernel import (KernelConfig, KernelOperator, kernel_step,
                              kernel_update, link_kernels, materialize_kernel,
                              mean_positive_kernel, model_config,
-                             positive_kernel, score_matrices, sign_structure)
+                             positive_kernel, positive_kernel_mean,
+                             score_matrices, sign_structure)
 from linkprop.losses import (DivergenceError, ModelParams, build_masks,
                              loss_gradient, scoring_propagation, sigmoid)
 
@@ -202,6 +203,22 @@ class TestLinkKernels:
         k_plus = link_kernels(scores, op).k_plus
         for part in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(alone, part), getattr(k_plus, part))
+
+    @pytest.mark.parametrize("model,kwargs", MODEL_GRID, ids=lambda v: str(v))
+    def test_positive_kernel_mean_is_k_plus_mean_bit_for_bit(
+            self, small_instance, model, kwargs):
+        # the untraced gradient path's diagnostic takes K+'s mean without
+        # building K+; saturated scores (explicit zeros) included
+        graph, neg = small_instance
+        _, op = operator_for(model, graph, neg, **kwargs)
+        rng = np.random.default_rng(5)
+        for scale in (1.0, 30.0):
+            scores = score_matrices(op.prop.apply(
+                scale * rng.normal(size=(graph.num_nodes, 4))), op)
+            mean = positive_kernel_mean(scores, op)
+            assert type(mean) is float
+            assert repr(mean) == repr(mean_positive_kernel(
+                positive_kernel(scores, op)))
 
 
 class TestKernelStep:

@@ -259,6 +259,23 @@ class TestEvaluateInputs:
         assert dataclasses.astuple(result) == evaluate_scalar(X, splits,
                                                               graph, k=2)
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps == np.finfo(float).eps,
+                        reason="longdouble is float64 here")
+    @pytest.mark.parametrize("held, hit", [(1, False), (2, True)])
+    def test_longdouble_scores_apart_below_float64_resolution(self, held,
+                                                              hit):
+        # item 1 beats item 0 by 2^-60, which rounds away in float64: the
+        # ranks compare the scores in their own dtype, as the oracle does
+        part = Partition(1, 2)
+        X = np.ones((3, 1), dtype=np.longdouble)
+        X[2, 0] += np.longdouble(2) ** -60
+        splits = make_splits(part, [], test=[(0, held)])
+        graph = build_graph([], partition=part)
+        expected = evaluate_scalar(X, splits, graph, k=1)
+        assert expected[2] == float(hit)
+        assert dataclasses.astuple(evaluate(X, splits, graph, k=1)) == expected
+        assert Ranker(splits, graph, 1, "test").recall(X) == expected[2]
+
 
 @st.composite
 def ranking_case(draw):
@@ -394,8 +411,8 @@ class TestEvaluateMatchesOracle:
         calls = []
         real = ranking._ranks
 
-        def spy(S, rows, cols, bound, cut, scratch):
-            rank, sure = real(S, rows, cols, bound, cut, scratch)
+        def spy(S, rows, cols, bound, cut, scratch, *mode):
+            rank, sure = real(S, rows, cols, bound, cut, scratch, *mode)
             scale, _, offset = bound
             calls.append((bool(scale.any() or offset.any()), rank.copy(),
                           sure.copy()))
@@ -421,13 +438,13 @@ def flat_bound(S, margin):
     return np.zeros_like(half), np.zeros(np.shape(S)[1]), half
 
 
-def ranks(S, held, margin, cut):
+def ranks(S, held, margin, cut, hits_only=False):
     """`ranking._ranks` of the (row, column) pairs `held` of the rows S,
     every pair of row r within margin[r] unsure."""
     S = np.array(S, dtype=float)
     rows, cols = np.array(held).T
     return ranking._ranks(S, rows, cols, flat_bound(S, margin), cut,
-                          np.empty_like(S))
+                          np.empty_like(S), hits_only)
 
 
 class TestCertification:
@@ -654,8 +671,8 @@ def fallback_users(X, splits, graph, **kwargs):
     real = ranking._ranks
     unsure = []
 
-    def spy(S, rows, cols, bound, cut, scratch):
-        rank, sure = real(S, rows, cols, bound, cut, scratch)
+    def spy(S, rows, cols, bound, cut, scratch, *mode):
+        rank, sure = real(S, rows, cols, bound, cut, scratch, *mode)
         unsure.append(np.unique(rows[~sure]).shape[0])
         return rank, sure
 
@@ -1167,8 +1184,9 @@ class TestProbe:
             left.append(keep.shape[0])
             return keep
 
-        def spy_ranks(S, rows, cols, bound, cut, scratch):
-            rank, sure = real_ranks(S, rows, cols, bound, cut, scratch)
+        def spy_ranks(S, rows, cols, bound, cut, scratch, *mode):
+            rank, sure = real_ranks(S, rows, cols, bound, cut, scratch,
+                                    *mode)
             scale, _, offset = bound
             if scale.any() or np.any(offset):
                 blocks.append(np.unique(rows).shape[0])
@@ -1185,6 +1203,83 @@ class TestProbe:
         assert 0 < left[0] < evaluated // 2  # most users proven
         assert sum(blocks) + sum(fallback) >= left[0] > 0
         assert sum(fallback) >= 2
+
+
+class TestRecall:
+    """`Ranker.recall`: the full call's recall from hit status alone."""
+
+    def test_crowded_item_clear_of_the_next_score_is_a_sure_hit(self):
+        # 5.0 and 4.9999 lie within the margin of each other, so the block
+        # cannot order them, but both clear the (cut+1)-th best score 1.0
+        # by more than the margin: each is a hit under any rounding
+        row, held = [[5.0, 4.9999, 1.0, 0.0]], [(0, 0), (0, 1)]
+        _, sure = ranks(row, held, [1e-3], 2)
+        assert not sure.any()
+        (rank, sure), counted = counted_items(
+            lambda: ranks(row, held, [1e-3], 2, hits_only=True))
+        assert sure.all() and (rank < 2).all() and counted == 0
+
+    def test_clear_tie_at_margin_zero_is_a_hit_without_a_count(self):
+        # a zero user row (margin 0): the tie at 3.0 needs the whole-row
+        # count for its rank, not for its hit
+        row, held = [[3.0, 3.0, 1.0, 0.0]], [(0, 1), (0, 0)]
+        (rank, sure), counted = counted_items(
+            lambda: ranks(row, held, [0.0], 2))
+        assert sure.all() and list(rank) == [1, 0] and counted == 2
+        (rank, sure), counted = counted_items(
+            lambda: ranks(row, held, [0.0], 2, hits_only=True))
+        assert sure.all() and (rank < 2).all() and counted == 0
+
+    def test_item_level_with_the_next_score_is_counted(self):
+        # not clear of the (cut+1)-th best score: counted as before, and
+        # the equal score in the lower column puts the item at the cut
+        (rank, sure), counted = counted_items(lambda: ranks(
+            [[3.0, 2.0, 2.0, 0.0]], [(0, 2)], [0.0], 2, hits_only=True))
+        assert sure.all() and list(rank) == [2] and counted == 1
+
+    @settings(max_examples=300)
+    @given(st.one_of(ranking_case(), wide_ranking_case()),
+           st.sampled_from([1, 2, 5, 20, 400]), st.booleans(), st.booleans())
+    def test_bit_identical_to_the_full_call(self, case, k, single, probe):
+        # k = 400 makes the cut span every row; rows are their own column
+        # groups or fold into 8 * cut; the probe engages on wide cases at
+        # small k unless switched off
+        X, splits, graph, _, split, per_block = case
+        if single:
+            with np.errstate(over="ignore"):
+                X = X.astype(np.float32)
+        budget = (ranking._BLOCK_BYTES if per_block is None
+                  else per_block * 4 * splits.partition.num_items)
+        with warnings.catch_warnings(), \
+                mock.patch.object(ranking, "_BLOCK_BYTES", budget):
+            warnings.simplefilter("error", RuntimeWarning)
+            plan = Ranker(splits, graph, k, split)
+            if not probe:
+                plan.probe = None
+            got, full = plan.recall(X), plan(X)
+        assert type(got) is float and repr(got) == repr(full.recall)
+        with np.errstate(invalid="ignore", over="ignore"):
+            assert got == evaluate_scalar(X, splits, graph, k=k,
+                                          split=split)[2]
+
+    def test_trained_wide_and_narrow_rows(self):
+        # 1000 items: at k = 5 the probe engages, at 1, 2, 5 and 20 rows
+        # fold into 8 * cut groups, at 400 each column is its own group
+        # with a (cut+1)-th best; bench_500's 200 items are their own
+        # groups at k >= 7 and spanned by the cut at 400
+        cases = [block_bipartite(100, 1000, 4, mean_degree=12, seed=3),
+                 load_edge_list(DATA_DIR + "/bench_500.tsv").to_graph()]
+        for graph in cases:
+            splits = split_dataset(graph, (0.8, 0.1, 0.1), 0)
+            train_graph = graph_from_split(splits)
+            negatives = sample_negatives(train_graph, seed=0)
+            for epochs in (1, 15):
+                X = train(train_graph, negatives, TrainConfig(
+                    "lightgcn", alpha=0.05, dim=16, max_epochs=epochs)
+                    ).embeddings
+                for k in (1, 2, 5, 20, 400):
+                    plan = Ranker(splits, train_graph, k, "val")
+                    assert repr(plan.recall(X)) == repr(plan(X).recall)
 
 
 class TestRanker:

@@ -16,7 +16,7 @@ from linkprop.kernel import KernelOperator, link_kernels, model_config
 from linkprop.losses import (DivergenceError, ModelParams, build_masks, gd_step,
                              loss_gradient, sigmoid)
 from linkprop.negatives import _sample, sample_negatives
-from linkprop.ranking import EvalResult, Ranker, SplitSet
+from linkprop.ranking import Ranker, SplitSet
 from linkprop.reference import evaluate_scalar
 from linkprop.synthetic import block_bipartite
 from linkprop.training import (ALPHA_GRID, INTEGER_FIELDS, AllPointsDiverged,
@@ -276,16 +276,17 @@ class TestTrainPaths:
                                     else 0)
 
     @pytest.mark.parametrize("path, trace, builds, passes", [
-        ("gradient", False, 1, 1), ("gradient", True, 2, 1),
+        ("gradient", False, 0, 1), ("gradient", True, 2, 1),
         ("kernel", False, 2, 1), ("kernel", True, 2, 1),
-        ("both", False, 3, 2), ("both", True, 3, 2)])
+        ("both", False, 2, 2), ("both", True, 2, 2)])
     def test_one_positive_kernel_per_step_at_x(self, path, trace, builds,
                                                passes):
         # per epoch: a kernel step at X (the kernel path's, the gradient
         # path's traced substeps) gives the mean-K+ diagnostic from its own
         # K+, so the scores pass through the sigmoid once and K+ is built
-        # once beside K-; the untraced gradient path's diagnostic builds K+
-        # alone, and "both" adds the kernel trajectory's scores, K+ and K-
+        # once beside K-; elsewhere the diagnostic takes K+'s entries from
+        # the score pair without building K+, and "both" adds the kernel
+        # trajectory's scores, K+ and K-
         graph = block_bipartite(40, 60, 4, mean_degree=6, seed=0)
         neg = sample_negatives(graph, seed=0)
         cfg = TrainConfig("deepwalk", alpha=0.05, dim=4, window=2,
@@ -492,6 +493,30 @@ class TestValidationRanking:
             train(graph, neg, cfg)
         assert len(built) == 1
 
+    def test_validation_reads_hits_without_a_full_ranking(self,
+                                                          split_instance):
+        # every validation epoch, and grid_search's ranking of a point that
+        # never validated, calls Ranker.recall; none ranks for ndcg
+        graph, neg, splits = split_instance
+        calls = []
+
+        class HitsOnly(Ranker):
+            def __call__(self, X):
+                raise AssertionError("a full ranking in validation")
+
+            def recall(self, X):
+                calls.append(X.shape)
+                return super().recall(X)
+
+        cfg = TrainConfig("mf", alpha=0.05, dim=4, max_epochs=6, patience=10,
+                          eval_k=2)
+        with mock.patch("linkprop.training.Ranker", HitsOnly):
+            history = train(graph, neg, cfg, splits=splits).history
+            assert len(calls) == len(history.records) == 6
+            grid_search(graph, neg, splits, replace(cfg, eval_every=7),
+                        alphas=(0.05,))
+        assert len(calls) == 7
+
     @pytest.mark.parametrize("model", ["mf", "lightgcn"])
     def test_early_stopping_as_the_scalar_oracle_ranks(self, model):
         # the same run with each epoch's validation ranking done by
@@ -509,9 +534,9 @@ class TestValidationRanking:
             def __init__(self, *args):
                 pass
 
-            def __call__(self, Y):
-                return EvalResult(*evaluate_scalar(Y, splits, train_graph,
-                                                   k=cfg.eval_k, split="val"))
+            def recall(self, Y):
+                return evaluate_scalar(Y, splits, train_graph, k=cfg.eval_k,
+                                       split="val")[2]
 
         with mock.patch("linkprop.training.Ranker", Oracle):
             expected = train(train_graph, neg, cfg, splits=splits).history
