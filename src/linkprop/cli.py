@@ -23,7 +23,8 @@ from linkprop.data_io import (FORMATS, graph_density_pct, graph_from_split,
                               split_dataset, write_canonical,
                               write_metrics_csv)
 from linkprop.diagnostics import emit_trajectories
-from linkprop.experiment import RunConfig, run_experiment
+from linkprop.experiment import (INI_KEYS, ExperimentError, RunConfig,
+                                 run_experiment)
 from linkprop.graphs import check_integer
 from linkprop.losses import MODELS, ModelParams, scoring_propagation
 from linkprop.negatives import STRATEGIES, sample_negatives
@@ -231,7 +232,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="run a full experiment from an INI config")
     p.add_argument("--config", required=True)
     p.add_argument("--outdir", default="")
-    p.set_defaults(func=cmd_report)
+    # main names the INI key, as the file spells it, of a setting that an
+    # error names by its RunConfig field or by its owner's name for it
+    keys = {name: f"[{section}] {key}" for section, key, name in INI_KEYS}
+    p.set_defaults(func=cmd_report, flags={
+        **keys, "eval_k": keys["k"], "strategy": keys["neg_strategy"],
+        "exponent": keys["neg_exponent"]})
 
     return parser
 
@@ -240,7 +246,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as err:
+    except (ValueError, FileNotFoundError, ExperimentError) as err:
         name, space, rest = str(err).partition(" ")
         flag = getattr(args, "flags", {}).get(name, name)
         print(f"error: {flag}{space}{rest}", file=sys.stderr)

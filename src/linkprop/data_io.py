@@ -192,8 +192,11 @@ def _read_file(path, fmt: str, header_key: str = "checksum=",
     only a file without one may open with a header row, which is dropped."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = fh.read()
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: {err}") from None
     read = _read_clean_pairs(raw, header_key) if fmt != "adjlist" else None
     return read or _read_lines(raw, fmt, path, header_key, empty_ok)
 
@@ -372,12 +375,14 @@ def load_splits(outdir) -> tuple[Dataset, SplitSet]:
         except KeyError as err:
             raise ValueError(f"{part}.tsv: id {err} not in dataset.tsv") from None
         _check_declared_counts(path, header, len(users), body)
-    with open(os.path.join(outdir, "split.json"), encoding="utf-8") as fh:
-        meta = json.load(fh)
     # checked as split_dataset checks its arguments: a JSON bool or float
     # is no seed, and a list of numbers that fails check_ratios no ratios;
-    # flagged_users must list user labels of dataset.tsv
+    # flagged_users must list user labels of dataset.tsv.  Text that does
+    # not decode or parse is a ValueError too (JSONDecodeError is one)
     try:
+        with open(os.path.join(outdir, "split.json"),
+                  encoding="utf-8") as fh:
+            meta = json.load(fh)
         if not isinstance(meta, dict):
             raise ValueError(f"not a JSON object, got {meta!r}")
         missing = [key for key in ("ratios", "seed", "flagged_users")

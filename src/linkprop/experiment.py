@@ -141,9 +141,18 @@ class RunConfig:
 
     @classmethod
     def from_ini(cls, path) -> "RunConfig":
-        parser = configparser.ConfigParser(converters=_LIST_CONVERTERS)
+        """The config of an INI file, in which `%` is a literal character.
+        A file that does not decode or parse, and a value that does not
+        convert, raise a one-line ValueError naming the file and line, or
+        the `[section] key`."""
+        parser = configparser.ConfigParser(converters=_LIST_CONVERTERS,
+                                           interpolation=None)
         parser.read_dict(CONFIG_DEFAULTS)
-        if not parser.read(path, encoding="utf-8"):
+        try:
+            found = parser.read(path, encoding="utf-8")
+        except (UnicodeDecodeError, configparser.Error) as err:
+            raise ValueError(f"{path}: {_ini_error(err)}") from None
+        if not found:
             raise FileNotFoundError(f"config file {path} not found")
         for section in parser.sections():
             if section not in CONFIG_DEFAULTS:
@@ -152,8 +161,29 @@ class RunConfig:
             if unknown:
                 raise ValueError(f"unknown keys in [{section}]: {sorted(unknown)}")
         types = typing.get_type_hints(cls)
-        return cls(**{name: getattr(parser, _GETTERS[types[name]])(section, key)
-                      for section, key, name in INI_KEYS})
+        values = {}
+        for section, key, name in INI_KEYS:
+            try:
+                values[name] = getattr(parser, _GETTERS[types[name]])(section,
+                                                                      key)
+            except ValueError as err:
+                raise ValueError(f"[{section}] {key}: {err}") from None
+        return cls(**values)
+
+
+def _ini_error(err: Exception) -> str:
+    """A decoding or configparser error on one line, with its file line."""
+    if isinstance(err, configparser.MissingSectionHeaderError):
+        return (f"line {err.lineno}: {err.line.strip()!r} comes before any "
+                f"[section] header")
+    if isinstance(err, configparser.ParsingError):
+        return (f"line {err.errors[0][0]}: neither a [section] header nor "
+                f"a key = value line")
+    if isinstance(err, configparser.DuplicateOptionError):
+        return f"line {err.lineno}: [{err.section}] {err.option} is given twice"
+    if isinstance(err, configparser.DuplicateSectionError):
+        return f"line {err.lineno}: section [{err.section}] is given twice"
+    return " ".join(str(err).split())
 
 
 # the parser's getter by RunConfig field type; models and seeds may be

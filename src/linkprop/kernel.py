@@ -159,15 +159,11 @@ class LinkKernels:
     k_minus: sp.csr_array = field(repr=False)
 
 
-def positive_kernel(scores: ScorePair, operator: KernelOperator) -> sp.csr_array:
-    """K_plus = S_A . mask_plus alone, for a caller that never reads K_minus."""
-    return operator.pattern.pos.weighted(scores.s_a)
-
-
 def link_kernels(scores: ScorePair, operator: KernelOperator) -> LinkKernels:
     """Masks times scores: K_plus = S_A . mask_plus, K_minus = S_B . mask_minus."""
-    return LinkKernels(k_plus=positive_kernel(scores, operator),
-                       k_minus=operator.pattern.neg.weighted(scores.s_b))
+    pattern = operator.pattern
+    return LinkKernels(k_plus=pattern.pos.weighted(scores.s_a),
+                       k_minus=pattern.neg.weighted(scores.s_b))
 
 
 def mean_positive_kernel(k_plus: sp.csr_array) -> float:
@@ -181,9 +177,9 @@ def mean_positive_kernel(k_plus: sp.csr_array) -> float:
 
 def positive_kernel_mean(scores: ScorePair,
                          operator: KernelOperator) -> float:
-    """`mean_positive_kernel(positive_kernel(scores, operator))` without
-    building K+: the same entries S_A . mask_plus in the same order, so
-    the same bits."""
+    """`mean_positive_kernel` of `link_kernels(scores, operator).k_plus`
+    without building K+: the same entries S_A . mask_plus in the same
+    order, so the same bits."""
     pos = operator.pattern.pos
     entries = scores.s_a.take(pos.sorted_owner)
     if entries.shape[0] == 0:
@@ -238,12 +234,14 @@ def kernel_update(X: np.ndarray, Y: np.ndarray, scores: ScorePair,
 
 
 def kernel_step(X: np.ndarray, operator: KernelOperator,
-                step: int | None = None) -> np.ndarray:
-    """One forward-propagation update of the embeddings; raises
-    DivergenceError (tagged with `step`) on a non-finite result."""
+                step: int | None = None) -> tuple[np.ndarray, SubstepTrace]:
+    """One forward-propagation update of the embeddings on its own forward
+    pass P X, and its trace; raises DivergenceError (tagged with `step`)
+    on a non-finite result."""
     Y = operator.prop.apply(X)
-    return check_finite(kernel_update(X, Y, score_matrices(Y, operator),
-                                      operator)[0], "kernel step", step)
+    X, trace = kernel_update(X, Y, score_matrices(Y, operator), operator)
+    del Y
+    return check_finite(X, "kernel step", step), trace
 
 
 def materialize_kernel(scores: ScorePair, operator: KernelOperator,

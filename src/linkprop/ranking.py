@@ -125,9 +125,9 @@ class Ranker:
     `reference.evaluate_scalar` gives; `recall(X)` gives its recall from
     hit status alone (`_ranks`' `hits_only`), every bit.
 
-    The probe stage runs first.  Each row's probe scores, one GEMM in the
-    block dtype per block of at most `_BLOCK_BYTES`, have the user's
-    training items, nan and +-inf set to -inf; `kth` is their cut-th best.
+    The probe stage runs first.  Each row's probe scores (`_blocks`, in
+    the block dtype) have the user's training items, nan and +-inf set to
+    -inf; `kth` is their cut-th best.
     Each held-out item's score t comes from a row dot in the same dtype,
     and the item is a proven miss where `kth - t > m`, m its margin as
     `_ranks` forms it (its own bound plus the row's largest).  The bound
@@ -143,9 +143,8 @@ class Ranker:
     and 0 / ideal give; the other users take the steps below, gathered,
     and the per-user rows are still summed in user order.
 
-    Users are scored in blocks, one GEMM per block of at most
-    `_BLOCK_BYTES` of scores, in float32 for float64 embeddings that
-    `_score_error` finds safe to cast.  The block compares two items'
+    Users are scored in `_blocks`, in float32 for float64 embeddings
+    that `_score_error` finds safe to cast.  The block compares two items'
     scores with a margin, the sum of their rounding-error bounds, and the
     per-user GEMV `items @ X[user]` ranks every held-out item that the block
     ranks sure the same way (see `_ranks`).  A user row of zeros scores
@@ -284,40 +283,26 @@ class Ranker:
             keep = self._unproven(Y, block_items, (scale, norms, offset))
             ranked = ranked.take(keep, num_items)
             Y, scale, offset = Y[keep], scale[keep], offset[keep]
-        n = ranked.pos.shape[0]
-        block = max(1, _BLOCK_BYTES // (dtype.itemsize * num_items))
-        G = _group_count(num_items, cut)
-        buf = np.empty((min(block, n), num_items), dtype=dtype)
-        heads = np.empty((buf.shape[0], G), dtype=dtype)
-        for lo in range(0, n, block):
-            hi = min(lo + block, n)
-            nb = hi - lo
-            S = buf[:nb]
-            _masked_scores(Y, block_items, ranked.mask_flat,
-                           ranked.mask_start, lo, S)
+        for lo, hi, S in _blocks(Y, block_items, ranked.mask_flat,
+                                 ranked.mask_start):
             a, b = ranked.key_start[lo], ranked.key_start[hi]
             rows, cols = ranked.key_rows[a:b] - lo, ranked.key_cols[a:b]
             bound = (scale[lo:hi], norms, offset[lo:hi])
-            rank, sure = _ranks(S, rows, cols, bound, cut, heads[:nb],
-                                hits_only)
+            rank, sure = _ranks(S, rows, cols, bound, cut, hits_only)
             # each user with an unsure item: one GEMV, evaluate_scalar's
             # scores, ranks its held-out items exactly; E is made only here
             # (made on every call, its page faults slowed small calls)
             if not sure.all():
-                redo = np.unique(rows[~sure])
-                E = np.empty((redo.shape[0], num_items), dtype=X.dtype)
-                for i, j in enumerate(redo):
-                    u = lo + j
-                    np.matmul(items, X[users[ranked.pos[u]]], out=E[i])
-                    E[i].put(ranked.mask_flat[ranked.mask_start[u]:
-                                              ranked.mask_start[u + 1]]
-                             - u * num_items, -np.inf)
-                again = np.isin(rows, redo)
-                zero = np.zeros(redo.shape[0])
-                rank[again], _ = _ranks(
-                    E, np.searchsorted(redo, rows[again]), cols[again],
-                    (zero, norms, zero), cut,
-                    np.empty((redo.shape[0], G), E.dtype), hits_only)
+                again = np.unique(rows[~sure])
+                redo = ranked.take(lo + again, num_items)
+                E = np.empty((redo.pos.shape[0], num_items), dtype=X.dtype)
+                for e, p in zip(E, redo.pos):
+                    np.matmul(items, X[users[p]], out=e)
+                E.put(redo.mask_flat, -np.inf)
+                zero = np.zeros(E.shape[0])
+                rank[np.isin(rows, again)] = _ranks(
+                    E, redo.key_rows, redo.key_cols, (zero, norms, zero),
+                    cut, hits_only)[0]
             yield ranked.pos[lo:hi], rows, rank
 
     def _unproven(self, Y: np.ndarray, block_items: np.ndarray,
@@ -325,15 +310,10 @@ class Ranker:
         """Positions in `users` of the users with a held-out item that the
         probe, as `Ranker` describes it, does not prove a miss, ascending."""
         cut, rows, cols = self.cut, self.rows.key_rows, self.rows.key_cols
-        probe = block_items[self.probe]
-        n, width = Y.shape[0], probe.shape[0]
-        block = max(1, _BLOCK_BYTES // (Y.dtype.itemsize * width))
-        buf = np.empty((min(block, n), width), dtype=Y.dtype)
-        kth = np.empty(n, dtype=Y.dtype)
-        for lo in range(0, n, block):
-            hi = min(lo + block, n)
-            S = buf[:hi - lo]
-            _masked_scores(Y, probe, self.probe_flat, self.probe_start, lo, S)
+        width = self.probe.shape[0]
+        kth = np.empty(Y.shape[0], dtype=Y.dtype)
+        for lo, hi, S in _blocks(Y, block_items[self.probe], self.probe_flat,
+                                 self.probe_start):
             # nan would partition above every score, +inf would be counted
             if not np.isfinite(S.max()):
                 S[~np.isfinite(S)] = -np.inf
@@ -372,16 +352,23 @@ class _Rows(NamedTuple):
                      self.mask_flat[masked] + shift, _starts(mask_counts))
 
 
-def _masked_scores(Y: np.ndarray, items: np.ndarray, flat: np.ndarray,
-                   start: np.ndarray, lo: int, out: np.ndarray) -> None:
-    """Set `out` to the scores of the rows Y[lo:lo + len(out)] against
-    `items`, one GEMM, and the training entries of those rows to -inf:
-    flat[start[lo]:start[hi]], flat indices into rows of len(items)
-    scores that start at row lo."""
-    hi = lo + out.shape[0]
-    np.matmul(Y[lo:hi], items.T, out=out)
-    masked = flat[start[lo]:start[hi]]
-    out.put(masked - lo * items.shape[0] if lo else masked, -np.inf)
+def _blocks(Y: np.ndarray, items: np.ndarray, flat: np.ndarray,
+            start: np.ndarray):
+    """(lo, hi, S) per block of consecutive rows lo:hi of Y: S, in one
+    reused buffer, holds their scores against `items`, one GEMM in Y's
+    dtype, with their training entries flat[start[lo]:start[hi]] (flat
+    indices into rows of len(items) scores from row 0) set to -inf.  A
+    block has at least one row, and at most `_BLOCK_BYTES` of scores."""
+    n, width = Y.shape[0], items.shape[0]
+    block = max(1, _BLOCK_BYTES // (Y.dtype.itemsize * width))
+    buf = np.empty((min(block, n), width), dtype=Y.dtype)
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        S = buf[:hi - lo]
+        np.matmul(Y[lo:hi], items.T, out=S)
+        masked = flat[start[lo]:start[hi]]
+        S.put(masked - lo * width if lo else masked, -np.inf)
+        yield lo, hi, S
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -518,8 +505,7 @@ def _group_maxima(S: np.ndarray, heads: np.ndarray):
 
 
 def _ranks(S: np.ndarray, rows: np.ndarray, cols: np.ndarray, bound,
-           cut: int, scratch: np.ndarray,
-           hits_only: bool = False) -> tuple[np.ndarray, np.ndarray]:
+           cut: int, hits_only: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Rank of each score S[rows, cols] in its row, and whether it is sure.
 
     First every nan and +-inf score of S is set to -inf, in place: such
@@ -557,11 +543,10 @@ def _ranks(S: np.ndarray, rows: np.ndarray, cols: np.ndarray, bound,
     `cut` scores can beat it), and it is not counted.
     Any other item's rank is `_count_ranks` over its whole row.  At bound
     0 every rank is exact; a non-finite bound makes nothing sure.
-    `scratch` is workspace with S's rows and at least G columns.
     """
     width = S.shape[1]
     G = _group_count(width, cut)
-    heads = scratch[:, :G]
+    heads = np.empty((S.shape[0], G), dtype=S.dtype)
     _group_maxima(S, heads)
     # nan and +inf reach the maxima (so does a block of only -inf scores)
     if not np.isfinite(heads.max()):

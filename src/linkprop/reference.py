@@ -346,8 +346,11 @@ def load_edge_list_scalar(path, fmt: str = "auto"):
         raise ValueError(f"unknown format {fmt!r}")
     header_tokens = {"user", "item", "user_id", "item_id", "userid",
                      "itemid", "source", "target", "uid", "iid"}
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = fh.read()
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: {err}") from None
     header = None
     data = []
     for lineno, line in enumerate(raw.splitlines(), start=1):

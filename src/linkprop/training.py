@@ -28,9 +28,9 @@ from functools import cached_property
 import numpy as np
 
 from linkprop.graphs import Graph, check_distinct, check_integer
-from linkprop.kernel import (KernelOperator, frobenius, kernel_update,
-                             model_config, positive_kernel_mean,
-                             score_matrices)
+from linkprop.kernel import (KernelOperator, frobenius, kernel_step,
+                             kernel_update, model_config,
+                             positive_kernel_mean, score_matrices)
 from linkprop.losses import (DivergenceError, MaskSet, ModelParams,
                              check_finite, gd_step, model_table,
                              scoring_propagation, support_gradient,
@@ -180,7 +180,7 @@ def train(graph: Graph, negatives: NegativeSet, config: TrainConfig,
                         config.seed)
     # a kernel step at X runs on the kernel path and for the gradient path's
     # traced substeps; on "both" the kernel trajectory runs beside the
-    # authoritative gradient one, on its own forward pass
+    # authoritative gradient one, on its own forward pass (`kernel_step`)
     Xk = X.copy() if config.path == "both" else None
     step_at_x = config.path == "kernel" or (config.trace_substeps and Xk is None)
     early = splits is not None and splits.val.shape[0] > 0
@@ -209,10 +209,7 @@ def train(graph: Graph, negatives: NegativeSet, config: TrainConfig,
             else:
                 mean_kp = positive_kernel_mean(score_matrices(Y, op, s), op)
             if Xk is not None:
-                Yk = op.prop.apply(Xk)
-                Xk, trace = kernel_update(Xk, Yk, score_matrices(Yk, op), op)
-                del Yk
-                check_finite(Xk, "kernel step", epoch)
+                Xk, trace = kernel_step(Xk, op, epoch)
             if config.path != "kernel":
                 X = gd_step(X, support_gradient(X, Y, s, op.pattern, op.prop,
                                                 params),

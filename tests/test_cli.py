@@ -375,6 +375,15 @@ class TestRunConfig:
         with pytest.raises(FileNotFoundError):
             RunConfig.from_ini(tmp_path / "absent.ini")
 
+    def test_percent_is_a_literal_character(self, tmp_path):
+        path = tmp_path / "pct.ini"
+        path.write_text("[data]\npath = runs/100%.tsv\nname = 5%%\n"
+                        "[output]\noutdir = runs/%(name)s\n",
+                        encoding="utf-8")
+        cfg = RunConfig.from_ini(path)
+        assert (cfg.dataset_path, cfg.name, cfg.outdir) == (
+            "runs/100%.tsv", "5%%", "runs/%(name)s")
+
     def test_every_default_key_is_consumed(self, tmp_path):
         # writing out every default produces the same config as writing none
         lines = []
@@ -524,6 +533,41 @@ class TestReportCommand:
         assert payload["config"]["output"]["outdir"] == str(override)
 
 
+    @pytest.mark.parametrize("text, line", [
+        ("[eval]\nk = 1\nk = 2\n", "{ini}: line 3: [eval] k is given twice"),
+        ("[eval]\n[eval]\n", "{ini}: line 2: section [eval] is given twice"),
+        ("k = 1\n[eval]\n",
+         "{ini}: line 1: 'k = 1' comes before any [section] header"),
+        ("[data]\npath = x.tsv\nmodels\n",
+         "{ini}: line 3: neither a [section] header nor a key = value line"),
+        (b"[data]\npath = \xff.tsv\n",
+         "{ini}: 'utf-8' codec can't decode byte 0xff in position 14: "
+         "invalid start byte"),
+        ("[eval]\nk = abc\n",
+         "[eval] k: invalid literal for int() with base 10: 'abc'"),
+        ("[eval]\nseeds = 0 1.5\n",
+         "[eval] seeds: invalid literal for int() with base 10: '1.5'"),
+        ("[train]\ngrid = maybe\n", "[train] grid: Not a boolean: maybe"),
+        ("[train]\nlambda = -1\n",
+         "[train] lambda must be finite and nonnegative, got -1.0"),
+        ("[eval]\nk = 0\n", "[eval] k must be >= 1, got 0"),
+        ("[split]\nseed = -1\n", "[split] seed must be >= 0, got -1"),
+        ("[data]\npath = {dir}/100%.tsv\n",
+         "stage 'ingest' failed: [Errno 2] No such file or directory: "
+         "'{dir}/100%.tsv'")])
+    def test_bad_input_is_one_error_line(self, tmp_path, capsys, text, line):
+        # each used to escape main as a traceback, or to name no key, or
+        # a RunConfig field instead of the key the file spells
+        ini = tmp_path / "bad.ini"
+        ini.write_bytes(text if isinstance(text, bytes) else
+                        text.format(dir=tmp_path).encode("utf-8"))
+        assert main(["report", "--config", str(ini),
+                     "--outdir", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {line.format(ini=ini, dir=tmp_path)}\n"
+        assert captured.out == ""
+
+
 def ini_text(mapping) -> str:
     """An INI file of a `RunConfig.to_mapping()`."""
     lines = []
@@ -551,8 +595,8 @@ TRAIN_KEYS = {("model", "window"): "window", ("model", "layers"): "layers",
               ("eval", "k"): "eval_k"}
 
 # INI text that lives only in the config's own sections: no float drawn
-# here is non-finite and no text holds `%`, which configparser interpolates
-words = st.text("abcxyz0189_./-", min_size=1, max_size=12)
+# here is non-finite
+words = st.text("abcxyz0189_./-%", min_size=1, max_size=12)
 ratios = st.floats(0, 1).flatmap(lambda a: st.floats(0, 1 - a).map(
     lambda b: (a, b, 1 - a - b)))
 run_configs = st.builds(

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from linkprop import data_io, reference
+from linkprop.cli import main
 from linkprop.data_io import (DENSITY_PCT_TOL, Dataset, ExpectedStats,
                               graph_density_pct, graph_from_split,
                               dataset_from_graph, load_edge_list, load_splits,
@@ -339,6 +340,13 @@ class TestLoadEqualsOracle:
         path = f"{DATA_DIR}/{name}"
         assert loaded(path) == loaded_by_oracle(path)
         assert loaded(path, "pairs") == loaded_by_oracle(path, "pairs")
+
+    def test_undecodable_file_names_itself(self, tmp_path):
+        path = tmp_path / "edges.tsv"
+        path.write_bytes(b"u1\ti1\nu2\t\xff\n")
+        assert loaded(path) == loaded_by_oracle(path) == (
+            ValueError, f"{path}: 'utf-8' codec can't decode byte 0xff in "
+                        f"position 9: invalid start byte")
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_block10k_files(self, tmp_path, seed):
@@ -778,6 +786,52 @@ class TestSaveLoadSplits:
         train_graph = graph_from_split(splits)
         assert train_graph.num_edges == splits.train.shape[0]
         assert train_graph.partition == graph.partition
+
+
+class TestUnreadableInputNamesItsFile:
+    """What a command prints for a file it cannot decode or parse: one
+    `error:` line naming the file, and exit code 2."""
+
+    @pytest.fixture
+    def splitdir(self, tmp_path):
+        graph = block_bipartite(10, 8, 2, mean_degree=4, seed=0)
+        save_splits(dataset_from_graph(graph), split_dataset(graph), tmp_path)
+        return tmp_path
+
+    @staticmethod
+    def error_line(capsys, *argv) -> str:
+        assert main(list(argv)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ")
+        return captured.err
+
+    def test_data_file(self, tmp_path, capsys):
+        path = tmp_path / "edges.tsv"
+        path.write_bytes(b"u1\ti1\nu2\t\xff\n")
+        assert self.error_line(
+            capsys, "ingest", "--input", str(path),
+            "--output", str(tmp_path / "out.tsv")).startswith(
+            f"error: {path}: 'utf-8' codec can't decode byte 0xff")
+
+    @pytest.mark.parametrize("part", ["dataset", "train", "val", "test"])
+    def test_split_part(self, splitdir, capsys, part):
+        path = splitdir / f"{part}.tsv"
+        path.write_bytes(path.read_bytes() + b"\xff\tx\n")
+        assert self.error_line(
+            capsys, "train", "--splits", str(splitdir), "--model", "mf",
+            "--outdir", str(splitdir / "out")).startswith(
+            f"error: {path}: 'utf-8' codec can't decode byte 0xff")
+
+    @pytest.mark.parametrize("text, message", [
+        (b"{x", "Expecting property name enclosed in double quotes"),
+        (b"\xff", "'utf-8' codec can't decode byte 0xff")])
+    def test_split_json(self, splitdir, capsys, text, message):
+        (splitdir / "split.json").write_bytes(text)
+        assert self.error_line(
+            capsys, "evaluate", "--splits", str(splitdir), "--model", "mf",
+            "--embeddings", str(splitdir / "absent.npy")).startswith(
+            f"error: split.json: {message}")
 
 
 class TestDensityAndStats:

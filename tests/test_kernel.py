@@ -9,8 +9,8 @@ from linkprop.graphs import MAX_PROXIMITY_ORDER, build_graph
 from linkprop.kernel import (KernelConfig, KernelOperator, kernel_step,
                              kernel_update, link_kernels, materialize_kernel,
                              mean_positive_kernel, model_config,
-                             positive_kernel, positive_kernel_mean,
-                             score_matrices, sign_structure)
+                             positive_kernel_mean, score_matrices,
+                             sign_structure)
 from linkprop.losses import (DivergenceError, ModelParams, build_masks,
                              loss_gradient, scoring_propagation, sigmoid)
 
@@ -29,12 +29,6 @@ MODEL_GRID = [
 def operator_for(model, graph, negatives, alpha=0.05, **kwargs):
     config = model_config(ModelParams(model, **kwargs), alpha)
     return config, KernelOperator.build(config, graph, negatives)
-
-
-def traced_step(X, op):
-    """(X', substep trace) of one kernel step from X, X' unchecked."""
-    Y = op.prop.apply(X)
-    return kernel_update(X, Y, score_matrices(Y, op), op)
 
 
 class TestModelConfig:
@@ -193,16 +187,20 @@ class TestLinkKernels:
     @pytest.mark.parametrize("model,kwargs", MODEL_GRID, ids=lambda v: str(v))
     def test_positive_kernel_is_k_plus_bit_for_bit(self, small_instance, model,
                                                    kwargs):
-        # training builds K+ alone where no step reads K-
+        # K+ = S_A . mask_plus entry by entry: the positive mask times a
+        # dense S_A spread from the score pair's owned slots
         graph, neg = small_instance
         _, op = operator_for(model, graph, neg, **kwargs)
         rng = np.random.default_rng(4)
         scores = score_matrices(op.prop.apply(
             rng.normal(size=(graph.num_nodes, 4))), op)
-        alone = positive_kernel(scores, op)
+        S_A = np.zeros((graph.num_nodes, graph.num_nodes))
+        S_A[scores.rows, scores.cols] = S_A[scores.cols, scores.rows] = \
+            scores.s_a
         k_plus = link_kernels(scores, op).k_plus
-        for part in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(alone, part), getattr(k_plus, part))
+        assert k_plus.nnz == op.pattern.pos.matrix.nnz
+        assert np.array_equal(k_plus.toarray(),
+                              op.pattern.pos.matrix.toarray() * S_A)
 
     @pytest.mark.parametrize("model,kwargs", MODEL_GRID, ids=lambda v: str(v))
     def test_positive_kernel_mean_is_k_plus_mean_bit_for_bit(
@@ -218,7 +216,7 @@ class TestLinkKernels:
             mean = positive_kernel_mean(scores, op)
             assert type(mean) is float
             assert repr(mean) == repr(mean_positive_kernel(
-                positive_kernel(scores, op)))
+                link_kernels(scores, op).k_plus))
 
 
 class TestKernelStep:
@@ -226,7 +224,7 @@ class TestKernelStep:
         graph, neg = small_instance
         config, op = operator_for("line", graph, neg)
         X = np.zeros((graph.num_nodes, 4))
-        assert np.array_equal(kernel_step(X, op), X)
+        assert np.array_equal(kernel_step(X, op)[0], X)
 
     def test_zero_c2_scales_by_c1(self, small_instance):
         graph, neg = small_instance
@@ -236,7 +234,8 @@ class TestKernelStep:
         rng = np.random.default_rng(4)
         X = rng.normal(size=(graph.num_nodes, 3))
         op = KernelOperator.build(config, graph, neg)
-        assert np.allclose(kernel_step(X, op), 0.7 * X, rtol=0, atol=1e-16)
+        assert np.allclose(kernel_step(X, op)[0], 0.7 * X, rtol=0,
+                           atol=1e-16)
 
     def test_non_finite_input_raises(self, small_instance):
         graph, neg = small_instance
@@ -260,7 +259,8 @@ class TestKernelStep:
         P1 = np.eye(graph.num_nodes) if P is None else P
         expected = reference.dense_kernel_step(
             X, config.c1, config.c2, P1, W_pos, W_neg, config.lam)
-        assert np.allclose(kernel_step(X, op), expected, rtol=0, atol=1e-12)
+        assert np.allclose(kernel_step(X, op)[0], expected, rtol=0,
+                           atol=1e-12)
 
     def test_saturated_blocks_are_exactly_fixed(self):
         # two fully reconstructed cliques, negatives across them: every
@@ -272,7 +272,7 @@ class TestKernelStep:
         neg = negatives_from_pairs([(0, 4), (1, 5), (2, 6), (3, 7)], 8)
         X = np.array([[30.0]] * 4 + [[-30.0]] * 4)
         config, op = operator_for("mf", graph, neg, alpha=0.1, beta=0.0)
-        assert np.array_equal(kernel_step(X, op), X)
+        assert np.array_equal(kernel_step(X, op)[0], X)
         params = ModelParams("mf")
         grad = loss_gradient(X, build_masks(graph, neg, params), params)
         assert np.array_equal(grad, np.zeros_like(X))
@@ -295,9 +295,10 @@ class TestKernelStep:
         plain = config.c1 * X + config.c2 * W
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            stepped = kernel_step(X, op)
+            stepped, stepped_trace = kernel_step(X, op)
             out, trace = kernel_update(X, Y, score_matrices(Y, op), op)
         assert stepped.tobytes() == out.tobytes() == plain.tobytes()
+        assert stepped_trace == trace
         assert trace.mean_k_plus is None
 
 
@@ -307,8 +308,12 @@ class TestTrace:
         config, op = operator_for("lightgcn", graph, neg, layers=2)
         rng = np.random.default_rng(6)
         X = rng.normal(size=(graph.num_nodes, 3))
-        out, trace = traced_step(X, op)
-        assert np.array_equal(out, kernel_step(X, op))
+        out, trace = kernel_step(X, op)
+        # the step on its own forward pass: kernel_update's X' and trace
+        Y = op.prop.apply(X)
+        plain, plain_trace = kernel_update(X, Y, score_matrices(Y, op), op)
+        assert out.tobytes() == plain.tobytes()
+        assert trace == plain_trace
         assert trace.input_norm == pytest.approx(float(np.linalg.norm(X)))
         assert len(trace.norms) == 4
         assert trace.norms[3] == pytest.approx(float(np.linalg.norm(out)))
@@ -342,7 +347,7 @@ class TestTrace:
         config, op = operator_for("lightgcn", graph, neg, layers=3)
         rng = np.random.default_rng(7)
         X = rng.normal(size=(graph.num_nodes, 3))
-        _, trace = traced_step(X, op)
+        _, trace = kernel_step(X, op)
         assert trace.norms[0] <= trace.input_norm * (1 + 1e-12)
         assert trace.norms[2] <= trace.norms[1] * (1 + 1e-12)
 
@@ -357,7 +362,8 @@ class TestMaterialize:
             X = rng.normal(size=(graph.num_nodes, 4))
             scores = score_matrices(op.prop.apply(X), op)
             H = materialize_kernel(scores, op)
-            assert np.allclose(H @ X, kernel_step(X, op), rtol=0, atol=1e-10)
+            assert np.allclose(H @ X, kernel_step(X, op)[0], rtol=0,
+                               atol=1e-10)
 
     def test_limit_guard(self, small_instance):
         graph, neg = small_instance

@@ -411,8 +411,8 @@ class TestEvaluateMatchesOracle:
         calls = []
         real = ranking._ranks
 
-        def spy(S, rows, cols, bound, cut, scratch, *mode):
-            rank, sure = real(S, rows, cols, bound, cut, scratch, *mode)
+        def spy(S, rows, cols, bound, cut, *mode):
+            rank, sure = real(S, rows, cols, bound, cut, *mode)
             scale, _, offset = bound
             calls.append((bool(scale.any() or offset.any()), rank.copy(),
                           sure.copy()))
@@ -444,7 +444,7 @@ def ranks(S, held, margin, cut, hits_only=False):
     S = np.array(S, dtype=float)
     rows, cols = np.array(held).T
     return ranking._ranks(S, rows, cols, flat_bound(S, margin), cut,
-                          np.empty_like(S), hits_only)
+                          hits_only)
 
 
 class TestCertification:
@@ -551,8 +551,7 @@ class TestCertification:
         rows, cols = np.array([[0, 2], [0, 17], [0, 19]]).T
         for margin in (0.0, 0.1):
             rank, sure = ranking._ranks(S, rows, cols,
-                                        flat_bound(S, [margin]), 1,
-                                        np.empty_like(S))
+                                        flat_bound(S, [margin]), 1)
             assert sure.all()
             assert rank[0] == 0 and np.all(rank[1:] >= 1)
             # cleared in place: the fallback re-ranks the same rows
@@ -659,10 +658,47 @@ class TestCertification:
         rows = np.repeat(np.arange(64), 4)
         cols = np.concatenate([best[:, [0, 7, 19]],
                                rng.integers(0, 500, (64, 1))], axis=1).ravel()
-        rank, sure = ranking._ranks(S, rows, cols, (scale, norms, offset), 20,
-                                    np.empty_like(S))
+        rank, sure = ranking._ranks(S, rows, cols, (scale, norms, offset), 20)
         assert sure.all()
         assert list(rank.reshape(64, 4)[:, :3].ravel()) == [0, 7, 19] * 64
+
+
+class TestBlocks:
+    @pytest.mark.parametrize("rows_per_block", [0, 1, 3, 7])
+    def test_rows_once_in_order_within_the_budget_and_masked(
+            self, rows_per_block):
+        # 7 rows of 5 scores: a budget below one row and of one row give a
+        # row per block, 3 rows leave a short last block, 7 one block
+        rng = np.random.default_rng(0)
+        Y = rng.normal(size=(7, 3)).astype(np.float32)
+        items = rng.normal(size=(5, 3)).astype(np.float32)
+        train = rng.random((7, 5)) < 0.3
+        rows, cols = np.nonzero(train)
+        start = np.searchsorted(rows, np.arange(8))
+        row_bytes = 5 * Y.dtype.itemsize
+        budget = max(1, rows_per_block * row_bytes)
+        blocks, buffers = [], set()
+        with mock.patch.object(ranking, "_BLOCK_BYTES", budget):
+            for lo, hi, S in ranking._blocks(Y, items, rows * 5 + cols,
+                                             start):
+                assert S.nbytes <= max(budget, row_bytes)
+                assert S.dtype == np.float32
+                masked = train[lo:hi]
+                assert np.array_equal(S == -np.inf, masked)
+                assert np.allclose(S[~masked], (Y[lo:hi] @ items.T)[~masked],
+                                   rtol=1e-6, atol=0)
+                blocks.append((lo, hi))
+                buffers.add(S.__array_interface__["data"][0])
+        assert [r for lo, hi in blocks for r in range(lo, hi)] == \
+            list(range(7))
+        assert len(blocks) == -(-7 // max(1, rows_per_block))
+        assert len(buffers) == 1
+
+    def test_no_rows_no_block(self):
+        Y = np.empty((0, 3), dtype=np.float32)
+        items = np.ones((5, 3), dtype=np.float32)
+        assert list(ranking._blocks(Y, items, np.empty(0, dtype=int),
+                                    np.zeros(1, dtype=int))) == []
 
 
 def fallback_users(X, splits, graph, **kwargs):
@@ -671,8 +707,8 @@ def fallback_users(X, splits, graph, **kwargs):
     real = ranking._ranks
     unsure = []
 
-    def spy(S, rows, cols, bound, cut, scratch, *mode):
-        rank, sure = real(S, rows, cols, bound, cut, scratch, *mode)
+    def spy(S, rows, cols, bound, cut, *mode):
+        rank, sure = real(S, rows, cols, bound, cut, *mode)
         unsure.append(np.unique(rows[~sure]).shape[0])
         return rank, sure
 
@@ -1184,9 +1220,8 @@ class TestProbe:
             left.append(keep.shape[0])
             return keep
 
-        def spy_ranks(S, rows, cols, bound, cut, scratch, *mode):
-            rank, sure = real_ranks(S, rows, cols, bound, cut, scratch,
-                                    *mode)
+        def spy_ranks(S, rows, cols, bound, cut, *mode):
+            rank, sure = real_ranks(S, rows, cols, bound, cut, *mode)
             scale, _, offset = bound
             if scale.any() or np.any(offset):
                 blocks.append(np.unique(rows).shape[0])

@@ -17,7 +17,7 @@ from hypothesis import given, strategies as st
 from linkprop import graphs
 from linkprop.graphs import SupportPattern, build_graph, proximity
 from linkprop.kernel import (KernelOperator, link_kernels, model_config,
-                             positive_kernel, score_matrices)
+                             score_matrices)
 from linkprop.losses import (ModelParams, bce_loss, build_masks, loss_gradient,
                              model_loss, sigmoid, support_gradient,
                              support_loss)
@@ -337,7 +337,7 @@ def test_owned_maps_equal_the_full_union_formulas(name):
     op = SimpleNamespace(pattern=pattern)
     scores = score_matrices(Y, op)
     s_b = sigmoid(union)
-    k_plus = positive_kernel(scores, op)
+    k_plus = pos.weighted(scores.s_a)
     assert same_bits(k_plus.data, pos.matrix.data * (1.0 - s_b)[np.sort(pos.slots)])
     assert np.array_equal(k_plus.indices, pos.matrix.indices)
     k_minus = neg.weighted(scores.s_b)

@@ -414,7 +414,8 @@ class TestEmbeddingBuffers:
         def freezing(fn):
             return lambda *args, **kwargs: frozen(fn(*args, **kwargs))
 
-        for name in ("init_embeddings", "gd_step", "kernel_update"):
+        for name in ("init_embeddings", "gd_step", "kernel_update",
+                     "kernel_step"):
             monkeypatch.setattr(f"linkprop.training.{name}",
                                 freezing(getattr(training, name)))
         apply = ProximityOperator.apply
