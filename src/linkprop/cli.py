@@ -237,7 +237,8 @@ def build_parser() -> argparse.ArgumentParser:
     keys = {name: f"[{section}] {key}" for section, key, name in INI_KEYS}
     p.set_defaults(func=cmd_report, flags={
         **keys, "eval_k": keys["k"], "strategy": keys["neg_strategy"],
-        "exponent": keys["neg_exponent"]})
+        "exponent": keys["neg_exponent"], "model": keys["models"],
+        "format": keys["dataset_format"]})
 
     return parser
 

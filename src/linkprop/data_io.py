@@ -190,8 +190,7 @@ def _read_file(path, fmt: str, header_key: str = "checksum=",
     file.  The header, its first `#` line holding `header_key`, comes only
     from `write_canonical` or `save_splits`, which write no header row, so
     only a file without one may open with a header row, which is dropped."""
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown format {fmt!r}")
+    check_format(fmt)
     try:
         with open(path, encoding="utf-8") as fh:
             raw = fh.read()
@@ -199,6 +198,12 @@ def _read_file(path, fmt: str, header_key: str = "checksum=",
         raise ValueError(f"{path}: {err}") from None
     read = _read_clean_pairs(raw, header_key) if fmt != "adjlist" else None
     return read or _read_lines(raw, fmt, path, header_key, empty_ok)
+
+
+def check_format(fmt: str) -> None:
+    """Raise ValueError, naming the format, unless `fmt` is one of FORMATS."""
+    if fmt not in FORMATS:
+        raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
 
 
 def _edge_rows(user_col, item_col, user_id: dict, item_id: dict):
@@ -326,9 +331,18 @@ def split_dataset(graph: Graph, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> SplitS
                       + (rank >= (n_test + n_val)[users]))
     pairs = np.column_stack((users, graph.adjacency.indices[:indptr[-1]]))
     test, val, train = (unique_rows(pairs[part == k]) for k in range(3))
-    return SplitSet(partition=graph.partition, train=train, val=val, test=test,
-                    ratios=ratios, seed=int(seed),
-                    flagged=tuple(np.flatnonzero(n_test == 0).tolist()))
+    return _split_set(partition=graph.partition, train=train, val=val,
+                      test=test, ratios=ratios, seed=int(seed),
+                      flagged=tuple(np.flatnonzero(n_test == 0).tolist()))
+
+
+def _split_set(**fields) -> SplitSet:
+    """The SplitSet of `fields`, its edge arrays marked read-only: a graph's
+    memo keys each `Ranker` by the split set, so its edges must not change."""
+    splits = SplitSet(**fields)
+    for part in SPLIT_PARTS:
+        getattr(splits, part).flags.writeable = False
+    return splits
 
 
 def graph_from_split(splits: SplitSet) -> Graph:
@@ -407,9 +421,8 @@ def load_splits(outdir) -> tuple[Dataset, SplitSet]:
     except ValueError as err:
         raise ValueError(f"split.json: {err}") from None
     flagged = tuple(user_id[u] for u in labels)
-    splits = SplitSet(partition=dataset.partition, train=parts["train"],
-                      val=parts["val"], test=parts["test"], ratios=ratios,
-                      seed=seed, flagged=flagged)
+    splits = _split_set(partition=dataset.partition, **parts, ratios=ratios,
+                        seed=seed, flagged=flagged)
     return dataset, splits
 
 

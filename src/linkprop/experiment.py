@@ -20,7 +20,7 @@ import numpy as np
 import scipy
 
 import linkprop
-from linkprop.data_io import (check_ratios, graph_density_pct,
+from linkprop.data_io import (check_format, check_ratios, graph_density_pct,
                               graph_from_split, load_edge_list, split_dataset,
                               write_metrics_csv)
 from linkprop.diagnostics import emit_trajectories
@@ -104,6 +104,7 @@ class RunConfig:
         # and count it twice in the report's mean
         check_distinct("models", self.models)
         check_distinct("seeds", self.seeds)
+        check_format(self.dataset_format)
         # the checked floats, so the config and what it writes hold numbers
         object.__setattr__(self, "ratios", check_ratios(self.ratios))
         check_integer("split_seed", self.split_seed, 0)

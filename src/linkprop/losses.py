@@ -87,7 +87,8 @@ class ModelParams:
 
     def __post_init__(self):
         if self.model not in MODELS:
-            raise ValueError(f"unknown model {self.model!r}; pick from {MODELS}")
+            raise ValueError(f"model must be one of {MODELS}, got "
+                             f"{self.model!r}")
         for name, low in (("window", 1), ("layers", 0)):
             check_integer(name, getattr(self, name), low, MAX_PROXIMITY_ORDER)
         for name in ("lam", "beta"):

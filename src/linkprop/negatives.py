@@ -64,7 +64,8 @@ class NegativeSet:
 def check_sampling(strategy: str, per_positive: int, exponent: float) -> None:
     """Raise ValueError, naming the field, on a bad sampling setting."""
     if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; pick from {STRATEGIES}")
+        raise ValueError(f"strategy must be one of {STRATEGIES}, got "
+                         f"{strategy!r}")
     check_integer("per_positive", per_positive, 1)
     if not math.isfinite(exponent):
         raise ValueError(f"exponent must be finite, got {exponent}")

@@ -12,8 +12,10 @@ above it plus the equal ones at lower item ids.  Every result bit equals
 work is split in two: a `Ranker` holds what depends only on the split,
 the training graph and the cutoff (the users with held-out edges, their
 held-out items, discounts, ideal DCGs and training-item indices), and a
-call ranks one embedding matrix.  `evaluate` builds one and calls it once;
-a training run builds one and calls `recall` each epoch.  A block's scores
+call ranks one embedding matrix.  `ranker` keeps one per training graph,
+split set, cutoff and split, in the graph's memo: `evaluate` calls it once,
+a training run calls its `recall` each validation epoch, and every later
+run and evaluation on that graph and split shares it.  A block's scores
 come from one matrix product, in float32 for float64 embeddings, which
 rounds differently from the per-user float64 product `items @ X[user]`; a
 count from the block is kept only where a per-item rounding-error margin
@@ -57,7 +59,10 @@ class SplitSet:
     """Per-user train/validation/test partition of a bipartite edge set.
 
     Edge arrays are canonical (user id first, rows sorted); `flagged` lists
-    users left without test edges by the degenerate-degree policy.
+    users left without test edges by the degenerate-degree policy.  A
+    split's edges must not change once it is ranked: a training graph's
+    memo keeps each `ranker` under the split set object, so
+    `split_dataset` and `load_splits` mark the edge arrays read-only.
     """
 
     partition: Partition
@@ -102,10 +107,34 @@ class EvalResult:
 def evaluate(X: np.ndarray, splits: SplitSet, train_graph: Graph,
              k: int, split: str = "test") -> EvalResult:
     """Mean metrics at cutoff k over the users with `split` ("test" or
-    "val") edges: one call of a fresh `Ranker(splits, train_graph, k,
-    split)`, which documents the method.  A caller that ranks one split
-    again and again builds the `Ranker` once."""
-    return Ranker(splits, train_graph, k, split)(X)
+    "val") edges: one call of `ranker(splits, train_graph, k, split)`,
+    whose `Ranker` documents the method."""
+    return ranker(splits, train_graph, k, split)(X)
+
+
+def ranker(splits: SplitSet, train_graph: Graph, k: int,
+           split: str) -> Ranker:
+    """The `Ranker(splits, train_graph, k, split)` of the training graph's
+    memo, keyed by the `splits` object itself: built on the first request
+    and shared by every later one, its arrays read-only.
+
+    `split` and `k` are checked first, as `Ranker` checks them, so a bad
+    one raises the same ValueError whatever is cached (`True == 1` as a
+    key, but `k=True` is no cutoff).  A construction that raises keeps
+    nothing.  The `Ranker` retains its users, held-out keys and
+    training-item indices: O(held-out + training edges of its users)
+    integers.
+    """
+    _check_split(split)
+    check_integer("k", k, 1)
+    return train_graph.memoized(("ranker", splits, int(k), split),
+                                lambda: Ranker(splits, train_graph, int(k),
+                                               split))
+
+
+def _check_split(split: str) -> None:
+    if split not in ("test", "val"):
+        raise ValueError("split must be 'test' or 'val'")
 
 
 class Ranker:
@@ -158,8 +187,7 @@ class Ranker:
 
     def __init__(self, splits: SplitSet, train_graph: Graph, k: int,
                  split: str):
-        if split not in ("test", "val"):
-            raise ValueError("split must be 'test' or 'val'")
+        _check_split(split)
         check_integer("k", k, 1)
         part = train_graph.partition
         if part is None:
@@ -226,6 +254,10 @@ class Ranker:
             self.probe_flat = rows[inside] * width + where[cols[inside]]
             self.probe_start = _starts(np.bincount(
                 rows[inside], minlength=users.shape[0]))
+        # shared through `ranker`'s memo: nothing may write into the state
+        for value in (*vars(self).values(), *self.rows):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     # non-finite embeddings give nan and inf scores, which are never
     # ranked, so numpy need not warn about them in the block GEMM, the

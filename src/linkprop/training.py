@@ -16,7 +16,9 @@ forward pass, the score pairs and the link kernels are dropped once read,
 and the best-validation snapshot is that epoch's X itself, by reference.
 Where a kernel step runs at X, its own K+ gives the epoch's mean-K+
 diagnostic; elsewhere the diagnostic takes K+'s entries from the score
-pair without building K+.  Validation reads only hits (`Ranker.recall`).
+pair without building K+.  Validation reads only hits (`Ranker.recall`),
+from the training graph's one validation `ranker` per split and cutoff,
+which every run, grid point and repetition on that graph shares.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from linkprop.losses import (DivergenceError, MaskSet, ModelParams,
                              scoring_propagation, support_gradient,
                              support_loss)
 from linkprop.negatives import NegativeSet, sample_negatives
-from linkprop.ranking import EvalResult, Ranker, SplitSet
+from linkprop.ranking import EvalResult, SplitSet, ranker
 
 PATHS = ("gradient", "kernel", "both")
 
@@ -85,7 +87,7 @@ class TrainConfig:
             raise ValueError(
                 f"alpha must be positive and finite, got {self.alpha}")
         if self.path not in PATHS:
-            raise ValueError(f"path must be one of {PATHS}")
+            raise ValueError(f"path must be one of {PATHS}, got {self.path!r}")
         if not (math.isfinite(self.init_scale) and self.init_scale > 0):
             raise ValueError(f"init_scale must be positive and finite, "
                              f"got {self.init_scale}")
@@ -184,8 +186,9 @@ def train(graph: Graph, negatives: NegativeSet, config: TrainConfig,
     Xk = X.copy() if config.path == "both" else None
     step_at_x = config.path == "kernel" or (config.trace_substeps and Xk is None)
     early = splits is not None and splits.val.shape[0] > 0
-    # the validation ranking's split-only state, built once per run
-    rank_val = Ranker(splits, graph, config.eval_k, "val") if early else None
+    # the validation ranking's split-only state, shared by every run on
+    # this graph and split at this cutoff
+    rank_val = ranker(splits, graph, config.eval_k, "val") if early else None
     history = TrainHistory()
     best_X = None
     best_metric = -np.inf
@@ -295,8 +298,6 @@ def grid_search(graph: Graph, negatives: NegativeSet, splits: SplitSet,
     rows = (model_table(base.window, 0)[base.model],
             model_table(base.window, 1)[base.model])
     layer_values = layer_grid if rows[0] != rows[1] else (base.layers,)
-    # ranks the points that never validated (eval_every > max_epochs)
-    rank_val = Ranker(splits, graph, base.eval_k, "val")
     points = []
     best_cfg = None
     best_metric = -np.inf
@@ -311,10 +312,11 @@ def grid_search(graph: Graph, negatives: NegativeSet, splits: SplitSet,
                                         stopped_epoch=err.step or 0))
                 continue
             metric = result.history.best_metric
-            if metric is None:
+            if metric is None:  # never validated (eval_every > max_epochs)
                 scored = scoring_propagation(graph, cfg.params).apply(
                     result.embeddings)
-                metric = rank_val.recall(scored)
+                metric = ranker(splits, graph, base.eval_k, "val").recall(
+                    scored)
             points.append(GridPoint(alpha=alpha, layers=layers,
                                     metric=float(metric), diverged=False,
                                     stopped_epoch=result.history.stopped_epoch))
@@ -337,9 +339,10 @@ class RepeatOutcome:
 def repeat_train(graph: Graph, splits: SplitSet, config: TrainConfig, seeds,
                  **sampling) -> list[RepeatOutcome]:
     """Train once per seed (fresh init and fresh negatives) and score on test,
-    every seed through one test-split `Ranker`.  `sampling` goes to
-    `sample_negatives` under its own names, which owns their defaults."""
-    rank_test = Ranker(splits, graph, config.eval_k, "test")
+    every seed through the graph's one test-split `ranker`.  `sampling`
+    goes to `sample_negatives` under its own names, which owns their
+    defaults."""
+    rank_test = ranker(splits, graph, config.eval_k, "test")
     outcomes = []
     for seed in seeds:
         negatives = sample_negatives(graph, seed=seed, **sampling)

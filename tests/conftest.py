@@ -7,7 +7,7 @@ from linkprop import reference
 from linkprop.graphs import Graph, Partition, build_graph, proximity
 from linkprop.losses import MaskSet
 from linkprop.negatives import NegativeSet, QuotaUnreachable, sample_negatives
-from linkprop.ranking import SplitSet
+from linkprop.ranking import Ranker, SplitSet
 
 settings.register_profile(
     "suite", deadline=None, max_examples=40,
@@ -115,6 +115,18 @@ def ranked_list_split(ranked, relevant, num_items: int = 20):
                       test=pairs(sorted(relevant)), ratios=(0.8, 0.1, 0.1),
                       seed=0)
     return X, splits, build_graph(train, partition=part)
+
+
+def counted_rankers(built: list):
+    """A Ranker class that appends the (k, split) of each one constructed
+    to `built`; patched over `linkprop.ranking.Ranker`, it counts the
+    Rankers that `ranking.ranker` builds."""
+    class Counted(Ranker):
+        def __init__(self, *args):
+            built.append(args[2:])
+            super().__init__(*args)
+
+    return Counted
 
 
 @pytest.fixture

@@ -399,7 +399,7 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("kwargs, field", [
         ({"alpha": float("nan")}, "alpha"), ({"k": 0}, "eval_k"),
-        ({"models": ("mf", "nope")}, "unknown model"),
+        ({"models": ("mf", "nope")}, "model must be one of"),
         ({"layers": 17}, "layers"), ({"models": ()}, "models"),
         ({"seeds": ()}, "seeds"), ({"beta": float("nan")}, "beta"),
         ({"lam": float("inf")}, "lam"), ({"neg_strategy": "zipf"}, "strategy"),
@@ -418,7 +418,8 @@ class TestRunConfig:
         ({"seeds": (3, 1, 3)}, "seeds lists 3 more than once"),
         ({"models": ("mf", "mf")}, "models lists 'mf' more than once"),
         ({"models": ("mf", "lightgcn", "mf")},
-         "models lists 'mf' more than once")])
+         "models lists 'mf' more than once"),
+        ({"dataset_format": "xml"}, "format must be one of")])
     def test_rejected_at_construction(self, kwargs, field):
         with pytest.raises(ValueError, match=field):
             RunConfig(dataset_path="x", **kwargs)
@@ -552,6 +553,16 @@ class TestReportCommand:
          "[train] lambda must be finite and nonnegative, got -1.0"),
         ("[eval]\nk = 0\n", "[eval] k must be >= 1, got 0"),
         ("[split]\nseed = -1\n", "[split] seed must be >= 0, got -1"),
+        # a choice value names its key, the value and the choices; the
+        # format is checked before ingest opens the (absent) data file
+        ("[model]\nmodels = mf nope\n",
+         f"[model] models must be one of {MODELS}, got 'nope'"),
+        ("[sampling]\nstrategy = zipf\n",
+         f"[sampling] strategy must be one of {STRATEGIES}, got 'zipf'"),
+        ("[data]\npath = {dir}/absent.tsv\nformat = xml\n",
+         f"[data] format must be one of {FORMATS}, got 'xml'"),
+        ("[train]\npath = sideways\n",
+         f"[train] path must be one of {PATHS}, got 'sideways'"),
         ("[data]\npath = {dir}/100%.tsv\n",
          "stage 'ingest' failed: [Errno 2] No such file or directory: "
          "'{dir}/100%.tsv'")])

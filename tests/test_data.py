@@ -122,7 +122,7 @@ class TestLoadEdgeList:
         assert ds.edges.shape == (3, 2)
 
     def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown format"):
+        with pytest.raises(ValueError, match="format must be one of"):
             load_edge_list(write(tmp_path, "u\ti\n"), fmt="parquet")
 
     def test_label_pair_inverts_remap(self, tmp_path):
@@ -416,6 +416,16 @@ class TestSplitDataset:
         with pytest.raises(ValueError, match="partition"):
             split_dataset(graph)
 
+    def test_edge_arrays_are_read_only(self):
+        # a training graph's memo keeps its Rankers under the split set
+        splits = split_dataset(block_bipartite(10, 8, 2, mean_degree=4,
+                                               seed=0), (0.6, 0.2, 0.2))
+        assert splits.val.shape[0] > 0
+        with pytest.raises(ValueError, match="read-only"):
+            splits.val[0, 1] = splits.val[0, 1]
+        assert not any(getattr(splits, part).flags.writeable
+                       for part in ("train", "val", "test"))
+
     @pytest.mark.parametrize("seed,message", [
         (-1, "seed must be >= 0, got -1"),
         (True, "seed must be an integer, got True"),
@@ -523,6 +533,17 @@ class TestSaveLoadSplits:
         assert back_splits.ratios == splits.ratios
         assert back_splits.seed == splits.seed
         assert back_splits.flagged == splits.flagged
+
+    def test_loaded_edge_arrays_are_read_only(self, tmp_path):
+        graph = block_bipartite(10, 8, 2, mean_degree=4, seed=0)
+        save_splits(dataset_from_graph(graph),
+                    split_dataset(graph, (0.6, 0.2, 0.2)), tmp_path)
+        splits = load_splits(tmp_path)[1]
+        assert splits.test.shape[0] > 0
+        with pytest.raises(ValueError, match="read-only"):
+            splits.test[0, 1] = splits.test[0, 1]
+        assert not any(getattr(splits, part).flags.writeable
+                       for part in ("train", "val", "test"))
 
     def test_numpy_integer_seed_round_trips(self, tmp_path):
         graph = block_bipartite(10, 8, 2, mean_degree=4, seed=0)

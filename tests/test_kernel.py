@@ -62,7 +62,7 @@ class TestModelConfig:
             model_config(ModelParams("mf"), alpha=-0.1)
 
     def test_unknown_model(self):
-        with pytest.raises(ValueError, match="unknown model"):
+        with pytest.raises(ValueError, match="model must be one of"):
             model_config(ModelParams("gat"), alpha=0.1)
 
 

@@ -348,7 +348,7 @@ class TestGdStep:
 
 class TestModelParams:
     def test_unknown_model(self):
-        with pytest.raises(ValueError, match="unknown model"):
+        with pytest.raises(ValueError, match="model must be one of"):
             ModelParams("svd")
 
     @pytest.mark.parametrize("kwargs", [

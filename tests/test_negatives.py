@@ -97,7 +97,7 @@ class TestSampleNegatives:
 
     def test_unknown_strategy(self, small_instance):
         graph, _ = small_instance
-        with pytest.raises(ValueError, match="unknown strategy"):
+        with pytest.raises(ValueError, match="strategy must be one of"):
             sample_negatives(graph, strategy="popularity")
 
     def test_per_positive_validation(self, small_instance):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import DATA_DIR, ranked_list_split
+from conftest import DATA_DIR, counted_rankers, ranked_list_split
 from linkprop import ranking
 from linkprop.data_io import graph_from_split, load_edge_list, split_dataset
 from linkprop.graphs import Partition, build_graph
@@ -1362,6 +1362,92 @@ class TestRanker:
                     got = plan(X)
                     assert got == evaluate(X, splits, train_graph, k=k,
                                            split=split)
+                    with np.errstate(invalid="ignore"):
+                        assert dataclasses.astuple(got) == evaluate_scalar(
+                            X, splits, train_graph, k=k, split=split)
+
+
+class TestSharedRanker:
+    """`ranker`: one Ranker per training graph, split set, k and split."""
+
+    @pytest.fixture
+    def instance(self):
+        # 200 items: the probe engages at k = 2 (40 items) but not at 5
+        graph = block_bipartite(30, 200, 4, mean_degree=12, seed=1)
+        splits = split_dataset(graph, (0.6, 0.2, 0.2), 1)
+        return splits, graph_from_split(splits)
+
+    def test_one_per_graph_split_set_k_and_split(self, instance):
+        splits, train_graph = instance
+        built = []
+        other_splits = dataclasses.replace(splits)
+        other_graph = graph_from_split(splits)
+        asks = [(splits, train_graph, 2, "val"),
+                (splits, train_graph, 5, "val"),
+                (splits, train_graph, 2, "test"),
+                (other_splits, train_graph, 2, "val"),
+                (splits, other_graph, 2, "val")]
+        with mock.patch("linkprop.ranking.Ranker", counted_rankers(built)):
+            first = [ranking.ranker(*ask) for ask in asks]
+            assert built == [ask[2:] for ask in asks]
+            for ask, plan in zip(asks, first):
+                assert ranking.ranker(*ask) is plan
+            assert ranking.ranker(splits, train_graph, np.int64(2),
+                                  "val") is first[0]
+        assert len(built) == len(asks)
+        assert len({id(plan) for plan in first}) == len(asks)
+
+    @pytest.mark.parametrize("k, split, message", [
+        (0, "val", "k must be >= 1, got 0"),
+        (True, "val", "k must be an integer, got True"),
+        (1.0, "val", "k must be an integer, got 1.0"),
+        (1.5, "val", "k must be an integer, got 1.5"),
+        (1, "train", "split must be 'test' or 'val'")])
+    def test_bad_arguments_raise_after_a_k1_ranker_is_cached(
+            self, instance, k, split, message):
+        splits, train_graph = instance
+        X = np.ones((train_graph.num_nodes, 2))
+        for cached in ("val", "test"):
+            ranking.ranker(splits, train_graph, 1, cached)
+        for call in (lambda: ranking.ranker(splits, train_graph, k, split),
+                     lambda: evaluate(X, splits, train_graph, k=k,
+                                      split=split),
+                     lambda: Ranker(splits, train_graph, k, split)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                call()
+
+    @pytest.mark.parametrize("k", [2, 5])
+    def test_cached_state_is_read_only(self, instance, k):
+        splits, train_graph = instance
+        plan = ranking.ranker(splits, train_graph, k, "test")
+        names = ["users", "discount", "test_counts", "ideal"]
+        if k == 2:
+            names += ["probe", "probe_flat", "probe_start"]
+        else:
+            assert plan.probe is None
+        for array in [getattr(plan, name) for name in names] + list(plan.rows):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = array
+
+    def test_repeated_calls_match_a_fresh_ranker_and_the_oracle(self,
+                                                                instance):
+        splits, train_graph = instance
+        rng = np.random.default_rng(4)
+        gaussian = rng.normal(size=(train_graph.num_nodes, 8))
+        injected = gaussian.copy()
+        injected[[3, 50, 177], [0, 4, 7]] = [np.nan, np.inf, -np.inf]
+        sequence = [gaussian, np.round(gaussian), injected,
+                    rng.normal(size=gaussian.shape), gaussian]
+        for split in ("val", "test"):
+            for k in (2, 5):
+                for X in sequence:
+                    got = ranking.ranker(splits, train_graph, k, split)(X)
+                    fresh = Ranker(splits, train_graph, k, split)
+                    assert got == fresh(X) == evaluate(
+                        X, splits, train_graph, k=k, split=split)
+                    assert repr(ranking.ranker(
+                        splits, train_graph, k, split).recall(X)) == \
+                        repr(fresh.recall(X))
                     with np.errstate(invalid="ignore"):
                         assert dataclasses.astuple(got) == evaluate_scalar(
                             X, splits, train_graph, k=k, split=split)

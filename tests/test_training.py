@@ -16,7 +16,7 @@ from linkprop.kernel import KernelOperator, link_kernels, model_config
 from linkprop.losses import (DivergenceError, ModelParams, build_masks, gd_step,
                              loss_gradient, sigmoid)
 from linkprop.negatives import _sample, sample_negatives
-from linkprop.ranking import Ranker, SplitSet
+from linkprop.ranking import Ranker, SplitSet, evaluate
 from linkprop.reference import evaluate_scalar
 from linkprop.synthetic import block_bipartite
 from linkprop.training import (ALPHA_GRID, INTEGER_FIELDS, AllPointsDiverged,
@@ -24,7 +24,7 @@ from linkprop.training import (ALPHA_GRID, INTEGER_FIELDS, AllPointsDiverged,
                                grid_search, init_embeddings, repeat_train,
                                scoring_embeddings, train)
 
-from conftest import DATA_DIR, negatives_from_pairs
+from conftest import DATA_DIR, counted_rankers, negatives_from_pairs
 
 CONFIGS = DATA_DIR.rsplit("/", 1)[0] + "/configs"
 
@@ -437,16 +437,16 @@ class TestEmbeddingBuffers:
         cfg = TrainConfig("lightgcn", alpha=0.05, dim=32, layers=3,
                           max_epochs=3, patience=10, path=path,
                           trace_substeps=trace)
-        train(train_graph, neg, cfg, splits=splits)  # fills the graph's memo
+        # fills the graph's memo, the validation Ranker included
+        train(train_graph, neg, cfg, splits=splits)
         tracemalloc.start()
         try:
             op = KernelOperator.build(model_config(cfg.params, cfg.alpha),
                                       train_graph, neg)
-            rank_val = Ranker(splits, train_graph, cfg.eval_k, "val")
             own = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        del op, rank_val
+        del op
         tracemalloc.start()
         try:
             result = train(train_graph, neg, cfg, splits=splits)
@@ -458,7 +458,7 @@ class TestEmbeddingBuffers:
 
     def test_traced_peak_in_embedding_units(self):
         # 5000 nodes x 32 float64: each n x d array is 1.28 MB, next to
-        # which the operator's and the ranker's own bytes are subtracted.
+        # which the operator's own bytes are subtracted.
         # Live at the peak, inside the gradient's P M Y: X, Y, the best
         # snapshot, M Y accumulating P, and the two terms of one sparse
         # product, plus the owned scores; about 6.2 units.  Copies of the
@@ -478,21 +478,18 @@ class TestEmbeddingBuffers:
 
 class TestValidationRanking:
     def test_one_plan_per_run_and_none_without_splits(self, split_instance):
+        # the plan lives in the graph's memo: one for every run on the
+        # graph at that split and cutoff, none without splits
         graph, neg, splits = split_instance
         built = []
-
-        class Counted(Ranker):
-            def __init__(self, *args):
-                built.append(args[2:])
-                super().__init__(*args)
-
         cfg = TrainConfig("mf", alpha=0.05, dim=4, max_epochs=6, patience=10,
                           eval_k=2)
-        with mock.patch("linkprop.training.Ranker", Counted):
+        with mock.patch("linkprop.ranking.Ranker", counted_rankers(built)):
             train(graph, neg, cfg, splits=splits)
             assert built == [(2, "val")]
+            train(graph, neg, replace(cfg, seed=1), splits=splits)
             train(graph, neg, cfg)
-        assert len(built) == 1
+        assert built == [(2, "val")]
 
     def test_validation_reads_hits_without_a_full_ranking(self,
                                                           split_instance):
@@ -511,7 +508,7 @@ class TestValidationRanking:
 
         cfg = TrainConfig("mf", alpha=0.05, dim=4, max_epochs=6, patience=10,
                           eval_k=2)
-        with mock.patch("linkprop.training.Ranker", HitsOnly):
+        with mock.patch("linkprop.ranking.Ranker", HitsOnly):
             history = train(graph, neg, cfg, splits=splits).history
             assert len(calls) == len(history.records) == 6
             grid_search(graph, neg, splits, replace(cfg, eval_every=7),
@@ -523,25 +520,31 @@ class TestValidationRanking:
         # the same run with each epoch's validation ranking done by
         # reference.evaluate_scalar at the configured k, whatever plan
         # train() asked for: a plan for the test split or for another k
-        # moves the recalls, the best epoch or the stop
+        # moves the recalls, the best epoch or the stop.  Each run has its
+        # own training graph, so the oracle stays in the first one's memo
         graph = block_bipartite(30, 40, 3, mean_degree=10, seed=2)
         splits = split_dataset(graph, (0.6, 0.2, 0.2), seed=0)
-        train_graph = graph_from_split(splits)
-        neg = sample_negatives(train_graph, seed=0)
+        oracle_graph, train_graph = (graph_from_split(splits),
+                                     graph_from_split(splits))
         cfg = TrainConfig(model, alpha=0.05, dim=8, max_epochs=60, patience=4,
                           eval_k=3)
+        asked = []
 
         class Oracle:
             def __init__(self, *args):
-                pass
+                asked.append(args)
 
             def recall(self, Y):
-                return evaluate_scalar(Y, splits, train_graph, k=cfg.eval_k,
+                return evaluate_scalar(Y, splits, oracle_graph, k=cfg.eval_k,
                                        split="val")[2]
 
-        with mock.patch("linkprop.training.Ranker", Oracle):
-            expected = train(train_graph, neg, cfg, splits=splits).history
-        got = train(train_graph, neg, cfg, splits=splits).history
+        with mock.patch("linkprop.ranking.Ranker", Oracle):
+            expected = train(oracle_graph, sample_negatives(oracle_graph,
+                                                            seed=0),
+                             cfg, splits=splits).history
+        assert len(asked) == 1
+        got = train(train_graph, sample_negatives(train_graph, seed=0), cfg,
+                    splits=splits).history
         assert expected.reason == "early_stop"
         assert [r.val_recall for r in got.records] == \
             [r.val_recall for r in expected.records]
@@ -650,17 +653,12 @@ class TestGridSearch:
         base = TrainConfig("mf", alpha=0.1, dim=4, max_epochs=4,
                            eval_every=5, eval_k=2)
         built = []
-
-        class Counted(Ranker):
-            def __init__(self, *args):
-                built.append(args[2:])
-                super().__init__(*args)
-
-        with mock.patch("linkprop.training.Ranker", Counted):
+        with mock.patch("linkprop.ranking.Ranker", counted_rankers(built)):
             result = grid_search(graph, neg, splits, base,
                                  alphas=(1e-2, 1e-1), layer_grid=(1,))
-        # one plan per run, and one for the grid's fallback
-        assert built == [(2, "val")] * (1 + len(result.points))
+        # one plan for every run and the grid's fallback
+        assert len(result.points) == 2
+        assert built == [(2, "val")]
         for point in result.points:
             final = train(graph, neg, replace(base, alpha=point.alpha))
             assert point.metric == evaluate_scalar(
@@ -673,16 +671,10 @@ class TestRepeatTrain:
         cfg = TrainConfig("mf", alpha=0.05, dim=4, max_epochs=5, patience=5,
                           eval_k=2)
         built = []
-
-        class Counted(Ranker):
-            def __init__(self, *args):
-                built.append(args[2:])
-                super().__init__(*args)
-
-        with mock.patch("linkprop.training.Ranker", Counted):
+        with mock.patch("linkprop.ranking.Ranker", counted_rankers(built)):
             outcomes = repeat_train(graph, splits, cfg, seeds=(0, 1, 2))
-        # one validation plan per run, one test plan for the experiment
-        assert sorted(built) == [(2, "test")] + [(2, "val")] * 3
+        # one validation plan for every run, one test plan for the experiment
+        assert sorted(built) == [(2, "test"), (2, "val")]
         for outcome in outcomes:
             assert dataclasses.astuple(outcome.metrics) == evaluate_scalar(
                 outcome.result.embeddings, splits, graph, k=2, split="test")
@@ -784,3 +776,38 @@ class TestSharedOperators:
             run_experiment(config)
         assert sorted(call.args[4] for call in draw.call_args_list) == [
             0, 1, 2, 3, 4]
+
+
+class TestOneRankerPerSplit:
+    """Every ranking on one training graph of one split set at one cutoff
+    goes through one `Ranker` per split."""
+
+    def test_runs_evaluations_grid_and_repeats_share_two(self,
+                                                         split_instance):
+        graph, neg, splits = split_instance
+        cfg = TrainConfig("mf", alpha=0.05, dim=4, max_epochs=4, patience=5,
+                          eval_k=2)
+        built = []
+        with mock.patch("linkprop.ranking.Ranker", counted_rankers(built)):
+            for seed in (0, 1):
+                X = train(graph, neg, replace(cfg, seed=seed),
+                          splits=splits).embeddings
+                for split in ("test", "val"):
+                    evaluate(X, splits, graph, 2, split)
+            grid_search(graph, neg, splits, cfg, alphas=(0.01, 0.05))
+            grid_search(graph, neg, splits, replace(cfg, eval_every=5),
+                        alphas=(0.05,))
+            repeat_train(graph, splits, cfg, seeds=(0, 1))
+        assert sorted(built) == [(2, "test"), (2, "val")]
+
+    @pytest.mark.parametrize("grid", [False, True])
+    def test_report_builds_one_per_split(self, tmp_path, grid):
+        # two models over two seeds, and the grid's points, on one graph
+        config = RunConfig(dataset_path=f"{DATA_DIR}/toy_50.tsv",
+                           models=("mf", "lightgcn"), seeds=(0, 1),
+                           max_epochs=3, grid=grid, k=5,
+                           outdir=str(tmp_path))
+        built = []
+        with mock.patch("linkprop.ranking.Ranker", counted_rankers(built)):
+            run_experiment(config)
+        assert sorted(built) == [(5, "test"), (5, "val")]
