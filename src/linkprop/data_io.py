@@ -11,10 +11,11 @@ detectable.
 
 Files are read as UTF-8 in one of two ways.  A pair file whose body under
 its leading comment lines is tab-separated pairs with no other whitespace
-or `#` (every canonical file) passes one regular-expression test and is
-tokenized by one `split`; any other file is read line by line, with errors
-that name the file line.  Both give the same dataset, which
-`reference.load_edge_list_scalar` checks.
+or `#` (every canonical file) is tokenized by one `split` and admitted by
+whole-body checks on the tokens and on where the tabs and newlines fall;
+any other file is read line by line, with errors that name the file line.
+Both give the same dataset, which `reference.load_edge_list_scalar`
+checks.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import hashlib
 import json
 import math
 import os
-import re
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -103,11 +103,36 @@ def _parse_adjlist_lines(lines, path) -> tuple[list[str], list[str]]:
     return users, items
 
 
-# `re`'s \s is the set `str.split` and `str.strip` split and strip at, and
-# `str.splitlines` breaks only at members of it: a body this matches is its
-# stripped lines joined by "\n" plus a final "\n", so `split` tokenizes it.
-# A line with a tab splits at the tab, whatever commas it holds.
-_CLEAN_PAIRS = re.compile(r"(?:[^\s#]+\t[^\s#]+\n)+")
+def _clean_pair_tokens(body: str) -> list[str] | None:
+    r"""The tokens of `body` if it is one or more lines `user\titem\n` whose
+    labels hold no whitespace (what `str.isspace` names) and no `#`; None
+    for any other body.
+
+    Such a body is its stripped lines joined by "\n" plus a final "\n", so
+    one `split` tokenizes it as the line reader would (a line with a tab
+    splits at the tab, whatever commas it holds).  The UTF-8 bytes show
+    where its tabs and newlines are, since no byte of a multibyte sequence
+    is ASCII: they must alternate, tab first.  The tokens are the body's
+    maximal runs of non-whitespace, so if their lengths and the tabs and
+    newlines add up to the body's length, no other whitespace is in it;
+    and as the body ends at a newline, one token per tab and newline means
+    a label right before each of them.
+    """
+    if not body.endswith("\n") or "#" in body:
+        return None
+    # surrogatepass: a lone surrogate, which no UTF-8 file holds, encodes
+    # to three non-ASCII bytes instead of raising
+    utf8 = np.frombuffer(body.encode("utf-8", "surrogatepass"), np.uint8)
+    tabs = np.flatnonzero(utf8 == 9)
+    ends = np.flatnonzero(utf8 == 10)
+    if (tabs.shape != ends.shape or not np.all(tabs < ends)
+            or not np.all(ends[:-1] < tabs[1:])):
+        return None
+    tokens = body.split()
+    if (len(tokens) != 2 * len(ends)
+            or len("".join(tokens)) + 2 * len(ends) != len(body)):
+        return None
+    return tokens
 
 
 def _read_clean_pairs(raw: str, header_key: str):
@@ -126,9 +151,9 @@ def _read_clean_pairs(raw: str, header_key: str):
             header = line.strip()
         start = stop
     body = raw[start:]
-    if not _CLEAN_PAIRS.fullmatch(body):
+    tokens = _clean_pair_tokens(body)
+    if tokens is None:
         return None
-    tokens = body.split()
     users, items = tokens[0::2], tokens[1::2]
     if header is None and _is_header_row(users[0], items[0]):
         del users[0], items[0]
@@ -224,8 +249,8 @@ def load_edge_list(path, fmt: str = "auto") -> Dataset:
     first data line.  Lines starting with `#` are comments; a canonical-form
     header among them has its counts and checksum verified.  A pair file
     that is clean tab-separated pairs under its leading comments, as every
-    canonical file is, is tokenized in one `split`; any other file is read
-    line by line, and its errors name the file line.
+    canonical file is, is tokenized in one `split`, with no pass per line;
+    any other file is read line by line, and its errors name the file line.
     """
     header, body, user_col, item_col = _read_file(path, fmt)
     _check_declared_counts(path, header, len(user_col), body)
@@ -331,18 +356,11 @@ def split_dataset(graph: Graph, ratios=(0.8, 0.1, 0.1), seed: int = 0) -> SplitS
                       + (rank >= (n_test + n_val)[users]))
     pairs = np.column_stack((users, graph.adjacency.indices[:indptr[-1]]))
     test, val, train = (unique_rows(pairs[part == k]) for k in range(3))
-    return _split_set(partition=graph.partition, train=train, val=val,
-                      test=test, ratios=ratios, seed=int(seed),
-                      flagged=tuple(np.flatnonzero(n_test == 0).tolist()))
-
-
-def _split_set(**fields) -> SplitSet:
-    """The SplitSet of `fields`, its edge arrays marked read-only: a graph's
-    memo keys each `Ranker` by the split set, so its edges must not change."""
-    splits = SplitSet(**fields)
-    for part in SPLIT_PARTS:
-        getattr(splits, part).flags.writeable = False
-    return splits
+    # read-only, so that SplitSet keeps them without a copy
+    test.flags.writeable = val.flags.writeable = train.flags.writeable = False
+    return SplitSet(partition=graph.partition, train=train, val=val,
+                    test=test, ratios=ratios, seed=int(seed),
+                    flagged=tuple(np.flatnonzero(n_test == 0).tolist()))
 
 
 def graph_from_split(splits: SplitSet) -> Graph:
@@ -388,6 +406,7 @@ def load_splits(outdir) -> tuple[Dataset, SplitSet]:
             parts[part] = _edge_rows(users, items, user_id, item_id)
         except KeyError as err:
             raise ValueError(f"{part}.tsv: id {err} not in dataset.tsv") from None
+        parts[part].flags.writeable = False  # kept by SplitSet uncopied
         _check_declared_counts(path, header, len(users), body)
     # checked as split_dataset checks its arguments: a JSON bool or float
     # is no seed, and a list of numbers that fails check_ratios no ratios;
@@ -421,8 +440,8 @@ def load_splits(outdir) -> tuple[Dataset, SplitSet]:
     except ValueError as err:
         raise ValueError(f"split.json: {err}") from None
     flagged = tuple(user_id[u] for u in labels)
-    splits = _split_set(partition=dataset.partition, **parts, ratios=ratios,
-                        seed=seed, flagged=flagged)
+    splits = SplitSet(partition=dataset.partition, **parts, ratios=ratios,
+                      seed=seed, flagged=flagged)
     return dataset, splits
 
 

@@ -156,7 +156,9 @@ def canonical_pairs(edge_list) -> np.ndarray:
     arr = np.asarray(edge_list, dtype=np.int64)
     if arr.size == 0:
         return np.empty((0, 2), dtype=np.int64)
-    return unique_rows(np.sort(arr.reshape(-1, 2), axis=1))
+    arr = arr.reshape(-1, 2)
+    return unique_rows(np.column_stack((np.minimum(arr[:, 0], arr[:, 1]),
+                                        np.maximum(arr[:, 0], arr[:, 1]))))
 
 
 def build_graph(edge_list, num_nodes: int | None = None,
@@ -209,7 +211,8 @@ def build_graph(edge_list, num_nodes: int | None = None,
                     f"join a user [0, {partition.num_users}) to an item")
 
     adjacency = read_only(_pairs_to_csr(pairs, num_nodes))
-    degrees = np.asarray(adjacency.sum(axis=1)).ravel().astype(np.int64)
+    # each row stores one 1 per neighbor, so its length is the degree
+    degrees = np.diff(adjacency.indptr).astype(np.int64)
     pairs.flags.writeable = degrees.flags.writeable = False
     return Graph(num_nodes=num_nodes, edges=pairs, partition=partition,
                  adjacency=adjacency, degrees=degrees)

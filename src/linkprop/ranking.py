@@ -61,8 +61,9 @@ class SplitSet:
     Edge arrays are canonical (user id first, rows sorted); `flagged` lists
     users left without test edges by the degenerate-degree policy.  A
     split's edges must not change once it is ranked: a training graph's
-    memo keeps each `ranker` under the split set object, so
-    `split_dataset` and `load_splits` mark the edge arrays read-only.
+    memo keeps each `ranker` under the split set object.  So the split set
+    keeps a read-only copy of each writable edge array it is given, and a
+    read-only one (as `split_dataset` and `load_splits` pass) as it is.
     """
 
     partition: Partition
@@ -72,6 +73,14 @@ class SplitSet:
     ratios: tuple[float, float, float]
     seed: int
     flagged: tuple = ()
+
+    def __post_init__(self):
+        for part in ("train", "val", "test"):
+            edges = getattr(self, part)
+            if edges.flags.writeable:
+                edges = edges.copy()
+                edges.flags.writeable = False
+                object.__setattr__(self, part, edges)
 
     @property
     def num_edges(self) -> int:

@@ -401,6 +401,54 @@ class TestCleanPairsPath:
         assert breaks and breaks <= set(space)
 
 
+# the oracle for `_clean_pair_tokens`: clean tab-separated pairs, whose
+# tokens are one `split` away from the line reader's columns
+CLEAN_PAIRS = re.compile(r"(?:[^\s#]+\t[^\s#]+\n)+")
+
+# labels, the two separators, the other whitespace `split` and `strip` use
+# (ASCII and not), `#`, a control character that is no whitespace, and a
+# lone surrogate, which is no UTF-8 text but is a `str`
+BODY_CHARS = ["a", "\xe9", "\u65e5", "\t", "\n", " ", "\r", "\x0b", "\x0c",
+              "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2003",
+              "\u3000", "#", "\x01", "\ud800"]
+LABEL = st.text(st.sampled_from(["a", "\xe9", "\u65e5", "\x01", "\ud800"]),
+                min_size=1, max_size=3)
+
+
+@st.composite
+def near_clean_bodies(draw):
+    """Clean tab-separated pairs with up to two characters replaced,
+    inserted or deleted."""
+    pairs = draw(st.lists(st.tuples(LABEL, LABEL), min_size=1, max_size=4))
+    body = "".join(f"{u}\t{i}\n" for u, i in pairs)
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(body)))
+        cut = draw(st.integers(0, 1))
+        edit = draw(st.sampled_from(BODY_CHARS + [""]))
+        body = body[:at] + edit + body[at + cut:]
+    return body
+
+
+class TestCleanPairTokens:
+    """The admission test accepts exactly the bodies the regex accepts."""
+
+    @given(st.one_of(st.text(st.sampled_from(BODY_CHARS), max_size=16),
+                     near_clean_bodies()))
+    @example("a\tb\n")
+    @example("a\tb\nc\td\n")
+    @example("a\tb\tc\nd\n")
+    @example("a\nb\tc\td\n")
+    @example("\ta\nb\tc\n")
+    @example("a\t\xa0\nb\tc\n")
+    @example("\ud800\t\u65e5\n")
+    @example("")
+    def test_agrees_with_the_regex(self, body):
+        tokens = data_io._clean_pair_tokens(body)
+        assert (tokens is not None) == bool(CLEAN_PAIRS.fullmatch(body))
+        if tokens is not None:
+            assert tokens == body.split()
+
+
 class TestSplitDataset:
     @pytest.mark.parametrize("ratios", [
         (0.8, 0.2), (0.5, 0.3, 0.3), (-0.1, 0.6, 0.5), (0.8, 0.1, 0.2),

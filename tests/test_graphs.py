@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from linkprop import reference
 from linkprop.graphs import (MAX_PROXIMITY_ORDER, SCHEMES, Partition,
@@ -90,6 +90,22 @@ class TestBuildGraph:
             with pytest.raises(ValueError, match="read-only"):
                 a.data *= 2.0
         assert g.adjacency.toarray().sum() == 2 * len(edges)
+
+    @given(st.integers(2, 12).flatmap(lambda n: st.tuples(
+        st.integers(n, n + 3),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                 .filter(lambda p: p[0] != p[1]), max_size=3 * n))))
+    @example((6, [(3, 1), (1, 3), (0, 2), (0, 2)]))
+    def test_degrees_are_int64_row_sums(self, drawn):
+        # the node count can exceed the largest id, leaving isolated nodes;
+        # pairs come in either orientation and may repeat
+        num_nodes, edges = drawn
+        g = build_graph(edges, num_nodes=num_nodes)
+        row_sums = np.asarray(g.adjacency.sum(axis=1)).ravel()
+        assert g.degrees.dtype == np.int64
+        assert np.array_equal(g.degrees, row_sums.astype(np.int64))
+        assert g.degrees.sum() == 2 * len({frozenset(p) for p in edges})
+        assert not g.degrees.flags.writeable
 
     def test_input_edge_array_stays_writeable(self):
         edges = np.array([[0, 1], [1, 2]], dtype=np.int64)

@@ -1367,6 +1367,36 @@ class TestRanker:
                             X, splits, train_graph, k=k, split=split)
 
 
+class TestSplitSetEdges:
+    """A split set keeps edges no caller can write into."""
+
+    def test_writing_the_callers_array_leaves_the_ranking(self):
+        # users 0 and 1, items 2..4; both users score item 4 highest
+        part = Partition(2, 3)
+        test = np.array([[0, 3], [1, 4]])
+        splits = SplitSet(partition=part, train=np.array([[0, 2], [1, 2]]),
+                          val=np.empty((0, 2), dtype=np.int64), test=test,
+                          ratios=(0.8, 0.1, 0.1), seed=0)
+        train_graph = graph_from_split(splits)
+        X = np.array([[1.0], [1.0], [0.0], [0.5], [2.0]])
+        first = evaluate(X, splits, train_graph, k=1)
+        assert first.recall == 0.5
+        test[0, 1] = 4  # user 0's test item would now rank first
+        again = evaluate(X, splits, train_graph, k=1)
+        assert again == first == Ranker(splits, train_graph, 1, "test")(X)
+        assert test.flags.writeable
+        assert splits.test.tolist() == [[0, 3], [1, 4]]
+        with pytest.raises(ValueError, match="read-only"):
+            splits.test[0, 1] = 4
+
+    def test_read_only_arrays_are_kept_as_given(self):
+        graph = block_bipartite(10, 8, 2, mean_degree=4, seed=0)
+        splits = split_dataset(graph, (0.6, 0.2, 0.2))
+        again = dataclasses.replace(splits)
+        for part in ("train", "val", "test"):
+            assert getattr(again, part) is getattr(splits, part)
+
+
 class TestSharedRanker:
     """`ranker`: one Ranker per training graph, split set, k and split."""
 
