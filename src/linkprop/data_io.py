@@ -14,8 +14,8 @@ its leading comment lines is tab-separated pairs with no other whitespace
 or `#` (every canonical file) is tokenized by one `split` and admitted by
 whole-body checks on the tokens and on where the tabs and newlines fall;
 any other file is read line by line, with errors that name the file line.
-Both give the same dataset, which `reference.load_edge_list_scalar`
-checks.
+Both give the same dataset, which the test oracle
+`load_edge_list_scalar` (tests/reference.py) checks.
 """
 
 from __future__ import annotations

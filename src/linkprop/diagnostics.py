@@ -19,17 +19,17 @@ CSV_FIELDS = ("step", "mean_k_plus", "frob_norm", "sub1", "sub2", "sub3", "sub4"
 CONTRACTION_RTOL = 1e-12
 
 
-def substep_contractions(trace: SubstepTrace,
-                         rtol: float = CONTRACTION_RTOL) -> tuple[bool, bool]:
+def substep_contractions(trace: SubstepTrace) -> tuple[bool, bool]:
     """Did the two propagation substeps shrink the embedding norm?
 
     Returns flags for substeps (1) and (3): norm after each is no larger
-    than its input norm.  Guaranteed under the symmetric scheme (spectrum in
-    [-1, 1]), not under row normalization, hence a flag and not an
-    assertion.
+    than its input norm times 1 + CONTRACTION_RTOL.  Guaranteed under the
+    symmetric scheme (spectrum in [-1, 1]), not under row normalization,
+    hence a flag and not an assertion.
     """
     s1, s2, s3, _ = trace.norms
-    return (s1 <= trace.input_norm * (1.0 + rtol), s3 <= s2 * (1.0 + rtol))
+    return (s1 <= trace.input_norm * (1.0 + CONTRACTION_RTOL),
+            s3 <= s2 * (1.0 + CONTRACTION_RTOL))
 
 
 def _fmt(x: float) -> str:

@@ -293,6 +293,9 @@ class ProximityOperator:
         division are the same, in the same order, so the bits are those of
         `apply(X)`, with one n x d buffer fewer live.
         """
+        if X.ndim != 2 or not np.issubdtype(X.dtype, np.floating):
+            raise ValueError(f"X must be a 2-d real floating-point array, got "
+                             f"shape {X.shape} and dtype {X.dtype}")
         if X.shape[0] != self.matrix.shape[0]:
             raise ValueError(
                 f"row count {X.shape[0]} does not match node count "

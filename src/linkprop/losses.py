@@ -159,8 +159,8 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     exp(-|z|), with both quotients in one unmasked divide: since
     0 <= e <= 1, the numerator max(e, z >= 0) is 1 where z >= 0 and e
     elsewhere (a nan stays nan).  It is written into e's buffer, so `z`
-    is never written; `reference.sigmoid_masked` is the masked-divide
-    form it equals bit for bit.
+    is never written; `sigmoid_masked` in tests/reference.py is the
+    masked-divide form it equals bit for bit.
     """
     z = np.asarray(z)
     # asarray: for a 0-d z, exp returns a scalar, which cannot be written

@@ -8,7 +8,7 @@ results do not depend on sort internals.
 
 `evaluate` counts each held-out item's rank instead of sorting: the scores
 above it plus the equal ones at lower item ids.  Every result bit equals
-`reference.evaluate_scalar`, which sorts each user's candidates.  Its
+`evaluate_scalar` (tests/reference.py), which sorts each user's items.  Its
 work is split in two: a `Ranker` holds what depends only on the split,
 the training graph and the cutoff (the users with held-out edges, their
 held-out items, discounts, ideal DCGs and training-item indices), and a
@@ -159,9 +159,9 @@ class Ranker:
     `_PROBE * cut` items with the most training edges (ties to the lower
     item id), in column order, and each user's training items among them.
     Calling it on X, which must have a real floating-point dtype (training
-    items are set to -inf), returns the `EvalResult` whose every bit
-    `reference.evaluate_scalar` gives; `recall(X)` gives its recall from
-    hit status alone (`_ranks`' `hits_only`), every bit.
+    items are set to -inf), returns the `EvalResult` whose every bit the
+    oracle `evaluate_scalar` (tests/reference.py) gives; `recall(X)` gives
+    its recall from hit status alone (`_ranks`' `hits_only`), every bit.
 
     The probe stage runs first.  Each row's probe scores (`_blocks`, in
     the block dtype) have the user's training items, nan and +-inf set to
@@ -429,7 +429,7 @@ def _starts(counts: np.ndarray) -> np.ndarray:
 def _score_error(Y: np.ndarray, items: np.ndarray):
     """The block product's dtype, and per user row y and item row x_j a
     bound on how far the block score of (y, x_j) may lie from `x_j @ y`
-    as the per-user GEMV of `reference.evaluate_scalar` computes it.
+    as the per-user GEMV of the oracle `evaluate_scalar` computes it.
 
     Returns `(dtype, scale, norms, offset)`; the bound is
     `scale[r] * norms[j] + offset[r]`, already doubled as below.

@@ -36,17 +36,16 @@ def random_graph(num_nodes: int, num_edges: int, seed: int = 0) -> Graph:
     return build_graph(sorted(pairs), num_nodes=num_nodes)
 
 
-def equivalence_instance(seed: int, min_nodes: int = 10, max_nodes: int = 30,
-                         edges_per_node: float = 1.6) -> tuple[Graph, NegativeSet]:
+def equivalence_instance(seed: int) -> tuple[Graph, NegativeSet]:
     """Seeded (graph, negatives) pair for dual-path trajectory checks.
 
-    Node count cycles through [min_nodes, max_nodes] with the seed.  A graph
-    can be structurally unable to supply one negative per positive (an
-    anchor with more slots than non-neighbors); such draws are regenerated
-    with a salted seed until sampling succeeds.
+    Node count cycles through [10, 30] with the seed, with 1.6 edges per
+    node.  A graph can be structurally unable to supply one negative per
+    positive (an anchor with more slots than non-neighbors); such draws are
+    regenerated with a salted seed until sampling succeeds.
     """
-    n = min_nodes + seed % (max_nodes - min_nodes + 1)
-    num_edges = min(int(edges_per_node * n), n * (n - 1) // 2)
+    n = 10 + seed % 21
+    num_edges = min(int(1.6 * n), n * (n - 1) // 2)
     salt = 0
     while True:
         graph = random_graph(n, num_edges, seed=seed + 100_000 * salt)
@@ -57,18 +56,21 @@ def equivalence_instance(seed: int, min_nodes: int = 10, max_nodes: int = 30,
 
 
 def random_bipartite(num_users: int, num_items: int, num_edges: int,
-                     seed: int = 0, cover_users: bool = True) -> Graph:
-    """Uniform random bipartite graph; cover_users gives every user >= 1 edge."""
+                     seed: int = 0) -> Graph:
+    """Uniform random bipartite graph in which every user has >= 1 edge.
+
+    Each user first draws one item; the rest of the edges are uniform
+    user-item pairs.
+    """
     part = Partition(num_users, num_items)
     if num_edges > num_users * num_items:
         raise ValueError("more edges than user-item pairs")
+    if num_edges < num_users:
+        raise ValueError("cannot cover every user with so few edges")
     rng = np.random.default_rng(seed)
     pairs = set()
-    if cover_users:
-        if num_edges < num_users:
-            raise ValueError("cannot cover every user with so few edges")
-        for u in range(num_users):
-            pairs.add((u, num_users + int(rng.integers(num_items))))
+    for u in range(num_users):
+        pairs.add((u, num_users + int(rng.integers(num_items))))
     while len(pairs) < num_edges:
         u = int(rng.integers(num_users))
         i = num_users + int(rng.integers(num_items))

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import HealthCheck, settings, strategies as st
 
-from linkprop import reference
+import reference
 from linkprop.graphs import Graph, Partition, build_graph, proximity
 from linkprop.losses import MaskSet
 from linkprop.negatives import NegativeSet, QuotaUnreachable, sample_negatives

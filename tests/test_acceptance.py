@@ -28,8 +28,8 @@ from linkprop.losses import (ModelParams, build_masks, gd_step, loss_gradient,
                              model_loss)
 from linkprop.negatives import sample_negatives
 from linkprop.ranking import SplitSet, evaluate
-from linkprop.reference import (evaluate_scalar, finite_difference_gradient,
-                                gradient_relative_error)
+from reference import (evaluate_scalar, finite_difference_gradient,
+                       gradient_relative_error)
 from linkprop.synthetic import equivalence_instance, table_shaped_dataset
 from linkprop.training import TrainConfig, init_embeddings, repeat_train, train
 

@@ -181,6 +181,27 @@ class TestPipelineChain:
                      str(emb), "--model", model, flag, value]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model", ["mf", "lightgcn"])
+    @pytest.mark.parametrize("dtype, extra", [
+        ("int64", ()), ("bool", ()), ("float64", (2,))])
+    def test_evaluate_non_float_or_3d_embeddings_is_one_error_line(
+            self, raw_dataset, tmp_path, capsys, model, dtype, extra):
+        # every model checks X in ProximityOperator.apply, before mf's
+        # identity operator would hand it on unchecked
+        raw, ds = raw_dataset
+        splitdir = tmp_path / "splits"
+        assert main(["split", "--input", str(raw), "--outdir", str(splitdir),
+                     "--ratios", "0.6", "0.2", "0.2"]) == 0
+        emb = tmp_path / "emb.npy"
+        shape = (ds.partition.num_nodes, 4, *extra)
+        np.save(emb, np.ones(shape, dtype=dtype))
+        capsys.readouterr()
+        assert main(["evaluate", "--splits", str(splitdir), "--embeddings",
+                     str(emb), "--model", model]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: X must be a 2-d real floating-point array, "
+                       f"got shape {shape} and dtype {dtype}\n")
+
     def test_train_kernel_path_matches_gradient_artifacts(self, raw_dataset,
                                                           tmp_path):
         raw, _ = raw_dataset

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from linkprop import data_io, reference
+import reference
+from linkprop import data_io
 from linkprop.cli import main
 from linkprop.data_io import (DENSITY_PCT_TOL, Dataset, ExpectedStats,
                               graph_density_pct, graph_from_split,

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, strategies as st
 
-from linkprop import reference
+import reference
 from linkprop.graphs import (MAX_PROXIMITY_ORDER, SCHEMES, Partition,
                              build_graph, canonical_pairs, normalize,
                              proximity, read_only, unique_rows)
@@ -288,6 +288,20 @@ class TestProximity:
         op = proximity(normalize(path_graph, "row"), 1, 2)
         with pytest.raises(ValueError, match="row count"):
             op.apply(np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("low, high", [(0, 0), (1, 2)])
+    @pytest.mark.parametrize("X", [np.zeros((4, 2), dtype=np.int64),
+                                   np.zeros((4, 2), dtype=bool),
+                                   np.zeros((4, 2), dtype=np.complex128),
+                                   np.zeros((4, 2, 2)), np.zeros(4)])
+    def test_apply_rejects_all_but_2d_real_float(self, path_graph, low, high,
+                                                 X):
+        # checked before the identity operator returns X as it is
+        op = proximity(normalize(path_graph, "row"), low, high)
+        with pytest.raises(ValueError, match=re.escape(
+                f"2-d real floating-point array, got shape {X.shape} and "
+                f"dtype {X.dtype}")):
+            op.apply(X)
 
     @given(graph_strategy(), st.integers(0, 3), st.integers(0, 2))
     def test_lazy_equals_materialized(self, g, low, extra):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import linkprop
-from linkprop import reference
+import reference
 from linkprop.graphs import MAX_PROXIMITY_ORDER, build_graph
 from linkprop.kernel import (KernelConfig, KernelOperator, kernel_step,
                              kernel_update, link_kernels, materialize_kernel,

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linkprop import losses, reference
+import reference
+from linkprop import losses
 from linkprop.graphs import MAX_PROXIMITY_ORDER, build_graph, normalize
 from linkprop.losses import (MODELS, DivergenceError, ModelParams, build_masks,
                              bce_loss, gd_step, loss_gradient, mask_set,

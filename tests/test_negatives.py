@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from linkprop import negatives, reference
+import reference
+from linkprop import negatives
 from linkprop.data_io import load_edge_list
 from linkprop.graphs import Partition, build_graph
 from linkprop.negatives import (STRATEGIES, QuotaUnreachable,

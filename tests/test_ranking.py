@@ -15,7 +15,7 @@ from linkprop.graphs import Partition, build_graph
 from linkprop.negatives import sample_negatives
 from linkprop.ranking import (EvalResult, Ranker, SplitSet, evaluate,
                               mean_result, top_k)
-from linkprop.reference import evaluate_scalar
+from reference import evaluate_scalar
 from linkprop.synthetic import block_bipartite
 from linkprop.training import TrainConfig, train
 

@@ -5,6 +5,7 @@ closed-form checks: everything here is verifiable with pencil and paper.
 """
 
 import ast
+import importlib.util
 import math
 import pathlib
 import sys
@@ -15,11 +16,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import ranked_list_split
-from linkprop import reference
+import reference
 from linkprop.graphs import Partition, build_graph
 from linkprop.ranking import SplitSet, evaluate
 
-SRC = pathlib.Path(reference.__file__).parent
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "linkprop"
 
 
 PATH_EDGES = [(0, 1), (1, 2), (2, 3)]
@@ -263,12 +265,18 @@ class TestOracleIndependence:
     # oracle must not lean on the library it checks, in any CI job
     def test_reference_imports_only_stdlib_and_numpy(self):
         roots = {name.split(".")[0]
-                 for name in imported_modules(SRC / "reference.py")}
+                 for name in imported_modules(TESTS / "reference.py")}
         allowed = set(sys.stdlib_module_names) | {"numpy"}
         assert roots <= allowed, roots - allowed
 
     def test_no_library_module_imports_reference(self):
         offenders = [path.name for path in sorted(SRC.glob("*.py"))
-                     if path.name != "reference.py"
-                     and "linkprop.reference" in imported_modules(path)]
+                     if imported_modules(path)
+                     & {"reference", "linkprop.reference"}]
         assert offenders == []
+
+    def test_oracle_is_not_in_the_package(self):
+        # the oracle is test code: an install of linkprop does not ship it
+        assert (SRC / "ranking.py").is_file()
+        assert list(SRC.rglob("reference.py")) == []
+        assert importlib.util.find_spec("linkprop.reference") is None

@@ -14,7 +14,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from linkprop import graphs, reference
+import reference
+from linkprop import graphs
 from linkprop.data_io import load_edge_list
 from linkprop.graphs import SupportPattern
 from linkprop.losses import ModelParams, build_masks

@@ -17,7 +17,7 @@ from linkprop.losses import (DivergenceError, ModelParams, build_masks, gd_step,
                              loss_gradient, sigmoid)
 from linkprop.negatives import _sample, sample_negatives
 from linkprop.ranking import Ranker, SplitSet, evaluate
-from linkprop.reference import evaluate_scalar
+from reference import evaluate_scalar
 from linkprop.synthetic import block_bipartite
 from linkprop.training import (ALPHA_GRID, INTEGER_FIELDS, AllPointsDiverged,
                                GridPoint, TrainConfig, TrainHistory, TrainResult,
