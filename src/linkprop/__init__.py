@@ -26,10 +26,10 @@ from linkprop.graphs import (Graph, Partition, ProximityOperator,
 from linkprop.negatives import NegativeSet, QuotaUnreachable, sample_negatives
 from linkprop.losses import (DivergenceError, MaskSet, ModelParams, bce_loss,
                              build_masks, gd_step, loss_gradient, model_loss)
-from linkprop.kernel import (KernelConfig, KernelOperator, LinkKernels,
-                             ScorePair, SubstepTrace, kernel_step,
-                             link_kernels, materialize_kernel, model_config,
-                             score_matrices, sign_structure)
+from linkprop.kernel import (KernelOperator, LinkKernels, ScorePair,
+                             SubstepTrace, kernel_step, link_kernels,
+                             materialize_kernel, score_matrices,
+                             sign_structure)
 from linkprop.training import (TrainConfig, TrainHistory, TrainResult,
                                grid_search, init_embeddings, repeat_train,
                                scoring_embeddings, train)
@@ -45,9 +45,9 @@ __all__ = [
     "NegativeSet", "QuotaUnreachable", "sample_negatives",
     "DivergenceError", "MaskSet", "ModelParams", "bce_loss", "build_masks",
     "gd_step", "loss_gradient", "model_loss",
-    "KernelConfig", "KernelOperator", "LinkKernels", "ScorePair",
-    "SubstepTrace", "kernel_step", "link_kernels",
-    "materialize_kernel", "model_config", "score_matrices", "sign_structure",
+    "KernelOperator", "LinkKernels", "ScorePair", "SubstepTrace",
+    "kernel_step", "link_kernels", "materialize_kernel", "score_matrices",
+    "sign_structure",
     "TrainConfig", "TrainHistory", "TrainResult", "grid_search",
     "init_embeddings", "repeat_train", "scoring_embeddings", "train",
     "EvalResult", "Ranker", "SplitSet", "evaluate", "top_k",

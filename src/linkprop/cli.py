@@ -115,13 +115,13 @@ def cmd_verify_equivalence(args) -> int:
     if not (math.isfinite(args.tolerance) and args.tolerance > 0):
         raise ValueError(f"--tolerance must be positive and finite, "
                          f"got {args.tolerance}")
+    if args.model not in ("all", *MODELS):
+        raise ValueError(f"--model must be 'all' or one of {MODELS}, "
+                         f"got {args.model!r}")
     variants = [("mf", {}), ("line", {}), ("deepwalk", {"window": 2}),
                 ("lightgcn", {})]
     if args.model != "all":
         variants = [(m, kw) for m, kw in variants if m == args.model]
-        if not variants:
-            print(f"unknown model {args.model!r}", file=sys.stderr)
-            return 2
     failed = False
     for model, kw in variants:
         worst_step = worst_cum = 0.0

@@ -24,7 +24,7 @@ from linkprop.data_io import (check_format, check_ratios, graph_density_pct,
                               graph_from_split, load_edge_list, split_dataset,
                               write_metrics_csv)
 from linkprop.diagnostics import emit_trajectories
-from linkprop.graphs import check_distinct, check_integer
+from linkprop.graphs import check_bool, check_distinct, check_integer
 from linkprop.negatives import check_sampling, sample_negatives
 from linkprop.ranking import mean_result
 from linkprop.training import (TRAIN_FIELDS, TrainConfig, grid_search,
@@ -111,6 +111,7 @@ class RunConfig:
         for seed in self.seeds:
             check_integer("seeds", seed, 0)
         check_sampling(**self.sampling)
+        check_bool("grid", self.grid)
         for model in self.models:
             self.train_config(model)  # TrainConfig names any bad field
 

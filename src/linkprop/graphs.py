@@ -35,6 +35,13 @@ def check_integer(name: str, value, low: int, high: int | None = None):
         raise ValueError(f"{name} must be {bound}, got {value}")
 
 
+def check_bool(name: str, value) -> None:
+    """Raise ValueError naming `name` unless `value` is a bool: a switch
+    given as the string "false" would otherwise read as true."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be a bool, got {value!r}")
+
+
 def check_distinct(name: str, values) -> None:
     """Raise ValueError naming `name` unless the sequence `values` lists at
     least one value and none twice."""

@@ -5,16 +5,19 @@ propagation of the current embeddings,
 
     X' = (c1 I + c2 P [K_plus - lam * K_minus] P) X
 
-where P averages powers a1..b1 of the normalized adjacency, and the link
-kernels weight graph positions by how far the current scores are from their
+with c1 = 1 - alpha * beta and c2 = alpha at step size alpha, where P
+averages powers a1..b1 of the normalized adjacency, and the link kernels
+weight graph positions by how far the current scores are from their
 targets:
 
     K_plus  = S_A . (c3 * P_{a2,b2}(At) + (1 - c3) * A)     S_A = 1 - sigma(s)
     K_minus = S_B . (c3 * Bt            + (1 - c3) * B)     S_B = sigma(s)
 
-with s the Gram scores of P X.  Stepping this kernel reproduces gradient
-descent on the corresponding loss exactly; the test suite pins the two
-trajectories against each other step by step.
+with s the Gram scores of P X.  So a model is its losses.ModelParams (its
+row c3, a1..b2, pos_norm, neg_norm of losses.model_table, lam and beta)
+and alpha, which is what KernelOperator.build takes.  Stepping this kernel
+reproduces gradient descent on the corresponding loss exactly; the test
+suite pins the two trajectories against each other step by step.
 
 The propagation matrix H is never formed densely in the main path (the outer
 P factors densify); materialize_kernel exists for inspection of small
@@ -29,90 +32,42 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from linkprop.graphs import (MAX_PROXIMITY_ORDER, SCHEMES, Graph,
-                             ProximityOperator, SupportPattern)
-from linkprop.losses import (MODELS, ModelParams, check_finite, mask_set,
-                             sigmoid)
+from linkprop.graphs import Graph, ProximityOperator, SupportPattern
+from linkprop.losses import ModelParams, check_finite, mask_set, sigmoid
 from linkprop.negatives import NegativeSet
 
 DENSE_LIMIT = 500
 
 
-@dataclass(frozen=True)
-class KernelConfig:
-    """Constants of the unified update rule for one model instance.
-
-    c3 selects the positive/negative mask flavor (0: raw adjacency, 1:
-    normalized high-order form); a1..b1 define the outer propagation, a2..b2
-    the positive mask's proximity orders.  pos_norm is the scheme of the
-    normalized adjacency used in both proximity operators, neg_norm the
-    scheme applied to the sampled negatives.
-    """
-
-    model: str
-    c1: float
-    c2: float
-    c3: float
-    a1: int
-    b1: int
-    a2: int
-    b2: int
-    pos_norm: str
-    neg_norm: str
-    lam: float
-
-    def __post_init__(self):
-        if self.model not in MODELS:
-            raise ValueError(f"unknown model {self.model!r}")
-        if self.c3 not in (0.0, 1.0):
-            raise ValueError("c3 must be 0 or 1")
-        for name in ("c1", "c2", "lam"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not (0 <= self.a1 <= self.b1) or not (0 <= self.a2 <= self.b2):
-            raise ValueError("proximity orders need 0 <= a <= b")
-        for name in ("b1", "b2"):
-            if getattr(self, name) > MAX_PROXIMITY_ORDER:
-                raise ValueError(f"{name} must be <= {MAX_PROXIMITY_ORDER}, "
-                                 f"got {getattr(self, name)}")
-        for scheme in (self.pos_norm, self.neg_norm):
-            if scheme not in SCHEMES:
-                raise ValueError(f"unknown normalization scheme {scheme!r}")
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
-
-
-def model_config(params: ModelParams, alpha: float) -> KernelConfig:
-    """Kernel constants of a built-in model at step size alpha: c1 = 1 -
-    alpha*beta and c2 = alpha for all of them, the rest its row of
-    losses.model_table and its lambda, all read from `params`."""
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise ValueError(f"alpha must be finite and nonnegative, got {alpha}")
-    return KernelConfig(params.model, 1.0 - alpha * params.beta, alpha,
-                        *params.constants, params.lam)
-
-
 @dataclass(frozen=True, eq=False)
 class KernelOperator:
-    """Step-independent pieces of the kernel for a fixed (config, graph, negatives).
+    """Step-independent pieces of the kernel of the model `params` at step
+    size `alpha` on a fixed graph and negative set.
 
     Holds the outer proximity operator and the union support pattern of
     both blended masks, on which scores and link kernels live.  Build once,
     step many times; train() reads its pattern and P on both paths.
     """
 
-    config: KernelConfig
+    params: ModelParams
+    alpha: float
     graph: Graph
     prop: ProximityOperator = field(repr=False)
     pattern: SupportPattern = field(repr=False)
     rows: np.ndarray = field(repr=False)  # the pattern's, one per union slot
 
     @classmethod
-    def build(cls, config: KernelConfig, graph: Graph,
+    def build(cls, params: ModelParams, alpha: float, graph: Graph,
               negatives: NegativeSet) -> "KernelOperator":
-        masks = mask_set(graph, negatives, config)
-        return cls(config=config, graph=graph, prop=masks.prop,
+        if not (math.isfinite(alpha) and alpha >= 0):
+            raise ValueError(f"alpha must be finite and nonnegative, got {alpha}")
+        masks = mask_set(graph, negatives, params)
+        return cls(params=params, alpha=alpha, graph=graph, prop=masks.prop,
                    pattern=masks.pattern, rows=masks.pattern.rows)
+
+    @property
+    def c1(self) -> float:  # the identity's weight; c2 is alpha itself
+        return 1.0 - self.alpha * self.params.beta
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,21 +168,20 @@ def kernel_update(X: np.ndarray, Y: np.ndarray, scores: ScorePair,
     X' (not checked for finiteness) and the trace, K+'s mean included.
     Beside X and Y the step holds one n x d buffer: Z = K+ Y - lam (K- Y),
     P Z, then c2 P Z + c1 X, which commutes to the bits of c1 X + c2 P Z."""
-    config = operator.config
     kernels = link_kernels(scores, operator)
     del scores
     mean_kp = (mean_positive_kernel(kernels.k_plus)
                if kernels.k_plus.data.shape[0] else None)
     Z, T = kernels.k_plus @ Y, kernels.k_minus @ Y
     del kernels
-    T *= config.lam
+    T *= operator.params.lam
     Z -= T
     del T
     z_norm = frobenius(Z)
     W = operator.prop.apply(Z, overwrite_input=True)
     w_norm = frobenius(W)
-    W *= config.c2
-    W += config.c1 * X
+    W *= operator.alpha
+    W += operator.c1 * X
     return W, SubstepTrace(input_norm=frobenius(X),
                            norms=(frobenius(Y), z_norm, w_norm, frobenius(W)),
                            mean_k_plus=mean_kp)
@@ -250,13 +204,13 @@ def materialize_kernel(scores: ScorePair, operator: KernelOperator,
 
     Refuses to run above `limit` nodes; the main path never needs H.
     """
-    config, n = operator.config, operator.graph.num_nodes
+    n = operator.graph.num_nodes
     if n > limit:
         raise ValueError(f"{n} nodes exceeds the dense limit {limit}")
     kernels = link_kernels(scores, operator)
-    middle = (kernels.k_plus - config.lam * kernels.k_minus).toarray()
+    middle = (kernels.k_plus - operator.params.lam * kernels.k_minus).toarray()
     P = operator.prop.materialize().toarray()
-    return config.c1 * np.eye(n) + config.c2 * (P @ middle @ P)
+    return operator.c1 * np.eye(n) + operator.alpha * (P @ middle @ P)
 
 
 @dataclass(frozen=True)

@@ -29,10 +29,10 @@ from functools import cached_property
 
 import numpy as np
 
-from linkprop.graphs import Graph, check_distinct, check_integer
+from linkprop.graphs import Graph, check_bool, check_distinct, check_integer
 from linkprop.kernel import (KernelOperator, frobenius, kernel_step,
-                             kernel_update, model_config,
-                             positive_kernel_mean, score_matrices)
+                             kernel_update, positive_kernel_mean,
+                             score_matrices)
 from linkprop.losses import (DivergenceError, MaskSet, ModelParams,
                              check_finite, gd_step, model_table,
                              scoring_propagation, support_gradient,
@@ -83,6 +83,7 @@ class TrainConfig:
         for name in INTEGER_FIELDS:
             check_integer(name, getattr(self, name), 1)
         check_integer("seed", self.seed, 0)
+        check_bool("trace_substeps", self.trace_substeps)
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(
                 f"alpha must be positive and finite, got {self.alpha}")
@@ -175,8 +176,7 @@ def train(graph: Graph, negatives: NegativeSet, config: TrainConfig,
     if graph.num_edges == 0:
         raise ValueError("graph has no edges: there is nothing to train on")
     params = config.params
-    op = KernelOperator.build(model_config(params, config.alpha), graph,
-                              negatives)
+    op = KernelOperator.build(params, config.alpha, graph, negatives)
 
     X = init_embeddings(graph.num_nodes, config.dim, config.init_scale,
                         config.seed)

@@ -22,7 +22,7 @@ from linkprop.diagnostics import frobenius, substep_contractions
 from linkprop.experiment import RunConfig, run_experiment
 from linkprop.graphs import Partition, build_graph
 from linkprop.kernel import (KernelOperator, SubstepTrace, kernel_step,
-                             materialize_kernel, model_config, score_matrices,
+                             materialize_kernel, score_matrices,
                              sign_structure)
 from linkprop.losses import (ModelParams, build_masks, gd_step, loss_gradient,
                              model_loss)
@@ -75,8 +75,7 @@ def test_criterion_1_kernel_gd_trajectories_coincide(check):
         for model, extra in EQUIV_VARIANTS:
             params = ModelParams(model=model, lam=1.0, beta=beta, **extra)
             masks = oracle_masks(graph, negatives, params)
-            op = KernelOperator.build(model_config(params, alpha), graph,
-                                      negatives)
+            op = KernelOperator.build(params, alpha, graph, negatives)
             Xg = init_embeddings(graph.num_nodes, dim, TrainConfig.init_scale,
                                  seed)
             Xk = Xg.copy()
@@ -144,8 +143,8 @@ def test_criterion_4_score_and_kernel_structure(check):
     worst_complement = 0.0
     for seed in range(50):
         graph, negatives = random_graph_instance(seed=seed + 200)
-        config = model_config(ModelParams(models[seed % 4]), alpha=0.01)
-        op = KernelOperator.build(config, graph, negatives)
+        op = KernelOperator.build(ModelParams(models[seed % 4]), 0.01, graph,
+                                  negatives)
         rng = np.random.default_rng(seed)
         Y = op.prop.apply(rng.normal(size=(graph.num_nodes, 4)))
         deviation = score_matrices(Y, op).complement_deviation()
@@ -154,8 +153,8 @@ def test_criterion_4_score_and_kernel_structure(check):
     signs_passed = 0
     for seed in range(50):
         graph, negatives = random_graph_instance(seed=seed + 300)
-        config = model_config(ModelParams("mf", beta=0.01), alpha=0.05)
-        op = KernelOperator.build(config, graph, negatives)
+        op = KernelOperator.build(ModelParams("mf", beta=0.01), 0.05, graph,
+                                  negatives)
         rng = np.random.default_rng(seed)
         scores = score_matrices(rng.normal(size=(graph.num_nodes, 4)), op)
         H = materialize_kernel(scores, op)
@@ -167,8 +166,7 @@ def test_criterion_4_score_and_kernel_structure(check):
     graph = build_graph(clique(range(4)) + clique(range(4, 8)), num_nodes=8)
     negatives = negatives_from_pairs([(0, 4), (1, 5), (2, 6), (3, 7)], 8)
     X = np.array([[30.0]] * 4 + [[-30.0]] * 4)
-    config = model_config(ModelParams("mf"), alpha=0.1)
-    op = KernelOperator.build(config, graph, negatives)
+    op = KernelOperator.build(ModelParams("mf"), 0.1, graph, negatives)
     fixed = np.array_equal(kernel_step(X, op)[0], X)
 
     ok = worst_complement <= 1e-14 and signs_passed == 50 and fixed

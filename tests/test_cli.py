@@ -15,11 +15,11 @@ from linkprop.data_io import (FORMATS, dataset_from_graph, load_edge_list,
                               split_dataset)
 from linkprop.experiment import (CONFIG_DEFAULTS, ExperimentError, RunConfig,
                                  run_experiment)
-from linkprop.kernel import KernelConfig, model_config
-from linkprop.losses import MODELS, ModelParams, bce_loss, model_table
+from linkprop.kernel import KernelOperator
+from linkprop.losses import MODELS, ModelParams, bce_loss, mask_set, model_table
 from linkprop.negatives import STRATEGIES, degree_power_weights, sample_negatives
 from linkprop.ranking import evaluate
-from linkprop.synthetic import block_bipartite
+from linkprop.synthetic import block_bipartite, equivalence_instance
 from linkprop.training import (PATHS, TrainConfig, init_embeddings,
                                repeat_train)
 
@@ -248,6 +248,10 @@ class TestVerifyEquivalence:
 
     def test_unknown_model(self, capsys):
         assert main(["verify-equivalence", "--model", "sage"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: --model must be 'all' or one of "
+                                f"{MODELS}, got 'sage'\n")
+        assert captured.out == ""
 
 
 class TestExitCodes:
@@ -395,6 +399,14 @@ class TestRunConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             RunConfig.from_ini(tmp_path / "absent.ini")
+
+    @pytest.mark.parametrize("field", ["grid", "trace_substeps"])
+    @pytest.mark.parametrize("value", ["no", "false", 0, 1])
+    def test_switches_must_be_bools(self, field, value):
+        # grid="no" used to run the grid and write "no" into report.json
+        with pytest.raises(ValueError, match=f"{field} must be a bool, "
+                                             f"got {value!r}"):
+            RunConfig(dataset_path="", **{field: value})
 
     def test_percent_is_a_literal_character(self, tmp_path):
         path = tmp_path / "pct.ini"
@@ -663,7 +675,7 @@ class TestSingleSource:
     the command line."""
 
     @pytest.mark.parametrize("function,required", [
-        (model_config, ("params", "alpha")), (KernelConfig, ("lam",)),
+        (KernelOperator.build, ("params", "alpha")), (mask_set, ("params",)),
         (model_table, ("window", "layers")), (bce_loss, ("lam", "beta")),
         (init_embeddings, ("scale", "seed")), (evaluate, ("k",)),
         (degree_power_weights, ("exponent",))])
@@ -673,9 +685,9 @@ class TestSingleSource:
         assert set(required) <= set(parameters)
         assert not set(required) & set(defaults(function))
 
-    def test_model_config_takes_the_params_and_the_step_size(self):
-        assert list(inspect.signature(model_config).parameters) == [
-            "params", "alpha"]
+    def test_kernel_operator_takes_the_params_and_the_step_size(self):
+        assert list(inspect.signature(KernelOperator.build).parameters) == [
+            "params", "alpha", "graph", "negatives"]
 
     def test_repeat_train_forwards_sampling_under_its_owners_names(
             self, monkeypatch):
@@ -720,17 +732,15 @@ class TestSingleSource:
     @given(model=st.sampled_from(MODELS), window=st.integers(1, 16),
            layers=st.integers(0, 16), lam=st.floats(0, 1e3),
            beta=st.floats(0, 1e3), alpha=st.floats(0, 1e3))
-    def test_model_config_carries_every_params_field(self, model, window,
-                                                     layers, lam, beta, alpha):
+    def test_kernel_operator_carries_every_params_field(self, model, window,
+                                                        layers, lam, beta,
+                                                        alpha):
         params = ModelParams(model, window=window, layers=layers, lam=lam,
                              beta=beta)
-        config = model_config(params, alpha)
-        assert config.model == model
-        assert config.lam == lam
-        assert (config.c3, config.a1, config.b1, config.a2, config.b2,
-                config.pos_norm, config.neg_norm) == params.constants
-        assert config.c1 == 1 - alpha * beta
-        assert config.c2 == alpha
+        op = KernelOperator.build(params, alpha, *equivalence_instance(0))
+        assert op.params is params and op.alpha == alpha
+        assert (op.prop.low, op.prop.high) == params.constants[1:3]
+        assert op.c1 == 1 - alpha * beta
 
     def test_config_defaults_unchanged(self):
         assert CONFIG_DEFAULTS == {

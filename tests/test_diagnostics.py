@@ -8,15 +8,14 @@ from hypothesis import given, strategies as st
 from linkprop.diagnostics import (CSV_FIELDS, emit_trajectories, frobenius,
                                   mean_positive_kernel, substep_contractions)
 from linkprop.kernel import (KernelOperator, SubstepTrace, kernel_update,
-                             link_kernels, model_config, score_matrices)
+                             link_kernels, score_matrices)
 from linkprop.losses import ModelParams
 
 
 class TestMeanPositiveKernel:
     def test_zero_embedding_means_half(self, small_instance):
         graph, neg = small_instance
-        op = KernelOperator.build(model_config(ModelParams("mf"), alpha=0.1),
-                                  graph, neg)
+        op = KernelOperator.build(ModelParams("mf"), 0.1, graph, neg)
         scores = score_matrices(np.zeros((graph.num_nodes, 3)), op)
         kernels = link_kernels(scores, op)
         assert mean_positive_kernel(kernels.k_plus) == pytest.approx(0.5)
@@ -32,8 +31,7 @@ class TestMeanPositiveKernel:
         # stay in the support and drag the mean to exactly zero rather than
         # leaving it undefined
         graph, neg = small_instance
-        op = KernelOperator.build(model_config(ModelParams("mf"), alpha=0.1),
-                                  graph, neg)
+        op = KernelOperator.build(ModelParams("mf"), 0.1, graph, neg)
         flat = np.full((graph.num_nodes, 1), 30.0)
         kernels = link_kernels(score_matrices(flat, op), op)
         assert kernels.k_plus.data.shape[0] == 2 * graph.num_edges
@@ -65,8 +63,8 @@ class TestSubstepContractions:
 
     def test_symmetric_scheme_contracts_in_practice(self, small_instance):
         graph, neg = small_instance
-        cfg = model_config(ModelParams("lightgcn", layers=3), alpha=0.05)
-        op = KernelOperator.build(cfg, graph, neg)
+        op = KernelOperator.build(ModelParams("lightgcn", layers=3), 0.05,
+                                  graph, neg)
         rng = np.random.default_rng(1)
         for _ in range(5):
             X = rng.normal(size=(graph.num_nodes, 4))

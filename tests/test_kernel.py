@@ -5,12 +5,11 @@ import pytest
 
 import linkprop
 import reference
-from linkprop.graphs import MAX_PROXIMITY_ORDER, build_graph
-from linkprop.kernel import (KernelConfig, KernelOperator, kernel_step,
-                             kernel_update, link_kernels, materialize_kernel,
-                             mean_positive_kernel, model_config,
-                             positive_kernel_mean, score_matrices,
-                             sign_structure)
+from linkprop.graphs import build_graph
+from linkprop.kernel import (KernelOperator, kernel_step, kernel_update,
+                             link_kernels, materialize_kernel,
+                             mean_positive_kernel, positive_kernel_mean,
+                             score_matrices, sign_structure)
 from linkprop.losses import (DivergenceError, ModelParams, build_masks,
                              loss_gradient, scoring_propagation, sigmoid)
 
@@ -27,55 +26,63 @@ MODEL_GRID = [
 
 
 def operator_for(model, graph, negatives, alpha=0.05, **kwargs):
-    config = model_config(ModelParams(model, **kwargs), alpha)
-    return config, KernelOperator.build(config, graph, negatives)
+    return KernelOperator.build(ModelParams(model, **kwargs), alpha, graph,
+                                negatives)
 
 
 class TestModelConfig:
+    """A model is its row of model_table (through ModelParams.constants),
+    its lam and beta, and the step size KernelOperator.build takes."""
+
     def test_mf_constants(self):
-        cfg = model_config(ModelParams("mf", beta=0.01), alpha=0.1)
-        assert cfg.c1 == pytest.approx(0.999, abs=1e-15)
-        assert cfg.c2 == 0.1
-        assert (cfg.c3, cfg.a1, cfg.b1, cfg.a2, cfg.b2) == (0.0, 0, 0, 0, 0)
-        assert (cfg.pos_norm, cfg.neg_norm) == ("none", "none")
+        k = ModelParams("mf").constants
+        assert (k.c3, k.a1, k.b1, k.a2, k.b2) == (0.0, 0, 0, 0, 0)
+        assert (k.pos_norm, k.neg_norm) == ("none", "none")
 
     def test_line_constants(self):
-        cfg = model_config(ModelParams("line"), alpha=0.05)
-        assert (cfg.c3, cfg.a2, cfg.b2) == (1.0, 1, 1)
-        assert (cfg.pos_norm, cfg.neg_norm) == ("row", "none")
-        assert (cfg.a1, cfg.b1) == (0, 0)
+        k = ModelParams("line").constants
+        assert (k.c3, k.a2, k.b2) == (1.0, 1, 1)
+        assert (k.pos_norm, k.neg_norm) == ("row", "none")
+        assert (k.a1, k.b1) == (0, 0)
 
     def test_deepwalk_window_sets_orders(self):
-        cfg = model_config(ModelParams("deepwalk", window=4), alpha=0.05)
-        assert (cfg.c3, cfg.a2, cfg.b2) == (1.0, 1, 4)
-        assert (cfg.pos_norm, cfg.neg_norm) == ("row", "row")
+        k = ModelParams("deepwalk", window=4).constants
+        assert (k.c3, k.a2, k.b2) == (1.0, 1, 4)
+        assert (k.pos_norm, k.neg_norm) == ("row", "row")
 
     def test_lightgcn_layers_set_outer_orders(self):
-        cfg = model_config(ModelParams("lightgcn", layers=2), alpha=0.05)
-        assert (cfg.c3, cfg.a1, cfg.b1) == (0.0, 0, 2)
-        assert (cfg.pos_norm, cfg.neg_norm) == ("symmetric", "none")
-        assert (cfg.a2, cfg.b2) == (0, 0)
+        k = ModelParams("lightgcn", layers=2).constants
+        assert (k.c3, k.a1, k.b1) == (0.0, 0, 2)
+        assert (k.pos_norm, k.neg_norm) == ("symmetric", "none")
+        assert (k.a2, k.b2) == (0, 0)
 
-    def test_negative_alpha_rejected(self):
+    def test_negative_alpha_rejected(self, small_instance):
         with pytest.raises(ValueError, match="alpha must be finite and "
                                              "nonnegative, got -0.1"):
-            model_config(ModelParams("mf"), alpha=-0.1)
+            operator_for("mf", *small_instance, alpha=-0.1)
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_non_finite_alpha_rejected(self, small_instance, alpha):
+        with pytest.raises(ValueError, match=f"alpha must be finite and "
+                                             f"nonnegative, got {alpha}"):
+            operator_for("deepwalk", *small_instance, alpha=alpha)
 
     def test_unknown_model(self):
         with pytest.raises(ValueError, match="model must be one of"):
-            model_config(ModelParams("gat"), alpha=0.1)
+            ModelParams("gat")
 
 
 class TestOneBuild:
     @pytest.mark.parametrize("model,kwargs", MODEL_GRID, ids=lambda v: str(v))
     def test_build_masks_is_the_operators_build(self, small_instance, model,
                                                 kwargs):
-        # the loss API reads masks from ModelParams, train() from a
-        # KernelConfig; both rows of the table must give the same bits
+        # the loss API's build_masks and train()'s KernelOperator.build
+        # both take the masks from mask_set; they must give the same bits
         graph, neg = small_instance
         params = ModelParams(model, lam=1.3, beta=0.02, **kwargs)
         masks = build_masks(graph, neg, params)
-        _, op = operator_for(model, graph, neg, beta=0.02, lam=1.3, **kwargs)
+        op = operator_for(model, graph, neg, beta=0.02, lam=1.3, **kwargs)
         same = lambda a, b: (a.dtype == b.dtype and a.shape == b.shape
                              and a.tobytes() == b.tobytes())
         mine, theirs = masks.pattern, op.pattern
@@ -93,52 +100,17 @@ class TestOneBuild:
                     op.prop.apply(X))
 
 
-class TestKernelConfig:
-    BASE = dict(model="mf", c1=1.0, c2=0.1, c3=0.0, a1=0, b1=0, a2=0, b2=0,
-                pos_norm="none", neg_norm="none", lam=1.0)
-
-    @pytest.mark.parametrize("field", ["c1", "c2", "lam"])
-    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
-                                       float("-inf")])
-    def test_non_finite_constant_names_the_field(self, field, value):
-        with pytest.raises(ValueError, match=f"{field} must be finite"):
-            KernelConfig(**{**self.BASE, field: value})
-
-    @pytest.mark.parametrize("field", ["b1", "b2"])
-    def test_order_above_maximum_names_the_field(self, field):
-        with pytest.raises(ValueError, match=f"{field} must be <= "
-                                             f"{MAX_PROXIMITY_ORDER}"):
-            KernelConfig(**{**self.BASE, field: MAX_PROXIMITY_ORDER + 1})
-        assert KernelConfig(**{**self.BASE, field: MAX_PROXIMITY_ORDER})
-
-    def test_model_config_rejects_at_construction(self):
-        for alpha in (float("nan"), float("inf"), float("-inf")):
-            with pytest.raises(ValueError, match=f"alpha must be finite and "
-                                                 f"nonnegative, got {alpha}"):
-                model_config(ModelParams("deepwalk"), alpha)
-
-    @pytest.mark.parametrize("bad", [
-        {"c3": 0.5}, {"a1": 2, "b1": 1}, {"a2": -1}, {"pos_norm": "max"},
-        {"neg_norm": "l2"}, {"lam": -1.0}, {"model": "glove"}])
-    def test_validation(self, bad):
-        kwargs = dict(model="mf", c1=1.0, c2=0.1, c3=0.0, a1=0, b1=0,
-                      a2=0, b2=0, pos_norm="none", neg_norm="none", lam=1.0)
-        kwargs.update(bad)
-        with pytest.raises(ValueError):
-            KernelConfig(**kwargs)
-
-
 class TestScores:
     def test_zero_embedding_scores_half(self, small_instance):
         graph, neg = small_instance
-        _, op = operator_for("mf", graph, neg)
+        op = operator_for("mf", graph, neg)
         scores = score_matrices(np.zeros((graph.num_nodes, 3)), op)
         assert np.all(scores.s_a == 0.5)
         assert np.all(scores.s_b == 0.5)
 
     def test_complement_is_exact(self, small_instance):
         graph, neg = small_instance
-        _, op = operator_for("deepwalk", graph, neg, window=3)
+        op = operator_for("deepwalk", graph, neg, window=3)
         rng = np.random.default_rng(0)
         Y = rng.normal(size=(graph.num_nodes, 4))
         scores = score_matrices(Y, op)
@@ -146,7 +118,7 @@ class TestScores:
 
     def test_matches_dense_scores(self, small_instance):
         graph, neg = small_instance
-        _, op = operator_for("mf", graph, neg)
+        op = operator_for("mf", graph, neg)
         rng = np.random.default_rng(1)
         Y = rng.normal(size=(graph.num_nodes, 4))
         scores = score_matrices(Y, op)
@@ -161,7 +133,7 @@ class TestScores:
 class TestLinkKernels:
     def test_mf_kernels_are_masked_scores(self, small_instance):
         graph, neg = small_instance
-        _, op = operator_for("mf", graph, neg)
+        op = operator_for("mf", graph, neg)
         rng = np.random.default_rng(2)
         Y = rng.normal(size=(graph.num_nodes, 4))
         kernels = link_kernels(score_matrices(Y, op), op)
@@ -175,7 +147,7 @@ class TestLinkKernels:
     @pytest.mark.parametrize("model,kwargs", MODEL_GRID, ids=lambda v: str(v))
     def test_kernels_bounded_by_masks(self, small_instance, model, kwargs):
         graph, neg = small_instance
-        _, op = operator_for(model, graph, neg, **kwargs)
+        op = operator_for(model, graph, neg, **kwargs)
         rng = np.random.default_rng(3)
         Y = op.prop.apply(rng.normal(size=(graph.num_nodes, 4)))
         kernels = link_kernels(score_matrices(Y, op), op)
@@ -190,7 +162,7 @@ class TestLinkKernels:
         # K+ = S_A . mask_plus entry by entry: the positive mask times a
         # dense S_A spread from the score pair's owned slots
         graph, neg = small_instance
-        _, op = operator_for(model, graph, neg, **kwargs)
+        op = operator_for(model, graph, neg, **kwargs)
         rng = np.random.default_rng(4)
         scores = score_matrices(op.prop.apply(
             rng.normal(size=(graph.num_nodes, 4))), op)
@@ -208,7 +180,7 @@ class TestLinkKernels:
         # the untraced gradient path's diagnostic takes K+'s mean without
         # building K+; saturated scores (explicit zeros) included
         graph, neg = small_instance
-        _, op = operator_for(model, graph, neg, **kwargs)
+        op = operator_for(model, graph, neg, **kwargs)
         rng = np.random.default_rng(5)
         for scale in (1.0, 30.0):
             scores = score_matrices(op.prop.apply(
@@ -222,24 +194,21 @@ class TestLinkKernels:
 class TestKernelStep:
     def test_zero_embedding_is_fixed(self, small_instance):
         graph, neg = small_instance
-        config, op = operator_for("line", graph, neg)
+        op = operator_for("line", graph, neg)
         X = np.zeros((graph.num_nodes, 4))
         assert np.array_equal(kernel_step(X, op)[0], X)
 
-    def test_zero_c2_scales_by_c1(self, small_instance):
+    def test_zero_alpha_returns_x_bit_for_bit(self, small_instance):
+        # c1 = 1 - 0 * beta = 1 and c2 = 0: the step adds 0 to X
         graph, neg = small_instance
-        config = KernelConfig("mf", c1=0.7, c2=0.0, c3=0.0, a1=0, b1=0,
-                              a2=0, b2=0, pos_norm="none", neg_norm="none",
-                              lam=1.0)
         rng = np.random.default_rng(4)
         X = rng.normal(size=(graph.num_nodes, 3))
-        op = KernelOperator.build(config, graph, neg)
-        assert np.allclose(kernel_step(X, op)[0], 0.7 * X, rtol=0,
-                           atol=1e-16)
+        op = operator_for("deepwalk", graph, neg, alpha=0.0, beta=0.3)
+        assert kernel_step(X, op)[0].tobytes() == X.tobytes()
 
     def test_non_finite_input_raises(self, small_instance):
         graph, neg = small_instance
-        config, op = operator_for("mf", graph, neg)
+        op = operator_for("mf", graph, neg)
         X = np.zeros((graph.num_nodes, 2))
         X[0, 0] = np.inf
         with pytest.raises(DivergenceError, match="step 3"):
@@ -248,17 +217,17 @@ class TestKernelStep:
     @pytest.mark.parametrize("model,kwargs", MODEL_GRID, ids=lambda v: str(v))
     def test_matches_dense_oracle(self, small_instance, model, kwargs):
         graph, neg = small_instance
-        config, op = operator_for(model, graph, neg, alpha=0.05, beta=0.02,
-                                  **kwargs)
+        alpha, beta = 0.05, 0.02
+        op = operator_for(model, graph, neg, alpha=alpha, beta=beta, **kwargs)
         rng = np.random.default_rng(5)
         X = rng.normal(scale=0.4, size=(graph.num_nodes, 4))
-        # the oracle's masks and P are spelled per model, not read from
-        # the constants in config
+        # the oracle's masks and P are spelled per model, and its c1 and c2
+        # from the step size, not read from the library
         W_pos, W_neg, P = reference.dense_weights(
             graph, neg, ModelParams(model, **kwargs))
         P1 = np.eye(graph.num_nodes) if P is None else P
         expected = reference.dense_kernel_step(
-            X, config.c1, config.c2, P1, W_pos, W_neg, config.lam)
+            X, 1 - alpha * beta, alpha, P1, W_pos, W_neg, 1.0)
         assert np.allclose(kernel_step(X, op)[0], expected, rtol=0,
                            atol=1e-12)
 
@@ -271,7 +240,7 @@ class TestKernelStep:
         graph = build_graph(edges, num_nodes=8)
         neg = negatives_from_pairs([(0, 4), (1, 5), (2, 6), (3, 7)], 8)
         X = np.array([[30.0]] * 4 + [[-30.0]] * 4)
-        config, op = operator_for("mf", graph, neg, alpha=0.1, beta=0.0)
+        op = operator_for("mf", graph, neg, alpha=0.1, beta=0.0)
         assert np.array_equal(kernel_step(X, op)[0], X)
         params = ModelParams("mf")
         grad = loss_gradient(X, build_masks(graph, neg, params), params)
@@ -285,14 +254,14 @@ class TestKernelStep:
         # step still runs, on K- alone, with the plain expression's bits
         graph = build_graph([], num_nodes=4)
         neg = negatives_from_pairs([(0, 1)], 4)
-        config, op = operator_for(model, graph, neg, **kwargs)
+        op = operator_for(model, graph, neg, **kwargs)
         X = np.random.default_rng(8).normal(size=(4, 3))
         Y = op.prop.apply(X)
         kernels = link_kernels(score_matrices(Y, op), op)
         assert kernels.k_plus.nnz == 0 and kernels.k_minus.nnz == 2
-        W = op.prop.apply(kernels.k_plus @ Y
-                          - config.lam * (kernels.k_minus @ Y))
-        plain = config.c1 * X + config.c2 * W
+        # lam = 1 and beta = 0, so c1 = 1 and c2 = alpha = 0.05
+        W = op.prop.apply(kernels.k_plus @ Y - 1.0 * (kernels.k_minus @ Y))
+        plain = 1.0 * X + 0.05 * W
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             stepped, stepped_trace = kernel_step(X, op)
@@ -305,7 +274,7 @@ class TestKernelStep:
 class TestTrace:
     def test_trace_shapes_and_output(self, small_instance):
         graph, neg = small_instance
-        config, op = operator_for("lightgcn", graph, neg, layers=2)
+        op = operator_for("lightgcn", graph, neg, layers=2)
         rng = np.random.default_rng(6)
         X = rng.normal(size=(graph.num_nodes, 3))
         out, trace = kernel_step(X, op)
@@ -325,13 +294,14 @@ class TestTrace:
         # are those of c1 X + c2 P (K+ Y - lam K- Y), and X and Y are
         # only read
         graph, neg = small_instance
-        config, op = operator_for(model, graph, neg, beta=0.01, **kwargs)
+        op = operator_for(model, graph, neg, beta=0.01, **kwargs)
         X = np.random.default_rng(9).normal(size=(graph.num_nodes, 4))
         Y = op.prop.apply(X)
         kernels = link_kernels(score_matrices(Y, op), op)
-        Z = kernels.k_plus @ Y - config.lam * (kernels.k_minus @ Y)
+        # lam = 1, alpha = 0.05 and beta = 0.01
+        Z = kernels.k_plus @ Y - 1.0 * (kernels.k_minus @ Y)
         W = op.prop.apply(Z)
-        plain = config.c1 * X + config.c2 * W
+        plain = (1.0 - 0.05 * 0.01) * X + 0.05 * W
         X.flags.writeable = Y.flags.writeable = False
         out, trace = kernel_update(X, Y, score_matrices(Y, op), op)
         assert out.tobytes() == plain.tobytes()
@@ -344,7 +314,7 @@ class TestTrace:
     def test_outer_propagation_never_expands(self, small_instance):
         # substeps (1) and (3) apply an averaged stochastic-like operator
         graph, neg = small_instance
-        config, op = operator_for("lightgcn", graph, neg, layers=3)
+        op = operator_for("lightgcn", graph, neg, layers=3)
         rng = np.random.default_rng(7)
         X = rng.normal(size=(graph.num_nodes, 3))
         _, trace = kernel_step(X, op)
@@ -356,7 +326,7 @@ class TestMaterialize:
     def test_step_equals_matrix_action(self, small_instance):
         graph, neg = small_instance
         for model, kwargs in MODEL_GRID:
-            config, op = operator_for(model, graph, neg, alpha=0.03,
+            op = operator_for(model, graph, neg, alpha=0.03,
                                       beta=0.01, **kwargs)
             rng = np.random.default_rng(8)
             X = rng.normal(size=(graph.num_nodes, 4))
@@ -367,7 +337,7 @@ class TestMaterialize:
 
     def test_limit_guard(self, small_instance):
         graph, neg = small_instance
-        config, op = operator_for("mf", graph, neg)
+        op = operator_for("mf", graph, neg)
         scores = score_matrices(np.zeros((graph.num_nodes, 2)), op)
         with pytest.raises(ValueError, match="dense limit"):
             materialize_kernel(scores, op, limit=graph.num_nodes - 1)
@@ -376,7 +346,7 @@ class TestMaterialize:
         # all sigmoids sit at 1/2, so H = (1 - alpha*beta) I + alpha/2 (A - lam B)
         graph, neg = small_instance
         alpha, beta, lam = 0.2, 0.05, 1.5
-        config, op = operator_for("mf", graph, neg, alpha=alpha, beta=beta,
+        op = operator_for("mf", graph, neg, alpha=alpha, beta=beta,
                                   lam=lam)
         X = np.zeros((graph.num_nodes, 2))
         scores = score_matrices(X, op)
@@ -391,13 +361,13 @@ class TestMaterialize:
         # a node with no links on either side only sees the c1 I term
         graph = build_graph([(0, 1), (1, 2)], num_nodes=4)
         neg = negatives_from_pairs([(0, 2)], 4)
-        config, op = operator_for("mf", graph, neg, alpha=0.1, beta=0.2)
+        op = operator_for("mf", graph, neg, alpha=0.1, beta=0.2)
         rng = np.random.default_rng(9)
         X = rng.normal(size=(4, 3))
         scores = score_matrices(op.prop.apply(X), op)
         H = materialize_kernel(scores, op)
         expected_row = np.zeros(4)
-        expected_row[3] = config.c1
+        expected_row[3] = 1 - 0.1 * 0.2
         assert np.array_equal(H[3], expected_row)
         assert np.array_equal(H[:, 3], expected_row)
 
@@ -406,7 +376,7 @@ class TestSignStructure:
     def test_mf_kernel_has_correct_signs(self):
         for seed in range(10):
             graph, neg = random_graph_instance(seed=seed + 40)
-            config, op = operator_for("mf", graph, neg, alpha=0.05, beta=0.01)
+            op = operator_for("mf", graph, neg, alpha=0.05, beta=0.01)
             rng = np.random.default_rng(seed)
             X = rng.normal(size=(graph.num_nodes, 4))
             scores = score_matrices(op.prop.apply(X), op)
@@ -418,7 +388,7 @@ class TestSignStructure:
 
     def test_doctored_matrix_fails(self, small_instance):
         graph, neg = small_instance
-        config, op = operator_for("mf", graph, neg)
+        op = operator_for("mf", graph, neg)
         scores = score_matrices(np.zeros((graph.num_nodes, 2)), op)
         H = materialize_kernel(scores, op)
         u, v = graph.edges[0]

@@ -99,6 +99,15 @@ class TestMaskOracle:
                 check_masks_against_oracle(graph, negatives, params)
 
 
+def test_negatives_of_another_graph_rejected():
+    # used to return a 10 x 10 positive and a 15 x 15 negative mask
+    graph, _ = equivalence_instance(0)
+    _, negatives = equivalence_instance(5)
+    with pytest.raises(ValueError, match="negatives are drawn on 15 nodes, "
+                                         "but the graph has 10"):
+        build_masks(graph, negatives, ModelParams("line"))
+
+
 def same_matrix(a, b):
     """Equal bit for bit, in the same stored order and index dtypes."""
     return all(same_bits(x, y) for x, y in ((a.data, b.data),
@@ -116,9 +125,10 @@ class TestGraphMemo:
     def test_shared_and_equal_to_a_fresh_build(self, instance, model, window,
                                                layers):
         graph, negatives = instance
-        k = ModelParams(model, window=window, layers=layers).constants
-        first = mask_set(graph, negatives, k)
-        second = mask_set(graph, negatives, k)
+        params = ModelParams(model, window=window, layers=layers)
+        k = params.constants
+        first = mask_set(graph, negatives, params)
+        second = mask_set(graph, negatives, params)
         base = normalize(graph, k.pos_norm)
         assert normalize(graph, k.pos_norm) is base
         assert first.prop.matrix is base and second.prop.matrix is base
@@ -126,7 +136,7 @@ class TestGraphMemo:
         if k.c3 != 0.0:
             assert second.neg is not first.neg
         fresh_graph = build_graph(graph.edges, num_nodes=graph.num_nodes)
-        fresh = mask_set(fresh_graph, negatives, k)
+        fresh = mask_set(fresh_graph, negatives, params)
         for mine, theirs in ((first.pos, fresh.pos), (first.neg, fresh.neg),
                              (base, normalize(fresh_graph, k.pos_norm))):
             assert same_matrix(mine, theirs)
@@ -136,8 +146,7 @@ class TestGraphMemo:
     def test_memo_is_read_only_without_duplicates(self, instance, window):
         graph, negatives = instance
         for model in MODELS:
-            mask_set(graph, negatives,
-                     ModelParams(model, window=window).constants)
+            mask_set(graph, negatives, ModelParams(model, window=window))
         # the negatives the instance drew, two normalized adjacencies, and
         # line's and the window's walk mask; nothing built from the negatives
         matrices = {key: value for key, value in graph._memo.items()
@@ -163,8 +172,7 @@ class TestGraphMemo:
 
     def test_memo_freed_with_graph(self):
         graph, negatives = equivalence_instance(0)
-        masks = mask_set(graph, negatives,
-                         ModelParams("deepwalk", window=3).constants)
+        masks = mask_set(graph, negatives, ModelParams("deepwalk", window=3))
         kept = [weakref.ref(m) for m in graph._memo.values()]
         assert len(kept) == 3
         assert kept[0]() is negatives and kept[2]() is masks.pos

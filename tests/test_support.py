@@ -16,8 +16,7 @@ from hypothesis import given, strategies as st
 
 from linkprop import graphs
 from linkprop.graphs import SupportPattern, build_graph, proximity
-from linkprop.kernel import (KernelOperator, link_kernels, model_config,
-                             score_matrices)
+from linkprop.kernel import KernelOperator, link_kernels, score_matrices
 from linkprop.losses import (ModelParams, bce_loss, build_masks, loss_gradient,
                              model_loss, sigmoid, support_gradient,
                              support_loss)
@@ -86,8 +85,7 @@ def check_against_oracles(graph, negatives, model, kwargs, Y):
     lam, beta = 1.3, 0.02
     params = ModelParams(model=model, lam=lam, beta=beta, **kwargs)
     masks = build_masks(graph, negatives, params)
-    op = KernelOperator.build(model_config(params, alpha=0.05), graph,
-                              negatives)
+    op = KernelOperator.build(params, 0.05, graph, negatives)
     # train() reads the operator's pattern and P where the loss API reads
     # the masks': both come from losses.mask_set, so they agree bit for bit
     # (test_kernel pins that), and the pattern is checked once, against the

@@ -12,13 +12,13 @@ from linkprop.data_io import graph_from_split, split_dataset
 from linkprop.experiment import RunConfig, run_experiment
 from linkprop.graphs import (MAX_PROXIMITY_ORDER, MaskEntries, Partition,
                              ProximityOperator, SupportPattern, build_graph)
-from linkprop.kernel import KernelOperator, link_kernels, model_config
+from linkprop.kernel import KernelOperator, link_kernels
 from linkprop.losses import (DivergenceError, ModelParams, build_masks, gd_step,
                              loss_gradient, sigmoid)
 from linkprop.negatives import _sample, sample_negatives
 from linkprop.ranking import Ranker, SplitSet, evaluate
 from reference import evaluate_scalar
-from linkprop.synthetic import block_bipartite
+from linkprop.synthetic import block_bipartite, equivalence_instance
 from linkprop.training import (ALPHA_GRID, INTEGER_FIELDS, AllPointsDiverged,
                                GridPoint, TrainConfig, TrainHistory, TrainResult,
                                grid_search, init_embeddings, repeat_train,
@@ -101,6 +101,14 @@ class TestTrainConfig:
         {"window": MAX_PROXIMITY_ORDER}, {"eval_k": 1}])
     def test_range_ends_accepted(self, kwargs):
         assert TrainConfig(model="lightgcn", alpha=0.05, **kwargs)
+
+    @pytest.mark.parametrize("value", ["false", "no", 0, 1, None,
+                                       np.bool_(False)])
+    def test_trace_substeps_must_be_a_bool(self, value):
+        # "false" used to be accepted and then read as true by train()
+        with pytest.raises(ValueError, match=f"trace_substeps must be a "
+                                             f"bool, got {value!r}"):
+            TrainConfig("mf", trace_substeps=value)
 
     def test_params_passthrough(self):
         cfg = TrainConfig("deepwalk", alpha=0.1, window=7, lam=0.5, beta=0.2)
@@ -306,6 +314,16 @@ class TestTrainPaths:
             train(graph, neg, TrainConfig("mf", alpha=0.05, dim=2))
 
 
+def test_negatives_of_another_graph_rejected():
+    # used to fail deep inside the first step with numpy's broadcast error
+    graph, _ = equivalence_instance(0)
+    _, negatives = equivalence_instance(5)
+    assert (graph.num_nodes, negatives.num_nodes) == (10, 15)
+    with pytest.raises(ValueError, match="negatives are drawn on 15 nodes, "
+                                         "but the graph has 10"):
+        train(graph, negatives, TrainConfig("mf", max_epochs=2))
+
+
 class TestEarlyStopping:
     def test_flat_validation_stops_after_patience(self, split_instance):
         # recall cannot change under a vanishing step, so the second
@@ -441,8 +459,7 @@ class TestEmbeddingBuffers:
         train(train_graph, neg, cfg, splits=splits)
         tracemalloc.start()
         try:
-            op = KernelOperator.build(model_config(cfg.params, cfg.alpha),
-                                      train_graph, neg)
+            op = KernelOperator.build(cfg.params, cfg.alpha, train_graph, neg)
             own = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -747,8 +764,7 @@ class TestSharedOperators:
             for window in (2, 3):
                 cfg = TrainConfig("deepwalk", window=window, alpha=0.05, dim=4,
                                   max_epochs=3, eval_k=2)
-                KernelOperator.build(model_config(cfg.params, cfg.alpha),
-                                     graph, negatives)
+                KernelOperator.build(cfg.params, cfg.alpha, graph, negatives)
                 build_masks(graph, negatives, cfg.params)
                 train(graph, negatives, cfg)
                 train(graph, negatives, cfg, splits=splits)
